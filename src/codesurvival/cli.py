@@ -313,13 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CodeSurvivalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CodeSurvivalError, OSError) as exc:  # data errors and I/O failures
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -34,6 +34,7 @@ from .errors import (
     ManifestError,
     MissingSourceError,
     StoreFormatError,
+    UsageError,
 )
 
 __all__ = [
@@ -310,17 +311,21 @@ def _walk_directory(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
 
 
 def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
-    with tarfile.open(source) as tar:
-        members = sorted(
-            (m for m in tar.getmembers() if m.isreg()), key=lambda m: m.name
-        )
-        for member in members:
-            rel = member.name.lstrip("./")
-            fileobj = tar.extractfile(member)
-            if fileobj is None:
-                continue
-            data = fileobj.read()
-            yield rel, (lambda d=data: d)
+    try:
+        with tarfile.open(source) as tar:
+            members = sorted(
+                (m for m in tar.getmembers() if m.isreg()), key=lambda m: m.name
+            )
+            for member in members:
+                # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
+                rel = member.name.removeprefix("./")
+                fileobj = tar.extractfile(member)
+                if fileobj is None:
+                    continue
+                data = fileobj.read()
+                yield rel, (lambda d=data: d)
+    except (tarfile.TarError, EOFError) as exc:
+        raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
 
 
 def scan_version(
@@ -393,7 +398,10 @@ def scan_corpus(
     """Scan every version of a manifest in order, optionally persisting.
 
     Yields each snapshot as it is completed so callers can report
-    per-version counts without holding the whole corpus in memory.
+    per-version counts without holding the whole corpus in memory.  Once
+    every version is stored, snapshot files this scan did not write (a
+    longer earlier corpus, a dropped group) are removed, so the store
+    holds this corpus and nothing else.
     """
     for entry in manifest.versions:
         snapshot = scan_version(
@@ -406,6 +414,15 @@ def scan_corpus(
         if store is not None:
             store_snapshot(snapshot, store)
         yield snapshot
+    if store is not None:
+        written = {
+            _store_filename(entry.ordinal, group.name)
+            for entry in manifest.versions
+            for group in manifest.groups
+        }
+        for path in Path(store).glob("*.snap"):
+            if path.name not in written:
+                path.unlink()
 
 
 # --- snapshot store -------------------------------------------------------

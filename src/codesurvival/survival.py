@@ -13,18 +13,43 @@ Two granularities are measured from a pair of snapshots:
 The denominator is always the baseline size, so growth of the later
 version never dilutes the fraction.  Line reintroductions count as
 present: each pair is compared on its own, with no history memory.
+
+Both metrics are one count, |base keys present in later| / |base keys|,
+over different keys: a line digest for uloc, a (basename, content
+digest) pair per file record for file, duplicates kept.  All version
+pairs come from one kernel instead of one set intersection per pair:
+
+1. Every distinct key gets a dense integer id, so each version becomes
+   an int array.
+2. Each id's presence across the V versions is packed into a
+   ceil(V/8)-byte mask, one bit per version, for any V.
+3. Keys with equal masks are interchangeable, so the masks collapse to
+   U distinct patterns.  Lines live in contiguous version intervals, so
+   U grows with V**2, not with the number of keys.
+4. With W[u, i] the number of version i's keys (with multiplicity)
+   whose pattern is u, and P[u, j] whether pattern u includes version
+   j, the overlap of every pair is C = W.T @ P, summed in exact integer
+   arithmetic over blocks of patterns so temporaries stay small.
+
+Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
+same division a per-pair set intersection would make, so results are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Hashable, Sequence
 
-from .errors import EmptyBaselineError
-from .ingest import VersionSnapshot, load_all_snapshots
+import numpy as np
+
+from .errors import DigestMismatchError, EmptyBaselineError
+from .ingest import GroupPayload, VersionSnapshot, load_all_snapshots
 
 __all__ = [
     "MetricKind",
@@ -38,6 +63,10 @@ __all__ = [
 ]
 
 CURVES_CSV_HEADER = ("baseline_ordinal", "baseline_label", "baseline_size", "offset", "changed_fraction")
+
+# Patterns per block of the overlap product; bounds its int64 temporaries
+# to 2 * _PATTERN_BLOCK * V * 8 bytes.
+_PATTERN_BLOCK = 512
 
 
 class MetricKind(enum.Enum):
@@ -91,13 +120,7 @@ class CurveFamily:
 
 def uloc_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: str) -> float:
     """1 - |uloc_base intersect uloc_later| / |uloc_base|."""
-    base_set = base.group(group).uloc
-    later_set = later.group(group).uloc
-    if not base_set:
-        raise EmptyBaselineError(
-            f"version {base.version_label!r} group {group!r} has an empty uloc set"
-        )
-    return 1.0 - len(base_set & later_set) / len(base_set)
+    return _pair_fraction(base, later, group, MetricKind.ULOC)
 
 
 def file_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: str) -> float:
@@ -109,26 +132,93 @@ def file_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: 
     matching copy counts, a permissive reading that path insensitivity
     forces.
     """
-    base_files = base.group(group).files
-    if not base_files:
-        raise EmptyBaselineError(
-            f"version {base.version_label!r} group {group!r} has no files"
-        )
-    later_index: dict[str, set[bytes]] = {}
-    for record in later.group(group).files:
-        later_index.setdefault(record.basename, set()).add(record.content_digest)
-    unchanged = sum(
-        1
-        for record in base_files
-        if record.content_digest in later_index.get(record.basename, ())
-    )
-    return 1.0 - unchanged / len(base_files)
+    return _pair_fraction(base, later, group, MetricKind.FILE)
 
 
-def _fraction(base: VersionSnapshot, later: VersionSnapshot, group: str, metric: MetricKind) -> float:
+def _pair_fraction(
+    base: VersionSnapshot, later: VersionSnapshot, group: str, metric: MetricKind
+) -> float:
+    size, fractions = _changed_fractions([base, later], group, metric)[0]
+    if not size:
+        raise _empty_baseline(base, group, metric)
+    return fractions[0]
+
+
+def _empty_baseline(base: VersionSnapshot, group: str, metric: MetricKind) -> EmptyBaselineError:
+    what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
+    return EmptyBaselineError(f"version {base.version_label!r} group {group!r} has {what}")
+
+
+def _metric_keys(payload: GroupPayload, metric: MetricKind) -> Collection[Hashable]:
     if metric is MetricKind.ULOC:
-        return uloc_changed_fraction(base, later, group)
-    return file_changed_fraction(base, later, group)
+        return payload.uloc
+    return [(record.basename, record.content_digest) for record in payload.files]
+
+
+def _check_digests(snapshots: Sequence[VersionSnapshot]) -> None:
+    first = snapshots[0]
+    for snapshot in snapshots[1:]:
+        if snapshot.digest_algorithm != first.digest_algorithm:
+            raise DigestMismatchError(
+                f"version {snapshot.version_label!r} uses digest {snapshot.digest_algorithm!r} "
+                f"but {first.version_label!r} uses {first.digest_algorithm!r}; "
+                "rescan every version with one algorithm"
+            )
+
+
+def _shared_counts(keysets: Sequence[Collection[Hashable]]) -> np.ndarray:
+    """C[i, j]: how many of version i's keys, with multiplicity, version j has."""
+    # A key seen for the first time gets the next free id.
+    index = defaultdict(itertools.count().__next__)
+    # The narrowest dtypes that hold every id (bounded by the total key
+    # count) and every per-pattern count keep the arrays that live beside
+    # the loaded snapshots small.
+    id_dtype = np.min_scalar_type(sum(map(len, keysets)))
+    count_dtype = np.min_scalar_type(max(map(len, keysets)))
+    ids = [
+        np.fromiter(map(index.__getitem__, keys), dtype=id_dtype, count=len(keys))
+        for keys in keysets
+    ]
+    n_keys, n_versions = len(index), len(keysets)
+    # Each stage frees its inputs before the next allocates, so the peak
+    # stays near the loaded snapshots' own footprint.
+    del index
+    mask_bytes = (n_versions + 7) // 8
+    masks = np.zeros((n_keys, mask_bytes), dtype=np.uint8)
+    for i, version_ids in enumerate(ids):
+        masks[version_ids, i // 8] |= np.uint8(1 << (i % 8))
+    # One opaque mask_bytes-wide item per key sorts far faster than rows.
+    unique_masks, pattern_of = np.unique(
+        masks.view(np.dtype((np.void, mask_bytes))).ravel(), return_inverse=True
+    )
+    patterns = unique_masks.view(np.uint8).reshape(-1, mask_bytes)
+    del masks
+    weights = np.empty((len(patterns), n_versions), dtype=count_dtype)
+    for i, version_ids in enumerate(ids):
+        weights[:, i] = np.bincount(pattern_of[version_ids], minlength=len(patterns))
+    del ids, pattern_of
+    presence = np.unpackbits(patterns, axis=1, count=n_versions, bitorder="little")
+    counts = np.zeros((n_versions, n_versions), dtype=np.int64)
+    for start in range(0, len(patterns), _PATTERN_BLOCK):
+        block = slice(start, start + _PATTERN_BLOCK)
+        counts += weights[block].T.astype(np.int64) @ presence[block].astype(np.int64)
+    return counts
+
+
+def _changed_fractions(
+    snapshots: Sequence[VersionSnapshot], group: str, metric: MetricKind
+) -> list[tuple[int, list[float]]]:
+    """Per snapshot, its size and its changed fractions at offsets 1, 2, ...
+
+    A snapshot that is empty under the metric has size 0 and no fractions.
+    """
+    _check_digests(snapshots)
+    keysets = [_metric_keys(snapshot.group(group), metric) for snapshot in snapshots]
+    shared = _shared_counts(keysets).tolist()
+    return [
+        (len(keys), [1.0 - c / len(keys) for c in shared[i][i + 1 :]] if keys else [])
+        for i, keys in enumerate(keysets)
+    ]
 
 
 def build_curve_family(
@@ -141,9 +231,10 @@ def build_curve_family(
     """Compare every baseline with every later version.
 
     ``snapshots`` may be a store directory or an ordered sequence of
-    snapshots.  A baseline that is empty under the metric yields no
-    curve; the omission is recorded in the family's warnings instead of
-    being silently zeroed.
+    snapshots, all digested with one algorithm (else
+    ``DigestMismatchError``).  A baseline that is empty under the metric
+    yields no curve; the omission is recorded in the family's warnings
+    instead of being silently zeroed.
     """
     if isinstance(snapshots, (str, Path)):
         snapshots = load_all_snapshots(snapshots)
@@ -152,16 +243,12 @@ def build_curve_family(
         raise ValueError("need at least 2 versions to build change curves")
     curves: list[ChangeCurve] = []
     warnings: list[str] = []
-    for i, base in enumerate(snapshots[:-1]):
-        payload = base.group(group)
-        size = payload.uloc_count if metric is MetricKind.ULOC else payload.file_count
-        try:
-            points = tuple(
-                (j - i, _fraction(base, snapshots[j], group, metric))
-                for j in range(i + 1, len(snapshots))
+    rows = _changed_fractions(snapshots, group, metric)
+    for base, (size, fractions) in zip(snapshots[:-1], rows):
+        if not size:
+            warnings.append(
+                f"baseline {base.version_label!r} omitted: {_empty_baseline(base, group, metric)}"
             )
-        except EmptyBaselineError as exc:
-            warnings.append(f"baseline {base.version_label!r} omitted: {exc}")
             continue
         curves.append(
             ChangeCurve(
@@ -169,7 +256,7 @@ def build_curve_family(
                 baseline_label=base.version_label,
                 metric=metric,
                 group=group,
-                points=points,
+                points=tuple(enumerate(fractions, start=1)),
                 baseline_size=size,
             )
         )

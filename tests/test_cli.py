@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tarfile
 from pathlib import Path
 
 import pytest
 
 from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
+from codesurvival.ingest import ExtensionGroup, scan_version, store_snapshot
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
 
@@ -95,6 +97,36 @@ def test_scan_missing_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rescan_drops_stale_snapshots(tmp_path, capsys):
+    store = tmp_path / "store"
+    for versions in (6, 3):
+        corpus = synth_corpus(tmp_path / f"corpus{versions}", versions=versions)
+        assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    assert len(list(store.glob("*.snap"))) == 3
+    capsys.readouterr()
+    assert run("curves", "--store", store, "--group", "syn",
+               "--metric", "uloc", "--out", tmp_path / "c.csv") == 0
+    assert "3 curve rows (2 baselines)" in capsys.readouterr().out
+
+
+def test_scan_truncated_archive_exits_2(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=2, lines=4000)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    # Synthetic lines are random tokens, so gzip cannot shrink them much.
+    archive = corpus / "v1.tar.gz"
+    with tarfile.open(archive, "w:gz") as tar:
+        tar.add(corpus / manifest["versions"][1]["path"], arcname=".")
+    whole = archive.read_bytes()
+    archive.write_bytes(whole[: len(whole) // 2])
+    manifest["versions"][1]["path"] = archive.name
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "v1.tar.gz" in err
+    assert err.count("\n") == 1
+
+
 def test_scan_is_reproducible(tmp_path):
     corpus = synth_corpus(tmp_path / "corpus", versions=3)
     stores = []
@@ -130,6 +162,39 @@ def test_curves_unknown_group(tmp_path, capsys):
                "--metric", "uloc", "--out", tmp_path / "c.csv") == 2
     err = capsys.readouterr().err
     assert "js" in err and "syn" in err
+
+
+def test_curves_group_missing_from_one_version(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    store = tmp_path / "store"
+    run("scan", "--manifest", corpus / "manifest.json", "--store", store)
+    (store / "00001_syn.snap").unlink()
+    other = ExtensionGroup(name="other", extensions=(".txt",))
+    store_snapshot(scan_version(corpus / "v001", [other], label="v1", ordinal=1), store)
+    capsys.readouterr()
+    assert run("curves", "--store", store, "--group", "syn",
+               "--metric", "file", "--out", tmp_path / "c.csv") == 2
+    assert "no group 'syn'" in capsys.readouterr().err
+
+
+def test_curves_refuses_mixed_digests(tmp_path, capsys):
+    group = ExtensionGroup(name="syn", extensions=(".txt",))
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "a.txt").write_text("same\nlines\n")
+    store = tmp_path / "store"
+    for ordinal, algorithm in enumerate(("sha256", "blake2b-128")):
+        store_snapshot(
+            scan_version(root, [group], label=f"v{ordinal}", ordinal=ordinal, algorithm=algorithm),
+            store,
+        )
+    out_csv = tmp_path / "c.csv"
+    assert run("curves", "--store", store, "--group", "syn",
+               "--metric", "uloc", "--out", out_csv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sha256" in err and "blake2b-128" in err
+    assert not out_csv.exists()
 
 
 def test_curves_missing_store(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import random
 import tarfile
 from pathlib import Path
 
@@ -29,6 +31,8 @@ from codesurvival.ingest import (
     store_ordinals,
     store_snapshot,
 )
+
+from conftest import random_corpus_history, write_tree
 
 CPP = ExtensionGroup(name="cpp", extensions=(".cpp",))
 H = ExtensionGroup(name="h", extensions=(".h",))
@@ -196,6 +200,37 @@ def test_scan_compressed_tar(tree_writer, tmp_path):
     root = tree_writer({"a.cpp": "int a;\n"})
     archive = make_tar(root, tmp_path / "v1.tar.gz", "w:gz")
     assert scan_version(archive, [CPP]).group("cpp").uloc == frozenset({b2(b"int a;")})
+
+
+def test_tar_keeps_leading_dots_of_member_names(tmp_path):
+    txt = ExtensionGroup(name="txt", extensions=(".txt",))
+    archive = tmp_path / "v1.tar"
+    with tarfile.open(archive, "w") as tar:
+        for name, data in ((".cfg/x.txt", b"x\n"), ("./.y.txt", b"y\n")):
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    root = write_tree(tmp_path / "tree", {".cfg/x.txt": "x\n", ".y.txt": "y\n"})
+    from_tar = scan_version(archive, [txt], label="v1")
+    files = from_tar.group("txt").files
+    assert [(r.basename, r.relpath) for r in files] == [("x.txt", ".cfg/x.txt"), (".y.txt", ".y.txt")]
+    assert from_tar == scan_version(root, [txt], label="v1")
+
+
+def test_tar_and_directory_give_identical_snapshots(tmp_path):
+    x = ExtensionGroup(name="x", extensions=(".x",))
+    y = ExtensionGroup(name="y", extensions=(".y",))
+    rng = random.Random(20261018)
+    for corpus_id in range(6):
+        for i, tree in enumerate(random_corpus_history(rng, versions=4)):
+            # Hide some files and directories behind a leading dot.
+            tree = {
+                (("." + rel) if rng.random() < 0.3 else rel): text for rel, text in tree.items()
+            }
+            root = write_tree(tmp_path / f"c{corpus_id}" / f"v{i}", tree)
+            archive = make_tar(root, tmp_path / f"c{corpus_id}" / f"v{i}.tar.gz", "w:gz")
+            from_dir = scan_version(root, [x, y], label=f"v{i}", ordinal=i)
+            assert scan_version(archive, [x, y], label=f"v{i}", ordinal=i) == from_dir
 
 
 # --- manifests --------------------------------------------------------------
@@ -395,3 +430,17 @@ def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
     assert store_ordinals(store) == [0, 1]
     reloaded = load_all_snapshots(store)
     assert reloaded[0].group("cpp").uloc == snaps[0].group("cpp").uloc
+
+
+def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):
+    tree_writer({"a.cpp": "one\n", "a.h": "h\n"}, "v1")
+    tree_writer({"a.cpp": "two\n"}, "v2")
+    store = tmp_path / "store"
+    for ordinal in range(4):
+        root = tree_writer({"a.cpp": f"old {ordinal}\n"}, f"old{ordinal}")
+        store_snapshot(scan_version(root, [CPP, H], label=f"old{ordinal}", ordinal=ordinal), store)
+    manifest = load_manifest(write_manifest(tmp_path, manifest_payload()))
+    list(scan_corpus(manifest, store))
+    # Ordinals 2-3 and the h group, which this manifest drops, are gone.
+    assert sorted(p.name for p in store.glob("*.snap")) == ["00000_cpp.snap", "00001_cpp.snap"]
+    assert [s.version_label for s in load_all_snapshots(store)] == ["v1", "v2"]

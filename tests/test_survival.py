@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from codesurvival.errors import EmptyBaselineError
-from codesurvival.ingest import ExtensionGroup, scan_version
+from codesurvival.errors import DigestMismatchError, EmptyBaselineError
+from codesurvival.ingest import ExtensionGroup, GroupPayload, VersionSnapshot, scan_version
 from codesurvival.survival import (
     ChangeCurve,
     CurveFamily,
@@ -149,6 +149,29 @@ def test_family_omits_empty_baselines_with_warning(tree_writer):
     assert "v0" in family.warnings[0]
 
 
+def test_family_refuses_mixed_digest_algorithms(tree_writer):
+    root = tree_writer({"a.x": "a\nb\n"}, "v")
+    snaps = [
+        scan_version(root, [X], label=f"v{i}", ordinal=i, algorithm=algorithm)
+        for i, algorithm in enumerate(("blake2b-128", "blake2b-128", "sha256"))
+    ]
+    for metric in MetricKind:
+        with pytest.raises(DigestMismatchError, match="sha256"):
+            build_curve_family(snaps, "x", metric)
+    with pytest.raises(DigestMismatchError):
+        uloc_changed_fraction(snaps[0], snaps[2], "x")
+    with pytest.raises(DigestMismatchError):
+        file_changed_fraction(snaps[2], snaps[1], "x")
+
+
+def test_family_missing_group_is_a_key_error(tree_writer):
+    snaps = [snap(tree_writer, {"a.x": "a\n"}, f"v{i}", i) for i in range(3)]
+    snaps[2] = VersionSnapshot("v2", 2, snaps[2].digest_algorithm, {"y": GroupPayload((), frozenset())})
+    for metric in MetricKind:
+        with pytest.raises(KeyError, match="no group 'x'"):
+            build_curve_family(snaps, "x", metric)
+
+
 def test_family_needs_two_versions(tree_writer):
     only = snap(tree_writer, {"a.x": "a\n"}, "v0")
     with pytest.raises(ValueError, match="at least 2"):
@@ -235,3 +258,49 @@ def test_fractions_match_brute_force_oracle(tmp_path):
                         continue
                     got = [p for _, p in by_ordinal[i].points]
                     assert got == expected  # exact: identical integer divisions
+
+
+def _edge_case_history(rng: random.Random, versions: int) -> list[dict[str, str]]:
+    """A random history with empty y groups and same-content basename copies."""
+    history = random_corpus_history(rng, versions)
+    for i, tree in enumerate(history):
+        if i % 4 == 0:
+            # An empty baseline, and an empty later version for earlier ones.
+            for rel in [r for r in tree if r.endswith(".y")]:
+                del tree[rel]
+        if i % 3 == 0:
+            for rel in [r for r in tree if r.endswith(".x")][:2]:
+                tree["dup/" + rel.split("/")[-1]] = tree[rel]
+            tree["dup/same.x"] = tree["lib/same.x"] = f"shared {i // 6}\n"
+    return history
+
+
+@pytest.mark.parametrize("versions", [2, 8, 9, 64, 65, 70])
+def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
+    # 8/9 and 64/65 straddle a presence-mask byte and a 64-bit word.
+    rng = random.Random(versions)
+    history = _edge_case_history(rng, versions)
+    snaps = []
+    for i, tree in enumerate(history):
+        root = tmp_path / f"v{i}"
+        root.mkdir()  # the tree may be empty
+        snaps.append(scan_version(write_tree(root, tree), [X, Y], label=f"v{i}", ordinal=i))
+    assert any(rel.startswith("dup/") for tree in history for rel in tree)
+    for group, ext in (("x", ".x"), ("y", ".y")):
+        for metric, oracle in (
+            (MetricKind.ULOC, raw_uloc_fraction),
+            (MetricKind.FILE, raw_file_fraction),
+        ):
+            family = build_curve_family(snaps, group, metric)
+            by_ordinal = {c.baseline_ordinal: c for c in family.curves}
+            omitted = []
+            for i, base in enumerate(history[:-1]):
+                expected = [oracle(base, later, ext) for later in history[i + 1 :]]
+                if expected[0] is None:
+                    assert i not in by_ordinal
+                    omitted.append(f"baseline 'v{i}' omitted")
+                    continue
+                assert [p for _, p in by_ordinal[i].points] == expected
+            assert [w.split(":")[0] for w in family.warnings] == omitted
+    # Group y is empty in v0, so its first curve is always omitted.
+    assert build_curve_family(snaps, "y", MetricKind.FILE).warnings
