@@ -86,7 +86,10 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     try:
         family = build_curve_family(args.store, args.group, MetricKind(args.metric))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError quotes its message.
+        raise UsageError(exc.args[0]) from exc
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     write_curves_csv(family, args.out)
     n_rows = sum(len(c.points) for c in family.curves)

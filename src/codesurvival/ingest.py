@@ -3,8 +3,9 @@
 A corpus is an ordered list of version snapshots (directories or tar
 archives prepared externally, one per release).  Scanning a version
 produces, per extension group, the list of file records (basename,
-relative path, content digest) and the set of unique line digests
-pooled across all files of the group.  Duplicate lines are discarded;
+relative path, content digest) and the unique line digests pooled
+across all files of the group, held as one sorted block of fixed-width
+digests.  Duplicate lines are discarded;
 a line is the exact byte content after CRLF normalization, with no
 whitespace trimming and no special treatment of comments.
 
@@ -13,20 +14,28 @@ corpora with billions of lines stay tractable.  The digest algorithm is
 stamped into every store file header; loading a store written with a
 different algorithm is refused rather than silently comparing
 incompatible sets.
+
+The store (format 2) holds one file per version and group: a JSON
+header line, then the group's sorted line digests as one raw block, so
+loading a store parses no per-line records.
 """
 
 from __future__ import annotations
 
 import datetime
+import gzip
 import hashlib
 import json
+import lzma
 import os
 import re
 import tarfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
-from urllib.parse import quote, unquote
+
+import numpy as np
 
 from .errors import (
     DigestMismatchError,
@@ -56,7 +65,7 @@ __all__ = [
     "load_all_snapshots",
 ]
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
@@ -86,6 +95,10 @@ def _digest_fn(algorithm: str) -> Callable[[bytes], bytes]:
         raise DigestMismatchError(
             f"unknown digest algorithm {algorithm!r}; known: {sorted(DIGEST_ALGORITHMS)}"
         ) from None
+
+
+def _digest_size(algorithm: str) -> int:
+    return len(_digest_fn(algorithm)(b""))
 
 
 @dataclass(frozen=True)
@@ -175,15 +188,34 @@ class FileRecord:
 
 @dataclass(frozen=True)
 class GroupPayload:
-    """Digested content of one extension group within one version."""
+    """Digested content of one extension group within one version.
+
+    ``uloc_block`` is the group's unique line digests, each
+    ``digest_size`` bytes wide, sorted by byte value and concatenated:
+    the form the store writes and the all-pairs kernel reads.
+    """
 
     files: tuple[FileRecord, ...]
-    uloc: frozenset[bytes]
+    uloc_block: bytes
+    digest_size: int
     skipped_files: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.uloc_block) % self.digest_size:
+            raise ValueError(
+                f"uloc block of {len(self.uloc_block)} bytes is not a whole number "
+                f"of {self.digest_size}-byte digests"
+            )
+
+    @property
+    def uloc(self) -> frozenset[bytes]:
+        """The unique line digests as a set, built on each access."""
+        block, width = self.uloc_block, self.digest_size
+        return frozenset(block[i : i + width] for i in range(0, len(block), width))
 
     @property
     def uloc_count(self) -> int:
-        return len(self.uloc)
+        return len(self.uloc_block) // self.digest_size
 
     @property
     def file_count(self) -> int:
@@ -311,21 +343,30 @@ def _walk_directory(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
 
 
 def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
+    # One pass in archive order (scan_version sorts what it keeps), then
+    # on to the end of the stream: a compressed archive's checksum sits
+    # past the last member and is only verified once it is read.
     try:
         with tarfile.open(source) as tar:
-            members = sorted(
-                (m for m in tar.getmembers() if m.isreg()), key=lambda m: m.name
-            )
-            for member in members:
-                # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
-                rel = member.name.removeprefix("./")
-                fileobj = tar.extractfile(member)
-                if fileobj is None:
+            for member in tar:
+                if not member.isreg():
                     continue
-                data = fileobj.read()
-                yield rel, (lambda d=data: d)
-    except (tarfile.TarError, EOFError) as exc:
+                data = tar.extractfile(member).read()
+                # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
+                yield member.name.removeprefix("./"), (lambda d=data: d)
+            while tar.fileobj.read(1 << 20):
+                pass
+    except (tarfile.TarError, EOFError, gzip.BadGzipFile, zlib.error, lzma.LZMAError) as exc:
         raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
+
+
+def _sorted_block(digests: bytes, width: int) -> bytes:
+    """Concatenated digests sorted by byte value, duplicates dropped.
+
+    Digests leave numpy through ``tobytes`` only: an ``S`` item or
+    ``tolist`` would strip a digest's trailing NUL bytes.
+    """
+    return np.unique(np.frombuffer(digests, dtype=f"S{width}")).tobytes()
 
 
 def scan_version(
@@ -340,13 +381,14 @@ def scan_version(
 
     Every regular file whose name ends with a group suffix is digested
     into that group; symbolic links are not followed.  The group's uloc
-    set pools the line digests of all its files, so duplicate lines
-    within or across files collapse to one member.  Unreadable files are
+    block pools the line digests of all its files, so duplicate lines
+    within or across files collapse to one digest.  Unreadable files are
     skipped and counted per group; a missing source is a hard error.
     """
     source = Path(source)
     _check_groups_disjoint(groups)
     digest = _digest_fn(algorithm)
+    width = _digest_size(algorithm)
     if source.is_dir():
         walker = _walk_directory(source)
     elif source.is_file() and _is_tar(source):
@@ -355,7 +397,8 @@ def scan_version(
         raise MissingSourceError(f"snapshot source {source} does not exist")
 
     files: dict[str, list[FileRecord]] = {g.name: [] for g in groups}
-    uloc: dict[str, set[bytes]] = {g.name: set() for g in groups}
+    # Per group, each file's line digests joined into one bytes object.
+    lines: dict[str, list[bytes]] = {g.name: [] for g in groups}
     skipped: dict[str, int] = {g.name: 0 for g in groups}
 
     for relpath, read in walker:
@@ -371,12 +414,13 @@ def scan_version(
         files[group.name].append(
             FileRecord(basename=basename, relpath=relpath, content_digest=digest(data))
         )
-        uloc[group.name].update(normalize_lines(data, algorithm))
+        lines[group.name].append(b"".join(normalize_lines(data, algorithm)))
 
     payloads = {
         g.name: GroupPayload(
             files=tuple(sorted(files[g.name], key=lambda r: r.relpath)),
-            uloc=frozenset(uloc[g.name]),
+            uloc_block=_sorted_block(b"".join(lines[g.name]), width),
+            digest_size=width,
             skipped_files=skipped[g.name],
         )
         for g in groups
@@ -427,22 +471,37 @@ def scan_corpus(
 
 # --- snapshot store -------------------------------------------------------
 #
-# One newline-delimited text file per version per group:
-#   H <format> <algorithm> <ordinal> <label> <group> <skipped>
-#   F <basename> <relpath> <content_digest_hex>     (sorted by relpath)
-#   L <line_digest_hex>                             (sorted by hex)
-# Basename, relpath and label are percent-encoded so embedded spaces
-# cannot break the record format.
+# Format 2: one file per version per group, named <ordinal:05d>_<group>.snap.
+#   <header>\n<block>
+# The header is one line of canonical JSON (sorted keys, no spaces, ASCII
+# only, so it holds no raw newline):
+#   {"algorithm", "files": [[relpath, content_digest_hex], ...] sorted by
+#    relpath, "format": 2, "group", "label", "lines", "ordinal", "skipped"}
+# A file's basename is the last component of its relpath.  The block is
+# exactly lines * digest_size bytes: the group's unique line digests,
+# sorted by byte value, with no separators.
 
 
 def _store_filename(ordinal: int, group: str) -> str:
     return f"{ordinal:05d}_{group}.snap"
 
 
+# Header fields besides "format" and the JSON type each must have.
+_HEADER_FIELDS = {
+    "algorithm": str,
+    "files": list,
+    "group": str,
+    "label": str,
+    "lines": int,
+    "ordinal": int,
+    "skipped": int,
+}
+
+
 def store_snapshot(snapshot: VersionSnapshot, store: str | Path) -> None:
     """Write one snapshot to the store directory, one file per group.
 
-    The write order is canonical (files by relpath, line digests by hex
+    The write order is canonical (files by relpath, line digests by byte
     value), so re-scanning an unchanged corpus reproduces the store byte
     for byte.
     """
@@ -450,62 +509,74 @@ def store_snapshot(snapshot: VersionSnapshot, store: str | Path) -> None:
     store.mkdir(parents=True, exist_ok=True)
     for group_name in sorted(snapshot.groups):
         payload = snapshot.groups[group_name]
-        out: list[str] = [
-            "H {} {} {} {} {} {}".format(
-                STORE_FORMAT_VERSION,
-                snapshot.digest_algorithm,
-                snapshot.ordinal,
-                quote(snapshot.version_label, safe=""),
-                group_name,
-                payload.skipped_files,
-            )
-        ]
-        for record in payload.files:
-            out.append(
-                f"F {quote(record.basename, safe='')} "
-                f"{quote(record.relpath, safe='/')} {record.content_digest.hex()}"
-            )
-        out.extend(f"L {h}" for h in sorted(d.hex() for d in payload.uloc))
-        out.append("")
-        (store / _store_filename(snapshot.ordinal, group_name)).write_text(
-            "\n".join(out), encoding="utf-8"
+        header = {
+            "algorithm": snapshot.digest_algorithm,
+            "files": [
+                [record.relpath, record.content_digest.hex()]
+                for record in sorted(payload.files, key=lambda r: r.relpath)
+            ],
+            "format": STORE_FORMAT_VERSION,
+            "group": group_name,
+            "label": snapshot.version_label,
+            "lines": payload.uloc_count,
+            "ordinal": snapshot.ordinal,
+            "skipped": payload.skipped_files,
+        }
+        line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+        (store / _store_filename(snapshot.ordinal, group_name)).write_bytes(
+            line + b"\n" + payload.uloc_block
         )
 
 
 def _parse_store_file(path: Path, algorithm: str | None) -> tuple[str, int, str, str, GroupPayload]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("H "):
-        raise StoreFormatError(f"{path}: missing header line")
-    header = lines[0].split(" ")
-    if len(header) != 7:
-        raise StoreFormatError(f"{path}: malformed header {lines[0]!r}")
-    _, fmt, algo, ordinal, label, group, skipped = header
-    if int(fmt) != STORE_FORMAT_VERSION:
-        raise StoreFormatError(f"{path}: unsupported store format version {fmt}")
+    line, newline, block = path.read_bytes().partition(b"\n")
+    if line.startswith(b"H "):
+        raise StoreFormatError(
+            f"{path}: store format 1 (text) is no longer read; rescan the corpus into a new store"
+        )
+    try:
+        header = json.loads(line)
+    except ValueError:  # also a UnicodeDecodeError
+        header = None
+    if not newline or not isinstance(header, dict):
+        raise StoreFormatError(f"{path}: missing or malformed header line")
+    if header.get("format") != STORE_FORMAT_VERSION:
+        raise StoreFormatError(
+            f"{path}: unsupported store format version {header.get('format')!r}"
+        )
+    for name, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(name), kind):
+            raise StoreFormatError(
+                f"{path}: header field {name!r} is missing or not a {kind.__name__}"
+            )
+    algo = header["algorithm"]
+    if algo not in DIGEST_ALGORITHMS:
+        raise StoreFormatError(f"{path}: unknown digest algorithm {algo!r}")
     if algorithm is not None and algo != algorithm:
         raise DigestMismatchError(
             f"{path}: store uses digest {algo!r} but {algorithm!r} was requested"
         )
-    files: list[FileRecord] = []
-    uloc: set[bytes] = set()
-    for line in lines[1:]:
-        if line.startswith("F "):
-            parts = line.split(" ")
-            if len(parts) != 4:
-                raise StoreFormatError(f"{path}: malformed file record {line!r}")
-            files.append(
-                FileRecord(
-                    basename=unquote(parts[1]),
-                    relpath=unquote(parts[2]),
-                    content_digest=bytes.fromhex(parts[3]),
-                )
+    width = _digest_size(algo)
+    if len(block) != header["lines"] * width:
+        raise StoreFormatError(
+            f"{path}: line block has {len(block)} bytes, header promises "
+            f"{header['lines']} digests of {width} bytes"
+        )
+    try:
+        files = tuple(
+            FileRecord(
+                basename=relpath.split("/")[-1],
+                relpath=relpath,
+                content_digest=bytes.fromhex(hexdigest),
             )
-        elif line.startswith("L "):
-            uloc.add(bytes.fromhex(line[2:]))
-        elif line:
-            raise StoreFormatError(f"{path}: unknown record {line!r}")
-    payload = GroupPayload(files=tuple(files), uloc=frozenset(uloc), skipped_files=int(skipped))
-    return algo, int(ordinal), unquote(label), group, payload
+            for relpath, hexdigest in header["files"]
+        )
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise StoreFormatError(f"{path}: malformed file record ({exc})") from None
+    payload = GroupPayload(
+        files=files, uloc_block=block, digest_size=width, skipped_files=header["skipped"]
+    )
+    return algo, header["ordinal"], header["label"], header["group"], payload
 
 
 def load_snapshot(

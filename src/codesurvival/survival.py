@@ -20,7 +20,9 @@ digest) pair per file record for file, duplicates kept.  All version
 pairs come from one kernel instead of one set intersection per pair:
 
 1. Every distinct key gets a dense integer id, so each version becomes
-   an int array.
+   an int array.  For uloc the ids come from one sort of every
+   version's digest block, read in place as fixed-width numpy strings;
+   for file, from a dict over the file records.
 2. Each id's presence across the V versions is packed into a
    ceil(V/8)-byte mask, one bit per version, for any V.
 3. Keys with equal masks are interchangeable, so the masks collapse to
@@ -44,7 +46,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,10 +151,30 @@ def _empty_baseline(base: VersionSnapshot, group: str, metric: MetricKind) -> Em
     return EmptyBaselineError(f"version {base.version_label!r} group {group!r} has {what}")
 
 
-def _metric_keys(payload: GroupPayload, metric: MetricKind) -> Collection[Hashable]:
-    if metric is MetricKind.ULOC:
-        return payload.uloc
-    return [(record.basename, record.content_digest) for record in payload.files]
+def _uloc_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
+    """Each version's line digests as dense ids, and the number of ids."""
+    # Equality of fixed-width S items is exact, NUL bytes included.
+    digests = np.frombuffer(
+        b"".join(p.uloc_block for p in payloads), dtype=f"S{payloads[0].digest_size}"
+    )
+    distinct, inverse = np.unique(digests, return_inverse=True)
+    ends = np.cumsum([p.uloc_count for p in payloads])
+    return np.split(inverse, ends[:-1]), len(distinct)
+
+
+def _file_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
+    """Each version's (basename, content digest) records as dense ids, duplicates kept."""
+    # A key seen for the first time gets the next free id.
+    index = defaultdict(itertools.count().__next__)
+    ids = [
+        np.fromiter(
+            (index[record.basename, record.content_digest] for record in p.files),
+            dtype=np.int64,
+            count=len(p.files),
+        )
+        for p in payloads
+    ]
+    return ids, len(index)
 
 
 def _check_digests(snapshots: Sequence[VersionSnapshot]) -> None:
@@ -166,23 +188,15 @@ def _check_digests(snapshots: Sequence[VersionSnapshot]) -> None:
             )
 
 
-def _shared_counts(keysets: Sequence[Collection[Hashable]]) -> np.ndarray:
+def _shared_counts(payloads: Sequence[GroupPayload], metric: MetricKind) -> np.ndarray:
     """C[i, j]: how many of version i's keys, with multiplicity, version j has."""
-    # A key seen for the first time gets the next free id.
-    index = defaultdict(itertools.count().__next__)
-    # The narrowest dtypes that hold every id (bounded by the total key
-    # count) and every per-pattern count keep the arrays that live beside
-    # the loaded snapshots small.
-    id_dtype = np.min_scalar_type(sum(map(len, keysets)))
-    count_dtype = np.min_scalar_type(max(map(len, keysets)))
-    ids = [
-        np.fromiter(map(index.__getitem__, keys), dtype=id_dtype, count=len(keys))
-        for keys in keysets
-    ]
-    n_keys, n_versions = len(index), len(keysets)
+    ids, n_keys = (_uloc_ids if metric is MetricKind.ULOC else _file_ids)(payloads)
+    n_versions = len(ids)
+    # The narrowest dtype that holds every per-pattern count keeps the
+    # weights small.
+    count_dtype = np.min_scalar_type(max(map(len, ids)))
     # Each stage frees its inputs before the next allocates, so the peak
     # stays near the loaded snapshots' own footprint.
-    del index
     mask_bytes = (n_versions + 7) // 8
     masks = np.zeros((n_keys, mask_bytes), dtype=np.uint8)
     for i, version_ids in enumerate(ids):
@@ -213,11 +227,12 @@ def _changed_fractions(
     A snapshot that is empty under the metric has size 0 and no fractions.
     """
     _check_digests(snapshots)
-    keysets = [_metric_keys(snapshot.group(group), metric) for snapshot in snapshots]
-    shared = _shared_counts(keysets).tolist()
+    payloads = [snapshot.group(group) for snapshot in snapshots]
+    sizes = [p.uloc_count if metric is MetricKind.ULOC else p.file_count for p in payloads]
+    shared = _shared_counts(payloads, metric).tolist()
     return [
-        (len(keys), [1.0 - c / len(keys) for c in shared[i][i + 1 :]] if keys else [])
-        for i, keys in enumerate(keysets)
+        (size, [1.0 - c / size for c in shared[i][i + 1 :]] if size else [])
+        for i, size in enumerate(sizes)
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tarfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
 from codesurvival.ingest import ExtensionGroup, scan_version, store_snapshot
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
+from conftest import random_corpus_history, raw_file_fraction, raw_uloc_fraction, write_tree
 
 
 def run(*argv):
@@ -174,7 +176,8 @@ def test_curves_group_missing_from_one_version(tmp_path, capsys):
     capsys.readouterr()
     assert run("curves", "--store", store, "--group", "syn",
                "--metric", "file", "--out", tmp_path / "c.csv") == 2
-    assert "no group 'syn'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: snapshot 'v1' has no group 'syn'; available: ['other']\n"
 
 
 def test_curves_refuses_mixed_digests(tmp_path, capsys):
@@ -194,6 +197,52 @@ def test_curves_refuses_mixed_digests(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "sha256" in err and "blake2b-128" in err
+    assert not out_csv.exists()
+
+
+def test_curves_sha256_store_matches_oracle(tmp_path):
+    rng = random.Random(256)
+    history = random_corpus_history(rng, versions=6)
+    groups = [
+        ExtensionGroup(name="x", extensions=(".x",)),
+        ExtensionGroup(name="y", extensions=(".y",)),
+    ]
+    store = tmp_path / "store"
+    for i, tree in enumerate(history):
+        root = write_tree(tmp_path / f"v{i}", tree)
+        snapshot = scan_version(root, groups, label=f"v{i}", ordinal=i, algorithm="sha256")
+        store_snapshot(snapshot, store)
+    header = (store / "00000_x.snap").read_bytes().split(b"\n", 1)[0]
+    assert json.loads(header)["algorithm"] == "sha256"
+    for metric, oracle in (("uloc", raw_uloc_fraction), ("file", raw_file_fraction)):
+        out_csv = tmp_path / f"{metric}.csv"
+        assert run("curves", "--store", store, "--group", "x",
+                   "--metric", metric, "--out", out_csv) == 0
+        family = read_curves_csv(out_csv, group="x")
+        got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
+        expected = {
+            i: [oracle(base, later, ".x") for later in history[i + 1 :]]
+            for i, base in enumerate(history[:-1])
+            if oracle(base, history[i + 1], ".x") is not None
+        }
+        assert got and got == expected  # exact: identical integer divisions
+
+
+def test_curves_refuses_a_format_1_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    for ordinal in range(2):
+        (store / f"{ordinal:05d}_syn.snap").write_text(
+            f"H 1 blake2b-128 {ordinal} v{ordinal} syn 0\n"
+            f"F a.txt a.txt {'00' * 16}\n"
+            f"L {'11' * 16}\n"
+        )
+    out_csv = tmp_path / "c.csv"
+    assert run("curves", "--store", store, "--group", "syn",
+               "--metric", "uloc", "--out", out_csv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "format 1" in err and "rescan" in err
     assert not out_csv.exists()
 
 

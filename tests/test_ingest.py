@@ -17,6 +17,7 @@ from codesurvival.errors import (
     ManifestError,
     MissingSourceError,
     StoreFormatError,
+    UsageError,
 )
 from codesurvival.ingest import (
     CorpusManifest,
@@ -233,6 +234,23 @@ def test_tar_and_directory_give_identical_snapshots(tmp_path):
             assert scan_version(archive, [x, y], label=f"v{i}", ordinal=i) == from_dir
 
 
+@pytest.mark.parametrize("mode, suffix", [("w:gz", ".tar.gz"), ("w:xz", ".tar.xz")])
+def test_tar_corrupted_mid_stream_is_refused(tmp_path, mode, suffix):
+    rng = random.Random(20261018)
+    data = "".join(f"{rng.getrandbits(128):032x}\n" for _ in range(4000)).encode()
+    archive = tmp_path / f"v1{suffix}"
+    with tarfile.open(archive, mode) as tar:
+        info = tarfile.TarInfo("a.cpp")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    whole = bytearray(archive.read_bytes())
+    middle = len(whole) // 2
+    whole[middle : middle + 64] = bytes(b ^ 0xFF for b in whole[middle : middle + 64])
+    archive.write_bytes(bytes(whole))
+    with pytest.raises(UsageError, match=archive.name):
+        scan_version(archive, [CPP])
+
+
 # --- manifests --------------------------------------------------------------
 
 
@@ -366,15 +384,18 @@ def test_store_write_is_deterministic(tree_writer, tmp_path):
     assert (first / "00000_cpp.snap").read_bytes() == (second / "00000_cpp.snap").read_bytes()
 
 
-def test_store_percent_encodes_awkward_names(tree_writer, tmp_path):
-    root = tree_writer({"dir with space/my file.cpp": "x\n"})
-    snap = scan_version(root, [CPP], label="release 1.0 beta", ordinal=2)
+def test_store_round_trips_awkward_names(tree_writer, tmp_path):
+    root = tree_writer({"dir with space/my file.cpp": "x\n", "d\u00e9j\u00e0/\u00fc.cpp": "y\n"})
+    label = "release 1.0 beta\nnext \"line\""
+    snap = scan_version(root, [CPP], label=label, ordinal=2)
     store_snapshot(snap, tmp_path / "store")
     loaded = load_snapshot(tmp_path / "store", 2)
-    assert loaded.version_label == "release 1.0 beta"
-    record = loaded.group("cpp").files[0]
-    assert record.basename == "my file.cpp"
-    assert record.relpath == "dir with space/my file.cpp"
+    assert loaded == snap
+    assert loaded.version_label == label
+    assert [(r.basename, r.relpath) for r in loaded.group("cpp").files] == [
+        ("my file.cpp", "dir with space/my file.cpp"),
+        ("\u00fc.cpp", "d\u00e9j\u00e0/\u00fc.cpp"),
+    ]
 
 
 def test_store_refuses_algorithm_mismatch(tree_writer, tmp_path):
@@ -387,24 +408,45 @@ def test_store_refuses_algorithm_mismatch(tree_writer, tmp_path):
 
 
 def test_store_rejects_corruption(tree_writer, tmp_path):
-    root = tree_writer({"a.cpp": "x\n"})
+    root = tree_writer({"a.cpp": "x\ny\n"})
     store = tmp_path / "store"
     store_snapshot(scan_version(root, [CPP], ordinal=0), store)
     path = store / "00000_cpp.snap"
-    good = path.read_text(encoding="utf-8")
+    good = path.read_bytes()
+    line, block = good.split(b"\n", 1)
+    header = json.loads(line)
+    assert header["format"] == 2 and header["lines"] == 2 and len(block) == 32
 
-    path.write_text("nonsense\n" + good, encoding="utf-8")
-    with pytest.raises(StoreFormatError, match="header"):
-        load_snapshot(store, 0)
+    def with_header(**changes) -> bytes:
+        return json.dumps({**header, **changes}).encode() + b"\n" + block
 
-    path.write_text(good.replace("H 1 ", "H 9 "), encoding="utf-8")
-    with pytest.raises(StoreFormatError, match="version"):
-        load_snapshot(store, 0)
+    unlabelled = {k: v for k, v in header.items() if k != "label"}
+    cases = [
+        (b"nonsense\n" + good, "header"),
+        (b"", "header"),
+        (line, "header"),  # no newline, so no block either
+        (b"\xff\xfe\n" + block, "header"),  # not UTF-8
+        (b"[2]\n" + block, "header"),
+        (b"H 1 blake2b-128 0 tree cpp 0\nL " + block[:16].hex().encode() + b"\n", "rescan"),
+        (with_header(format=9), "version"),
+        (with_header(algorithm="md5"), "unknown digest"),
+        (json.dumps(unlabelled).encode() + b"\n" + block, "'label'"),
+        (with_header(lines="2"), "'lines'"),
+        (good + b"trailing junk", "block"),
+        (good[:-5], "block"),  # truncated
+        (with_header(lines=3), "block"),
+        (with_header(files=[["a.cpp"]]), "file record"),
+        (with_header(files=[["a.cpp", "not hex"]]), "file record"),
+        (with_header(files=[[7, "00"]]), "file record"),
+        (with_header(ordinal=3), "ordinal"),
+    ]
+    for data, match in cases:
+        path.write_bytes(data)
+        with pytest.raises(StoreFormatError, match=match):
+            load_snapshot(store, 0)
 
-    path.write_text(good + "X mystery\n", encoding="utf-8")
-    with pytest.raises(StoreFormatError, match="unknown record"):
-        load_snapshot(store, 0)
-
+    path.write_bytes(good)
+    assert load_snapshot(store, 0).group("cpp").uloc == {b2(b"x"), b2(b"y")}
     with pytest.raises(StoreFormatError):
         load_snapshot(store, 7)
 

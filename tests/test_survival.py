@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -166,7 +167,7 @@ def test_family_refuses_mixed_digest_algorithms(tree_writer):
 
 def test_family_missing_group_is_a_key_error(tree_writer):
     snaps = [snap(tree_writer, {"a.x": "a\n"}, f"v{i}", i) for i in range(3)]
-    snaps[2] = VersionSnapshot("v2", 2, snaps[2].digest_algorithm, {"y": GroupPayload((), frozenset())})
+    snaps[2] = VersionSnapshot("v2", 2, snaps[2].digest_algorithm, {"y": GroupPayload((), b"", 16)})
     for metric in MetricKind:
         with pytest.raises(KeyError, match="no group 'x'"):
             build_curve_family(snaps, "x", metric)
@@ -186,6 +187,30 @@ def test_family_from_store_directory(tree_writer, tmp_path):
         store_snapshot(snap(tree_writer, {"a.x": text}, f"v{i}", i), store)
     family = build_curve_family(store, "x", MetricKind.ULOC)
     assert family.curves[0].points == ((1, 0.5), (2, 1.0))
+
+
+def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
+    from codesurvival.ingest import load_snapshot, store_snapshot
+
+    # numpy drops trailing NULs when an S item becomes bytes; the store
+    # and the kernel must keep every digest at full width.
+    line = next(
+        f"line {i}" for i in range(100_000)
+        if hashlib.blake2b(f"line {i}".encode(), digest_size=16).digest()[-1] == 0
+    )
+    digest = hashlib.blake2b(line.encode(), digest_size=16).digest()
+    store = tmp_path / "store"
+    snaps = [
+        snap(tree_writer, {"a.x": text}, f"v{i}", i)
+        for i, text in enumerate([f"{line}\nother\n", f"{line}\n", "other\n"])
+    ]
+    for s in snaps:
+        store_snapshot(s, store)
+    loaded = load_snapshot(store, 0)
+    assert digest in loaded.group("x").uloc
+    assert loaded == snaps[0]
+    family = build_curve_family(store, "x", MetricKind.ULOC)
+    assert [c.points for c in family.curves] == [((1, 0.5), (2, 0.5)), ((1, 1.0),)]
 
 
 def test_change_curve_validation():
