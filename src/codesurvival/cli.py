@@ -14,6 +14,7 @@ error (for example a screening plan that excludes every point).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -75,9 +76,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
                 )
     counts_csv = store / "counts.csv"
     with counts_csv.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("ordinal,label,group,files,uloc,skipped\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("ordinal", "label", "group", "files", "uloc", "skipped"))
+        writer.writerows(rows)
     artifacts = [counts_csv] + sorted(store.glob("*.snap"))
     digest = hashlib.blake2b(Path(args.manifest).read_bytes(), digest_size=16).hexdigest()
     return artifacts, warnings, {"manifest_digest": digest}
@@ -86,11 +87,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     try:
         family = build_curve_family(args.store, args.group, MetricKind(args.metric))
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         # str() of a KeyError quotes its message.
         raise UsageError(exc.args[0]) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     write_curves_csv(family, args.out)
     n_rows = sum(len(c.points) for c in family.curves)
     print(f"{n_rows} curve rows ({len(family.curves)} baselines) -> {args.out}")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GroupMismatchError
+from .errors import UsageError
 from .fitting import FitResult
 from .model import SaturationParams, cumulative_change
 
@@ -121,7 +121,7 @@ def bounds(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     groups = [f.group for f in (subtle_fit, obvious_fit) if isinstance(f, FitResult)]
     if len(set(groups)) > 1:
-        raise GroupMismatchError(f"fits describe different groups: {groups[0]!r} vs {groups[1]!r}")
+        raise UsageError(f"fits describe different groups: {groups[0]!r} vs {groups[1]!r}")
 
     def metric_label(fit: FitResult | SaturationParams, default: str) -> str:
         return fit.metric if isinstance(fit, FitResult) and fit.metric else default

@@ -23,16 +23,8 @@ class ManifestError(UsageError):
     """Manifest file missing, unparsable, or invalid."""
 
 
-class DuplicateVersionError(ManifestError):
-    """Two versions in a manifest share the same label."""
-
-
 class MissingSourceError(ManifestError):
     """A version's snapshot source does not exist on disk."""
-
-
-class DigestMismatchError(UsageError):
-    """Snapshot store was written with a different digest algorithm."""
 
 
 class StoreFormatError(UsageError):
@@ -43,29 +35,9 @@ class PlanError(UsageError):
     """Screening plan file is malformed or does not match the curve family."""
 
 
-class GroupMismatchError(UsageError):
-    """Paired fits refer to different extension groups."""
-
-
-class EmptyBaselineError(DataError):
-    """Changed fraction is undefined for an empty baseline."""
-
-
-class TooFewVersionsError(DataError):
-    """Not enough versions for the requested analysis."""
-
-
 class TooFewPointsError(DataError):
     """Not enough points to evaluate a likelihood or run a fit."""
 
 
-class NoChangeObservedError(DataError):
-    """Every observed changed fraction is zero; the model is degenerate."""
-
-
 class NothingToFitError(DataError):
     """A screening plan removed every point from every regime."""
-
-
-class BadStartError(DataError):
-    """Objective is non-finite at the optimizer's starting point."""

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadStartError, NoChangeObservedError, TooFewPointsError
+from .errors import DataError, TooFewPointsError
 from .model import SaturationParams
 from .screening import FitPointSet
 
@@ -57,26 +57,31 @@ LINEAR_CURVATURE = 0.2
 #: equal distance on both sides), so vertices must also have collapsed.
 DIAMETER_TOL = 1e-7
 
+#: Standard Nelder-Mead simplex coefficients.
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+
+#: The simplex has converged once its objective values spread less than
+#: this (and its diameter is below DIAMETER_TOL).
+CONVERGENCE_TOL = 1e-10
+
+#: Jittered starts tried after the data-driven one.
+RESTARTS = 3
+
 
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer hyperparameters; defaults suit pooled change curves."""
 
     A_max: float = 3.0
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    convergence_tol: float = 1e-10
     max_iterations: int = 500
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.reflection, self.expansion, self.contraction, self.shrink) <= 0:
-            raise ValueError("simplex coefficients must be positive")
-        if self.A_max <= 0 or self.convergence_tol <= 0:
-            raise ValueError("A_max and convergence_tol must be positive")
+        if self.A_max <= 0:
+            raise ValueError("A_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,8 @@ def neldermead_minimize(
     """Standard downhill-simplex minimization of a d-dimensional objective.
 
     Iterates order / reflect / expand / contract / shrink with the
-    configured coefficients until the spread of objective values across
-    the simplex drops below ``convergence_tol`` or ``max_iterations`` is
+    standard coefficients until the spread of objective values across
+    the simplex drops below ``CONVERGENCE_TOL`` or ``max_iterations`` is
     hit.  A small diameter guard keeps a simplex that straddles a
     symmetric minimum from stopping early on equal values.  Deterministic
     given start and config.  Returns (argmin, value, converged).
@@ -172,7 +177,7 @@ def neldermead_minimize(
     x0 = np.asarray(start, dtype=float)
     f0 = float(objective(x0))
     if not math.isfinite(f0):
-        raise BadStartError(f"objective is non-finite at start {x0.tolist()}")
+        raise DataError(f"objective is non-finite at start {x0.tolist()}")
     dim = x0.size
     simplex: list[tuple[np.ndarray, float]] = [(x0, f0)]
     for i in range(dim):
@@ -185,37 +190,37 @@ def neldermead_minimize(
         simplex.sort(key=lambda vf: vf[1])
         spread = simplex[-1][1] - simplex[0][1]
         diameter = max(float(np.max(np.abs(v - simplex[0][0]))) for v, _ in simplex[1:])
-        if spread < config.convergence_tol and diameter < DIAMETER_TOL:
+        if spread < CONVERGENCE_TOL and diameter < DIAMETER_TOL:
             converged = True
             break
         best, second_worst, worst = simplex[0], simplex[-2], simplex[-1]
         centroid = np.mean([v for v, _ in simplex[:-1]], axis=0)
 
-        xr = centroid + config.reflection * (centroid - worst[0])
+        xr = centroid + REFLECTION * (centroid - worst[0])
         fr = f(xr)
         if best[1] <= fr < second_worst[1]:
             simplex[-1] = (xr, fr)
             continue
         if fr < best[1]:
-            xe = centroid + config.expansion * (xr - centroid)
+            xe = centroid + EXPANSION * (xr - centroid)
             fe = f(xe)
             simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
             continue
         if fr < worst[1]:
-            xc = centroid + config.contraction * (xr - centroid)
+            xc = centroid + CONTRACTION * (xr - centroid)
             fc = f(xc)
             if fc <= fr:
                 simplex[-1] = (xc, fc)
                 continue
         else:
-            xc = centroid + config.contraction * (worst[0] - centroid)
+            xc = centroid + CONTRACTION * (worst[0] - centroid)
             fc = f(xc)
             if fc < worst[1]:
                 simplex[-1] = (xc, fc)
                 continue
         anchor = simplex[0][0]
         simplex = [simplex[0]] + [
-            (anchor + config.shrink * (v - anchor), f(anchor + config.shrink * (v - anchor)))
+            (anchor + SHRINK * (v - anchor), f(anchor + SHRINK * (v - anchor)))
             for v, _ in simplex[1:]
         ]
 
@@ -244,7 +249,7 @@ def fit_saturation(
 ) -> FitResult:
     """Fit (A, lambda) to pooled change points by maximum likelihood.
 
-    Runs the simplex from a data-driven start plus ``restarts`` jittered
+    Runs the simplex from a data-driven start plus ``RESTARTS`` jittered
     starts (seeded, deterministic), keeps the best objective (ties break
     to the earliest run), then polishes with one small-step run.  Never
     fails silently: non-convergence is reported through the NotConverged
@@ -260,7 +265,7 @@ def fit_saturation(
         )
     max_p = float(ps.max())
     if max_p == 0.0:
-        raise NoChangeObservedError("every observed changed fraction is zero")
+        raise DataError("every observed changed fraction is zero")
 
     m = ns.size
 
@@ -279,7 +284,7 @@ def fit_saturation(
     start = np.array([a0, math.log(lam0)])
 
     rng = np.random.default_rng(config.seed)
-    starts = [start] + [start + rng.normal(0.0, 0.5, size=2) for _ in range(config.restarts)]
+    starts = [start] + [start + rng.normal(0.0, 0.5, size=2) for _ in range(RESTARTS)]
     best: tuple[float, int, np.ndarray, bool] | None = None
     for k, theta in enumerate(starts):
         x, fx, conv = neldermead_minimize(objective, theta, config)

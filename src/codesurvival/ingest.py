@@ -10,10 +10,10 @@ a line is the exact byte content after CRLF normalization, with no
 whitespace trimming and no special treatment of comments.
 
 Lines and file contents are represented by fixed-width digests so that
-corpora with billions of lines stay tractable.  The digest algorithm is
-stamped into every store file header; loading a store written with a
-different algorithm is refused rather than silently comparing
-incompatible sets.
+corpora with billions of lines stay tractable.  The digest is 16-byte
+BLAKE2b (``blake2b-128``), the only one; its name is stamped into every
+store file header, and a store file whose header names another digest
+is refused rather than compared as an incompatible set.
 
 The store (format 2) holds one file per version and group: a JSON
 header line, then the group's sorted line digests as one raw block, so
@@ -38,8 +38,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DigestMismatchError,
-    DuplicateVersionError,
     ManifestError,
     MissingSourceError,
     StoreFormatError,
@@ -47,8 +45,8 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_DIGEST",
-    "DIGEST_ALGORITHMS",
+    "DIGEST_ALGORITHM",
+    "DIGEST_SIZE",
     "ExtensionGroup",
     "VersionEntry",
     "CorpusManifest",
@@ -71,34 +69,13 @@ _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
 
 
-def _blake2b_128(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
+#: The one digest of lines and file contents, as named in store headers.
+DIGEST_ALGORITHM = "blake2b-128"
+DIGEST_SIZE = 16
 
 
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
-#: Registered digest algorithms; all are at least 128 bits wide.
-DIGEST_ALGORITHMS: Mapping[str, Callable[[bytes], bytes]] = {
-    "blake2b-128": _blake2b_128,
-    "sha256": _sha256,
-}
-
-DEFAULT_DIGEST = "blake2b-128"
-
-
-def _digest_fn(algorithm: str) -> Callable[[bytes], bytes]:
-    try:
-        return DIGEST_ALGORITHMS[algorithm]
-    except KeyError:
-        raise DigestMismatchError(
-            f"unknown digest algorithm {algorithm!r}; known: {sorted(DIGEST_ALGORITHMS)}"
-        ) from None
-
-
-def _digest_size(algorithm: str) -> int:
-    return len(_digest_fn(algorithm)(b""))
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
 @dataclass(frozen=True)
@@ -163,7 +140,7 @@ class CorpusManifest:
         labels = [v.label for v in self.versions]
         for label in labels:
             if labels.count(label) > 1:
-                raise DuplicateVersionError(f"duplicate version label {label!r}")
+                raise ManifestError(f"duplicate version label {label!r}")
         for i, version in enumerate(self.versions):
             if version.ordinal != i:
                 raise ManifestError(
@@ -191,31 +168,30 @@ class GroupPayload:
     """Digested content of one extension group within one version.
 
     ``uloc_block`` is the group's unique line digests, each
-    ``digest_size`` bytes wide, sorted by byte value and concatenated:
+    ``DIGEST_SIZE`` bytes wide, sorted by byte value and concatenated:
     the form the store writes and the all-pairs kernel reads.
     """
 
     files: tuple[FileRecord, ...]
     uloc_block: bytes
-    digest_size: int
     skipped_files: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.uloc_block) % self.digest_size:
+        if len(self.uloc_block) % DIGEST_SIZE:
             raise ValueError(
                 f"uloc block of {len(self.uloc_block)} bytes is not a whole number "
-                f"of {self.digest_size}-byte digests"
+                f"of {DIGEST_SIZE}-byte digests"
             )
 
     @property
     def uloc(self) -> frozenset[bytes]:
         """The unique line digests as a set, built on each access."""
-        block, width = self.uloc_block, self.digest_size
-        return frozenset(block[i : i + width] for i in range(0, len(block), width))
+        block = self.uloc_block
+        return frozenset(block[i : i + DIGEST_SIZE] for i in range(0, len(block), DIGEST_SIZE))
 
     @property
     def uloc_count(self) -> int:
-        return len(self.uloc_block) // self.digest_size
+        return len(self.uloc_block) // DIGEST_SIZE
 
     @property
     def file_count(self) -> int:
@@ -228,7 +204,6 @@ class VersionSnapshot:
 
     version_label: str
     ordinal: int
-    digest_algorithm: str
     groups: Mapping[str, GroupPayload] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -260,9 +235,13 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
     for key in ("software", "groups", "versions"):
         if key not in raw:
             raise ManifestError(f"manifest {path} is missing field {key!r}")
+    if not isinstance(raw["versions"], list):
+        raise ManifestError(f"manifest {path}: field 'versions' is not a list")
 
     try:
         groups = tuple(
@@ -286,7 +265,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         if entry.get("date") is not None:
             try:
                 date = datetime.date.fromisoformat(entry["date"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ManifestError(
                     f"manifest {path}: version {label!r} has invalid date {entry['date']!r}"
                 ) from exc
@@ -303,7 +282,7 @@ def _is_tar(path: Path) -> bool:
     return any(path.name.endswith(suffix) for suffix in _TAR_SUFFIXES)
 
 
-def normalize_lines(data: bytes, algorithm: str = DEFAULT_DIGEST) -> list[bytes]:
+def normalize_lines(data: bytes) -> list[bytes]:
     """Split raw bytes into line digests.
 
     Content is split on LF; one trailing CR per line is removed, so CRLF
@@ -311,13 +290,12 @@ def normalize_lines(data: bytes, algorithm: str = DEFAULT_DIGEST) -> list[bytes]
     empty line, and a missing final newline changes nothing.  No other
     normalization is applied; non-UTF-8 bytes are digested as-is.
     """
-    digest = _digest_fn(algorithm)
     if not data:
         return []
     lines = data.split(b"\n")
     if lines[-1] == b"":
         lines.pop()
-    return [digest(line[:-1] if line.endswith(b"\r") else line) for line in lines]
+    return [_digest(line[:-1] if line.endswith(b"\r") else line) for line in lines]
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -360,13 +338,13 @@ def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
         raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
 
 
-def _sorted_block(digests: bytes, width: int) -> bytes:
+def _sorted_block(digests: bytes) -> bytes:
     """Concatenated digests sorted by byte value, duplicates dropped.
 
     Digests leave numpy through ``tobytes`` only: an ``S`` item or
     ``tolist`` would strip a digest's trailing NUL bytes.
     """
-    return np.unique(np.frombuffer(digests, dtype=f"S{width}")).tobytes()
+    return np.unique(np.frombuffer(digests, dtype=f"S{DIGEST_SIZE}")).tobytes()
 
 
 def scan_version(
@@ -375,7 +353,6 @@ def scan_version(
     *,
     label: str | None = None,
     ordinal: int = 0,
-    algorithm: str = DEFAULT_DIGEST,
 ) -> VersionSnapshot:
     """Digest one version directory (or tar archive) into a snapshot.
 
@@ -387,8 +364,6 @@ def scan_version(
     """
     source = Path(source)
     _check_groups_disjoint(groups)
-    digest = _digest_fn(algorithm)
-    width = _digest_size(algorithm)
     if source.is_dir():
         walker = _walk_directory(source)
     elif source.is_file() and _is_tar(source):
@@ -412,15 +387,14 @@ def scan_version(
             skipped[group.name] += 1
             continue
         files[group.name].append(
-            FileRecord(basename=basename, relpath=relpath, content_digest=digest(data))
+            FileRecord(basename=basename, relpath=relpath, content_digest=_digest(data))
         )
-        lines[group.name].append(b"".join(normalize_lines(data, algorithm)))
+        lines[group.name].append(b"".join(normalize_lines(data)))
 
     payloads = {
         g.name: GroupPayload(
             files=tuple(sorted(files[g.name], key=lambda r: r.relpath)),
-            uloc_block=_sorted_block(b"".join(lines[g.name]), width),
-            digest_size=width,
+            uloc_block=_sorted_block(b"".join(lines[g.name])),
             skipped_files=skipped[g.name],
         )
         for g in groups
@@ -428,16 +402,12 @@ def scan_version(
     return VersionSnapshot(
         version_label=label if label is not None else source.name,
         ordinal=ordinal,
-        digest_algorithm=algorithm,
         groups=payloads,
     )
 
 
 def scan_corpus(
-    manifest: CorpusManifest,
-    store: str | Path | None = None,
-    *,
-    algorithm: str = DEFAULT_DIGEST,
+    manifest: CorpusManifest, store: str | Path | None = None
 ) -> Iterator[VersionSnapshot]:
     """Scan every version of a manifest in order, optionally persisting.
 
@@ -449,11 +419,7 @@ def scan_corpus(
     """
     for entry in manifest.versions:
         snapshot = scan_version(
-            entry.source,
-            manifest.groups,
-            label=entry.label,
-            ordinal=entry.ordinal,
-            algorithm=algorithm,
+            entry.source, manifest.groups, label=entry.label, ordinal=entry.ordinal
         )
         if store is not None:
             store_snapshot(snapshot, store)
@@ -475,10 +441,12 @@ def scan_corpus(
 #   <header>\n<block>
 # The header is one line of canonical JSON (sorted keys, no spaces, ASCII
 # only, so it holds no raw newline):
-#   {"algorithm", "files": [[relpath, content_digest_hex], ...] sorted by
-#    relpath, "format": 2, "group", "label", "lines", "ordinal", "skipped"}
+#   {"algorithm": "blake2b-128", "files": [[relpath, content_digest_hex],
+#    ...] sorted by relpath, "format": 2, "group", "label", "lines",
+#    "ordinal", "skipped"}
+# "algorithm" is always the one digest; a file naming another is refused.
 # A file's basename is the last component of its relpath.  The block is
-# exactly lines * digest_size bytes: the group's unique line digests,
+# exactly lines * DIGEST_SIZE bytes: the group's unique line digests,
 # sorted by byte value, with no separators.
 
 
@@ -510,7 +478,7 @@ def store_snapshot(snapshot: VersionSnapshot, store: str | Path) -> None:
     for group_name in sorted(snapshot.groups):
         payload = snapshot.groups[group_name]
         header = {
-            "algorithm": snapshot.digest_algorithm,
+            "algorithm": DIGEST_ALGORITHM,
             "files": [
                 [record.relpath, record.content_digest.hex()]
                 for record in sorted(payload.files, key=lambda r: r.relpath)
@@ -528,7 +496,7 @@ def store_snapshot(snapshot: VersionSnapshot, store: str | Path) -> None:
         )
 
 
-def _parse_store_file(path: Path, algorithm: str | None) -> tuple[str, int, str, str, GroupPayload]:
+def _parse_store_file(path: Path) -> tuple[int, str, str, GroupPayload]:
     line, newline, block = path.read_bytes().partition(b"\n")
     if line.startswith(b"H "):
         raise StoreFormatError(
@@ -549,18 +517,15 @@ def _parse_store_file(path: Path, algorithm: str | None) -> tuple[str, int, str,
             raise StoreFormatError(
                 f"{path}: header field {name!r} is missing or not a {kind.__name__}"
             )
-    algo = header["algorithm"]
-    if algo not in DIGEST_ALGORITHMS:
-        raise StoreFormatError(f"{path}: unknown digest algorithm {algo!r}")
-    if algorithm is not None and algo != algorithm:
-        raise DigestMismatchError(
-            f"{path}: store uses digest {algo!r} but {algorithm!r} was requested"
+    if header["algorithm"] != DIGEST_ALGORITHM:
+        raise StoreFormatError(
+            f"{path}: unknown digest {header['algorithm']!r}, only {DIGEST_ALGORITHM!r} "
+            "is read; rescan the corpus into a new store"
         )
-    width = _digest_size(algo)
-    if len(block) != header["lines"] * width:
+    if len(block) != header["lines"] * DIGEST_SIZE:
         raise StoreFormatError(
             f"{path}: line block has {len(block)} bytes, header promises "
-            f"{header['lines']} digests of {width} bytes"
+            f"{header['lines']} digests of {DIGEST_SIZE} bytes"
         )
     try:
         files = tuple(
@@ -573,36 +538,24 @@ def _parse_store_file(path: Path, algorithm: str | None) -> tuple[str, int, str,
         )
     except (TypeError, ValueError, AttributeError) as exc:
         raise StoreFormatError(f"{path}: malformed file record ({exc})") from None
-    payload = GroupPayload(
-        files=files, uloc_block=block, digest_size=width, skipped_files=header["skipped"]
-    )
-    return algo, header["ordinal"], header["label"], header["group"], payload
+    payload = GroupPayload(files=files, uloc_block=block, skipped_files=header["skipped"])
+    return header["ordinal"], header["label"], header["group"], payload
 
 
-def load_snapshot(
-    store: str | Path, ordinal: int, *, algorithm: str | None = None
-) -> VersionSnapshot:
-    """Load one version (all groups) back from the store.
-
-    Passing ``algorithm`` enforces that the store was written with that
-    digest; a mismatch is a hard error so digests from different
-    algorithms are never intersected.
-    """
+def load_snapshot(store: str | Path, ordinal: int) -> VersionSnapshot:
+    """Load one version (all groups) back from the store."""
     store = Path(store)
     paths = sorted(store.glob(f"{ordinal:05d}_*.snap"))
     if not paths:
         raise StoreFormatError(f"store {store} has no snapshot for ordinal {ordinal}")
     groups: dict[str, GroupPayload] = {}
     label = ""
-    algo = ""
     for path in paths:
-        algo, ord_, label, group, payload = _parse_store_file(path, algorithm)
+        ord_, label, group, payload = _parse_store_file(path)
         if ord_ != ordinal:
             raise StoreFormatError(f"{path}: header ordinal {ord_} != filename ordinal {ordinal}")
         groups[group] = payload
-    return VersionSnapshot(
-        version_label=label, ordinal=ordinal, digest_algorithm=algo, groups=groups
-    )
+    return VersionSnapshot(version_label=label, ordinal=ordinal, groups=groups)
 
 
 def store_ordinals(store: str | Path) -> list[int]:
@@ -611,8 +564,6 @@ def store_ordinals(store: str | Path) -> list[int]:
     return sorted({int(p.name.split("_", 1)[0]) for p in store.glob("*.snap")})
 
 
-def load_all_snapshots(
-    store: str | Path, *, algorithm: str | None = None
-) -> list[VersionSnapshot]:
+def load_all_snapshots(store: str | Path) -> list[VersionSnapshot]:
     """Load every version in the store, ordered by ordinal."""
-    return [load_snapshot(store, o, algorithm=algorithm) for o in store_ordinals(store)]
+    return [load_snapshot(store, o) for o in store_ordinals(store)]

@@ -24,7 +24,7 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NothingToFitError, PlanError, TooFewVersionsError
+from .errors import DataError, NothingToFitError, PlanError
 from .survival import ChangeCurve, CurveFamily
 
 __all__ = [
@@ -211,7 +211,7 @@ def detect_stabilization(
     """
     usable = [c for c in family.curves if c.points]
     if len(usable) < trailing_window + 2:
-        raise TooFewVersionsError(
+        raise DataError(
             f"stabilization scan needs at least {trailing_window + 2} usable curves, "
             f"got {len(usable)}"
         )
@@ -298,6 +298,8 @@ def load_plan(path: str | Path) -> ScreeningPlan:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise PlanError(f"cannot parse plan {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise PlanError(f"malformed plan {path}: expected a JSON object")
     try:
         return ScreeningPlan(
             stabilization_cut=int(raw.get("cut", 0)),

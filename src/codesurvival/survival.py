@@ -50,8 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DigestMismatchError, EmptyBaselineError
-from .ingest import GroupPayload, VersionSnapshot, load_all_snapshots
+from .errors import DataError
+from .ingest import DIGEST_SIZE, GroupPayload, VersionSnapshot, load_all_snapshots
 
 __all__ = [
     "MetricKind",
@@ -146,17 +146,15 @@ def _pair_fraction(
     return fractions[0]
 
 
-def _empty_baseline(base: VersionSnapshot, group: str, metric: MetricKind) -> EmptyBaselineError:
+def _empty_baseline(base: VersionSnapshot, group: str, metric: MetricKind) -> DataError:
     what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
-    return EmptyBaselineError(f"version {base.version_label!r} group {group!r} has {what}")
+    return DataError(f"version {base.version_label!r} group {group!r} has {what}")
 
 
 def _uloc_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
     """Each version's line digests as dense ids, and the number of ids."""
     # Equality of fixed-width S items is exact, NUL bytes included.
-    digests = np.frombuffer(
-        b"".join(p.uloc_block for p in payloads), dtype=f"S{payloads[0].digest_size}"
-    )
+    digests = np.frombuffer(b"".join(p.uloc_block for p in payloads), dtype=f"S{DIGEST_SIZE}")
     distinct, inverse = np.unique(digests, return_inverse=True)
     ends = np.cumsum([p.uloc_count for p in payloads])
     return np.split(inverse, ends[:-1]), len(distinct)
@@ -175,17 +173,6 @@ def _file_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
         for p in payloads
     ]
     return ids, len(index)
-
-
-def _check_digests(snapshots: Sequence[VersionSnapshot]) -> None:
-    first = snapshots[0]
-    for snapshot in snapshots[1:]:
-        if snapshot.digest_algorithm != first.digest_algorithm:
-            raise DigestMismatchError(
-                f"version {snapshot.version_label!r} uses digest {snapshot.digest_algorithm!r} "
-                f"but {first.version_label!r} uses {first.digest_algorithm!r}; "
-                "rescan every version with one algorithm"
-            )
 
 
 def _shared_counts(payloads: Sequence[GroupPayload], metric: MetricKind) -> np.ndarray:
@@ -226,7 +213,6 @@ def _changed_fractions(
 
     A snapshot that is empty under the metric has size 0 and no fractions.
     """
-    _check_digests(snapshots)
     payloads = [snapshot.group(group) for snapshot in snapshots]
     sizes = [p.uloc_count if metric is MetricKind.ULOC else p.file_count for p in payloads]
     shared = _shared_counts(payloads, metric).tolist()
@@ -246,10 +232,9 @@ def build_curve_family(
     """Compare every baseline with every later version.
 
     ``snapshots`` may be a store directory or an ordered sequence of
-    snapshots, all digested with one algorithm (else
-    ``DigestMismatchError``).  A baseline that is empty under the metric
-    yields no curve; the omission is recorded in the family's warnings
-    instead of being silently zeroed.
+    snapshots.  A baseline that is empty under the metric yields no
+    curve; the omission is recorded in the family's warnings instead of
+    being silently zeroed.
     """
     if isinstance(snapshots, (str, Path)):
         snapshots = load_all_snapshots(snapshots)
@@ -319,6 +304,11 @@ def read_curves_csv(
         if tuple(header or ()) != CURVES_CSV_HEADER:
             raise ValueError(f"{path}: unexpected curves CSV header {header!r}")
         for row in reader:
+            if len(row) != len(CURVES_CSV_HEADER):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(CURVES_CSV_HEADER)} columns, "
+                    f"got {len(row)}"
+                )
             ordinal, label, size, n, p = int(row[0]), row[1], int(row[2]), int(row[3]), float(row[4])
             rows.setdefault(ordinal, (label, size, []))[2].append((n, p))
     curves = [

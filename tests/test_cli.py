@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import csv
 import json
-import random
 import tarfile
 from pathlib import Path
 
@@ -13,7 +13,6 @@ from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
 from codesurvival.ingest import ExtensionGroup, scan_version, store_snapshot
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
-from conftest import random_corpus_history, raw_file_fraction, raw_uloc_fraction, write_tree
 
 
 def run(*argv):
@@ -129,6 +128,21 @@ def test_scan_truncated_archive_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_scan_counts_csv_quotes_awkward_labels(tmp_path):
+    corpus = synth_corpus(tmp_path / "corpus", versions=2)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    labels = ["1.0, beta", '2"q']
+    for entry, label in zip(manifest["versions"], labels):
+        entry["label"] = label
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    store = tmp_path / "store"
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    with (store / "counts.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["ordinal", "label", "group", "files", "uloc", "skipped"]
+    assert [row[:3] for row in rows[1:]] == [["0", labels[0], "syn"], ["1", labels[1], "syn"]]
+
+
 def test_scan_is_reproducible(tmp_path):
     corpus = synth_corpus(tmp_path / "corpus", versions=3)
     stores = []
@@ -181,16 +195,16 @@ def test_curves_group_missing_from_one_version(tmp_path, capsys):
 
 
 def test_curves_refuses_mixed_digests(tmp_path, capsys):
-    group = ExtensionGroup(name="syn", extensions=(".txt",))
-    root = tmp_path / "tree"
-    root.mkdir()
-    (root / "a.txt").write_text("same\nlines\n")
+    corpus = synth_corpus(tmp_path / "corpus", versions=2)
     store = tmp_path / "store"
-    for ordinal, algorithm in enumerate(("sha256", "blake2b-128")):
-        store_snapshot(
-            scan_version(root, [group], label=f"v{ordinal}", ordinal=ordinal, algorithm=algorithm),
-            store,
-        )
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    path = store / "00001_syn.snap"
+    line, block = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    assert header["algorithm"] == "blake2b-128"
+    header["algorithm"] = "sha256"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + block)
+    capsys.readouterr()
     out_csv = tmp_path / "c.csv"
     assert run("curves", "--store", store, "--group", "syn",
                "--metric", "uloc", "--out", out_csv) == 2
@@ -198,34 +212,6 @@ def test_curves_refuses_mixed_digests(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "sha256" in err and "blake2b-128" in err
     assert not out_csv.exists()
-
-
-def test_curves_sha256_store_matches_oracle(tmp_path):
-    rng = random.Random(256)
-    history = random_corpus_history(rng, versions=6)
-    groups = [
-        ExtensionGroup(name="x", extensions=(".x",)),
-        ExtensionGroup(name="y", extensions=(".y",)),
-    ]
-    store = tmp_path / "store"
-    for i, tree in enumerate(history):
-        root = write_tree(tmp_path / f"v{i}", tree)
-        snapshot = scan_version(root, groups, label=f"v{i}", ordinal=i, algorithm="sha256")
-        store_snapshot(snapshot, store)
-    header = (store / "00000_x.snap").read_bytes().split(b"\n", 1)[0]
-    assert json.loads(header)["algorithm"] == "sha256"
-    for metric, oracle in (("uloc", raw_uloc_fraction), ("file", raw_file_fraction)):
-        out_csv = tmp_path / f"{metric}.csv"
-        assert run("curves", "--store", store, "--group", "x",
-                   "--metric", metric, "--out", out_csv) == 0
-        family = read_curves_csv(out_csv, group="x")
-        got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
-        expected = {
-            i: [oracle(base, later, ".x") for later in history[i + 1 :]]
-            for i, base in enumerate(history[:-1])
-            if oracle(base, history[i + 1], ".x") is not None
-        }
-        assert got and got == expected  # exact: identical integer divisions
 
 
 def test_curves_refuses_a_format_1_store(tmp_path, capsys):
@@ -323,6 +309,62 @@ def test_fit_plan_errors(tmp_path, capsys):
     assert run("fit", "--curves", tmp_path / "absent.csv",
                "--out", tmp_path / "fit.json") == 2
     capsys.readouterr()
+
+
+def _write_manifest(tmp_path, payload):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    return ("scan", "--manifest", path, "--store", tmp_path / "store")
+
+
+def _write_plan(tmp_path, payload):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    curves = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5, versions=5)
+    return ("fit", "--curves", curves, "--plan", path, "--out", tmp_path / "fit.json")
+
+
+def _write_curves(tmp_path, insert_at, row):
+    path = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5, versions=5)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:insert_at] + [row] + lines[insert_at:]))
+    return ("fit", "--curves", path, "--out", tmp_path / "fit.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda t: _write_plan(t, []), "p.json"),
+        (lambda t: _write_manifest(t, 5), "m.json"),
+        (
+            lambda t: _write_manifest(t, {"software": "s", "groups": [], "versions": 5}),
+            "versions",
+        ),
+        (
+            lambda t: _write_manifest(
+                t, {"software": "s", "groups": [], "versions": [{"label": "v", "path": ".", "date": 5}]}
+            ),
+            "invalid date",
+        ),
+        (lambda t: _write_curves(t, 3, "0,v0,10\n"), "c.csv:4"),
+        (lambda t: _write_curves(t, 2, "\n"), "c.csv:3"),
+    ],
+    ids=[
+        "plan-not-object",
+        "manifest-not-object",
+        "versions-not-list",
+        "date-not-string",
+        "short-row",
+        "blank-row",
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # --- bounds -------------------------------------------------------------------

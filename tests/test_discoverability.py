@@ -15,7 +15,7 @@ from codesurvival.discoverability import (
     persistence_summary,
     write_bounds_csv,
 )
-from codesurvival.errors import GroupMismatchError
+from codesurvival.errors import UsageError
 from codesurvival.fitting import FitResult
 from codesurvival.model import SaturationParams, cumulative_change, instantaneous_rate
 from codesurvival.reference import reference_fit
@@ -105,7 +105,7 @@ def test_bounds_horizon_zero_is_a_single_point():
 
 
 def test_bounds_reject_mixed_groups():
-    with pytest.raises(GroupMismatchError):
+    with pytest.raises(UsageError, match="fits describe different groups: 'cpp' vs 'js'"):
         bounds(fit_result(0.1, 0.5, group="cpp"), fit_result(0.3, 0.9, group="js"), 5)
     # Bare parameter sets carry no group, so nothing to conflict.
     assert bounds(fit_result(0.1, 0.5, group="cpp"), SaturationParams(A=0.9, lam=0.3), 5)

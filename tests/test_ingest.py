@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 from codesurvival.errors import (
-    DigestMismatchError,
-    DuplicateVersionError,
     ManifestError,
     MissingSourceError,
     StoreFormatError,
@@ -56,7 +54,6 @@ def test_normalize_single_newline_is_one_empty_line():
 
 def test_normalize_digest_matches_hashlib():
     assert normalize_lines(b"hello\n") == [b2(b"hello")]
-    assert normalize_lines(b"hello\n", "sha256") == [hashlib.sha256(b"hello").digest()]
 
 
 def test_normalize_trailing_newline_is_irrelevant():
@@ -81,11 +78,6 @@ def test_normalize_keeps_duplicates_in_order():
 def test_normalize_no_whitespace_trimming():
     assert normalize_lines(b"  x \n") == [b2(b"  x ")]
     assert normalize_lines(b"x\n") != normalize_lines(b"x \n")
-
-
-def test_normalize_rejects_unknown_algorithm():
-    with pytest.raises(DigestMismatchError):
-        normalize_lines(b"x\n", "md5")
 
 
 # --- scan_version -----------------------------------------------------------
@@ -312,7 +304,7 @@ def test_load_manifest_duplicate_labels(tmp_path, tree_writer):
     tree_writer({"a.cpp": "y\n"}, "v2")
     payload = manifest_payload()
     payload["versions"][1]["label"] = "v1"
-    with pytest.raises(DuplicateVersionError):
+    with pytest.raises(ManifestError, match="duplicate version label 'v1'"):
         load_manifest(write_manifest(tmp_path, payload))
 
 
@@ -367,7 +359,6 @@ def test_store_round_trip(tree_writer, tmp_path):
     store_snapshot(snap, store)
     loaded = load_snapshot(store, 0)
     assert loaded.version_label == "v1"
-    assert loaded.digest_algorithm == snap.digest_algorithm
     assert set(loaded.groups) == {"cpp", "h"}
     for name in ("cpp", "h"):
         assert loaded.group(name).files == snap.group(name).files
@@ -398,15 +389,6 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     ]
 
 
-def test_store_refuses_algorithm_mismatch(tree_writer, tmp_path):
-    root = tree_writer({"a.cpp": "x\n"})
-    snap = scan_version(root, [CPP], algorithm="sha256")
-    store_snapshot(snap, tmp_path / "store")
-    with pytest.raises(DigestMismatchError):
-        load_snapshot(tmp_path / "store", 0, algorithm="blake2b-128")
-    assert load_snapshot(tmp_path / "store", 0, algorithm="sha256").ordinal == 0
-
-
 def test_store_rejects_corruption(tree_writer, tmp_path):
     root = tree_writer({"a.cpp": "x\ny\n"})
     store = tmp_path / "store"
@@ -430,6 +412,7 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
         (b"H 1 blake2b-128 0 tree cpp 0\nL " + block[:16].hex().encode() + b"\n", "rescan"),
         (with_header(format=9), "version"),
         (with_header(algorithm="md5"), "unknown digest"),
+        (with_header(algorithm="sha256"), "'sha256'.*'blake2b-128'"),
         (json.dumps(unlabelled).encode() + b"\n" + block, "'label'"),
         (with_header(lines="2"), "'lines'"),
         (good + b"trailing junk", "block"),

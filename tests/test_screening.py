@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from codesurvival.errors import NothingToFitError, PlanError, TooFewVersionsError
+from codesurvival.errors import DataError, NothingToFitError, PlanError
 from codesurvival.screening import (
     ISOLATED,
     REGIME_CHANGE,
@@ -163,7 +163,7 @@ def test_stabilization_rel_factor_sets_the_bar():
 
 def test_stabilization_needs_enough_curves():
     family = analytic_family(0.4, 0.05, 7)  # 6 curves < window + 2
-    with pytest.raises(TooFewVersionsError):
+    with pytest.raises(DataError, match="needs at least 7 usable curves"):
         detect_stabilization(family)
     assert detect_stabilization(family, trailing_window=3) == 0
 
