@@ -1,6 +1,6 @@
 """Command-line pipeline: scan -> curves -> fit -> bounds, plus synth.
 
-Each subcommand reads and writes on-disk intermediates (snapshot store,
+Each subcommand reads and writes on-disk intermediates (lifetime store,
 CSV, JSON) so every stage can be inspected and rerun on its own, and
 every number printed to the console is also present in a machine
 readable artifact.  Outputs are deterministic for fixed inputs and
@@ -26,7 +26,7 @@ from typing import Sequence
 from .discoverability import bounds, persistence_summary, write_bounds_csv
 from .errors import CodeSurvivalError, DataError, UsageError
 from .fitting import FitConfig, FitResult, fit_saturation
-from .ingest import ExtensionGroup, load_manifest, scan_corpus
+from .ingest import STORE_FILENAME, ExtensionGroup, load_manifest, scan_corpus
 from .screening import ScreeningPlan, apply_plan, load_plan
 from .survival import MetricKind, build_curve_family, read_curves_csv, write_curves_csv
 from .synth import SynthSpec, generate, write_expected_csv
@@ -79,7 +79,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("ordinal", "label", "group", "files", "uloc", "skipped"))
         writer.writerows(rows)
-    artifacts = [counts_csv] + sorted(store.glob("*.snap"))
+    artifacts = [counts_csv, store / STORE_FILENAME]
     digest = hashlib.blake2b(Path(args.manifest).read_bytes(), digest_size=16).hexdigest()
     return artifacts, warnings, {"manifest_digest": digest}
 
@@ -235,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="digest every version of a corpus into a snapshot store")
+    scan = sub.add_parser("scan", help="digest every version of a corpus into a lifetime store")
     scan.add_argument("--manifest", required=True, help="corpus manifest JSON")
-    scan.add_argument("--store", required=True, help="output snapshot store directory")
+    scan.add_argument("--store", required=True, help="output store directory")
     scan.set_defaults(func=cmd_scan)
 
     curves = sub.add_parser("curves", help="build all-pairs changed-fraction curves")
-    curves.add_argument("--store", required=True, help="snapshot store directory")
+    curves.add_argument("--store", required=True, help="store directory written by scan")
     curves.add_argument("--group", required=True, help="extension group name")
     curves.add_argument("--metric", required=True, choices=[m.value for m in MetricKind])
     curves.add_argument("--out", required=True, help="output curves CSV")

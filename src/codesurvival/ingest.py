@@ -11,13 +11,17 @@ whitespace trimming and no special treatment of comments.
 
 Lines and file contents are represented by fixed-width digests so that
 corpora with billions of lines stay tractable.  The digest is 16-byte
-BLAKE2b (``blake2b-128``), the only one; its name is stamped into every
-store file header, and a store file whose header names another digest
-is refused rather than compared as an incompatible set.
+BLAKE2b (``blake2b-128``), the only one; its name is stamped into the
+store header, and a store whose header names another digest is refused
+rather than compared as an incompatible set.
 
-The store (format 2) holds one file per version and group: a JSON
-header line, then the group's sorted line digests as one raw block, so
-loading a store parses no per-line records.
+The store (format 3) is one file per store directory, a lifetime index
+of the corpus: per group, the sorted distinct line digests of every
+version and, for each digest, a presence mask with one bit per version
+(a bitmap index over versions).  It grows with distinct lines, not with
+versions x lines.  ``scan`` folds each version into the index as it goes
+and writes the file once, after the last version, under a temporary name
+that then replaces the old file; a store is never partial or stale.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import gzip
 import hashlib
 import json
 import lzma
+import mmap
 import os
 import re
 import tarfile
@@ -53,17 +58,20 @@ __all__ = [
     "FileRecord",
     "GroupPayload",
     "VersionSnapshot",
+    "GroupVersion",
+    "GroupIndex",
+    "LifetimeIndex",
+    "STORE_FILENAME",
     "load_manifest",
     "normalize_lines",
     "scan_version",
     "scan_corpus",
     "store_snapshot",
-    "load_snapshot",
-    "store_ordinals",
+    "write_store",
     "load_all_snapshots",
 ]
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
@@ -72,6 +80,9 @@ _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
 #: The one digest of lines and file contents, as named in store headers.
 DIGEST_ALGORITHM = "blake2b-128"
 DIGEST_SIZE = 16
+# Equality and order of fixed-width S items are exact byte comparisons,
+# NUL bytes included.
+_DIGEST_DTYPE = f"S{DIGEST_SIZE}"
 
 
 def _digest(data: bytes) -> bytes:
@@ -150,7 +161,8 @@ class CorpusManifest:
         _check_groups_disjoint(self.groups)
 
 
-@dataclass(frozen=True)
+# Slots: a store holds one record per file per version.
+@dataclass(frozen=True, slots=True)
 class FileRecord:
     """One file of a snapshot: basename, root-relative path, content digest."""
 
@@ -169,7 +181,7 @@ class GroupPayload:
 
     ``uloc_block`` is the group's unique line digests, each
     ``DIGEST_SIZE`` bytes wide, sorted by byte value and concatenated:
-    the form the store writes and the all-pairs kernel reads.
+    the form ``GroupIndex.add`` merges into the lifetime index.
     """
 
     files: tuple[FileRecord, ...]
@@ -259,6 +271,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             source = Path(entry["path"])
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"manifest {path}: malformed version entry {i} ({exc})") from exc
+        if not isinstance(label, str):
+            raise ManifestError(f"manifest {path}: version entry {i} has label {label!r}, not a string")
         if not source.is_absolute():
             source = base / source
         date = None
@@ -338,15 +352,6 @@ def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
         raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
 
 
-def _sorted_block(digests: bytes) -> bytes:
-    """Concatenated digests sorted by byte value, duplicates dropped.
-
-    Digests leave numpy through ``tobytes`` only: an ``S`` item or
-    ``tolist`` would strip a digest's trailing NUL bytes.
-    """
-    return np.unique(np.frombuffer(digests, dtype=f"S{DIGEST_SIZE}")).tobytes()
-
-
 def scan_version(
     source: str | Path,
     groups: Sequence[ExtensionGroup],
@@ -391,14 +396,19 @@ def scan_version(
         )
         lines[group.name].append(b"".join(normalize_lines(data)))
 
-    payloads = {
-        g.name: GroupPayload(
+    payloads = {}
+    for g in groups:
+        # Sorted by byte value, duplicates dropped.  Digests leave numpy
+        # through tobytes only: an S item or tolist would strip a digest's
+        # trailing NUL bytes.
+        digests = np.sort(np.frombuffer(b"".join(lines[g.name]), dtype=_DIGEST_DTYPE))
+        first = np.ones(len(digests), dtype=bool)
+        np.not_equal(digests[1:], digests[:-1], out=first[1:])
+        payloads[g.name] = GroupPayload(
             files=tuple(sorted(files[g.name], key=lambda r: r.relpath)),
-            uloc_block=_sorted_block(b"".join(lines[g.name])),
+            uloc_block=digests[first].tobytes(),
             skipped_files=skipped[g.name],
         )
-        for g in groups
-    }
     return VersionSnapshot(
         version_label=label if label is not None else source.name,
         ordinal=ordinal,
@@ -412,158 +422,292 @@ def scan_corpus(
     """Scan every version of a manifest in order, optionally persisting.
 
     Yields each snapshot as it is completed so callers can report
-    per-version counts without holding the whole corpus in memory.  Once
-    every version is stored, snapshot files this scan did not write (a
-    longer earlier corpus, a dropped group) are removed, so the store
-    holds this corpus and nothing else.
+    per-version counts without holding the whole corpus in memory.  With
+    a store, each snapshot is folded into one lifetime index, and the
+    store file is written once, after the last version: a scan that
+    fails part way leaves the store as it was.
     """
+    index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
     for entry in manifest.versions:
         snapshot = scan_version(
             entry.source, manifest.groups, label=entry.label, ordinal=entry.ordinal
         )
         if store is not None:
-            store_snapshot(snapshot, store)
+            store_snapshot(snapshot, index)
         yield snapshot
     if store is not None:
-        written = {
-            _store_filename(entry.ordinal, group.name)
-            for entry in manifest.versions
-            for group in manifest.groups
-        }
-        for path in Path(store).glob("*.snap"):
-            if path.name not in written:
-                path.unlink()
+        write_store(index, store)
 
 
-# --- snapshot store -------------------------------------------------------
+# --- lifetime store -------------------------------------------------------
 #
-# Format 2: one file per version per group, named <ordinal:05d>_<group>.snap.
-#   <header>\n<block>
+# Format 3: one file per store directory, named STORE_FILENAME.
+#   <header>\n<sections>
 # The header is one line of canonical JSON (sorted keys, no spaces, ASCII
 # only, so it holds no raw newline):
-#   {"algorithm": "blake2b-128", "files": [[relpath, content_digest_hex],
-#    ...] sorted by relpath, "format": 2, "group", "label", "lines",
-#    "ordinal", "skipped"}
-# "algorithm" is always the one digest; a file naming another is refused.
-# A file's basename is the last component of its relpath.  The block is
-# exactly lines * DIGEST_SIZE bytes: the group's unique line digests,
-# sorted by byte value, with no separators.
+#   {"digest": "blake2b-128", "format": 3,
+#    "groups": {group: {"digests": offset, "keys": n, "masks": offset}},
+#    "versions": [{"groups": {group: {"files": [[relpath,
+#      content_digest_hex], ...] sorted by relpath, "skipped": k,
+#      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
+# "digest" is always the one digest; a file naming another is refused.
+# Offsets count from the first byte after the header's newline.  Groups
+# follow one another in name order, each as two sections:
+#   digests: its n distinct line digests, n * DIGEST_SIZE bytes, sorted by
+#            byte value;
+#   masks:   n rows of ceil(V/8) bytes for V versions; bit i of row k
+#            (byte i // 8, bit i % 8) is set iff version i has digest k.
+# A version's uloc count is the number of rows with its bit set.  A
+# file's basename is the last component of its relpath.
+
+STORE_FILENAME = "lifetime.store"
 
 
-def _store_filename(ordinal: int, group: str) -> str:
-    return f"{ordinal:05d}_{group}.snap"
+@dataclass(frozen=True, slots=True)
+class GroupVersion:
+    """One group of one version as the store keeps it, besides its line digests."""
+
+    files: tuple[FileRecord, ...]
+    uloc_count: int
+    skipped_files: int = 0
+
+    @property
+    def file_count(self) -> int:
+        return len(self.files)
 
 
-# Header fields besides "format" and the JSON type each must have.
-_HEADER_FIELDS = {
-    "algorithm": str,
-    "files": list,
-    "group": str,
-    "label": str,
-    "lines": int,
-    "ordinal": int,
-    "skipped": int,
-}
+class GroupIndex:
+    """The distinct line digests of one group across versions, with presence masks.
+
+    ``digests`` is sorted by byte value; row k of ``masks`` has bit i set
+    iff version i has digest k (the store layout above).  ``versions``
+    keeps the rest of each version, in ordinal order.
+    """
+
+    def __init__(
+        self,
+        digests: np.ndarray | None = None,
+        masks: np.ndarray | None = None,
+        versions: Sequence[GroupVersion] = (),
+    ) -> None:
+        self.digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
+        self.masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
+        self.versions = list(versions)
+
+    def add(self, payload: GroupPayload) -> None:
+        """Fold in the next version: its bit is the number of versions before it."""
+        column, bit = divmod(len(self.versions), 8)
+        block = np.frombuffer(payload.uloc_block, dtype=_DIGEST_DTYPE)
+        masks = self.masks
+        if column == masks.shape[1]:
+            masks = np.pad(masks, ((0, 0), (0, 1)))
+        # Digests already indexed gain the bit in place.  The new ones are
+        # inserted at their sorted positions, a merge of two sorted runs.
+        at = np.searchsorted(self.digests, block)
+        known = at < len(self.digests)
+        known[known] = self.digests[at[known]] == block[known]
+        masks[at[known], column] |= np.uint8(1 << bit)
+        row = np.zeros(masks.shape[1], dtype=np.uint8)
+        row[column] = 1 << bit
+        self.digests = np.insert(self.digests, at[~known], block[~known])
+        self.masks = np.insert(masks, at[~known], row, axis=0)
+        self.versions.append(GroupVersion(payload.files, payload.uloc_count, payload.skipped_files))
 
 
-def store_snapshot(snapshot: VersionSnapshot, store: str | Path) -> None:
-    """Write one snapshot to the store directory, one file per group.
+@dataclass
+class LifetimeIndex:
+    """Every version's label, in ordinal order, and one index per group."""
 
-    The write order is canonical (files by relpath, line digests by byte
-    value), so re-scanning an unchanged corpus reproduces the store byte
-    for byte.
+    labels: list[str]
+    groups: dict[str, GroupIndex]
+
+    def group(self, name: str) -> GroupIndex:
+        try:
+            return self.groups[name]
+        except KeyError:
+            raise KeyError(
+                f"store has no group {name!r}; available: {sorted(self.groups)}"
+            ) from None
+
+
+def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
+    """Fold one snapshot into the lifetime index as its next version."""
+    if snapshot.ordinal != len(index.labels) or snapshot.groups.keys() != index.groups.keys():
+        raise ValueError(
+            f"snapshot {snapshot.version_label!r} (ordinal {snapshot.ordinal}, groups "
+            f"{sorted(snapshot.groups)}) is not version {len(index.labels)} of groups "
+            f"{sorted(index.groups)}"
+        )
+    index.labels.append(snapshot.version_label)
+    for name, group in index.groups.items():
+        group.add(snapshot.groups[name])
+
+
+def _canonical_json(value: object) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _version_entry(version: GroupVersion) -> dict:
+    return {
+        "files": [
+            [record.relpath, record.content_digest.hex()]
+            for record in sorted(version.files, key=lambda r: r.relpath)
+        ],
+        "skipped": version.skipped_files,
+        "uloc": version.uloc_count,
+    }
+
+
+def write_store(index: LifetimeIndex, store: str | Path) -> Path:
+    """Write the index as the store file of a directory, replacing it whole.
+
+    The bytes are canonical (files by relpath, digests by byte value), so
+    re-scanning an unchanged corpus reproduces the store byte for byte.
+    The file is written under a temporary name in the same directory and
+    then renamed over the old one, so the store is never partial.
     """
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
-    for group_name in sorted(snapshot.groups):
-        payload = snapshot.groups[group_name]
-        header = {
-            "algorithm": DIGEST_ALGORITHM,
-            "files": [
-                [record.relpath, record.content_digest.hex()]
-                for record in sorted(payload.files, key=lambda r: r.relpath)
-            ],
-            "format": STORE_FORMAT_VERSION,
-            "group": group_name,
-            "label": snapshot.version_label,
-            "lines": payload.uloc_count,
-            "ordinal": snapshot.ordinal,
-            "skipped": payload.skipped_files,
-        }
-        line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-        (store / _store_filename(snapshot.ordinal, group_name)).write_bytes(
-            line + b"\n" + payload.uloc_block
-        )
-
-
-def _parse_store_file(path: Path) -> tuple[int, str, str, GroupPayload]:
-    line, newline, block = path.read_bytes().partition(b"\n")
-    if line.startswith(b"H "):
-        raise StoreFormatError(
-            f"{path}: store format 1 (text) is no longer read; rescan the corpus into a new store"
-        )
+    layout: dict[str, dict[str, int]] = {}
+    sections: list[np.ndarray] = []
+    offset = 0
+    for name in sorted(index.groups):
+        group = index.groups[name]
+        digests, masks = group.digests, group.masks
+        layout[name] = {"digests": offset, "keys": len(digests), "masks": offset + digests.nbytes}
+        sections += [digests, masks]
+        offset += digests.nbytes + masks.nbytes
+    head = _canonical_json({"digest": DIGEST_ALGORITHM, "format": STORE_FORMAT_VERSION, "groups": layout})
+    path = store / STORE_FILENAME
+    temporary = store / f".{STORE_FILENAME}.{os.getpid()}.tmp"
     try:
-        header = json.loads(line)
-    except ValueError:  # also a UnicodeDecodeError
-        header = None
-    if not newline or not isinstance(header, dict):
-        raise StoreFormatError(f"{path}: missing or malformed header line")
-    if header.get("format") != STORE_FORMAT_VERSION:
+        with temporary.open("wb") as fh:
+            # "versions" sorts last, so the header is written one version
+            # at a time, never whole in memory, and stays canonical JSON.
+            fh.write(head[:-1] + b',"versions":[')
+            for ordinal, label in enumerate(index.labels):
+                groups = {name: _version_entry(g.versions[ordinal]) for name, g in index.groups.items()}
+                entry = {"groups": groups, "label": label, "ordinal": ordinal}
+                fh.write((b"," if ordinal else b"") + _canonical_json(entry))
+            fh.write(b"]}\n")
+            fh.writelines(sections)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+    return path
+
+
+def _field(path: Path, record: object, name: str, kind: type, where: str):
+    value = record.get(name) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
         raise StoreFormatError(
-            f"{path}: unsupported store format version {header.get('format')!r}"
+            f"{path}: {where} field {name!r} is missing or not a {kind.__name__}"
         )
-    for name, kind in _HEADER_FIELDS.items():
-        if not isinstance(header.get(name), kind):
+    return value
+
+
+def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[str], dict]:
+    """Labels in ordinal order and, per group, each version's GroupVersion."""
+    labels: list[str] = []
+    per_group: dict[str, list[GroupVersion]] = {name: [] for name in names}
+    for i, version in enumerate(versions):
+        where = f"version {i}"
+        labels.append(_field(path, version, "label", str, where))
+        if _field(path, version, "ordinal", int, where) != i:
+            raise StoreFormatError(f"{path}: version {i} has ordinal {version['ordinal']}")
+        groups = _field(path, version, "groups", dict, where)
+        if sorted(groups) != names:
             raise StoreFormatError(
-                f"{path}: header field {name!r} is missing or not a {kind.__name__}"
+                f"{path}: version {i} has groups {sorted(groups)}, the store has {names}"
             )
-    if header["algorithm"] != DIGEST_ALGORITHM:
-        raise StoreFormatError(
-            f"{path}: unknown digest {header['algorithm']!r}, only {DIGEST_ALGORITHM!r} "
-            "is read; rescan the corpus into a new store"
-        )
-    if len(block) != header["lines"] * DIGEST_SIZE:
-        raise StoreFormatError(
-            f"{path}: line block has {len(block)} bytes, header promises "
-            f"{header['lines']} digests of {DIGEST_SIZE} bytes"
-        )
-    try:
-        files = tuple(
-            FileRecord(
-                basename=relpath.split("/")[-1],
-                relpath=relpath,
-                content_digest=bytes.fromhex(hexdigest),
+        for name in names:
+            entry, where = groups[name], f"version {i} group {name!r}"
+            try:
+                files = tuple(
+                    FileRecord(
+                        basename=relpath.split("/")[-1],
+                        relpath=relpath,
+                        content_digest=bytes.fromhex(hexdigest),
+                    )
+                    for relpath, hexdigest in _field(path, entry, "files", list, where)
+                )
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise StoreFormatError(f"{path}: malformed file record in {where} ({exc})") from None
+            per_group[name].append(
+                GroupVersion(
+                    files,
+                    _field(path, entry, "uloc", int, where),
+                    _field(path, entry, "skipped", int, where),
+                )
             )
-            for relpath, hexdigest in header["files"]
+    return labels, per_group
+
+
+def load_all_snapshots(store: str | Path) -> LifetimeIndex:
+    """Load a store: every version's header, and each group's digests and masks.
+
+    The digests and masks are read-only views into a memory map of the
+    file, so a caller that never touches them (``curves --metric file``)
+    reads only the header.  A directory without a store file holds no
+    versions.
+    """
+    store = Path(store)
+    path = store / STORE_FILENAME
+    if not path.is_file():
+        if any(store.glob("*.snap")):
+            raise StoreFormatError(
+                f"{store}: per-version .snap files are store format 1 or 2, which is no "
+                "longer read; rescan the corpus into a new store"
+            )
+        return LifetimeIndex(labels=[], groups={})
+    with path.open("rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line)
+        except ValueError:  # also a UnicodeDecodeError
+            header = None
+        if not line.endswith(b"\n") or not isinstance(header, dict):
+            raise StoreFormatError(f"{path}: missing or malformed header line")
+        if header.get("format") != STORE_FORMAT_VERSION:
+            raise StoreFormatError(
+                f"{path}: unsupported store format version {header.get('format')!r}"
+            )
+        digest = _field(path, header, "digest", str, "header")
+        if digest != DIGEST_ALGORITHM:
+            raise StoreFormatError(
+                f"{path}: unknown digest {digest!r}, only {DIGEST_ALGORITHM!r} is read; "
+                "rescan the corpus into a new store"
+            )
+        layout = _field(path, header, "groups", dict, "header")
+        labels, per_group = _group_versions(
+            path, _field(path, header, "versions", list, "header"), sorted(layout)
         )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise StoreFormatError(f"{path}: malformed file record ({exc})") from None
-    payload = GroupPayload(files=files, uloc_block=block, skipped_files=header["skipped"])
-    return header["ordinal"], header["label"], header["group"], payload
-
-
-def load_snapshot(store: str | Path, ordinal: int) -> VersionSnapshot:
-    """Load one version (all groups) back from the store."""
-    store = Path(store)
-    paths = sorted(store.glob(f"{ordinal:05d}_*.snap"))
-    if not paths:
-        raise StoreFormatError(f"store {store} has no snapshot for ordinal {ordinal}")
-    groups: dict[str, GroupPayload] = {}
-    label = ""
-    for path in paths:
-        ord_, label, group, payload = _parse_store_file(path)
-        if ord_ != ordinal:
-            raise StoreFormatError(f"{path}: header ordinal {ord_} != filename ordinal {ordinal}")
-        groups[group] = payload
-    return VersionSnapshot(version_label=label, ordinal=ordinal, groups=groups)
-
-
-def store_ordinals(store: str | Path) -> list[int]:
-    """Sorted list of version ordinals present in a store directory."""
-    store = Path(store)
-    return sorted({int(p.name.split("_", 1)[0]) for p in store.glob("*.snap")})
-
-
-def load_all_snapshots(store: str | Path) -> list[VersionSnapshot]:
-    """Load every version in the store, ordered by ordinal."""
-    return [load_snapshot(store, o) for o in store_ordinals(store)]
+        mask_bytes = (len(labels) + 7) // 8
+        offset = 0
+        for name in sorted(layout):
+            keys = _field(path, layout[name], "keys", int, f"group {name!r}")
+            expected = {"digests": offset, "keys": keys, "masks": offset + keys * DIGEST_SIZE}
+            if keys < 0 or layout[name] != expected:
+                raise StoreFormatError(
+                    f"{path}: group {name!r} sections {layout[name]} are not laid out "
+                    f"as {expected}"
+                )
+            offset = expected["masks"] + keys * mask_bytes
+        size = os.fstat(fh.fileno()).st_size
+        if size != len(line) + offset:
+            raise StoreFormatError(
+                f"{path}: file has {size} bytes, its header promises {len(line) + offset}"
+            )
+        # The views below keep the map open; it closes with the last of them.
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    groups = {}
+    for name, section in layout.items():
+        n = section["keys"]
+        digests = np.frombuffer(data, _DIGEST_DTYPE, count=n, offset=len(line) + section["digests"])
+        masks = np.frombuffer(
+            data, np.uint8, count=n * mask_bytes, offset=len(line) + section["masks"]
+        ).reshape(n, mask_bytes)
+        groups[name] = GroupIndex(digests, masks, per_group[name])
+    return LifetimeIndex(labels=labels, groups=groups)

@@ -19,23 +19,26 @@ over different keys: a line digest for uloc, a (basename, content
 digest) pair per file record for file, duplicates kept.  All version
 pairs come from one kernel instead of one set intersection per pair:
 
-1. Every distinct key gets a dense integer id, so each version becomes
-   an int array.  For uloc the ids come from one sort of every
-   version's digest block, read in place as fixed-width numpy strings;
-   for file, from a dict over the file records.
-2. Each id's presence across the V versions is packed into a
-   ceil(V/8)-byte mask, one bit per version, for any V.
-3. Keys with equal masks are interchangeable, so the masks collapse to
+1. Each key's presence across the V versions is a ceil(V/8)-byte mask,
+   one bit per version, for any V.  For uloc the masks are the lifetime
+   index's own (``ingest.GroupIndex``): read from the store, or built in
+   memory from snapshots by the same merge ``scan`` uses.  For file,
+   each record gets a dense id through a dict and its mask is packed
+   here.
+2. Keys with equal masks are interchangeable, so the masks collapse to
    U distinct patterns.  Lines live in contiguous version intervals, so
    U grows with V**2, not with the number of keys.
-4. With W[u, i] the number of version i's keys (with multiplicity)
+3. With W[u, i] the number of version i's keys (with multiplicity)
    whose pattern is u, and P[u, j] whether pattern u includes version
    j, the overlap of every pair is C = W.T @ P, summed in exact integer
-   arithmetic over blocks of patterns so temporaries stay small.
+   arithmetic over blocks of patterns so temporaries stay small.  A line
+   digest is one key, so for uloc W = diag(count) P, with count(u) the
+   number of digests of pattern u: no per-version array is built.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
-bit-identical to it.
+bit-identical to it.  For uloc, C[i, i] must equal the version's
+recorded uloc count; a store whose masks disagree is refused.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .ingest import DIGEST_SIZE, GroupPayload, VersionSnapshot, load_all_snapshots
+from .errors import DataError, StoreFormatError
+from .ingest import GroupIndex, VersionSnapshot, load_all_snapshots
 
 __all__ = [
     "MetricKind",
@@ -140,84 +143,99 @@ def file_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: 
 def _pair_fraction(
     base: VersionSnapshot, later: VersionSnapshot, group: str, metric: MetricKind
 ) -> float:
-    size, fractions = _changed_fractions([base, later], group, metric)[0]
+    size, fractions = _changed_fractions(_group_index([base, later], group), metric)[0]
     if not size:
-        raise _empty_baseline(base, group, metric)
+        raise _empty_baseline(base.version_label, group, metric)
     return fractions[0]
 
 
-def _empty_baseline(base: VersionSnapshot, group: str, metric: MetricKind) -> DataError:
+def _empty_baseline(label: str, group: str, metric: MetricKind) -> DataError:
     what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
-    return DataError(f"version {base.version_label!r} group {group!r} has {what}")
+    return DataError(f"version {label!r} group {group!r} has {what}")
 
 
-def _uloc_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
-    """Each version's line digests as dense ids, and the number of ids."""
-    # Equality of fixed-width S items is exact, NUL bytes included.
-    digests = np.frombuffer(b"".join(p.uloc_block for p in payloads), dtype=f"S{DIGEST_SIZE}")
-    distinct, inverse = np.unique(digests, return_inverse=True)
-    ends = np.cumsum([p.uloc_count for p in payloads])
-    return np.split(inverse, ends[:-1]), len(distinct)
+def _group_index(snapshots: Sequence[VersionSnapshot], group: str) -> GroupIndex:
+    """The lifetime index of one group of in-memory snapshots, as the store holds it."""
+    index = GroupIndex()
+    for snapshot in snapshots:
+        index.add(snapshot.group(group))
+    return index
 
 
-def _file_ids(payloads: Sequence[GroupPayload]) -> tuple[list[np.ndarray], int]:
-    """Each version's (basename, content digest) records as dense ids, duplicates kept."""
-    # A key seen for the first time gets the next free id.
-    index = defaultdict(itertools.count().__next__)
-    ids = [
-        np.fromiter(
-            (index[record.basename, record.content_digest] for record in p.files),
-            dtype=np.int64,
-            count=len(p.files),
-        )
-        for p in payloads
-    ]
-    return ids, len(index)
+def _patterns(masks: np.ndarray, n_versions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a presence-mask array, as one 0/1 column per version.
 
-
-def _shared_counts(payloads: Sequence[GroupPayload], metric: MetricKind) -> np.ndarray:
-    """C[i, j]: how many of version i's keys, with multiplicity, version j has."""
-    ids, n_keys = (_uloc_ids if metric is MetricKind.ULOC else _file_ids)(payloads)
-    n_versions = len(ids)
-    # The narrowest dtype that holds every per-pattern count keeps the
-    # weights small.
-    count_dtype = np.min_scalar_type(max(map(len, ids)))
-    # Each stage frees its inputs before the next allocates, so the peak
-    # stays near the loaded snapshots' own footprint.
-    mask_bytes = (n_versions + 7) // 8
-    masks = np.zeros((n_keys, mask_bytes), dtype=np.uint8)
-    for i, version_ids in enumerate(ids):
-        masks[version_ids, i // 8] |= np.uint8(1 << (i % 8))
-    # One opaque mask_bytes-wide item per key sorts far faster than rows.
-    unique_masks, pattern_of = np.unique(
-        masks.view(np.dtype((np.void, mask_bytes))).ravel(), return_inverse=True
+    Also returns each row's pattern and each pattern's number of rows.
+    """
+    # One opaque mask-wide item per key sorts far faster than rows.
+    mask_bytes = masks.shape[1]
+    unique_masks, pattern_of, key_counts = np.unique(
+        masks.view(np.dtype((np.void, mask_bytes))).ravel(), return_inverse=True, return_counts=True
     )
     patterns = unique_masks.view(np.uint8).reshape(-1, mask_bytes)
-    del masks
-    weights = np.empty((len(patterns), n_versions), dtype=count_dtype)
-    for i, version_ids in enumerate(ids):
-        weights[:, i] = np.bincount(pattern_of[version_ids], minlength=len(patterns))
-    del ids, pattern_of
     presence = np.unpackbits(patterns, axis=1, count=n_versions, bitorder="little")
+    return presence, pattern_of, key_counts
+
+
+def _file_patterns(index: GroupIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern presence and per-version pattern weights of the file records."""
+    # A (basename, content digest) key seen for the first time gets the
+    # next free id; duplicate records keep their multiplicity.
+    key_ids = defaultdict(itertools.count().__next__)
+    ids = [
+        np.fromiter(
+            (key_ids[record.basename, record.content_digest] for record in version.files),
+            dtype=np.int64,
+            count=version.file_count,
+        )
+        for version in index.versions
+    ]
+    n_versions = len(ids)
+    masks = np.zeros((len(key_ids), (n_versions + 7) // 8), dtype=np.uint8)
+    for i, version_ids in enumerate(ids):
+        masks[version_ids, i // 8] |= np.uint8(1 << (i % 8))
+    presence, pattern_of, _ = _patterns(masks, n_versions)
+    weights = np.empty(presence.shape, dtype=np.int64)
+    for i, version_ids in enumerate(ids):
+        weights[:, i] = np.bincount(pattern_of[version_ids], minlength=len(presence))
+    return presence, weights
+
+
+def _shared_counts(index: GroupIndex, metric: MetricKind) -> np.ndarray:
+    """C[i, j]: how many of version i's keys, with multiplicity, version j has."""
+    n_versions = len(index.versions)
+    if metric is MetricKind.ULOC:
+        # Each line digest is one key of its own mask, so a pattern's weight
+        # in version i is its key count if i is in the pattern, else 0.
+        presence, _, key_counts = _patterns(index.masks, n_versions)
+        weights = presence * key_counts[:, np.newaxis]
+    else:
+        presence, weights = _file_patterns(index)
     counts = np.zeros((n_versions, n_versions), dtype=np.int64)
-    for start in range(0, len(patterns), _PATTERN_BLOCK):
+    for start in range(0, len(presence), _PATTERN_BLOCK):
         block = slice(start, start + _PATTERN_BLOCK)
-        counts += weights[block].T.astype(np.int64) @ presence[block].astype(np.int64)
+        counts += weights[block].T @ presence[block].astype(np.int64)
     return counts
 
 
-def _changed_fractions(
-    snapshots: Sequence[VersionSnapshot], group: str, metric: MetricKind
-) -> list[tuple[int, list[float]]]:
-    """Per snapshot, its size and its changed fractions at offsets 1, 2, ...
+def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int, list[float]]]:
+    """Per version, its size and its changed fractions at offsets 1, 2, ...
 
-    A snapshot that is empty under the metric has size 0 and no fractions.
+    A version that is empty under the metric has size 0 and no fractions.
     """
-    payloads = [snapshot.group(group) for snapshot in snapshots]
-    sizes = [p.uloc_count if metric is MetricKind.ULOC else p.file_count for p in payloads]
-    shared = _shared_counts(payloads, metric).tolist()
+    shared = _shared_counts(index, metric)
+    if metric is MetricKind.ULOC:
+        sizes = [version.uloc_count for version in index.versions]
+        if shared.diagonal().tolist() != sizes:
+            raise StoreFormatError(
+                f"presence masks give uloc counts {shared.diagonal().tolist()}, "
+                f"the versions record {sizes}"
+            )
+    else:
+        sizes = [version.file_count for version in index.versions]
+    rows = shared.tolist()
     return [
-        (size, [1.0 - c / size for c in shared[i][i + 1 :]] if size else [])
+        (size, [1.0 - c / size for c in rows[i][i + 1 :]] if size else [])
         for i, size in enumerate(sizes)
     ]
 
@@ -232,28 +250,34 @@ def build_curve_family(
     """Compare every baseline with every later version.
 
     ``snapshots`` may be a store directory or an ordered sequence of
-    snapshots.  A baseline that is empty under the metric yields no
-    curve; the omission is recorded in the family's warnings instead of
-    being silently zeroed.
+    snapshots, which are indexed in memory exactly as ``scan`` indexes
+    them into a store.  A baseline that is empty under the metric yields
+    no curve; the omission is recorded in the family's warnings instead
+    of being silently zeroed.
     """
+    lifetime = None
     if isinstance(snapshots, (str, Path)):
-        snapshots = load_all_snapshots(snapshots)
-    snapshots = sorted(snapshots, key=lambda s: s.ordinal)
-    if len(snapshots) < 2:
+        lifetime = load_all_snapshots(snapshots)
+        versions = list(enumerate(lifetime.labels))
+    else:
+        snapshots = sorted(snapshots, key=lambda s: s.ordinal)
+        versions = [(s.ordinal, s.version_label) for s in snapshots]
+    if len(versions) < 2:
         raise ValueError("need at least 2 versions to build change curves")
+    index = lifetime.group(group) if lifetime is not None else _group_index(snapshots, group)
     curves: list[ChangeCurve] = []
     warnings: list[str] = []
-    rows = _changed_fractions(snapshots, group, metric)
-    for base, (size, fractions) in zip(snapshots[:-1], rows):
+    rows = _changed_fractions(index, metric)
+    for (ordinal, label), (size, fractions) in zip(versions[:-1], rows):
         if not size:
             warnings.append(
-                f"baseline {base.version_label!r} omitted: {_empty_baseline(base, group, metric)}"
+                f"baseline {label!r} omitted: {_empty_baseline(label, group, metric)}"
             )
             continue
         curves.append(
             ChangeCurve(
-                baseline_ordinal=base.ordinal,
-                baseline_label=base.version_label,
+                baseline_ordinal=ordinal,
+                baseline_label=label,
                 metric=metric,
                 group=group,
                 points=tuple(enumerate(fractions, start=1)),
@@ -309,7 +333,12 @@ def read_curves_csv(
                     f"{path}:{reader.line_num}: expected {len(CURVES_CSV_HEADER)} columns, "
                     f"got {len(row)}"
                 )
-            ordinal, label, size, n, p = int(row[0]), row[1], int(row[2]), int(row[3]), float(row[4])
+            try:
+                ordinal, label, size, n, p = int(row[0]), row[1], int(row[2]), int(row[3]), float(row[4])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: a field of {row!r} is not a number"
+                ) from None
             rows.setdefault(ordinal, (label, size, []))[2].append((n, p))
     curves = [
         ChangeCurve(

@@ -11,7 +11,10 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from codesurvival.ingest import GroupIndex, LifetimeIndex, store_snapshot, write_store
 
 CRITERIA = {
     1: "base-rate identity on all 19 published parameter rows",
@@ -48,6 +51,21 @@ def tree_writer(tmp_path):
         return write_tree(root, files)
 
     return _write
+
+
+def write_snapshots(snapshots, store: Path) -> Path:
+    """Fold snapshots (ordinals 0, 1, ...) into one store file, as scan does."""
+    index = LifetimeIndex(labels=[], groups={name: GroupIndex() for name in snapshots[0].groups})
+    for snapshot in snapshots:
+        store_snapshot(snapshot, index)
+    return write_store(index, store)
+
+
+def indexed_uloc(group: GroupIndex, version: int) -> frozenset[bytes]:
+    """The line digests whose presence mask has the version's bit."""
+    raw = group.digests.tobytes()  # an S item would lose trailing NUL bytes
+    present = np.unpackbits(group.masks, axis=1, bitorder="little")[:, version]
+    return frozenset(raw[k * 16 : (k + 1) * 16] for k in np.flatnonzero(present))
 
 
 # --- random toy corpora with a brute-force oracle ---------------------------

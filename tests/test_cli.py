@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
-from codesurvival.ingest import ExtensionGroup, scan_version, store_snapshot
+from codesurvival.ingest import STORE_FILENAME, load_all_snapshots
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
 
@@ -84,8 +84,8 @@ def test_scan_builds_the_store(tmp_path, capsys):
     assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
     out = capsys.readouterr().out
     assert "ordinal" in out and "uloc" in out
-    snaps = sorted(p.name for p in store.glob("*.snap"))
-    assert snaps == ["00000_syn.snap", "00001_syn.snap", "00002_syn.snap"]
+    assert sorted(p.name for p in store.iterdir()) == ["counts.csv", STORE_FILENAME]
+    assert load_all_snapshots(store).labels == ["v0", "v1", "v2"]
     counts = (store / "counts.csv").read_text().splitlines()
     assert counts[0] == "ordinal,label,group,files,uloc,skipped"
     assert len(counts) == 4
@@ -103,29 +103,52 @@ def test_rescan_drops_stale_snapshots(tmp_path, capsys):
     for versions in (6, 3):
         corpus = synth_corpus(tmp_path / f"corpus{versions}", versions=versions)
         assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
-    assert len(list(store.glob("*.snap"))) == 3
+    assert sorted(p.name for p in store.iterdir()) == ["counts.csv", STORE_FILENAME]
     capsys.readouterr()
     assert run("curves", "--store", store, "--group", "syn",
                "--metric", "uloc", "--out", tmp_path / "c.csv") == 0
     assert "3 curve rows (2 baselines)" in capsys.readouterr().out
 
 
-def test_scan_truncated_archive_exits_2(tmp_path, capsys):
-    corpus = synth_corpus(tmp_path / "corpus", versions=2, lines=4000)
+def truncate_into_archive(corpus: Path, k: int) -> str:
+    """Point version k of a synth corpus at a .tar.gz of it cut in half."""
     manifest = json.loads((corpus / "manifest.json").read_text())
     # Synthetic lines are random tokens, so gzip cannot shrink them much.
-    archive = corpus / "v1.tar.gz"
+    archive = corpus / f"v{k}.tar.gz"
     with tarfile.open(archive, "w:gz") as tar:
-        tar.add(corpus / manifest["versions"][1]["path"], arcname=".")
+        tar.add(corpus / manifest["versions"][k]["path"], arcname=".")
     whole = archive.read_bytes()
     archive.write_bytes(whole[: len(whole) // 2])
-    manifest["versions"][1]["path"] = archive.name
+    manifest["versions"][k]["path"] = archive.name
     (corpus / "manifest.json").write_text(json.dumps(manifest))
+    return archive.name
+
+
+def test_scan_truncated_archive_exits_2(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=2, lines=4000)
+    name = truncate_into_archive(corpus, 1)
     capsys.readouterr()
     assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "s") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "v1.tar.gz" in err
+    assert err.startswith("error: ") and name in err
     assert err.count("\n") == 1
+
+
+def test_failed_rescan_leaves_the_store_as_it_was(tmp_path, capsys):
+    store = tmp_path / "store"
+    first = synth_corpus(tmp_path / "first", versions=4, lines=4000, seed=1)
+    assert run("scan", "--manifest", first / "manifest.json", "--store", store) == 0
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert sorted(before) == ["counts.csv", STORE_FILENAME]
+    # Another corpus whose versions 0-1 scan cleanly before version 2 fails.
+    corpus = synth_corpus(tmp_path / "corpus", versions=4, lines=4000, seed=2)
+    name = truncate_into_archive(corpus, 2)
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and err.count("\n") == 1
+    # Byte for byte the previous store, and no temporary file left over.
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
 def test_scan_counts_csv_quotes_awkward_labels(tmp_path):
@@ -180,30 +203,16 @@ def test_curves_unknown_group(tmp_path, capsys):
     assert "js" in err and "syn" in err
 
 
-def test_curves_group_missing_from_one_version(tmp_path, capsys):
-    corpus = synth_corpus(tmp_path / "corpus", versions=3)
-    store = tmp_path / "store"
-    run("scan", "--manifest", corpus / "manifest.json", "--store", store)
-    (store / "00001_syn.snap").unlink()
-    other = ExtensionGroup(name="other", extensions=(".txt",))
-    store_snapshot(scan_version(corpus / "v001", [other], label="v1", ordinal=1), store)
-    capsys.readouterr()
-    assert run("curves", "--store", store, "--group", "syn",
-               "--metric", "file", "--out", tmp_path / "c.csv") == 2
-    err = capsys.readouterr().err
-    assert err == "error: snapshot 'v1' has no group 'syn'; available: ['other']\n"
-
-
 def test_curves_refuses_mixed_digests(tmp_path, capsys):
     corpus = synth_corpus(tmp_path / "corpus", versions=2)
     store = tmp_path / "store"
     assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
-    path = store / "00001_syn.snap"
-    line, block = path.read_bytes().split(b"\n", 1)
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
-    assert header["algorithm"] == "blake2b-128"
-    header["algorithm"] = "sha256"
-    path.write_bytes(json.dumps(header).encode() + b"\n" + block)
+    assert header["digest"] == "blake2b-128"
+    header["digest"] = "sha256"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
     capsys.readouterr()
     out_csv = tmp_path / "c.csv"
     assert run("curves", "--store", store, "--group", "syn",
@@ -229,6 +238,26 @@ def test_curves_refuses_a_format_1_store(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "format 1" in err and "rescan" in err
+    assert not out_csv.exists()
+
+
+def test_curves_refuses_a_format_2_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    for ordinal in range(2):
+        header = {"algorithm": "blake2b-128", "files": [["a.txt", "00" * 16]], "format": 2,
+                  "group": "syn", "label": f"v{ordinal}", "lines": 1, "ordinal": ordinal,
+                  "skipped": 0}
+        (store / f"{ordinal:05d}_syn.snap").write_bytes(
+            json.dumps(header).encode() + b"\n" + b"\x11" * 16
+        )
+    out_csv = tmp_path / "c.csv"
+    for metric in ("uloc", "file"):
+        assert run("curves", "--store", store, "--group", "syn",
+                   "--metric", metric, "--out", out_csv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "format 1 or 2" in err and "rescan" in err
     assert not out_csv.exists()
 
 
@@ -346,16 +375,25 @@ def _write_curves(tmp_path, insert_at, row):
             ),
             "invalid date",
         ),
+        (
+            lambda t: _write_manifest(
+                t, {"software": "s", "groups": [], "versions": [{"label": 5, "path": "."}]}
+            ),
+            "m.json: version entry 0 has label 5",
+        ),
         (lambda t: _write_curves(t, 3, "0,v0,10\n"), "c.csv:4"),
         (lambda t: _write_curves(t, 2, "\n"), "c.csv:3"),
+        (lambda t: _write_curves(t, 3, "0,v0,10,1,abc\n"), "c.csv:4"),
     ],
     ids=[
         "plan-not-object",
         "manifest-not-object",
         "versions-not-list",
         "date-not-string",
+        "label-not-string",
         "short-row",
         "blank-row",
+        "non-numeric-field",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
@@ -463,6 +501,7 @@ def test_report_records_the_run(tmp_path):
     assert isinstance(payload["timings"]["wall_seconds"], float)
     assert "report" not in payload["config"]
     assert payload["config"]["store"] == str(store)
+    assert payload["artifacts"] == [str(store / "counts.csv"), str(store / STORE_FILENAME)]
     for artifact in payload["artifacts"]:
         assert Path(artifact).exists()
 

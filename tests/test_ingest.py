@@ -18,20 +18,25 @@ from codesurvival.errors import (
     UsageError,
 )
 from codesurvival.ingest import (
+    STORE_FILENAME,
     CorpusManifest,
     ExtensionGroup,
+    FileRecord,
+    GroupIndex,
+    GroupPayload,
+    LifetimeIndex,
     VersionEntry,
+    VersionSnapshot,
     load_all_snapshots,
     load_manifest,
-    load_snapshot,
     normalize_lines,
     scan_corpus,
     scan_version,
-    store_ordinals,
     store_snapshot,
 )
+from codesurvival.survival import MetricKind, build_curve_family
 
-from conftest import random_corpus_history, write_tree
+from conftest import indexed_uloc, random_corpus_history, write_snapshots, write_tree
 
 CPP = ExtensionGroup(name="cpp", extensions=(".cpp",))
 H = ExtensionGroup(name="h", extensions=(".h",))
@@ -308,6 +313,16 @@ def test_load_manifest_duplicate_labels(tmp_path, tree_writer):
         load_manifest(write_manifest(tmp_path, payload))
 
 
+@pytest.mark.parametrize("label", [5, None, ["v1"]])
+def test_load_manifest_rejects_a_label_that_is_not_a_string(tmp_path, tree_writer, label):
+    tree_writer({"a.cpp": "x\n"}, "v1")
+    tree_writer({"a.cpp": "y\n"}, "v2")
+    payload = manifest_payload()
+    payload["versions"][1]["label"] = label
+    with pytest.raises(ManifestError, match=r"manifest\.json: version entry 1 has label .*not a string"):
+        load_manifest(write_manifest(tmp_path, payload))
+
+
 def test_load_manifest_rejects_garbage(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("not json {", encoding="utf-8")
@@ -349,100 +364,194 @@ def test_corpus_manifest_rejects_group_collisions(tmp_path):
         CorpusManifest(software="demo", versions=entry, groups=(CPP, shadow))
 
 
-# --- snapshot store ---------------------------------------------------------
+# --- lifetime store ---------------------------------------------------------
+
+
+def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
+    """The loaded store describes exactly these snapshots, ordinals 0, 1, ..."""
+    assert loaded.labels == [s.version_label for s in snaps]
+    assert set(loaded.groups) == set(snaps[0].groups)
+    for name, group in loaded.groups.items():
+        payloads = [s.group(name) for s in snaps]
+        union = sorted({d for p in payloads for d in p.uloc})
+        assert group.digests.tobytes() == b"".join(union)
+        assert group.masks.shape == (len(union), (len(snaps) + 7) // 8)
+        for i, payload in enumerate(payloads):
+            version = group.versions[i]
+            assert version.files == payload.files
+            assert version.uloc_count == payload.uloc_count
+            assert version.skipped_files == payload.skipped_files
+            assert indexed_uloc(group, i) == payload.uloc
 
 
 def test_store_round_trip(tree_writer, tmp_path):
-    root = tree_writer({"a.cpp": "int a;\nint b;\n", "inc/c.h": "h\n"})
-    snap = scan_version(root, [CPP, H], label="v1", ordinal=0)
-    store = tmp_path / "store"
-    store_snapshot(snap, store)
-    loaded = load_snapshot(store, 0)
-    assert loaded.version_label == "v1"
-    assert set(loaded.groups) == {"cpp", "h"}
-    for name in ("cpp", "h"):
-        assert loaded.group(name).files == snap.group(name).files
-        assert loaded.group(name).uloc == snap.group(name).uloc
-        assert loaded.group(name).skipped_files == snap.group(name).skipped_files
+    trees = [
+        {"a.cpp": "int a;\nint b;\n", "inc/c.h": "h\n"},
+        {"a.cpp": "int a;\n", "b.cpp": "int c;\nint b;\n"},
+        {"inc/c.h": "h\nk\n"},
+    ]
+    snaps = [
+        scan_version(tree_writer(tree, f"v{i}"), [CPP, H], label=f"v{i}", ordinal=i)
+        for i, tree in enumerate(trees)
+    ]
+    path = write_snapshots(snaps, tmp_path / "store")
+    assert path == tmp_path / "store" / STORE_FILENAME
+    assert_store_holds(load_all_snapshots(tmp_path / "store"), snaps)
 
 
 def test_store_write_is_deterministic(tree_writer, tmp_path):
     root = tree_writer({"a.cpp": "z\ny\nx\n", "b.cpp": "q\n"})
-    snap = scan_version(root, [CPP], label="v1", ordinal=0)
-    first, second = tmp_path / "s1", tmp_path / "s2"
-    store_snapshot(snap, first)
-    store_snapshot(snap, second)
-    assert (first / "00000_cpp.snap").read_bytes() == (second / "00000_cpp.snap").read_bytes()
+    snaps = [scan_version(root, [CPP], label=f"v{i}", ordinal=i) for i in range(2)]
+    first = write_snapshots(snaps, tmp_path / "s1")
+    second = write_snapshots(snaps, tmp_path / "s2")
+    assert first.read_bytes() == second.read_bytes()
+    # Written last and renamed into place: nothing else is left behind.
+    assert [p.name for p in (tmp_path / "s1").iterdir()] == [STORE_FILENAME]
 
 
 def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     root = tree_writer({"dir with space/my file.cpp": "x\n", "d\u00e9j\u00e0/\u00fc.cpp": "y\n"})
     label = "release 1.0 beta\nnext \"line\""
-    snap = scan_version(root, [CPP], label=label, ordinal=2)
-    store_snapshot(snap, tmp_path / "store")
-    loaded = load_snapshot(tmp_path / "store", 2)
-    assert loaded == snap
-    assert loaded.version_label == label
-    assert [(r.basename, r.relpath) for r in loaded.group("cpp").files] == [
+    snaps = [
+        scan_version(root, [CPP], label=label, ordinal=0),
+        scan_version(root, [CPP], label="\u00e9t\u00e9 2", ordinal=1),
+    ]
+    write_snapshots(snaps, tmp_path / "store")
+    loaded = load_all_snapshots(tmp_path / "store")
+    assert_store_holds(loaded, snaps)
+    assert loaded.labels[0] == label
+    assert [(r.basename, r.relpath) for r in loaded.group("cpp").versions[0].files] == [
         ("my file.cpp", "dir with space/my file.cpp"),
         ("\u00fc.cpp", "d\u00e9j\u00e0/\u00fc.cpp"),
     ]
 
 
 def test_store_rejects_corruption(tree_writer, tmp_path):
-    root = tree_writer({"a.cpp": "x\ny\n"})
+    snaps = [
+        scan_version(tree_writer({"a.cpp": text}, f"v{i}"), [CPP], label=f"v{i}", ordinal=i)
+        for i, text in enumerate(["x\ny\n", "y\nz\n"])
+    ]
     store = tmp_path / "store"
-    store_snapshot(scan_version(root, [CPP], ordinal=0), store)
-    path = store / "00000_cpp.snap"
+    path = write_snapshots(snaps, store)
     good = path.read_bytes()
-    line, block = good.split(b"\n", 1)
+    line, body = good.split(b"\n", 1)
     header = json.loads(line)
-    assert header["format"] == 2 and header["lines"] == 2 and len(block) == 32
+    assert header["format"] == 3 and header["digest"] == "blake2b-128"
+    assert header["groups"] == {"cpp": {"digests": 0, "keys": 3, "masks": 48}}
+    assert len(body) == 3 * 16 + 3 * 1
 
     def with_header(**changes) -> bytes:
-        return json.dumps({**header, **changes}).encode() + b"\n" + block
+        return json.dumps({**header, **changes}).encode() + b"\n" + body
 
-    unlabelled = {k: v for k, v in header.items() if k != "label"}
+    def with_version(**changes) -> bytes:
+        return with_header(versions=[{**header["versions"][0], **changes}, header["versions"][1]])
+
+    def with_group(**changes) -> bytes:
+        entry = header["versions"][0]["groups"]["cpp"]
+        return with_version(groups={"cpp": {**entry, **changes}})
+
+    unlabelled = {k: v for k, v in header["versions"][0].items() if k != "label"}
     cases = [
         (b"nonsense\n" + good, "header"),
         (b"", "header"),
-        (line, "header"),  # no newline, so no block either
-        (b"\xff\xfe\n" + block, "header"),  # not UTF-8
-        (b"[2]\n" + block, "header"),
-        (b"H 1 blake2b-128 0 tree cpp 0\nL " + block[:16].hex().encode() + b"\n", "rescan"),
-        (with_header(format=9), "version"),
-        (with_header(algorithm="md5"), "unknown digest"),
-        (with_header(algorithm="sha256"), "'sha256'.*'blake2b-128'"),
-        (json.dumps(unlabelled).encode() + b"\n" + block, "'label'"),
-        (with_header(lines="2"), "'lines'"),
-        (good + b"trailing junk", "block"),
-        (good[:-5], "block"),  # truncated
-        (with_header(lines=3), "block"),
-        (with_header(files=[["a.cpp"]]), "file record"),
-        (with_header(files=[["a.cpp", "not hex"]]), "file record"),
-        (with_header(files=[[7, "00"]]), "file record"),
-        (with_header(ordinal=3), "ordinal"),
+        (line, "header"),  # no newline, so no sections either
+        (b"\xff\xfe\n" + body, "header"),  # not UTF-8
+        (b"[3]\n" + body, "header"),
+        (with_header(format=2), "version 2"),
+        (with_header(digest="sha256"), "'sha256'.*'blake2b-128'.*rescan"),
+        (with_header(versions={}), "'versions'"),
+        (with_header(groups=[]), "'groups'"),
+        (with_header(versions=[unlabelled, header["versions"][1]]), "'label'"),
+        (with_version(ordinal=1), "ordinal"),
+        (with_version(groups={}), "groups"),
+        (with_group(uloc="2"), "'uloc'"),
+        (with_group(skipped=None), "'skipped'"),
+        (with_group(files=[["a.cpp"]]), "file record"),
+        (with_group(files=[["a.cpp", "not hex"]]), "file record"),
+        (with_group(files=[[7, "00"]]), "file record"),
+        (with_header(groups={"cpp": {"digests": 0, "keys": 2, "masks": 32}}), "bytes"),
+        (with_header(groups={"cpp": {"digests": 0, "keys": 3, "masks": 32}}), "laid out"),
+        (with_header(groups={"cpp": {"digests": 3, "keys": 3, "masks": 51}}), "laid out"),
+        (with_header(groups={"cpp": {"digests": 0, "keys": -1, "masks": -16}}), "laid out"),
+        (good + b"trailing junk", "bytes"),
+        (good[:-2], "bytes"),  # truncated
     ]
     for data, match in cases:
         path.write_bytes(data)
         with pytest.raises(StoreFormatError, match=match):
-            load_snapshot(store, 0)
+            load_all_snapshots(store)
+
+    # Masks that disagree with the recorded uloc counts are refused by the kernel.
+    path.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
+    with pytest.raises(StoreFormatError, match="uloc counts"):
+        build_curve_family(store, "cpp", MetricKind.ULOC)
 
     path.write_bytes(good)
-    assert load_snapshot(store, 0).group("cpp").uloc == {b2(b"x"), b2(b"y")}
-    with pytest.raises(StoreFormatError):
-        load_snapshot(store, 7)
+    assert_store_holds(load_all_snapshots(store), snaps)
 
 
-def test_store_ordinals_and_bulk_load(tree_writer, tmp_path):
+def test_store_refuses_format_2_snapshot_files(tmp_path):
     store = tmp_path / "store"
-    for ordinal, text in enumerate(["a\n", "b\n", "c\n"]):
-        root = tree_writer({"a.cpp": text}, f"v{ordinal}")
-        store_snapshot(scan_version(root, [CPP], label=f"v{ordinal}", ordinal=ordinal), store)
-    assert store_ordinals(store) == [0, 1, 2]
-    snaps = load_all_snapshots(store)
-    assert [s.version_label for s in snaps] == ["v0", "v1", "v2"]
-    assert snaps[2].group("cpp").uloc == frozenset({b2(b"c")})
+    store.mkdir()
+    header = {"algorithm": "blake2b-128", "files": [], "format": 2, "group": "cpp",
+              "label": "v0", "lines": 0, "ordinal": 0, "skipped": 0}
+    (store / "00000_cpp.snap").write_text(json.dumps(header) + "\n")
+    with pytest.raises(StoreFormatError, match="format 1 or 2.*rescan"):
+        load_all_snapshots(store)
+
+
+def test_store_bulk_load(tree_writer, tmp_path):
+    snaps = [
+        scan_version(tree_writer({"a.cpp": text}, f"v{ordinal}"), [CPP], label=f"v{ordinal}", ordinal=ordinal)
+        for ordinal, text in enumerate(["a\n", "b\n", "c\n"])
+    ]
+    write_snapshots(snaps, tmp_path / "store")
+    loaded = load_all_snapshots(tmp_path / "store")
+    assert loaded.labels == ["v0", "v1", "v2"]
+    assert indexed_uloc(loaded.group("cpp"), 2) == frozenset({b2(b"c")})
+    with pytest.raises(KeyError, match="no group 'h'; available: \\['cpp'\\]"):
+        loaded.group("h")
+    # A directory without a store file holds no versions.
+    assert load_all_snapshots(tmp_path / "elsewhere") == LifetimeIndex(labels=[], groups={})
+
+
+def test_store_snapshot_takes_versions_in_order(tree_writer):
+    root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
+    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
+    with pytest.raises(ValueError, match="not version 0"):
+        store_snapshot(scan_version(root, [CPP, H], ordinal=1), index)
+    with pytest.raises(ValueError, match="groups \\['cpp'\\]"):
+        store_snapshot(scan_version(root, [CPP], ordinal=0), index)
+    store_snapshot(scan_version(root, [CPP, H], ordinal=0), index)
+    assert len(index.labels) == 1 and index.groups["h"].masks.tolist() == [[1]]
+
+
+def _random_digests(rng: random.Random, pool: list[bytes]) -> bytes:
+    return b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
+
+
+@pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
+def test_store_mask_edges(tmp_path, versions):
+    # 8/9 and 64/65 straddle a mask byte and a 64-bit word; 70 is > 64.
+    rng = random.Random(versions)
+    pool = [rng.randbytes(15) + b"\0" for _ in range(20)] + [rng.randbytes(16) for _ in range(60)]
+    snaps = []
+    for i in range(versions):
+        names = rng.sample(["a.x", "b.x", "c.x"], rng.randint(0, 3))
+        relpaths = sorted(f"d{rng.randint(0, 1)}/{name}" for name in names)
+        files = tuple(
+            FileRecord(basename=rel[3:], relpath=rel, content_digest=rng.choice(pool)) for rel in relpaths
+        )
+        payload = GroupPayload(files=files, uloc_block=_random_digests(rng, pool), skipped_files=i % 3)
+        snaps.append(VersionSnapshot(f"v{i}", i, {"x": payload}))
+    path = write_snapshots(snaps, tmp_path / "store")
+    loaded = load_all_snapshots(tmp_path / "store")
+    assert_store_holds(loaded, snaps)
+    header_bytes = path.read_bytes().index(b"\n") + 1
+    keys = len(loaded.group("x").digests)
+    assert path.stat().st_size == header_bytes + keys * (16 + (versions + 7) // 8)
+    for metric in MetricKind:
+        assert build_curve_family(tmp_path / "store", "x", metric) == build_curve_family(snaps, "x", metric)
 
 
 def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
@@ -452,20 +561,25 @@ def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
     store = tmp_path / "store"
     snaps = list(scan_corpus(manifest, store))
     assert [(s.version_label, s.ordinal) for s in snaps] == [("v1", 0), ("v2", 1)]
-    assert store_ordinals(store) == [0, 1]
-    reloaded = load_all_snapshots(store)
-    assert reloaded[0].group("cpp").uloc == snaps[0].group("cpp").uloc
+    assert_store_holds(load_all_snapshots(store), snaps)
 
 
 def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):
+    # A longer corpus with one more group, then a rescan of a shorter one.
+    store = tmp_path / "store"
+    payload = manifest_payload()
+    payload["groups"].append({"name": "h", "extensions": [".h"]})
+    payload["versions"] = [{"label": f"old{i}", "path": f"old{i}"} for i in range(4)]
+    for i in range(4):
+        tree_writer({"a.cpp": f"old {i}\n", "a.h": "h\n"}, f"old{i}")
+    list(scan_corpus(load_manifest(write_manifest(tmp_path, payload)), store))
+    assert load_all_snapshots(store).labels == ["old0", "old1", "old2", "old3"]
     tree_writer({"a.cpp": "one\n", "a.h": "h\n"}, "v1")
     tree_writer({"a.cpp": "two\n"}, "v2")
-    store = tmp_path / "store"
-    for ordinal in range(4):
-        root = tree_writer({"a.cpp": f"old {ordinal}\n"}, f"old{ordinal}")
-        store_snapshot(scan_version(root, [CPP, H], label=f"old{ordinal}", ordinal=ordinal), store)
     manifest = load_manifest(write_manifest(tmp_path, manifest_payload()))
-    list(scan_corpus(manifest, store))
+    snaps = list(scan_corpus(manifest, store))
     # Ordinals 2-3 and the h group, which this manifest drops, are gone.
-    assert sorted(p.name for p in store.glob("*.snap")) == ["00000_cpp.snap", "00001_cpp.snap"]
-    assert [s.version_label for s in load_all_snapshots(store)] == ["v1", "v2"]
+    assert [p.name for p in store.iterdir()] == [STORE_FILENAME]
+    loaded = load_all_snapshots(store)
+    assert loaded.labels == ["v1", "v2"] and list(loaded.groups) == ["cpp"]
+    assert_store_holds(loaded, snaps)

@@ -8,8 +8,15 @@ import random
 import pytest
 
 from codesurvival.errors import DataError
-from codesurvival.ingest import ExtensionGroup, GroupPayload, VersionSnapshot, scan_version
+from codesurvival.ingest import (
+    ExtensionGroup,
+    GroupPayload,
+    VersionSnapshot,
+    load_all_snapshots,
+    scan_version,
+)
 from codesurvival.survival import (
+    CURVES_CSV_HEADER,
     ChangeCurve,
     CurveFamily,
     MetricKind,
@@ -19,7 +26,14 @@ from codesurvival.survival import (
     uloc_changed_fraction,
     write_curves_csv,
 )
-from conftest import random_corpus_history, raw_file_fraction, raw_uloc_fraction, write_tree
+from conftest import (
+    indexed_uloc,
+    random_corpus_history,
+    raw_file_fraction,
+    raw_uloc_fraction,
+    write_snapshots,
+    write_tree,
+)
 
 X = ExtensionGroup(name="x", extensions=(".x",))
 Y = ExtensionGroup(name="y", extensions=(".y",))
@@ -165,18 +179,16 @@ def test_family_needs_two_versions(tree_writer):
 
 
 def test_family_from_store_directory(tree_writer, tmp_path):
-    from codesurvival.ingest import store_snapshot
-
     store = tmp_path / "store"
-    for i, text in enumerate(["a\nb\n", "a\n", "c\n"]):
-        store_snapshot(snap(tree_writer, {"a.x": text}, f"v{i}", i), store)
+    write_snapshots(
+        [snap(tree_writer, {"a.x": text}, f"v{i}", i) for i, text in enumerate(["a\nb\n", "a\n", "c\n"])],
+        store,
+    )
     family = build_curve_family(store, "x", MetricKind.ULOC)
     assert family.curves[0].points == ((1, 0.5), (2, 1.0))
 
 
 def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
-    from codesurvival.ingest import load_snapshot, store_snapshot
-
     # numpy drops trailing NULs when an S item becomes bytes; the store
     # and the kernel must keep every digest at full width.
     line = next(
@@ -189,13 +201,14 @@ def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
         snap(tree_writer, {"a.x": text}, f"v{i}", i)
         for i, text in enumerate([f"{line}\nother\n", f"{line}\n", "other\n"])
     ]
-    for s in snaps:
-        store_snapshot(s, store)
-    loaded = load_snapshot(store, 0)
-    assert digest in loaded.group("x").uloc
-    assert loaded == snaps[0]
+    assert digest in snaps[0].group("x").uloc
+    write_snapshots(snaps, store)
+    loaded = load_all_snapshots(store).group("x")
+    assert indexed_uloc(loaded, 0) == snaps[0].group("x").uloc
+    assert indexed_uloc(loaded, 1) == {digest}
     family = build_curve_family(store, "x", MetricKind.ULOC)
     assert [c.points for c in family.curves] == [((1, 0.5), (2, 0.5)), ((1, 1.0),)]
+    assert family == build_curve_family(snaps, "x", MetricKind.ULOC)
 
 
 def test_change_curve_validation():
@@ -232,6 +245,15 @@ def test_curves_csv_round_trip(tree_writer, tmp_path):
         assert got.baseline_label == want.baseline_label
         assert got.baseline_size == want.baseline_size
         assert got.points == want.points  # repr() emission makes this exact
+
+
+def test_curves_csv_names_the_line_of_a_non_numeric_field(tmp_path):
+    path = tmp_path / "curves.csv"
+    header = ",".join(CURVES_CSV_HEADER)
+    for row in ("0,v0,10,1,abc", "0,v0,ten,1,0.5", "x,v0,10,1,0.5", "0,v0,10,1.5,0.5"):
+        path.write_text(f"{header}\n0,v0,10,1,0.25\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"curves\.csv:3: .*not a number"):
+            read_curves_csv(path)
 
 
 def test_curves_csv_header_is_checked(tmp_path):
