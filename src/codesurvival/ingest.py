@@ -15,6 +15,14 @@ BLAKE2b (``blake2b-128``), the only one; its name is stamped into the
 store header, and a store whose header names another digest is refused
 rather than compared as an incompatible set.
 
+Most lines of a release were already in the release before it, so
+``scan_corpus`` digests a line only when the previous version did not
+hold it.  It carries a line -> digest map from one version to the next:
+the lines of the version being scanned, plus those of the previous
+version not seen again yet, which are dropped when the version ends.
+So it never holds more than two versions' distinct lines, each once,
+at about 125-145 bytes per line on the benchmark corpora (tracemalloc).
+
 The store (format 3) is one file per store directory, a lifetime index
 of the corpus: per group, the sorted distinct line digests of every
 version and, for each digest, a presence mask with one bit per version
@@ -37,6 +45,8 @@ import re
 import tarfile
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -296,6 +306,24 @@ def _is_tar(path: Path) -> bool:
     return any(path.name.endswith(suffix) for suffix in _TAR_SUFFIXES)
 
 
+def _split_lines(data: bytes) -> list[bytes]:
+    """The lines of a file: split on LF, one trailing CR per line removed.
+
+    A trailing final newline adds no empty line, and a missing final
+    newline changes nothing.
+    """
+    if not data:
+        return []
+    # CRLF -> LF first, so only an unterminated last line can still carry
+    # the CR that ends it; "x\r\r\n" keeps one CR, as one strip would.
+    lines = data.replace(b"\r\n", b"\n").split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    elif lines[-1].endswith(b"\r"):
+        lines[-1] = lines[-1][:-1]
+    return lines
+
+
 def normalize_lines(data: bytes) -> list[bytes]:
     """Split raw bytes into line digests.
 
@@ -304,12 +332,42 @@ def normalize_lines(data: bytes) -> list[bytes]:
     empty line, and a missing final newline changes nothing.  No other
     normalization is applied; non-UTF-8 bytes are digested as-is.
     """
-    if not data:
-        return []
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    return [_digest(line[:-1] if line.endswith(b"\r") else line) for line in lines]
+    return list(map(_digest, _split_lines(data)))
+
+
+class _LineDigests(dict):
+    """Line -> digest for the lines of one version.
+
+    A line the previous version's map holds moves over from there with
+    its digest; any other line is digested on first lookup.  A line that
+    carries over from one version to the next is digested once, no Python
+    code runs per known line, and each line is held once.  ``following``
+    drops what the previous map still holds, the lines this version did
+    not keep, so the lines of two versions are all that is ever held.
+    """
+
+    def __init__(self, previous: dict[bytes, bytes] | None = None) -> None:
+        super().__init__()
+        self.previous = {} if previous is None else previous
+
+    def __missing__(self, line: bytes) -> bytes:
+        digest = self[line] = _digest(line)
+        return digest
+
+    def digests(self, lines: list[bytes]) -> bytes:
+        """The lines' digests, concatenated in order."""
+        # Lines the previous map holds move over; filter drops the others' None.
+        moved = map(self.previous.pop, lines, repeat(None))
+        self.update(filter(itemgetter(1), zip(lines, moved)))
+        return b"".join(map(self.__getitem__, lines))
+
+    def following(self) -> _LineDigests:
+        """An empty map for the next version, falling back on this one.
+
+        The previous map goes, and with it the lines this version lacked.
+        """
+        self.previous = {}
+        return _LineDigests(self)
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -334,6 +392,10 @@ def _walk_directory(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
             yield rel, full.read_bytes
 
 
+def _unreadable() -> bytes:
+    raise OSError("hard link to no regular file archived before it")
+
+
 def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
     # One pass in archive order (scan_version sorts what it keeps), then
     # on to the end of the stream: a compressed archive's checksum sits
@@ -341,11 +403,17 @@ def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
     try:
         with tarfile.open(source) as tar:
             for member in tar:
-                if not member.isreg():
+                if not (member.isreg() or member.islnk()):
                     continue
-                data = tar.extractfile(member).read()
+                # A hard link reads as the file it names, which tarfile
+                # finds among the members archived before it.
+                try:
+                    reader = tar.extractfile(member)
+                except KeyError:
+                    reader = None
+                read = _unreadable if reader is None else (lambda d=reader.read(): d)
                 # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
-                yield member.name.removeprefix("./"), (lambda d=data: d)
+                yield member.name.removeprefix("./"), read
             while tar.fileobj.read(1 << 20):
                 pass
     except (tarfile.TarError, EOFError, gzip.BadGzipFile, zlib.error, lzma.LZMAError) as exc:
@@ -358,14 +426,22 @@ def scan_version(
     *,
     label: str | None = None,
     ordinal: int = 0,
+    memo: _LineDigests | None = None,
 ) -> VersionSnapshot:
     """Digest one version directory (or tar archive) into a snapshot.
 
     Every regular file whose name ends with a group suffix is digested
-    into that group; symbolic links are not followed.  The group's uloc
+    into that group; symbolic links are not followed, and a tar's hard
+    link reads as the file it names.  When a tar holds one path twice,
+    the member archived last wins, as on extraction.  The group's uloc
     block pools the line digests of all its files, so duplicate lines
     within or across files collapse to one digest.  Unreadable files are
     skipped and counted per group; a missing source is a hard error.
+
+    ``memo`` is the empty map this version's lines are digested through;
+    ``scan_corpus`` passes one that falls back on the version scanned
+    before.  Without it each distinct line of this version is digested
+    once.
     """
     source = Path(source)
     _check_groups_disjoint(groups)
@@ -375,12 +451,12 @@ def scan_version(
         walker = _walk_tar(source)
     else:
         raise MissingSourceError(f"snapshot source {source} does not exist")
+    if memo is None:
+        memo = _LineDigests()
 
-    files: dict[str, list[FileRecord]] = {g.name: [] for g in groups}
-    # Per group, each file's line digests joined into one bytes object.
-    lines: dict[str, list[bytes]] = {g.name: [] for g in groups}
-    skipped: dict[str, int] = {g.name: 0 for g in groups}
-
+    # Per group and relpath: the file's record and its line digests joined
+    # into one bytes object, or None for a file that could not be read.
+    entries: dict[str, dict[str, tuple[FileRecord, bytes] | None]] = {g.name: {} for g in groups}
     for relpath, read in walker:
         basename = relpath.split("/")[-1]
         group = _match_group(basename, groups)
@@ -389,25 +465,24 @@ def scan_version(
         try:
             data = read()
         except OSError:
-            skipped[group.name] += 1
+            entries[group.name][relpath] = None
             continue
-        files[group.name].append(
-            FileRecord(basename=basename, relpath=relpath, content_digest=_digest(data))
-        )
-        lines[group.name].append(b"".join(normalize_lines(data)))
+        record = FileRecord(basename=basename, relpath=relpath, content_digest=_digest(data))
+        entries[group.name][relpath] = record, memo.digests(_split_lines(data))
 
     payloads = {}
     for g in groups:
+        kept = [entry for entry in entries[g.name].values() if entry is not None]
         # Sorted by byte value, duplicates dropped.  Digests leave numpy
         # through tobytes only: an S item or tolist would strip a digest's
         # trailing NUL bytes.
-        digests = np.sort(np.frombuffer(b"".join(lines[g.name]), dtype=_DIGEST_DTYPE))
+        digests = np.sort(np.frombuffer(b"".join(block for _, block in kept), dtype=_DIGEST_DTYPE))
         first = np.ones(len(digests), dtype=bool)
         np.not_equal(digests[1:], digests[:-1], out=first[1:])
         payloads[g.name] = GroupPayload(
-            files=tuple(sorted(files[g.name], key=lambda r: r.relpath)),
+            files=tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath)),
             uloc_block=digests[first].tobytes(),
-            skipped_files=skipped[g.name],
+            skipped_files=len(entries[g.name]) - len(kept),
         )
     return VersionSnapshot(
         version_label=label if label is not None else source.name,
@@ -428,10 +503,12 @@ def scan_corpus(
     fails part way leaves the store as it was.
     """
     index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
+    memo = _LineDigests()
     for entry in manifest.versions:
         snapshot = scan_version(
-            entry.source, manifest.groups, label=entry.label, ordinal=entry.ordinal
+            entry.source, manifest.groups, label=entry.label, ordinal=entry.ordinal, memo=memo
         )
+        memo = memo.following()
         if store is not None:
             store_snapshot(snapshot, index)
         yield snapshot

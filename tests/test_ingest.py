@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
 import tarfile
 from pathlib import Path
 
 import pytest
 
+from codesurvival import ingest
 from codesurvival.errors import (
     ManifestError,
     MissingSourceError,
@@ -83,6 +85,26 @@ def test_normalize_keeps_duplicates_in_order():
 def test_normalize_no_whitespace_trimming():
     assert normalize_lines(b"  x \n") == [b2(b"  x ")]
     assert normalize_lines(b"x\n") != normalize_lines(b"x \n")
+
+
+def _per_line_normalize(data: bytes) -> list[bytes]:
+    """The former per-line split, kept verbatim as the oracle."""
+    if not data:
+        return []
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return [b2(line[:-1] if line.endswith(b"\r") else line) for line in lines]
+
+
+def test_normalize_matches_the_per_line_oracle():
+    rng = random.Random(20261018)
+    cases = [b"", b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r", b"x\r", b"x\r\r", b"x\r\r\n", b"\r\n\r\n"]
+    for _ in range(3000):
+        parts = rng.choices([b"\r", b"\n", b"\r\n", b"\r\r\n", b"a", b"bc", b" "], k=rng.randint(0, 12))
+        cases.append(b"".join(parts))
+    for data in cases:
+        assert normalize_lines(data) == _per_line_normalize(data), data
 
 
 # --- scan_version -----------------------------------------------------------
@@ -229,6 +251,45 @@ def test_tar_and_directory_give_identical_snapshots(tmp_path):
             archive = make_tar(root, tmp_path / f"c{corpus_id}" / f"v{i}.tar.gz", "w:gz")
             from_dir = scan_version(root, [x, y], label=f"v{i}", ordinal=i)
             assert scan_version(archive, [x, y], label=f"v{i}", ordinal=i) == from_dir
+
+
+@pytest.mark.parametrize("mode, suffix", [("w", ".tar"), ("w:gz", ".tar.gz")])
+def test_tar_hard_link_reads_as_its_target(tmp_path, mode, suffix):
+    txt = ExtensionGroup(name="txt", extensions=(".txt",))
+    root = write_tree(tmp_path / "tree", {"x.txt": "one\ntwo\n", "z.txt": "z\n"})
+    os.link(root / "x.txt", root / "y.txt")
+    archive = make_tar(root, tmp_path / f"v1{suffix}", mode)
+    with tarfile.open(archive) as tar:
+        assert tar.getmember("./y.txt").islnk()
+    from_dir = scan_version(root, [txt], label="v1")
+    assert [r.relpath for r in from_dir.group("txt").files] == ["x.txt", "y.txt", "z.txt"]
+    assert scan_version(archive, [txt], label="v1") == from_dir
+
+
+def test_tar_hard_link_to_a_missing_file_is_skipped(tmp_path):
+    txt = ExtensionGroup(name="txt", extensions=(".txt",))
+    archive = tmp_path / "v1.tar"
+    with tarfile.open(archive, "w") as tar:
+        info = tarfile.TarInfo("y.txt")
+        info.type, info.linkname = tarfile.LNKTYPE, "gone.txt"
+        tar.addfile(info)
+    payload = scan_version(archive, [txt]).group("txt")
+    assert (payload.file_count, payload.skipped_files, payload.uloc_count) == (0, 1, 0)
+
+
+def test_tar_member_archived_last_wins(tmp_path):
+    # "tar -r" appends a second copy; extraction keeps the last one.
+    txt = ExtensionGroup(name="txt", extensions=(".txt",))
+    archive = tmp_path / "v1.tar"
+    with tarfile.open(archive, "w") as tar:
+        for name, data in (("x.txt", b"old\n"), ("./x.txt", b"older\n"), ("x.txt", b"new\n")):
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    root = write_tree(tmp_path / "tree", {"x.txt": "new\n"})
+    from_tar = scan_version(archive, [txt], label="v1")
+    assert (from_tar.group("txt").file_count, from_tar.group("txt").uloc_count) == (1, 1)
+    assert from_tar == scan_version(root, [txt], label="v1")
 
 
 @pytest.mark.parametrize("mode, suffix", [("w:gz", ".tar.gz"), ("w:xz", ".tar.xz")])
@@ -562,6 +623,52 @@ def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
     snaps = list(scan_corpus(manifest, store))
     assert [(s.version_label, s.ordinal) for s in snaps] == [("v1", 0), ("v2", 1)]
     assert_store_holds(load_all_snapshots(store), snaps)
+
+
+def test_scan_corpus_equals_fresh_scans_of_each_version(tree_writer, tmp_path):
+    # "a" leaves and comes back, "moved" goes from cpp to h and back, and
+    # "crlf" is written with both line endings.
+    history = [
+        {"a.cpp": "a\nmoved\ncrlf\r\n", "a.h": "h\n"},
+        {"a.cpp": "b\ncrlf\n", "a.h": "h\nmoved\n"},
+        {"a.cpp": "a\nmoved\r\ncrlf\n", "b.cpp": "crlf\r\nb\n", "a.h": "h\n"},
+        {"a.cpp": "a\nmoved\r\ncrlf\n", "b.cpp": "crlf\r\nb\n"},
+    ]
+    payload = manifest_payload()
+    payload["groups"].append({"name": "h", "extensions": [".h"]})
+    payload["versions"] = [{"label": f"v{i}", "path": f"v{i}"} for i in range(len(history))]
+    for i, tree in enumerate(history):
+        tree_writer(tree, f"v{i}")
+    manifest = load_manifest(write_manifest(tmp_path, payload))
+    fresh = [
+        scan_version(v.source, manifest.groups, label=v.label, ordinal=v.ordinal)
+        for v in manifest.versions
+    ]
+    assert list(scan_corpus(manifest)) == fresh
+
+
+def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_path, monkeypatch):
+    tree = {"a.cpp": "int a;\nint b;\n", "src/b.cpp": "int b;\r\nint c;\n"}
+    tree_writer(tree, "v1")
+    tree_writer(tree, "v2")
+    manifest = load_manifest(write_manifest(tmp_path, manifest_payload()))
+    digested: list[bytes] = []
+    original = ingest._digest
+
+    def counting(data: bytes) -> bytes:
+        digested.append(data)
+        return original(data)
+
+    monkeypatch.setattr(ingest, "_digest", counting)
+    scans = scan_corpus(manifest)
+    next(scans)
+    assert sorted(digested) == sorted(
+        [b"int a;\nint b;\n", b"int b;\r\nint c;\n", b"int a;", b"int b;", b"int c;"]
+    )
+    digested.clear()
+    next(scans)
+    # Only the two files' content digests: every line came from v1.
+    assert sorted(digested) == [b"int a;\nint b;\n", b"int b;\r\nint c;\n"]
 
 
 def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):
