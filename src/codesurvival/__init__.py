@@ -27,7 +27,7 @@ from .errors import (
     DataError,
     UsageError,
 )
-from .fitting import FitConfig, FitResult, fit_saturation, log_likelihood, neldermead_minimize
+from .fitting import FitResult, fit_saturation, log_likelihood, neldermead_minimize
 from .ingest import (
     CorpusManifest,
     ExtensionGroup,
@@ -53,8 +53,6 @@ from .survival import (
     CurveFamily,
     MetricKind,
     build_curve_family,
-    file_changed_fraction,
-    uloc_changed_fraction,
 )
 from .synth import SynthSpec, analytic_family, derive_mutation_prob, expected_curve, generate
 
@@ -80,8 +78,6 @@ __all__ = [
     "MetricKind",
     "ChangeCurve",
     "CurveFamily",
-    "uloc_changed_fraction",
-    "file_changed_fraction",
     "build_curve_family",
     "JumpEvent",
     "ScreeningPlan",
@@ -90,7 +86,6 @@ __all__ = [
     "detect_stabilization",
     "apply_plan",
     "load_plan",
-    "FitConfig",
     "FitResult",
     "log_likelihood",
     "neldermead_minimize",

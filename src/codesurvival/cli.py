@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .discoverability import bounds, persistence_summary, write_bounds_csv
 from .errors import CodeSurvivalError, DataError, UsageError
-from .fitting import FitConfig, FitResult, fit_saturation
+from .fitting import FitResult, fit_saturation
 from .ingest import STORE_FILENAME, ExtensionGroup, load_manifest, scan_corpus
 from .screening import ScreeningPlan, apply_plan, load_plan
 from .survival import MetricKind, build_curve_family, read_curves_csv, write_curves_csv
@@ -110,9 +110,8 @@ def cmd_fit(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
         raise UsageError(f"cannot read curves CSV {args.curves}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config = FitConfig(seed=args.seed)
     fits = [
-        dataclasses.replace(fit_saturation(point_set, config), group=group, metric=metric)
+        dataclasses.replace(fit_saturation(point_set, seed=args.seed), group=group, metric=metric)
         for point_set in apply_plan(family, plan)
     ]
     document = {

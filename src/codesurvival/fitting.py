@@ -4,9 +4,11 @@ The observed changed fractions are modeled as the saturation curve plus
 Gaussian noise whose variance is profiled at its own MLE (the mean
 squared residual), so maximizing the log-likelihood coincides with
 least squares.  Optimization runs over unconstrained coordinates
-(a, l) with A = A_max * sigmoid(a) and lambda = exp(l), which keeps the
+(a, l) with A = A_MAX * sigmoid(a) and lambda = exp(l), which keeps the
 parameters inside their bounds without penalty terms, and uses a
-self-contained Nelder-Mead downhill simplex.
+self-contained Nelder-Mead downhill simplex that stops after
+MAX_ITERATIONS steps.  A_MAX = 3.0 and MAX_ITERATIONS = 500 suit pooled
+change curves; the restart seed is the only setting a caller passes.
 
 Fits in a near-linear regime (A above 1, or so little curvature that
 lambda * n_max < 0.2) carry the LinearRegime warning; for those the
@@ -30,7 +32,6 @@ __all__ = [
     "LINEAR_REGIME",
     "NEAR_BOUNDARY",
     "NOT_CONVERGED",
-    "FitConfig",
     "FitResult",
     "log_likelihood",
     "neldermead_minimize",
@@ -45,7 +46,10 @@ NOT_CONVERGED = "NotConverged"
 #: log-likelihood finite on noiseless data.
 SIGMA2_FLOOR = 1e-12
 
-#: A is flagged NearBoundary above this fraction of A_max.
+#: Upper bound on the fitted saturation level A.
+A_MAX = 3.0
+
+#: A is flagged NearBoundary above this fraction of A_MAX.
 BOUNDARY_FRACTION = 0.95
 
 #: Curvature threshold: lambda * n_max below this means the exponential
@@ -67,21 +71,11 @@ SHRINK = 0.5
 #: this (and its diameter is below DIAMETER_TOL).
 CONVERGENCE_TOL = 1e-10
 
+#: Simplex steps before a run stops and reports non-convergence.
+MAX_ITERATIONS = 500
+
 #: Jittered starts tried after the data-driven one.
 RESTARTS = 3
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer hyperparameters; defaults suit pooled change curves."""
-
-    A_max: float = 3.0
-    max_iterations: int = 500
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.A_max <= 0:
-            raise ValueError("A_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,6 @@ def log_likelihood(params: SaturationParams, points: FitPointSet | Iterable[tupl
 def neldermead_minimize(
     objective: Callable[[np.ndarray], float],
     start: Sequence[float],
-    config: FitConfig | None = None,
     *,
     initial_step: float = 0.25,
 ) -> tuple[np.ndarray, float, bool]:
@@ -163,12 +156,11 @@ def neldermead_minimize(
 
     Iterates order / reflect / expand / contract / shrink with the
     standard coefficients until the spread of objective values across
-    the simplex drops below ``CONVERGENCE_TOL`` or ``max_iterations`` is
+    the simplex drops below ``CONVERGENCE_TOL`` or ``MAX_ITERATIONS`` is
     hit.  A small diameter guard keeps a simplex that straddles a
     symmetric minimum from stopping early on equal values.  Deterministic
-    given start and config.  Returns (argmin, value, converged).
+    given start and step.  Returns (argmin, value, converged).
     """
-    config = config or FitConfig()
 
     def f(x: np.ndarray) -> float:
         value = float(objective(x))
@@ -186,7 +178,7 @@ def neldermead_minimize(
         simplex.append((vertex, f(vertex)))
 
     converged = False
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         simplex.sort(key=lambda vf: vf[1])
         spread = simplex[-1][1] - simplex[0][1]
         diameter = max(float(np.max(np.abs(v - simplex[0][0]))) for v, _ in simplex[1:])
@@ -236,16 +228,17 @@ def _sigmoid(a: float | np.ndarray) -> float | np.ndarray:
     )
 
 
-def _decode(theta: np.ndarray, a_max: float) -> SaturationParams:
-    # Clamp so the amplitude stays strictly inside (0, a_max) even when the
+def _decode(theta: np.ndarray) -> SaturationParams:
+    # Clamp so the amplitude stays strictly inside (0, A_MAX) even when the
     # optimizer pushes the logistic into its rounded-to-1.0 tail.
     fraction = min(max(float(_sigmoid(theta[0])), 1e-12), 1.0 - 1e-12)
-    return SaturationParams(A=a_max * fraction, lam=math.exp(theta[1]))
+    return SaturationParams(A=A_MAX * fraction, lam=math.exp(theta[1]))
 
 
 def fit_saturation(
     points: FitPointSet | Iterable[tuple[int, float]],
-    config: FitConfig | None = None,
+    *,
+    seed: int = 0,
 ) -> FitResult:
     """Fit (A, lambda) to pooled change points by maximum likelihood.
 
@@ -255,7 +248,6 @@ def fit_saturation(
     fails silently: non-convergence is reported through the NotConverged
     warning on the result.
     """
-    config = config or FitConfig()
     regime = points.regime if isinstance(points, FitPointSet) else "all"
     ns, ps = _point_arrays(points)
     if ns.size < 3 or np.unique(ns).size < 2:
@@ -270,30 +262,30 @@ def fit_saturation(
     m = ns.size
 
     def objective(theta: np.ndarray) -> float:
-        params = _decode(theta, config.A_max)
+        params = _decode(theta)
         resid = ps - params.A * -np.expm1(-params.lam * ns)
         sigma2 = max(float(np.mean(resid**2)), SIGMA2_FLOOR)
         return 0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
 
-    a0_value = min(1.2 * max_p, BOUNDARY_FRACTION * config.A_max)
-    ratio = a0_value / config.A_max
+    a0_value = min(1.2 * max_p, BOUNDARY_FRACTION * A_MAX)
+    ratio = a0_value / A_MAX
     a0 = math.log(ratio / (1.0 - ratio))
     n1 = float(ns.min())
     p1 = float(ps[ns == n1].mean())
     lam0 = max(-math.log1p(-p1 / a0_value) / n1, 1e-4)
     start = np.array([a0, math.log(lam0)])
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     starts = [start] + [start + rng.normal(0.0, 0.5, size=2) for _ in range(RESTARTS)]
     best: tuple[float, int, np.ndarray, bool] | None = None
     for k, theta in enumerate(starts):
-        x, fx, conv = neldermead_minimize(objective, theta, config)
+        x, fx, conv = neldermead_minimize(objective, theta)
         if best is None or fx < best[0]:
             best = (fx, k, x, conv)
     assert best is not None
-    x, _, converged = neldermead_minimize(objective, best[2], config, initial_step=0.05)
+    x, _, converged = neldermead_minimize(objective, best[2], initial_step=0.05)
 
-    params = _decode(x, config.A_max)
+    params = _decode(x)
     resid = ps - params.A * -np.expm1(-params.lam * ns)
     rms = math.sqrt(float(np.mean(resid**2)))
     n_max = float(ns.max())
@@ -301,7 +293,7 @@ def fit_saturation(
     warnings = set()
     if params.A > 1.0 or params.lam * n_max < LINEAR_CURVATURE:
         warnings.add(LINEAR_REGIME)
-    if params.A >= BOUNDARY_FRACTION * config.A_max:
+    if params.A >= BOUNDARY_FRACTION * A_MAX:
         warnings.add(NEAR_BOUNDARY)
     if not converged:
         warnings.add(NOT_CONVERGED)

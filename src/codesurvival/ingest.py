@@ -2,12 +2,12 @@
 
 A corpus is an ordered list of version snapshots (directories or tar
 archives prepared externally, one per release).  Scanning a version
-produces, per extension group, the list of file records (basename,
-relative path, content digest) and the unique line digests pooled
-across all files of the group, held as one sorted block of fixed-width
-digests.  Duplicate lines are discarded;
-a line is the exact byte content after CRLF normalization, with no
-whitespace trimming and no special treatment of comments.
+produces, per extension group, the list of file records (relative
+path and content digest; the basename is the path's last component)
+and the unique line digests pooled across all files of the group, held
+as one sorted block of fixed-width digests.  Duplicate lines are
+discarded; a line is the exact byte content after CRLF normalization,
+with no whitespace trimming and no special treatment of comments.
 
 Lines and file contents are represented by fixed-width digests so that
 corpora with billions of lines stay tractable.  The digest is 16-byte
@@ -174,15 +174,14 @@ class CorpusManifest:
 # Slots: a store holds one record per file per version.
 @dataclass(frozen=True, slots=True)
 class FileRecord:
-    """One file of a snapshot: basename, root-relative path, content digest."""
+    """One file of a snapshot: root-relative path and content digest."""
 
-    basename: str
     relpath: str
     content_digest: bytes
 
-    def __post_init__(self) -> None:
-        if self.relpath.split("/")[-1] != self.basename:
-            raise ValueError(f"basename {self.basename!r} does not end {self.relpath!r}")
+    @property
+    def basename(self) -> str:
+        return self.relpath.rpartition("/")[2]
 
 
 @dataclass(frozen=True)
@@ -467,7 +466,7 @@ def scan_version(
         except OSError:
             entries[group.name][relpath] = None
             continue
-        record = FileRecord(basename=basename, relpath=relpath, content_digest=_digest(data))
+        record = FileRecord(relpath=relpath, content_digest=_digest(data))
         entries[group.name][relpath] = record, memo.digests(_split_lines(data))
 
     payloads = {}
@@ -703,14 +702,12 @@ def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[
             entry, where = groups[name], f"version {i} group {name!r}"
             try:
                 files = tuple(
-                    FileRecord(
-                        basename=relpath.split("/")[-1],
-                        relpath=relpath,
-                        content_digest=bytes.fromhex(hexdigest),
-                    )
+                    FileRecord(relpath=relpath, content_digest=bytes.fromhex(hexdigest))
                     for relpath, hexdigest in _field(path, entry, "files", list, where)
                 )
-            except (TypeError, ValueError, AttributeError) as exc:
+                if not all(isinstance(record.relpath, str) for record in files):
+                    raise TypeError("a relpath is not a string")
+            except (TypeError, ValueError) as exc:
                 raise StoreFormatError(f"{path}: malformed file record in {where} ({exc})") from None
             per_group[name].append(
                 GroupVersion(

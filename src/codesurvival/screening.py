@@ -145,7 +145,8 @@ def detect_jumps(
     votes: dict[int, int] = {}
     crossings: dict[int, int] = {}
     excess: dict[int, list[float]] = {}
-    usable: list[ChangeCurve] = []
+    # (baseline ordinal, first differences) of each curve with >= 3 points
+    usable: list[tuple[int, list[float]]] = []
     for curve in family.curves:
         if len(curve.points) < 3:
             logger.debug(
@@ -153,8 +154,8 @@ def detect_jumps(
                 curve.baseline_label,
             )
             continue
-        usable.append(curve)
         diffs = _interior_diffs(curve)
+        usable.append((curve.baseline_ordinal, diffs))
         for k, d in enumerate(diffs):
             # diffs[k] lands at target version baseline + k + 2
             target = curve.baseline_ordinal + k + 2
@@ -171,10 +172,9 @@ def detect_jumps(
             continue
         before: list[float] = []
         after: list[float] = []
-        for curve in usable:
-            diffs = _interior_diffs(curve)
+        for baseline, diffs in usable:
             for k, d in enumerate(diffs):
-                t = curve.baseline_ordinal + k + 2
+                t = baseline + k + 2
                 if t < target:
                     before.append(d)
                 elif t > target:
@@ -285,6 +285,13 @@ def apply_plan(family: CurveFamily, plan: ScreeningPlan) -> list[FitPointSet]:
     return sets
 
 
+def _plan_integer(path: Path, what: str, value: object) -> int:
+    # int() would silently truncate 2.5, read true as 1 and parse "4".
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PlanError(f"malformed plan {path}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def load_plan(path: str | Path) -> ScreeningPlan:
     """Read a ScreeningPlan from its JSON file form.
 
@@ -302,9 +309,13 @@ def load_plan(path: str | Path) -> ScreeningPlan:
         raise PlanError(f"malformed plan {path}: expected a JSON object")
     try:
         return ScreeningPlan(
-            stabilization_cut=int(raw.get("cut", 0)),
-            excluded_ordinals=tuple(int(e) for e in raw.get("exclude", ())),
-            regime_splits=tuple(int(s) for s in raw.get("splits", ())),
+            stabilization_cut=_plan_integer(path, "cut", raw.get("cut", 0)),
+            excluded_ordinals=tuple(
+                _plan_integer(path, "exclude entry", e) for e in raw.get("exclude", ())
+            ),
+            regime_splits=tuple(
+                _plan_integer(path, "splits entry", s) for s in raw.get("splits", ())
+            ),
             metric=raw.get("metric", ""),
             group=raw.get("group", ""),
             software=raw.get("software", ""),

@@ -1,6 +1,6 @@
 """Changed-fraction curves between every version pair.
 
-Two granularities are measured from a pair of snapshots:
+Two granularities are measured from each baseline to every later version:
 
 * uloc: the fraction of the baseline version's unique lines that are no
   longer present in the later version (a proxy for edits touching one
@@ -8,7 +8,8 @@ Two granularities are measured from a pair of snapshots:
 * file: the fraction of the baseline's files with no surviving copy in
   the later version, where a copy must keep both the filename and the
   exact content; moving a file to another directory does not count as a
-  change, renaming it does.
+  change, renaming it does.  With duplicate basenames any matching copy
+  counts, a permissive reading that path insensitivity forces.
 
 The denominator is always the baseline size, so growth of the later
 version never dilutes the fraction.  Line reintroductions count as
@@ -53,15 +54,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StoreFormatError
+from .errors import StoreFormatError
 from .ingest import GroupIndex, VersionSnapshot, load_all_snapshots
 
 __all__ = [
     "MetricKind",
     "ChangeCurve",
     "CurveFamily",
-    "uloc_changed_fraction",
-    "file_changed_fraction",
     "build_curve_family",
     "write_curves_csv",
     "read_curves_csv",
@@ -88,8 +87,6 @@ class ChangeCurve:
 
     baseline_ordinal: int
     baseline_label: str
-    metric: MetricKind
-    group: str
     points: tuple[tuple[int, float], ...]
     baseline_size: int
 
@@ -121,37 +118,6 @@ class CurveFamily:
         ordinals = [c.baseline_ordinal for c in self.curves]
         if len(set(ordinals)) != len(ordinals):
             raise ValueError("duplicate baseline ordinals in curve family")
-
-
-def uloc_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: str) -> float:
-    """1 - |uloc_base intersect uloc_later| / |uloc_base|."""
-    return _pair_fraction(base, later, group, MetricKind.ULOC)
-
-
-def file_changed_fraction(base: VersionSnapshot, later: VersionSnapshot, group: str) -> float:
-    """Fraction of baseline files with no same-name same-content survivor.
-
-    A baseline file is unchanged iff the later snapshot has at least one
-    file with the identical basename and identical content digest; the
-    directory part of the path is ignored.  With duplicate basenames any
-    matching copy counts, a permissive reading that path insensitivity
-    forces.
-    """
-    return _pair_fraction(base, later, group, MetricKind.FILE)
-
-
-def _pair_fraction(
-    base: VersionSnapshot, later: VersionSnapshot, group: str, metric: MetricKind
-) -> float:
-    size, fractions = _changed_fractions(_group_index([base, later], group), metric)[0]
-    if not size:
-        raise _empty_baseline(base.version_label, group, metric)
-    return fractions[0]
-
-
-def _empty_baseline(label: str, group: str, metric: MetricKind) -> DataError:
-    what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
-    return DataError(f"version {label!r} group {group!r} has {what}")
 
 
 def _group_index(snapshots: Sequence[VersionSnapshot], group: str) -> GroupIndex:
@@ -270,16 +236,13 @@ def build_curve_family(
     rows = _changed_fractions(index, metric)
     for (ordinal, label), (size, fractions) in zip(versions[:-1], rows):
         if not size:
-            warnings.append(
-                f"baseline {label!r} omitted: {_empty_baseline(label, group, metric)}"
-            )
+            what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
+            warnings.append(f"baseline {label!r} omitted: version {label!r} group {group!r} has {what}")
             continue
         curves.append(
             ChangeCurve(
                 baseline_ordinal=ordinal,
                 baseline_label=label,
-                metric=metric,
-                group=group,
                 points=tuple(enumerate(fractions, start=1)),
                 baseline_size=size,
             )
@@ -344,8 +307,6 @@ def read_curves_csv(
         ChangeCurve(
             baseline_ordinal=ordinal,
             baseline_label=label,
-            metric=metric,
-            group=group,
             points=tuple(sorted(points)),
             baseline_size=size,
         )

@@ -215,8 +215,6 @@ def analytic_family(
             ChangeCurve(
                 baseline_ordinal=i,
                 baseline_label=f"v{i}",
-                metric=metric,
-                group=group,
                 points=tuple(points),
                 baseline_size=baseline_size,
             )

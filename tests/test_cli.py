@@ -364,6 +364,10 @@ def _write_curves(tmp_path, insert_at, row):
     "argv, message",
     [
         (lambda t: _write_plan(t, []), "p.json"),
+        (lambda t: _write_plan(t, {"cut": 2.5}), "p.json: cut must be an integer, got 2.5"),
+        (lambda t: _write_plan(t, {"cut": True}), "cut must be an integer, got True"),
+        (lambda t: _write_plan(t, {"exclude": [3.9]}), "exclude entry must be an integer, got 3.9"),
+        (lambda t: _write_plan(t, {"splits": ["4"]}), "splits entry must be an integer, got '4'"),
         (lambda t: _write_manifest(t, 5), "m.json"),
         (
             lambda t: _write_manifest(t, {"software": "s", "groups": [], "versions": 5}),
@@ -387,6 +391,10 @@ def _write_curves(tmp_path, insert_at, row):
     ],
     ids=[
         "plan-not-object",
+        "plan-cut-float",
+        "plan-cut-bool",
+        "plan-exclude-float",
+        "plan-split-string",
         "manifest-not-object",
         "versions-not-list",
         "date-not-string",

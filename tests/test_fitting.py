@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from codesurvival import (
-    FitConfig,
     FitPointSet,
     SaturationParams,
     cumulative_change,
@@ -17,7 +16,8 @@ from codesurvival import (
     neldermead_minimize,
 )
 from codesurvival.errors import DataError, TooFewPointsError
-from codesurvival.fitting import LINEAR_REGIME, NEAR_BOUNDARY
+from codesurvival import fitting
+from codesurvival.fitting import A_MAX, LINEAR_REGIME, NEAR_BOUNDARY
 
 
 def model_points(A: float, lam: float, n_max: int) -> list[tuple[int, float]]:
@@ -80,10 +80,10 @@ def test_simplex_survives_non_finite_regions():
     assert x[0] == pytest.approx(2.0, abs=1e-3)
 
 
-def test_simplex_reports_non_convergence():
-    config = FitConfig(max_iterations=3)
+def test_simplex_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
     _, _, converged = neldermead_minimize(
-        lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2, [50.0, 50.0], config
+        lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2, [50.0, 50.0]
     )
     assert not converged
 
@@ -149,8 +149,8 @@ def test_fit_loglik_matches_function():
 
 def test_fit_is_deterministic_per_seed():
     points = model_points(0.5, 0.08, 30)
-    first = fit_saturation(points, FitConfig(seed=5))
-    second = fit_saturation(points, FitConfig(seed=5))
+    first = fit_saturation(points, seed=5)
+    second = fit_saturation(points, seed=5)
     assert first == second
 
 
@@ -163,16 +163,17 @@ def test_fit_flags_linear_regime_for_flat_curvature():
 
 
 def test_fit_flags_saturation_at_bound():
-    # Data saturates at 0.6 but A_max caps the level at 0.5.
-    result = fit_saturation(model_points(0.6, 0.5, 20), FitConfig(A_max=0.5))
+    # Data saturates at 3.5 but A_MAX caps the level at 3.0.
+    result = fit_saturation(model_points(3.5, 0.5, 20))
     assert NEAR_BOUNDARY in result.warnings
-    assert result.params.A < 0.5
+    assert result.params.A < A_MAX
+    assert result.params.A == pytest.approx(A_MAX, rel=1e-3)
 
 
 def test_fit_never_exceeds_a_max():
-    result = fit_saturation(model_points(1.9, 0.3, 20), FitConfig(A_max=2.0))
-    assert result.params.A < 2.0
-    assert result.params.A == pytest.approx(1.9, rel=1e-3)
+    result = fit_saturation(model_points(2.5, 0.3, 20))
+    assert result.params.A < A_MAX
+    assert result.params.A == pytest.approx(2.5, rel=1e-3)
 
 
 def test_fit_rejects_all_zero_data():
@@ -208,7 +209,3 @@ def test_fit_result_dict_round_trip():
 
     assert FitResult.from_dict(raw) == result
 
-
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(A_max=-1.0)

@@ -601,7 +601,7 @@ def test_store_mask_edges(tmp_path, versions):
         names = rng.sample(["a.x", "b.x", "c.x"], rng.randint(0, 3))
         relpaths = sorted(f"d{rng.randint(0, 1)}/{name}" for name in names)
         files = tuple(
-            FileRecord(basename=rel[3:], relpath=rel, content_digest=rng.choice(pool)) for rel in relpaths
+            FileRecord(relpath=rel, content_digest=rng.choice(pool)) for rel in relpaths
         )
         payload = GroupPayload(files=files, uloc_block=_random_digests(rng, pool), skipped_files=i % 3)
         snaps.append(VersionSnapshot(f"v{i}", i, {"x": payload}))

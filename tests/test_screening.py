@@ -30,8 +30,6 @@ def curve_from_diffs(ordinal, first, diffs):
     return ChangeCurve(
         baseline_ordinal=ordinal,
         baseline_label=f"v{ordinal}",
-        metric=MetricKind.ULOC,
-        group="x",
         points=tuple((n + 1, v) for n, v in enumerate(values)),
         baseline_size=1000,
     )
@@ -85,8 +83,6 @@ def test_jumps_are_translation_invariant():
             ChangeCurve(
                 baseline_ordinal=c.baseline_ordinal,
                 baseline_label=c.baseline_label,
-                metric=c.metric,
-                group=c.group,
                 points=tuple((n, p + 0.05) for n, p in c.points),
                 baseline_size=c.baseline_size,
             )

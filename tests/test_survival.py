@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from codesurvival.errors import DataError
 from codesurvival.ingest import (
     ExtensionGroup,
     GroupPayload,
@@ -21,9 +20,7 @@ from codesurvival.survival import (
     CurveFamily,
     MetricKind,
     build_curve_family,
-    file_changed_fraction,
     read_curves_csv,
-    uloc_changed_fraction,
     write_curves_csv,
 )
 from conftest import (
@@ -43,34 +40,43 @@ def snap(tree_writer, files, subdir, ordinal=0):
     return scan_version(tree_writer(files, subdir), [X, Y], label=subdir, ordinal=ordinal)
 
 
-# --- pairwise fractions ------------------------------------------------------
+# --- one baseline and one later version -------------------------------------
+
+
+def pair_fraction(base, later, group, metric):
+    """The only changed fraction of the family built from two versions."""
+    family = build_curve_family([base, later], group, metric)
+    [curve] = family.curves
+    [(_, fraction)] = curve.points
+    return fraction
 
 
 def test_uloc_fraction_counts_missing_lines(tree_writer):
     base = snap(tree_writer, {"a.x": "a\nb\nc\nd\n"}, "v0")
     later = snap(tree_writer, {"a.x": "a\nb\nnew\nalso new\nmore\n"}, "v1")
     # 2 of 4 baseline lines survive; later growth is irrelevant.
-    assert uloc_changed_fraction(base, later, "x") == 0.5
+    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.5
 
 
 def test_uloc_fraction_pools_lines_across_files(tree_writer):
     base = snap(tree_writer, {"a.x": "a\nb\n", "b.x": "b\nc\n"}, "v0")
     later = snap(tree_writer, {"other.x": "c\n"}, "v1")
     # Baseline uloc is {a, b, c}; only c survives, wherever it lives.
-    assert uloc_changed_fraction(base, later, "x") == pytest.approx(2.0 / 3.0)
+    assert pair_fraction(base, later, "x", MetricKind.ULOC) == pytest.approx(2.0 / 3.0)
 
 
 def test_uloc_identical_versions_change_nothing(tree_writer):
     base = snap(tree_writer, {"a.x": "a\nb\n"}, "v0")
     later = snap(tree_writer, {"a.x": "a\nb\n"}, "v1")
-    assert uloc_changed_fraction(base, later, "x") == 0.0
+    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.0
 
 
 def test_uloc_empty_baseline_is_an_error(tree_writer):
     base = snap(tree_writer, {"a.x": ""}, "v0")
     later = snap(tree_writer, {"a.x": "a\n"}, "v1")
-    with pytest.raises(DataError, match="has an empty uloc set"):
-        uloc_changed_fraction(base, later, "x")
+    family = build_curve_family([base, later], "x", MetricKind.ULOC)
+    assert family.curves == ()
+    assert family.warnings == ("baseline 'v0' omitted: version 'v0' group 'x' has an empty uloc set",)
 
 
 def test_file_fraction_semantics(tree_writer):
@@ -96,34 +102,35 @@ def test_file_fraction_semantics(tree_writer):
         "v1",
     )
     # kept and moved survive; renamed, edited, deleted do not.
-    assert file_changed_fraction(base, later, "x") == pytest.approx(3.0 / 5.0)
+    assert pair_fraction(base, later, "x", MetricKind.FILE) == pytest.approx(3.0 / 5.0)
 
 
 def test_file_fraction_denominator_is_baseline_size(tree_writer):
     base = snap(tree_writer, {"a.x": "a\n"}, "v0")
     later = snap(tree_writer, {"a.x": "a\n", "b.x": "b\n", "c.x": "c\n"}, "v1")
-    assert file_changed_fraction(base, later, "x") == 0.0
+    assert pair_fraction(base, later, "x", MetricKind.FILE) == 0.0
 
 
 def test_file_fraction_any_duplicate_copy_counts(tree_writer):
     base = snap(tree_writer, {"a/f.x": "one\n"}, "v0")
     later = snap(tree_writer, {"b/f.x": "two\n", "c/f.x": "one\n"}, "v1")
     # Path is ignored, so the c/ copy preserves the baseline file.
-    assert file_changed_fraction(base, later, "x") == 0.0
+    assert pair_fraction(base, later, "x", MetricKind.FILE) == 0.0
 
 
 def test_file_empty_baseline_is_an_error(tree_writer):
     base = snap(tree_writer, {"a.y": "y\n"}, "v0")
     later = snap(tree_writer, {"a.x": "a\n"}, "v1")
-    with pytest.raises(DataError, match="has no files"):
-        file_changed_fraction(base, later, "x")
+    family = build_curve_family([base, later], "x", MetricKind.FILE)
+    assert family.curves == ()
+    assert family.warnings == ("baseline 'v0' omitted: version 'v0' group 'x' has no files",)
 
 
 def test_groups_are_independent(tree_writer):
     base = snap(tree_writer, {"a.x": "a\n", "a.y": "p\nq\n"}, "v0")
     later = snap(tree_writer, {"a.x": "a\n", "a.y": "p\nz\n"}, "v1")
-    assert uloc_changed_fraction(base, later, "x") == 0.0
-    assert uloc_changed_fraction(base, later, "y") == 0.5
+    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.0
+    assert pair_fraction(base, later, "y", MetricKind.ULOC) == 0.5
 
 
 # --- curve families ----------------------------------------------------------
@@ -213,15 +220,15 @@ def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
 
 def test_change_curve_validation():
     with pytest.raises(ValueError, match="contiguous"):
-        ChangeCurve(0, "v0", MetricKind.ULOC, "x", ((2, 0.1),), 10)
+        ChangeCurve(0, "v0", ((2, 0.1),), 10)
     with pytest.raises(ValueError, match="out of range"):
-        ChangeCurve(0, "v0", MetricKind.ULOC, "x", ((1, 1.5),), 10)
-    curve = ChangeCurve(0, "v0", MetricKind.ULOC, "x", ((1, 0.25), (2, 0.5)), 10)
+        ChangeCurve(0, "v0", ((1, 1.5),), 10)
+    curve = ChangeCurve(0, "v0", ((1, 0.25), (2, 0.5)), 10)
     assert curve.fraction_at(2) == 0.5
 
 
 def test_curve_family_rejects_duplicate_baselines():
-    curve = ChangeCurve(0, "v0", MetricKind.ULOC, "x", ((1, 0.1),), 5)
+    curve = ChangeCurve(0, "v0", ((1, 0.1),), 5)
     with pytest.raises(ValueError, match="duplicate"):
         CurveFamily("demo", "x", MetricKind.ULOC, (curve, curve))
 
