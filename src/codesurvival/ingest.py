@@ -15,6 +15,16 @@ BLAKE2b (``blake2b-128``), the only one; its name is stamped into the
 store header, and a store whose header names another digest is refused
 rather than compared as an incompatible set.
 
+Reading and digesting are split.  Directories are read in this process
+one file at a time, as they are digested.  Archives are read ahead in a
+pool of ``min(2, CPUs available to the process)`` worker processes,
+created only when the manifest lists an archive: a worker decompresses
+the archive, walks its members and sends back the bytes of the group
+files.  All digesting, and the lifetime index, stay in this process, in
+manifest order, so the store does not depend on the workers.  At most
+``workers + 1`` archives' group files are held here at once, read ahead
+or being digested.
+
 Most lines of a release were already in the release before it, so
 ``scan_corpus`` digests a line only when the previous version did not
 hold it.  It carries a line -> digest map from one version to the next:
@@ -44,11 +54,13 @@ import os
 import re
 import tarfile
 import zlib
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -380,43 +392,95 @@ def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup 
     return best
 
 
-def _walk_directory(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
+# A file of a version as read: its group, relpath and bytes, or None for a
+# file that could not be read.
+_GroupFile = tuple[ExtensionGroup, str, bytes | None]
+
+
+def _read_directory(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
     for root, dirnames, filenames in os.walk(source, followlinks=False):
         dirnames.sort()
         for filename in sorted(filenames):
+            group = _match_group(filename, groups)
+            if group is None:
+                continue
             full = Path(root) / filename
             if full.is_symlink() or not full.is_file():
                 continue
-            rel = full.relative_to(source).as_posix()
-            yield rel, full.read_bytes
+            try:
+                data = full.read_bytes()
+            except OSError:
+                data = None
+            yield group, full.relative_to(source).as_posix(), data
 
 
-def _unreadable() -> bytes:
-    raise OSError("hard link to no regular file archived before it")
+def _extract_link(tar: tarfile.TarFile, member: tarfile.TarInfo) -> bytes | None:
+    # tarfile seeks back to the target, which in a compressed archive means
+    # decompressing again from the start.
+    try:
+        reader = tar.extractfile(member)
+    except KeyError:  # no member of that name archived before the link
+        return None
+    return None if reader is None else reader.read()
 
 
-def _walk_tar(source: Path) -> Iterator[tuple[str, Callable[[], bytes]]]:
+def _read_tar(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
     # One pass in archive order (scan_version sorts what it keeps), then
     # on to the end of the stream: a compressed archive's checksum sits
     # past the last member and is only verified once it is read.
+    # A hard link reads as the last member of its target's name archived
+    # before it, names normalized, as tarfile resolves it.  ``held`` maps
+    # each name whose last member so far is a group file to its bytes, so
+    # a link to one is resolved without seeking back.
+    held: dict[str, bytes] = {}
     try:
         with tarfile.open(source) as tar:
             for member in tar:
-                if not (member.isreg() or member.islnk()):
-                    continue
-                # A hard link reads as the file it names, which tarfile
-                # finds among the members archived before it.
-                try:
-                    reader = tar.extractfile(member)
-                except KeyError:
-                    reader = None
-                read = _unreadable if reader is None else (lambda d=reader.read(): d)
+                name = os.path.normpath(member.name)
                 # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
-                yield member.name.removeprefix("./"), read
+                relpath = member.name.removeprefix("./")
+                group = None
+                if member.isreg() or member.islnk():
+                    group = _match_group(relpath.rpartition("/")[2], groups)
+                if group is None:
+                    held.pop(name, None)
+                    continue
+                if member.isreg():
+                    data = tar.extractfile(member).read()
+                else:
+                    data = held.get(os.path.normpath(member.linkname))
+                    if data is None:
+                        data = _extract_link(tar, member)
+                if data is None:
+                    held.pop(name, None)
+                else:
+                    held[name] = data
+                yield group, relpath, data
             while tar.fileobj.read(1 << 20):
                 pass
     except (tarfile.TarError, EOFError, gzip.BadGzipFile, zlib.error, lzma.LZMAError) as exc:
         raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
+
+
+def _read_version(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
+    """The group files of one version, each as (group, relpath, bytes).
+
+    Names are matched to groups before anything is read, so files no
+    group takes are never read.  The bytes are None for a file that could
+    not be read.  A directory is read one file per step, as the caller
+    iterates.
+    """
+    if source.is_dir():
+        yield from _read_directory(source, groups)
+    elif source.is_file() and _is_tar(source):
+        yield from _read_tar(source, groups)
+    else:
+        raise MissingSourceError(f"snapshot source {source} does not exist")
+
+
+def _read_archive(source: Path, groups: Sequence[ExtensionGroup]) -> list[_GroupFile]:
+    """A worker's task: every group file of one archive."""
+    return list(_read_version(source, groups))
 
 
 def scan_version(
@@ -426,6 +490,7 @@ def scan_version(
     label: str | None = None,
     ordinal: int = 0,
     memo: _LineDigests | None = None,
+    contents: Iterable[_GroupFile] | None = None,
 ) -> VersionSnapshot:
     """Digest one version directory (or tar archive) into a snapshot.
 
@@ -440,30 +505,22 @@ def scan_version(
     ``memo`` is the empty map this version's lines are digested through;
     ``scan_corpus`` passes one that falls back on the version scanned
     before.  Without it each distinct line of this version is digested
-    once.
+    once.  ``contents`` are the source's group files as (group, relpath,
+    bytes or None if unreadable), already read; without them the source
+    is read here.
     """
     source = Path(source)
     _check_groups_disjoint(groups)
-    if source.is_dir():
-        walker = _walk_directory(source)
-    elif source.is_file() and _is_tar(source):
-        walker = _walk_tar(source)
-    else:
-        raise MissingSourceError(f"snapshot source {source} does not exist")
+    if contents is None:
+        contents = _read_version(source, groups)
     if memo is None:
         memo = _LineDigests()
 
     # Per group and relpath: the file's record and its line digests joined
     # into one bytes object, or None for a file that could not be read.
     entries: dict[str, dict[str, tuple[FileRecord, bytes] | None]] = {g.name: {} for g in groups}
-    for relpath, read in walker:
-        basename = relpath.split("/")[-1]
-        group = _match_group(basename, groups)
-        if group is None:
-            continue
-        try:
-            data = read()
-        except OSError:
+    for group, relpath, data in contents:
+        if data is None:
             entries[group.name][relpath] = None
             continue
         record = FileRecord(relpath=relpath, content_digest=_digest(data))
@@ -490,6 +547,56 @@ def scan_version(
     )
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _read_ahead(manifest: CorpusManifest) -> Iterator[list[_GroupFile] | None]:
+    """Per version in manifest order: an archive's group files, or None for a directory.
+
+    Archives are read in a pool of at most two worker processes, at most
+    ``workers + 1`` of them ahead of the version being digested; the pool
+    exists only if the manifest lists an archive, and closing the
+    generator shuts it down.  Directories are left to ``scan_version``,
+    which reads them file by file.
+    """
+    is_archive = [not entry.source.is_dir() for entry in manifest.versions]
+    if not any(is_archive):
+        yield from repeat(None, len(is_archive))
+        return
+    # Imported here: only a scan of archives uses them, and at module level
+    # they would add about 20 ms to the start of every command.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(2, _available_cpus(), sum(is_archive))
+    # fork spares each worker from importing numpy again.  numpy's BLAS
+    # thread makes this process multi-threaded, so Python 3.12 and later
+    # warn on fork; that is safe here because the workers only read files
+    # and never call numpy.  The pool forks all its workers at the first
+    # submit, before it starts threads of its own.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        unread = (entry.source for entry, archive in zip(manifest.versions, is_archive) if archive)
+        pending = deque()
+        for archive in is_archive:
+            # With the one taken now, at most workers + 1 archives are
+            # submitted and not yet digested.
+            pending.extend(
+                pool.submit(_read_archive, source, manifest.groups)
+                for source in islice(unread, workers + 1 - len(pending))
+            )
+            yield pending.popleft().result() if archive else None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def scan_corpus(
     manifest: CorpusManifest, store: str | Path | None = None
 ) -> Iterator[VersionSnapshot]:
@@ -499,18 +606,27 @@ def scan_corpus(
     per-version counts without holding the whole corpus in memory.  With
     a store, each snapshot is folded into one lifetime index, and the
     store file is written once, after the last version: a scan that
-    fails part way leaves the store as it was.
+    fails part way leaves the store as it was.  Archives are read ahead
+    in worker processes (``_read_ahead``); all digesting happens here, in
+    manifest order.
     """
     index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
     memo = _LineDigests()
-    for entry in manifest.versions:
-        snapshot = scan_version(
-            entry.source, manifest.groups, label=entry.label, ordinal=entry.ordinal, memo=memo
-        )
-        memo = memo.following()
-        if store is not None:
-            store_snapshot(snapshot, index)
-        yield snapshot
+    with closing(_read_ahead(manifest)) as reads:
+        for entry in manifest.versions:
+            # Passed straight on, so the contents go when scan_version returns.
+            snapshot = scan_version(
+                entry.source,
+                manifest.groups,
+                label=entry.label,
+                ordinal=entry.ordinal,
+                memo=memo,
+                contents=next(reads),
+            )
+            memo = memo.following()
+            if store is not None:
+                store_snapshot(snapshot, index)
+            yield snapshot
     if store is not None:
         write_store(index, store)
 

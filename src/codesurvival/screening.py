@@ -292,11 +292,18 @@ def _plan_integer(path: Path, what: str, value: object) -> int:
     return value
 
 
+def _plan_string(path: Path, what: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise PlanError(f"malformed plan {path}: {what} must be a string, got {value!r}")
+    return value
+
+
 def load_plan(path: str | Path) -> ScreeningPlan:
     """Read a ScreeningPlan from its JSON file form.
 
     Schema: ``{"cut": int, "exclude": [int], "splits": [int],
-    "metric": str, "group": str, "software"?: str, "notes"?: str}``.
+    "metric": str, "group": str, "software"?: str, "provenance"?: str,
+    "notes"?: str}``.
     """
     path = Path(path)
     if not path.is_file():
@@ -316,11 +323,11 @@ def load_plan(path: str | Path) -> ScreeningPlan:
             regime_splits=tuple(
                 _plan_integer(path, "splits entry", s) for s in raw.get("splits", ())
             ),
-            metric=raw.get("metric", ""),
-            group=raw.get("group", ""),
-            software=raw.get("software", ""),
-            provenance=raw.get("provenance", "manual"),
-            notes=raw.get("notes", ""),
+            metric=_plan_string(path, "metric", raw.get("metric", "")),
+            group=_plan_string(path, "group", raw.get("group", "")),
+            software=_plan_string(path, "software", raw.get("software", "")),
+            provenance=_plan_string(path, "provenance", raw.get("provenance", "manual")),
+            notes=_plan_string(path, "notes", raw.get("notes", "")),
         )
     except (TypeError, ValueError) as exc:
         raise PlanError(f"malformed plan {path}: {exc}") from exc

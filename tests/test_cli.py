@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import tarfile
 from pathlib import Path
 
 import pytest
 
+from codesurvival import cli, ingest
 from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
 from codesurvival.ingest import STORE_FILENAME, load_all_snapshots
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
@@ -149,6 +151,27 @@ def test_failed_rescan_leaves_the_store_as_it_was(tmp_path, capsys):
     assert err.startswith("error: ") and name in err and err.count("\n") == 1
     # Byte for byte the previous store, and no temporary file left over.
     assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_of_an_archive_deleted_after_the_manifest_exits_2(tmp_path, capsys, monkeypatch):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3, lines=400)
+    # Version 1 becomes an archive; it is deleted before anything reads it.
+    name = truncate_into_archive(corpus, 1)
+    archive = corpus / name
+
+    def load_then_delete(path):
+        manifest = ingest.load_manifest(path)
+        archive.unlink()
+        return manifest
+
+    monkeypatch.setattr(cli, "load_manifest", load_then_delete)
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot source ") and name in err and err.count("\n") == 1
+    assert not (tmp_path / "s" / STORE_FILENAME).exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_counts_csv_quotes_awkward_labels(tmp_path):
@@ -368,6 +391,11 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _write_plan(t, {"cut": True}), "cut must be an integer, got True"),
         (lambda t: _write_plan(t, {"exclude": [3.9]}), "exclude entry must be an integer, got 3.9"),
         (lambda t: _write_plan(t, {"splits": ["4"]}), "splits entry must be an integer, got '4'"),
+        (lambda t: _write_plan(t, {"metric": 5}), "p.json: metric must be a string, got 5"),
+        (lambda t: _write_plan(t, {"group": 7}), "p.json: group must be a string, got 7"),
+        (lambda t: _write_plan(t, {"software": [1]}), "p.json: software must be a string, got [1]"),
+        (lambda t: _write_plan(t, {"provenance": None}), "p.json: provenance must be a string, got None"),
+        (lambda t: _write_plan(t, {"notes": {}}), "p.json: notes must be a string, got {}"),
         (lambda t: _write_manifest(t, 5), "m.json"),
         (
             lambda t: _write_manifest(t, {"software": "s", "groups": [], "versions": 5}),
@@ -395,6 +423,11 @@ def _write_curves(tmp_path, insert_at, row):
         "plan-cut-bool",
         "plan-exclude-float",
         "plan-split-string",
+        "plan-metric-int",
+        "plan-group-int",
+        "plan-software-list",
+        "plan-provenance-null",
+        "plan-notes-object",
         "manifest-not-object",
         "versions-not-list",
         "date-not-string",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import tarfile
@@ -290,6 +292,82 @@ def test_tar_member_archived_last_wins(tmp_path):
     from_tar = scan_version(archive, [txt], label="v1")
     assert (from_tar.group("txt").file_count, from_tar.group("txt").uloc_count) == (1, 1)
     assert from_tar == scan_version(root, [txt], label="v1")
+
+
+def test_tar_reads_no_member_twice(tmp_path, monkeypatch):
+    # A 4 MB blob no group takes, ten hard links to it, and a .cpp with a
+    # hard link of its own archived after the blob.
+    root = write_tree(tmp_path / "tree", {"a.cpp": "int a;\n", "blob.bin": os.urandom(4 << 20)})
+    for i in range(1, 11):
+        os.link(root / "blob.bin", root / f"blob{i}.bin")
+    os.link(root / "a.cpp", root / "copy.cpp")
+    archive = make_tar(root, tmp_path / "v1.tar.gz", "w:gz")
+    rewinds = []
+    original = gzip._GzipReader._rewind
+
+    def counting(self):
+        rewinds.append(1)
+        return original(self)
+
+    monkeypatch.setattr(gzip._GzipReader, "_rewind", counting)
+    from_tar = scan_version(archive, [CPP], label="v1")
+    assert rewinds == []
+    assert [r.relpath for r in from_tar.group("cpp").files] == ["a.cpp", "copy.cpp"]
+    assert from_tar == scan_version(root, [CPP], label="v1")
+
+
+def _tar_oracle(archive: Path, groups) -> list:
+    """What tarfile itself reads for every group member, links resolved by extractfile."""
+    read = []
+    with tarfile.open(archive) as tar:
+        for member in tar.getmembers():
+            relpath = member.name.removeprefix("./")
+            group = ingest._match_group(relpath.rpartition("/")[2], groups)
+            if group is None or not (member.isreg() or member.islnk()):
+                continue
+            try:
+                reader = tar.extractfile(member)
+            except KeyError:
+                reader = None
+            read.append((group, relpath, None if reader is None else reader.read()))
+    return read
+
+
+def test_tar_hard_links_resolve_as_tarfile_does(tmp_path):
+    txt = ExtensionGroup(name="txt", extensions=(".txt",))
+    members = [
+        ("x.txt", b"old\n", None),
+        ("y.txt", None, "./x.txt"),  # "old": the last x.txt before it
+        ("./x.txt", b"new\n", None),
+        ("z.txt", None, "x.txt"),  # "new"
+        ("w.txt", None, "y.txt"),  # a link to a link: "old"
+        ("e.txt", b"", None),
+        ("f.txt", None, "e.txt"),  # an empty file
+        ("blob.bin", b"blob\n", None),
+        ("v.txt", None, "blob.bin"),  # a target no group takes
+        ("x.txt", None, None),  # a directory now has the name
+        ("u.txt", None, "x.txt"),  # so this link reads nothing
+        ("t.txt", None, "later.txt"),  # no such member before it
+        ("later.txt", b"later\n", None),
+    ]
+    archive = tmp_path / "v1.tar.gz"
+    with tarfile.open(archive, "w:gz") as tar:
+        for name, data, target in members:
+            info = tarfile.TarInfo(name)
+            if target is not None:
+                info.type, info.linkname = tarfile.LNKTYPE, target
+            elif data is None:
+                info.type = tarfile.DIRTYPE
+            else:
+                info.size = len(data)
+            tar.addfile(info, None if data is None else io.BytesIO(data))
+    read = list(ingest._read_version(archive, [txt]))
+    assert read == _tar_oracle(archive, [txt])
+    assert {relpath: data for _, relpath, data in read} == {
+        "x.txt": b"new\n", "y.txt": b"old\n", "z.txt": b"new\n", "w.txt": b"old\n",
+        "e.txt": b"", "f.txt": b"", "v.txt": b"blob\n", "u.txt": None, "t.txt": None,
+        "later.txt": b"later\n",
+    }
 
 
 @pytest.mark.parametrize("mode, suffix", [("w:gz", ".tar.gz"), ("w:xz", ".tar.xz")])
@@ -690,3 +768,48 @@ def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):
     loaded = load_all_snapshots(store)
     assert loaded.labels == ["v1", "v2"] and list(loaded.groups) == ["cpp"]
     assert_store_holds(loaded, snaps)
+
+
+# --- archives read in worker processes -------------------------------------
+
+
+def mixed_corpus(tmp_path: Path, versions: int = 6) -> tuple[CorpusManifest, CorpusManifest]:
+    """One history as directories only, and with every other version a .tar.gz."""
+    rng = random.Random(20261018)
+    groups = [{"name": "x", "extensions": [".x"]}, {"name": "y", "extensions": [".y"]}]
+    dirs, mixed = [], []
+    for i, tree in enumerate(random_corpus_history(rng, versions=versions)):
+        root = write_tree(tmp_path / f"v{i}", tree)
+        dirs.append({"label": f"v{i}", "path": root.name})
+        path = make_tar(root, tmp_path / f"v{i}.tar.gz", "w:gz").name if i % 2 else root.name
+        mixed.append({"label": f"v{i}", "path": path})
+    payload = {"software": "demo", "groups": groups}
+    (tmp_path / "dirs.json").write_text(json.dumps({**payload, "versions": dirs}))
+    (tmp_path / "mixed.json").write_text(json.dumps({**payload, "versions": mixed}))
+    return load_manifest(tmp_path / "dirs.json"), load_manifest(tmp_path / "mixed.json")
+
+
+def test_scan_corpus_of_archives_equals_scan_of_directories(tmp_path):
+    dirs, mixed = mixed_corpus(tmp_path)
+    from_dirs = list(scan_corpus(dirs, tmp_path / "dirs-store"))
+    assert list(scan_corpus(mixed, tmp_path / "mixed-store")) == from_dirs
+    assert multiprocessing.active_children() == []
+    stores = [(tmp_path / name / STORE_FILENAME).read_bytes() for name in ("dirs-store", "mixed-store")]
+    assert stores[0] == stores[1]
+
+
+def test_scan_corpus_closed_early_leaves_no_worker(tmp_path):
+    _, mixed = mixed_corpus(tmp_path)
+    scans = scan_corpus(mixed, tmp_path / "store")
+    assert next(scans).ordinal == 0
+    scans.close()
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "store").exists()
+
+
+def test_scan_corpus_of_an_archive_deleted_after_the_manifest(tmp_path):
+    _, mixed = mixed_corpus(tmp_path)
+    (tmp_path / "v3.tar.gz").unlink()
+    with pytest.raises(MissingSourceError, match="v3.tar.gz"):
+        list(scan_corpus(mixed, tmp_path / "store"))
+    assert multiprocessing.active_children() == []
