@@ -26,7 +26,7 @@ from typing import Sequence
 from .discoverability import bounds, persistence_summary, write_bounds_csv
 from .errors import CodeSurvivalError, DataError, UsageError
 from .fitting import FitResult, fit_saturation
-from .ingest import STORE_FILENAME, ExtensionGroup, load_manifest, scan_corpus
+from .ingest import STORE_FILENAME, ExtensionGroup, ScanCounters, load_manifest, scan_corpus
 from .screening import ScreeningPlan, apply_plan, load_plan
 from .survival import MetricKind, build_curve_family, read_curves_csv, write_curves_csv
 from .synth import SynthSpec, generate, write_expected_csv
@@ -55,8 +55,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     store.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[int, str, str, int, int, int]] = []
     warnings: list[str] = []
+    counters: dict[str, ScanCounters] = {}
     print(f"{'ordinal':>7}  {'label':<12} {'group':<8} {'files':>7} {'uloc':>9} {'skipped':>7}")
-    for snapshot in scan_corpus(manifest, store=store):
+    for snapshot in scan_corpus(manifest, store=store, counters=counters):
         for name in sorted(snapshot.groups):
             payload = snapshot.groups[name]
             row = (
@@ -81,7 +82,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
         writer.writerows(rows)
     artifacts = [counts_csv, store / STORE_FILENAME]
     digest = hashlib.blake2b(Path(args.manifest).read_bytes(), digest_size=16).hexdigest()
-    return artifacts, warnings, {"manifest_digest": digest}
+    scan = {name: dataclasses.asdict(counters[name]) for name in sorted(counters)}
+    return artifacts, warnings, {"manifest_digest": digest, "scan": scan}
 
 
 def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:

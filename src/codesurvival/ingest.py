@@ -4,10 +4,11 @@ A corpus is an ordered list of version snapshots (directories or tar
 archives prepared externally, one per release).  Scanning a version
 produces, per extension group, the list of file records (relative
 path and content digest; the basename is the path's last component)
-and the unique line digests pooled across all files of the group, held
-as one sorted block of fixed-width digests.  Duplicate lines are
-discarded; a line is the exact byte content after CRLF normalization,
-with no whitespace trimming and no special treatment of comments.
+and the unique lines pooled across all files of the group, as rows of
+a group index that holds each distinct line digest once.  Duplicate
+lines are discarded; a line is the exact byte content after CRLF
+normalization, with no whitespace trimming and no special treatment of
+comments.
 
 Lines and file contents are represented by fixed-width digests so that
 corpora with billions of lines stay tractable.  The digest is 16-byte
@@ -26,20 +27,24 @@ manifest order, so the store does not depend on the workers.  At most
 or being digested.
 
 Most lines of a release were already in the release before it, so
-``scan_corpus`` digests a line only when the previous version did not
-hold it.  It carries a line -> digest map from one version to the next:
-the lines of the version being scanned, plus those of the previous
-version not seen again yet, which are dropped when the version ends.
-So it never holds more than two versions' distinct lines, each once,
-at about 125-145 bytes per line on the benchmark corpora (tracemalloc).
+``scan_corpus`` carries a line -> row map per group from one version to
+the next, rows of the lifetime index it builds.  A line the map holds
+costs one lookup; only a line the previous version lacked is digested,
+and the version's new digests are looked up in the index in one batch,
+so a line that comes back after an absence keeps its old row.  A file
+whose relpath and content equal the previous version's is not split
+at all: it takes that file's rows.  When a version ends, the lines the
+previous version had and this one lacks leave the map, so it never
+holds more than two versions' distinct lines, each once.
 
 The store (format 3) is one file per store directory, a lifetime index
 of the corpus: per group, the sorted distinct line digests of every
 version and, for each digest, a presence mask with one bit per version
 (a bitmap index over versions).  It grows with distinct lines, not with
-versions x lines.  ``scan`` folds each version into the index as it goes
-and writes the file once, after the last version, under a temporary name
-that then replaces the old file; a store is never partial or stale.
+versions x lines.  ``scan`` folds each version into the index as it goes,
+setting its bit on the rows it has, and writes the file once, after the
+last version, under a temporary name that then replaces the old file; a
+store is never partial or stale.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -83,6 +87,7 @@ __all__ = [
     "GroupVersion",
     "GroupIndex",
     "LifetimeIndex",
+    "ScanCounters",
     "STORE_FILENAME",
     "load_manifest",
     "normalize_lines",
@@ -105,6 +110,9 @@ DIGEST_SIZE = 16
 # Equality and order of fixed-width S items are exact byte comparisons,
 # NUL bytes included.
 _DIGEST_DTYPE = f"S{DIGEST_SIZE}"
+# A line's row in a group index; 2**31 distinct lines in one group would
+# need masks and digests far beyond a desk machine's memory anyway.
+_ROW_DTYPE = np.int32
 
 
 def _digest(data: bytes) -> bytes:
@@ -200,31 +208,45 @@ class FileRecord:
 class GroupPayload:
     """Digested content of one extension group within one version.
 
-    ``uloc_block`` is the group's unique line digests, each
-    ``DIGEST_SIZE`` bytes wide, sorted by byte value and concatenated:
-    the form ``GroupIndex.add`` merges into the lifetime index.
+    The group's unique lines, pooled across its files, are ``rows``: the
+    distinct rows of a group index (``GroupIndex``), in ascending order.
+    ``row_digests`` holds the digest of every row of that index up to
+    the highest of them.  A scan into a lifetime index numbers lines by
+    that index's rows, so folding the payload into it sets bits and looks
+    nothing up; a standalone scan numbers them in an index of its own.
+    Payloads compare by content (files, skipped count and line digests),
+    whichever index numbered their rows.
     """
 
     files: tuple[FileRecord, ...]
-    uloc_block: bytes
+    rows: np.ndarray
+    row_digests: np.ndarray
     skipped_files: int = 0
 
-    def __post_init__(self) -> None:
-        if len(self.uloc_block) % DIGEST_SIZE:
-            raise ValueError(
-                f"uloc block of {len(self.uloc_block)} bytes is not a whole number "
-                f"of {DIGEST_SIZE}-byte digests"
-            )
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupPayload):
+            return NotImplemented
+        return (self.files, self.skipped_files, self.uloc) == (
+            other.files,
+            other.skipped_files,
+            other.uloc,
+        )
+
+    @property
+    def digests(self) -> np.ndarray:
+        """The unique line digests, one per row."""
+        return self.row_digests[self.rows]
 
     @property
     def uloc(self) -> frozenset[bytes]:
         """The unique line digests as a set, built on each access."""
-        block = self.uloc_block
+        # tobytes: an S item would lose a digest's trailing NUL bytes.
+        block = self.digests.tobytes()
         return frozenset(block[i : i + DIGEST_SIZE] for i in range(0, len(block), DIGEST_SIZE))
 
     @property
     def uloc_count(self) -> int:
-        return len(self.uloc_block) // DIGEST_SIZE
+        return len(self.rows)
 
     @property
     def file_count(self) -> int:
@@ -346,39 +368,103 @@ def normalize_lines(data: bytes) -> list[bytes]:
     return list(map(_digest, _split_lines(data)))
 
 
-class _LineDigests(dict):
-    """Line -> digest for the lines of one version.
+@dataclass
+class ScanCounters:
+    """The work of scanning one group, summed over the versions scanned."""
 
-    A line the previous version's map holds moves over from there with
-    its digest; any other line is digested on first lookup.  A line that
-    carries over from one version to the next is digested once, no Python
-    code runs per known line, and each line is held once.  ``following``
-    drops what the previous map still holds, the lines this version did
-    not keep, so the lines of two versions are all that is ever held.
+    files: int = 0  # files read; unreadable ones are counted as skipped instead
+    files_reused: int = 0  # files equal to the previous version's at their relpath
+    lines: int = 0  # lines of the files read, reused ones included
+    lines_digested: int = 0  # lines the memo did not hold
+    memo_lines_max: int = 0  # the most lines the memo held at once
+    index_rows: int = 0  # distinct lines of the group's lifetime index
+
+
+class _LineRows(dict):
+    """Line -> row of one group's index, for the lines of the previous and the current version.
+
+    A line the map holds costs one lookup.  Any other line is digested
+    on first lookup and given a provisional row past the index's last.
+    ``settle`` ends the version: the new lines' digests are looked up in
+    the index in one batch, so a line an earlier version had gets its
+    old row back and only a line never seen gets a new row.  A file
+    equal to the previous version's file at the same relpath takes that
+    file's rows without being split.  Rows the previous version had and
+    this one lacks then drop their line, so the map holds exactly the
+    lines of the version just scanned.
     """
 
-    def __init__(self, previous: dict[bytes, bytes] | None = None) -> None:
+    def __init__(self, index: GroupIndex) -> None:
         super().__init__()
-        self.previous = {} if previous is None else previous
+        self.index = index
+        self.counters = ScanCounters()
+        self._line_of_row: list[bytes | None] = []  # None once the line has left the map
+        self._new_lines: list[bytes] = []
+        self._new_digests = bytearray()
+        self._previous_rows = np.empty(0, dtype=np.intp)
+        self._previous_files: dict[str, tuple[FileRecord, np.ndarray]] = {}
 
-    def __missing__(self, line: bytes) -> bytes:
-        digest = self[line] = _digest(line)
-        return digest
+    def __missing__(self, line: bytes) -> int:
+        row = self[line] = self.index.rows + len(self._new_lines)
+        self._new_lines.append(line)
+        self._new_digests += _digest(line)
+        return row
 
-    def digests(self, lines: list[bytes]) -> bytes:
-        """The lines' digests, concatenated in order."""
-        # Lines the previous map holds move over; filter drops the others' None.
-        moved = map(self.previous.pop, lines, repeat(None))
-        self.update(filter(itemgetter(1), zip(lines, moved)))
-        return b"".join(map(self.__getitem__, lines))
+    def file(self, relpath: str, data: bytes) -> tuple[FileRecord, np.ndarray]:
+        """The file's record and the row of each of its lines, in order."""
+        record = FileRecord(relpath=relpath, content_digest=_digest(data))
+        previous = self._previous_files.get(relpath)
+        if previous is not None and previous[0] == record:
+            rows = previous[1]
+            self.counters.files_reused += 1
+        else:
+            lines = _split_lines(data)
+            rows = np.fromiter(map(self.__getitem__, lines), dtype=_ROW_DTYPE, count=len(lines))
+        self.counters.files += 1
+        self.counters.lines += len(rows)
+        return record, rows
 
-    def following(self) -> _LineDigests:
-        """An empty map for the next version, falling back on this one.
-
-        The previous map goes, and with it the lines this version lacked.
-        """
-        self.previous = {}
-        return _LineDigests(self)
+    def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> np.ndarray:
+        """End the version of these files: its distinct rows, ascending."""
+        index, base, new_lines = self.index, self.index.rows, self._new_lines
+        counters = self.counters
+        counters.lines_digested += len(new_lines)
+        counters.memo_lines_max = max(counters.memo_lines_max, len(self))
+        rows = np.concatenate([r for _, r in kept]) if kept else np.empty(0, dtype=_ROW_DTYPE)
+        if new_lines:
+            present = np.zeros(base + len(new_lines), dtype=bool)
+            present[rows] = True
+            # A new line can be absent: a later tar member of the same path
+            # replaced the file it was in.
+            held = present[base:]
+            final = np.full(len(new_lines), -1, dtype=_ROW_DTYPE)
+            final[held] = index.rows_of(np.frombuffer(self._new_digests, _DIGEST_DTYPE)[held])
+            if index.rows - base == len(new_lines):
+                # Every new line was held and never seen: its provisional row is its row.
+                self._line_of_row += new_lines
+            else:
+                self._line_of_row += repeat(None, index.rows - base)
+                for line, row in zip(new_lines, final.tolist()):
+                    if row < 0:
+                        del self[line]
+                    else:
+                        self[line] = row
+                        self._line_of_row[row] = line
+                remap = np.concatenate([np.arange(base, dtype=_ROW_DTYPE), final])
+                kept = [(record, remap[r]) for record, r in kept]
+                rows = remap[rows]
+            self._new_lines, self._new_digests = [], bytearray()
+        present = np.zeros(index.rows, dtype=bool)
+        present[rows] = True
+        rows = np.flatnonzero(present)
+        previous = self._previous_rows
+        for row in previous[~present[previous]].tolist():
+            del self[self._line_of_row[row]]
+            self._line_of_row[row] = None
+        self._previous_rows = rows
+        self._previous_files = {record.relpath: (record, r) for record, r in kept}
+        counters.index_rows = index.rows
+        return rows
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -489,7 +575,7 @@ def scan_version(
     *,
     label: str | None = None,
     ordinal: int = 0,
-    memo: _LineDigests | None = None,
+    memo: Mapping[str, _LineRows] | None = None,
     contents: Iterable[_GroupFile] | None = None,
 ) -> VersionSnapshot:
     """Digest one version directory (or tar archive) into a snapshot.
@@ -502,42 +588,36 @@ def scan_version(
     within or across files collapse to one digest.  Unreadable files are
     skipped and counted per group; a missing source is a hard error.
 
-    ``memo`` is the empty map this version's lines are digested through;
-    ``scan_corpus`` passes one that falls back on the version scanned
-    before.  Without it each distinct line of this version is digested
-    once.  ``contents`` are the source's group files as (group, relpath,
-    bytes or None if unreadable), already read; without them the source
-    is read here.
+    ``memo`` maps each group to the lines of the version scanned before
+    and their rows in the group's lifetime index; ``scan_corpus`` passes
+    the same one for every version, so a line is digested only when the
+    version before lacked it.  Without it each distinct line of this
+    version is digested once and numbered in an index of its own.
+    ``contents`` are the source's group files as (group, relpath, bytes
+    or None if unreadable), already read; without them the source is
+    read here.
     """
     source = Path(source)
     _check_groups_disjoint(groups)
     if contents is None:
         contents = _read_version(source, groups)
     if memo is None:
-        memo = _LineDigests()
+        memo = {g.name: _LineRows(GroupIndex()) for g in groups}
 
-    # Per group and relpath: the file's record and its line digests joined
-    # into one bytes object, or None for a file that could not be read.
-    entries: dict[str, dict[str, tuple[FileRecord, bytes] | None]] = {g.name: {} for g in groups}
+    # Per group and relpath: the file's record and the row of each of its
+    # lines, or None for a file that could not be read.
+    entries: dict[str, dict[str, tuple[FileRecord, np.ndarray] | None]] = {g.name: {} for g in groups}
     for group, relpath, data in contents:
-        if data is None:
-            entries[group.name][relpath] = None
-            continue
-        record = FileRecord(relpath=relpath, content_digest=_digest(data))
-        entries[group.name][relpath] = record, memo.digests(_split_lines(data))
+        entries[group.name][relpath] = None if data is None else memo[group.name].file(relpath, data)
 
     payloads = {}
     for g in groups:
         kept = [entry for entry in entries[g.name].values() if entry is not None]
-        # Sorted by byte value, duplicates dropped.  Digests leave numpy
-        # through tobytes only: an S item or tolist would strip a digest's
-        # trailing NUL bytes.
-        digests = np.sort(np.frombuffer(b"".join(block for _, block in kept), dtype=_DIGEST_DTYPE))
-        first = np.ones(len(digests), dtype=bool)
-        np.not_equal(digests[1:], digests[:-1], out=first[1:])
+        rows = memo[g.name].settle(kept)
         payloads[g.name] = GroupPayload(
             files=tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath)),
-            uloc_block=digests[first].tobytes(),
+            rows=rows,
+            row_digests=memo[g.name].index.row_digests,
             skipped_files=len(entries[g.name]) - len(kept),
         )
     return VersionSnapshot(
@@ -598,7 +678,10 @@ def _read_ahead(manifest: CorpusManifest) -> Iterator[list[_GroupFile] | None]:
 
 
 def scan_corpus(
-    manifest: CorpusManifest, store: str | Path | None = None
+    manifest: CorpusManifest,
+    store: str | Path | None = None,
+    *,
+    counters: dict[str, ScanCounters] | None = None,
 ) -> Iterator[VersionSnapshot]:
     """Scan every version of a manifest in order, optionally persisting.
 
@@ -608,10 +691,13 @@ def scan_corpus(
     store file is written once, after the last version: a scan that
     fails part way leaves the store as it was.  Archives are read ahead
     in worker processes (``_read_ahead``); all digesting happens here, in
-    manifest order.
+    manifest order.  ``counters``, if given, gets each group's
+    ``ScanCounters``, which count the work as the scan goes.
     """
     index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
-    memo = _LineDigests()
+    memo = {name: _LineRows(group) for name, group in index.groups.items()}
+    if counters is not None:
+        counters.update((name, lines.counters) for name, lines in memo.items())
     with closing(_read_ahead(manifest)) as reads:
         for entry in manifest.versions:
             # Passed straight on, so the contents go when scan_version returns.
@@ -623,7 +709,6 @@ def scan_corpus(
                 memo=memo,
                 contents=next(reads),
             )
-            memo = memo.following()
             if store is not None:
                 store_snapshot(snapshot, index)
             yield snapshot
@@ -668,12 +753,37 @@ class GroupVersion:
         return len(self.files)
 
 
+def _reserve(array: np.ndarray, rows: int, width: int | None = None) -> np.ndarray:
+    """``array`` if it has room for ``rows`` rows (of ``width`` columns), else a copy that has.
+
+    The copy keeps the first ``rows`` rows.  When it grows in rows, its
+    room at least doubles, so appending rows one version at a time copies
+    each row a bounded number of times.  New room is zero and left
+    unwritten, so it takes no memory until rows go into it.
+    """
+    shape = array.shape[1:] if width is None else (width,)
+    if len(array) >= rows and array.shape[1:] == shape:
+        return array
+    size = len(array) if len(array) >= rows else max(rows, 2 * len(array))
+    grown = np.zeros((size, *shape), dtype=array.dtype)
+    kept = array[:rows]
+    grown[tuple(slice(n) for n in kept.shape)] = kept
+    return grown
+
+
 class GroupIndex:
     """The distinct line digests of one group across versions, with presence masks.
 
-    ``digests`` is sorted by byte value; row k of ``masks`` has bit i set
-    iff version i has digest k (the store layout above).  ``versions``
-    keeps the rest of each version, in ordinal order.
+    Each distinct digest has a row: ``digests[k]`` is its digest, and row
+    k of ``masks`` has bit i set iff version i has it.  ``versions``
+    keeps the rest of each version, in ordinal order.  An index built in
+    memory numbers rows in the order their digests first came, and grows
+    by appending rows; ``row_digests`` is the array ``digests`` is the
+    first ``rows`` items of, with room for more.  ``sorted_digests`` are
+    the digests by byte value, the section ``rows_of`` searches and the
+    store writes, and ``order`` lists the rows in that order.  ``order``
+    is None while the rows are in digest order already, as in an index
+    loaded from a store.
     """
 
     def __init__(
@@ -682,27 +792,57 @@ class GroupIndex:
         masks: np.ndarray | None = None,
         versions: Sequence[GroupVersion] = (),
     ) -> None:
-        self.digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
-        self.masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
+        self.row_digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
+        self.rows = len(self.row_digests)
+        self.sorted_digests = self.row_digests
+        self.order: np.ndarray | None = None
+        self._masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
         self.versions = list(versions)
+
+    @property
+    def digests(self) -> np.ndarray:
+        return self.row_digests[: self.rows]
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self._masks[: self.rows]
+
+    def rows_of(self, digests: np.ndarray) -> np.ndarray:
+        """The row of each of the distinct ``digests``, looked up in one batch.
+
+        A digest the index does not hold yet gets the next row, in the
+        order given, and is merged into the sorted section.
+        """
+        order = np.arange(self.rows, dtype=_ROW_DTYPE) if self.order is None else self.order
+        at = np.searchsorted(self.sorted_digests, digests)
+        found = at < self.rows
+        found[found] = self.sorted_digests[at[found]] == digests[found]
+        rows = np.empty(len(digests), dtype=np.intp)
+        rows[found] = order[at[found]]
+        new = np.flatnonzero(~found)
+        if len(new):
+            end = self.rows + len(new)
+            rows[new] = np.arange(self.rows, end)
+            self.row_digests = _reserve(self.row_digests, end)
+            self.row_digests[self.rows : end] = digests[new]
+            # New digests in byte order land at nondecreasing positions.
+            new = new[np.argsort(digests[new])]
+            self.sorted_digests = np.insert(self.sorted_digests, at[new], digests[new])
+            order = np.insert(order, at[new], rows[new])
+            self.rows = end
+        self.order = order
+        return rows
 
     def add(self, payload: GroupPayload) -> None:
         """Fold in the next version: its bit is the number of versions before it."""
         column, bit = divmod(len(self.versions), 8)
-        block = np.frombuffer(payload.uloc_block, dtype=_DIGEST_DTYPE)
-        masks = self.masks
-        if column == masks.shape[1]:
-            masks = np.pad(masks, ((0, 0), (0, 1)))
-        # Digests already indexed gain the bit in place.  The new ones are
-        # inserted at their sorted positions, a merge of two sorted runs.
-        at = np.searchsorted(self.digests, block)
-        known = at < len(self.digests)
-        known[known] = self.digests[at[known]] == block[known]
-        masks[at[known], column] |= np.uint8(1 << bit)
-        row = np.zeros(masks.shape[1], dtype=np.uint8)
-        row[column] = 1 << bit
-        self.digests = np.insert(self.digests, at[~known], block[~known])
-        self.masks = np.insert(masks, at[~known], row, axis=0)
+        # A payload scanned into this index holds its rows already.
+        if payload.row_digests is self.row_digests:
+            rows = payload.rows
+        else:
+            rows = self.rows_of(payload.digests)
+        self._masks = _reserve(self._masks, self.rows, column + 1)
+        self._masks[rows, column] |= np.uint8(1 << bit)
         self.versions.append(GroupVersion(payload.files, payload.uloc_count, payload.skipped_files))
 
 
@@ -765,7 +905,9 @@ def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     offset = 0
     for name in sorted(index.groups):
         group = index.groups[name]
-        digests, masks = group.digests, group.masks
+        digests, masks = group.sorted_digests, group.masks
+        if group.order is not None:
+            masks = masks[group.order]
         layout[name] = {"digests": offset, "keys": len(digests), "masks": offset + digests.nbytes}
         sections += [digests, masks]
         offset += digests.nbytes + masks.nbytes

@@ -23,7 +23,7 @@ pairs come from one kernel instead of one set intersection per pair:
 1. Each key's presence across the V versions is a ceil(V/8)-byte mask,
    one bit per version, for any V.  For uloc the masks are the lifetime
    index's own (``ingest.GroupIndex``): read from the store, or built in
-   memory from snapshots by the same merge ``scan`` uses.  For file,
+   memory from snapshots by the same row lookup ``scan`` uses.  For file,
    each record gets a dense id through a dict and its mask is packed
    here.
 2. Keys with equal masks are interchangeable, so the masks collapse to

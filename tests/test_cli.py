@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import multiprocessing
 import tarfile
@@ -15,6 +16,8 @@ from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
 from codesurvival.ingest import STORE_FILENAME, load_all_snapshots
 from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
+
+from conftest import write_tree
 
 
 def run(*argv):
@@ -547,6 +550,27 @@ def test_report_records_the_run(tmp_path):
         assert Path(artifact).exists()
 
 
+def test_scan_report_counts_the_work(tmp_path):
+    tree = {"a.cpp": "int a;\nint b;\n", "src/b.cpp": "int b;\r\nint c;\n"}
+    for label in ("v1", "v2"):
+        write_tree(tmp_path / label, tree)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "software": "demo",
+        "groups": [{"name": "cpp", "extensions": [".cpp"]}, {"name": "h", "extensions": [".h"]}],
+        "versions": [{"label": label, "path": label} for label in ("v1", "v2")],
+    }))
+    report = tmp_path / "report.json"
+    assert run("scan", "--manifest", manifest, "--store", tmp_path / "store", "--report", report) == 0
+    # v2 is v1 again: both its files are reused and none of its lines digested.
+    assert json.loads(report.read_text())["scan"] == {
+        "cpp": {"files": 4, "files_reused": 2, "lines": 8, "lines_digested": 3,
+                "memo_lines_max": 3, "index_rows": 3},
+        "h": {"files": 0, "files_reused": 0, "lines": 0, "lines_digested": 0,
+              "memo_lines_max": 0, "index_rows": 0},
+    }
+
+
 def test_report_on_fit(tmp_path):
     csv_path = write_analytic_csv(tmp_path / "curves.csv", 0.1, 0.5)
     report = tmp_path / "report.json"
@@ -560,3 +584,42 @@ def test_report_on_fit(tmp_path):
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+# --- the benchmark's tracing contract ------------------------------------------
+#
+# perfbench/tracing.py swaps these functions for timed wrappers during a
+# traced pass and reads what they return; a rename or a lazy import
+# would leave a span unrecorded.
+
+
+def test_traced_entry_points_are_module_globals(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, _ in tracing._patch_targets():
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    calls = []
+    for name in ("scan_version", "store_snapshot"):
+        original = getattr(ingest, name)
+        monkeypatch.setattr(
+            ingest, name, lambda *a, _name=name, _f=original, **k: calls.append(_name) or _f(*a, **k)
+        )
+    manifest = ingest.load_manifest(corpus / "manifest.json")
+    snaps = list(ingest.scan_corpus(manifest, tmp_path / "store"))
+    assert calls == ["scan_version", "store_snapshot"] * 3
+
+    payload = snaps[0].group(manifest.groups[0].name)
+    assert payload.files and all(
+        isinstance(r.relpath, str) and len(r.content_digest) == 16 for r in payload.files
+    )
+    assert isinstance(payload.uloc, frozenset) and len(payload.uloc) == payload.uloc_count
+    assert all(isinstance(d, bytes) and len(d) == 16 for d in payload.uloc)
+
+    monkeypatch.undo()
+    source = manifest.versions[0].source
+    alone = ingest.scan_version(source, [manifest.groups[0]])
+    assert alone.group(manifest.groups[0].name).uloc == payload.uloc
+    blob = next(p for p in sorted(source.rglob("*")) if p.is_file()).read_bytes()
+    assert len(ingest.normalize_lines(blob)) == blob.count(b"\n")

@@ -12,6 +12,7 @@ import random
 import tarfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codesurvival import ingest
@@ -29,6 +30,7 @@ from codesurvival.ingest import (
     GroupIndex,
     GroupPayload,
     LifetimeIndex,
+    ScanCounters,
     VersionEntry,
     VersionSnapshot,
     load_all_snapshots,
@@ -665,8 +667,11 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
     assert len(index.labels) == 1 and index.groups["h"].masks.tolist() == [[1]]
 
 
-def _random_digests(rng: random.Random, pool: list[bytes]) -> bytes:
-    return b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
+def _random_payload(rng: random.Random, pool: list[bytes], files, skipped: int) -> GroupPayload:
+    """Distinct digests from the pool, as rows 0, 1, ... of their own."""
+    block = b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
+    digests = np.frombuffer(block, dtype="S16")
+    return GroupPayload(files, np.arange(len(digests)), digests, skipped)
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -681,8 +686,7 @@ def test_store_mask_edges(tmp_path, versions):
         files = tuple(
             FileRecord(relpath=rel, content_digest=rng.choice(pool)) for rel in relpaths
         )
-        payload = GroupPayload(files=files, uloc_block=_random_digests(rng, pool), skipped_files=i % 3)
-        snaps.append(VersionSnapshot(f"v{i}", i, {"x": payload}))
+        snaps.append(VersionSnapshot(f"v{i}", i, {"x": _random_payload(rng, pool, files, i % 3)}))
     path = write_snapshots(snaps, tmp_path / "store")
     loaded = load_all_snapshots(tmp_path / "store")
     assert_store_holds(loaded, snaps)
@@ -718,11 +722,174 @@ def test_scan_corpus_equals_fresh_scans_of_each_version(tree_writer, tmp_path):
     for i, tree in enumerate(history):
         tree_writer(tree, f"v{i}")
     manifest = load_manifest(write_manifest(tmp_path, payload))
-    fresh = [
+    assert_scans_equal(list(scan_corpus(manifest)), standalone_scans(manifest))
+
+
+def standalone_scans(manifest: CorpusManifest) -> list[VersionSnapshot]:
+    return [
         scan_version(v.source, manifest.groups, label=v.label, ordinal=v.ordinal)
         for v in manifest.versions
     ]
-    assert list(scan_corpus(manifest)) == fresh
+
+
+def assert_scans_equal(snaps: list[VersionSnapshot], fresh: list[VersionSnapshot]) -> None:
+    """Same versions, files and line digests, whichever index numbered the rows."""
+    assert [(s.version_label, s.ordinal, list(s.groups)) for s in snaps] == [
+        (s.version_label, s.ordinal, list(s.groups)) for s in fresh
+    ]
+    for snap, alone in zip(snaps, fresh):
+        for name, payload in snap.groups.items():
+            other = alone.group(name)
+            assert payload.uloc == other.uloc
+            assert payload.uloc_count == other.uloc_count
+            assert payload.files == other.files
+            assert payload.skipped_files == other.skipped_files
+
+
+def scan_sources(tmp_path: Path, sources: list[str], extensions=(".cpp",)) -> tuple[list, dict, Path]:
+    """Scan versions under tmp_path (directories or archives) into a store.
+
+    One group per extension, named after it; returns the snapshots, the
+    scan counters and the store directory.
+    """
+    payload = {
+        "software": "demo",
+        "groups": [{"name": ext[1:], "extensions": [ext]} for ext in extensions],
+        "versions": [{"label": f"v{i}", "path": path} for i, path in enumerate(sources)],
+    }
+    counters = {}
+    store = tmp_path / "store"
+    snaps = list(scan_corpus(load_manifest(write_manifest(tmp_path, payload)), store, counters=counters))
+    return snaps, counters, store
+
+
+def rows_by_line(store: Path, group: str = "cpp") -> dict[bytes, list[int]]:
+    """Per line digest in the store, the versions whose bit its row has."""
+    loaded = load_all_snapshots(store).group(group)
+    raw = loaded.digests.tobytes()
+    bits = np.unpackbits(loaded.masks, axis=1, bitorder="little")[:, : len(loaded.versions)]
+    return {raw[k * 16 : (k + 1) * 16]: np.flatnonzero(row).tolist() for k, row in enumerate(bits)}
+
+
+def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, monkeypatch):
+    for i, text in enumerate(["keep\ngone\n", "keep\n", "keep\ngone\n"]):
+        tree_writer({"a.cpp": text}, f"v{i}")
+    digested = []
+    original = ingest._digest
+    monkeypatch.setattr(ingest, "_digest", lambda data: digested.append(data) or original(data))
+    _, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
+    assert rows_by_line(store) == {b2(b"keep"): [0, 1, 2], b2(b"gone"): [0, 2]}
+    assert digested.count(b"gone") == 2
+    assert counters["cpp"] == ScanCounters(
+        files=3, lines=5, lines_digested=3, memo_lines_max=2, index_rows=2
+    )
+
+
+def test_scan_corpus_takes_a_moved_file_from_the_memo(tree_writer, tmp_path):
+    tree_writer({"a.cpp": "x\ny\n"}, "v0")
+    tree_writer({"sub/a.cpp": "x\ny\n"}, "v1")
+    snaps, counters, store = scan_sources(tmp_path, ["v0", "v1"])
+    # Not reused, since its relpath changed, yet no line is digested again.
+    assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=2, memo_lines_max=2, index_rows=2)
+    assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
+
+
+def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, monkeypatch):
+    tree = {"a.cpp": "x\ny\n", "b.cpp": "z\n"}
+    for i in range(3):
+        tree_writer(tree, f"v{i}")
+    original = Path.read_bytes
+
+    def flaky(self):
+        if self.name == "a.cpp" and self.parent.name == "v1":
+            raise OSError("permission denied")
+        return original(self)
+
+    monkeypatch.setattr(Path, "read_bytes", flaky)
+    snaps, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
+    assert [s.group("cpp").skipped_files for s in snaps] == [0, 1, 0]
+    # v1 has no a.cpp to reuse, so v2 splits it and digests its lines again.
+    assert counters["cpp"] == ScanCounters(
+        files=5, files_reused=2, lines=7, lines_digested=5, memo_lines_max=3, index_rows=3
+    )
+    assert rows_by_line(store) == {b2(b"x"): [0, 2], b2(b"y"): [0, 2], b2(b"z"): [0, 1, 2]}
+
+
+@pytest.mark.parametrize("reused_last", [True, False])
+def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_path, reused_last):
+    tree_writer({"x.cpp": "a\nb\n"}, "v0")
+    members = [("x.cpp", b"c\n"), ("./x.cpp", b"a\nb\n")]
+    if not reused_last:
+        members.reverse()
+    with tarfile.open(tmp_path / "v1.tar", "w") as tar:
+        for name, data in members:
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    tree_writer({"x.cpp": "c\n"}, "v2")
+    snaps, counters, store = scan_sources(tmp_path, ["v0", "v1.tar", "v2"])
+    last = members[-1][1].decode()
+    assert snaps[1].group("cpp").uloc == {b2(line.encode()) for line in last.split()}
+    if reused_last:
+        # "c" was digested in v1 but lost to the reused copy: no row until v2.
+        rows = {b2(b"a"): [0, 1], b2(b"b"): [0, 1], b2(b"c"): [2]}
+        reused, digested = 1, 2 + 1 + 1
+    else:
+        # v2 reuses the copy v1 kept.
+        rows = {b2(b"a"): [0], b2(b"b"): [0], b2(b"c"): [1, 2]}
+        reused, digested = 2, 2 + 1 + 0
+    assert rows_by_line(store) == rows
+    assert counters["cpp"] == ScanCounters(
+        files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3, index_rows=3
+    )
+
+
+def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
+    tree_writer({"a.cpp": "d\nd\ne\n", "b.cpp": "e\nd\n"}, "v0")
+    tree_writer({"a.cpp": "d\nd\ne\nf\nf\n", "b.cpp": "e\nd\n"}, "v1")
+    snaps, counters, store = scan_sources(tmp_path, ["v0", "v1"])
+    assert [s.group("cpp").uloc_count for s in snaps] == [2, 3]
+    assert counters["cpp"] == ScanCounters(
+        files=4, files_reused=1, lines=12, lines_digested=3, memo_lines_max=3, index_rows=3
+    )
+    assert rows_by_line(store) == {b2(b"d"): [0, 1], b2(b"e"): [0, 1], b2(b"f"): [1]}
+
+
+@pytest.mark.parametrize("versions, seed", [(5, 9), (5, 12), (8, 3), (9, 5), (64, 5), (65, 6)])
+def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
+    # 8/9 and 64/65 versions straddle a mask byte and a 64-bit word.
+    rng = random.Random(seed)
+    sources = []
+    for i, tree in enumerate(random_corpus_history(rng, versions=versions)):
+        (tmp_path / f"v{i}").mkdir()  # the tree may be empty
+        write_tree(tmp_path / f"v{i}", tree)
+        sources.append(f"v{i}")
+    snaps, counters, store = scan_sources(tmp_path, sources, extensions=(".x", ".y"))
+    # The history revives lines, and leaves files unchanged.
+    assert sum(c.lines_digested for c in counters.values()) > sum(c.index_rows for c in counters.values())
+    assert sum(c.files_reused for c in counters.values()) > 0
+    fresh = standalone_scans(load_manifest(tmp_path / "manifest.json"))
+    assert_scans_equal(snaps, fresh)
+    folded = write_snapshots(fresh, tmp_path / "folded")
+    assert (store / STORE_FILENAME).read_bytes() == folded.read_bytes()
+
+
+def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
+    x = ExtensionGroup(name="x", extensions=(".x",))
+    y = ExtensionGroup(name="y", extensions=(".y",))
+    memo = {g.name: ingest._LineRows(GroupIndex()) for g in (x, y)}
+    for i, tree in enumerate(random_corpus_history(random.Random(11), versions=12)):
+        scan_version(write_tree(tmp_path / f"v{i}", tree), [x, y], ordinal=i, memo=memo)
+        for name, lines in memo.items():
+            expected = {
+                line.removesuffix("\r").encode()
+                for rel, text in tree.items() if rel.endswith("." + name)
+                for line in text.splitlines()
+            }
+            assert set(lines) == expected
+            # Each line maps to the row of its digest.
+            rows = [lines[line] for line in sorted(expected)]
+            assert lines.index.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
 
 
 def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_path, monkeypatch):
@@ -738,15 +905,20 @@ def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_pa
         return original(data)
 
     monkeypatch.setattr(ingest, "_digest", counting)
-    scans = scan_corpus(manifest)
+    counters = {}
+    scans = scan_corpus(manifest, counters=counters)
     next(scans)
     assert sorted(digested) == sorted(
         [b"int a;\nint b;\n", b"int b;\r\nint c;\n", b"int a;", b"int b;", b"int c;"]
     )
+    assert counters == {"cpp": ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3, index_rows=3)}
     digested.clear()
     next(scans)
-    # Only the two files' content digests: every line came from v1.
+    # Only the two files' content digests: both files are v1's, reused.
     assert sorted(digested) == [b"int a;\nint b;\n", b"int b;\r\nint c;\n"]
+    assert counters == {
+        "cpp": ScanCounters(files=4, files_reused=2, lines=8, lines_digested=3, memo_lines_max=3, index_rows=3)
+    }
 
 
 def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from codesurvival.ingest import (
     ExtensionGroup,
-    GroupPayload,
     VersionSnapshot,
     load_all_snapshots,
     scan_version,
@@ -173,7 +172,7 @@ def test_family_omits_empty_baselines_with_warning(tree_writer):
 
 def test_family_missing_group_is_a_key_error(tree_writer):
     snaps = [snap(tree_writer, {"a.x": "a\n"}, f"v{i}", i) for i in range(3)]
-    snaps[2] = VersionSnapshot("v2", 2, {"y": GroupPayload((), b"")})
+    snaps[2] = VersionSnapshot("v2", 2, {"y": snaps[2].group("y")})
     for metric in MetricKind:
         with pytest.raises(KeyError, match="no group 'x'"):
             build_curve_family(snaps, "x", metric)
