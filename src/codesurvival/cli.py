@@ -101,6 +101,8 @@ def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     plan = load_plan(args.plan) if args.plan else ScreeningPlan()
     group = args.group or plan.group
     metric = args.metric or plan.metric or MetricKind.ULOC.value
@@ -155,6 +157,8 @@ def _load_fits(path: str) -> dict[str, FitResult]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    if args.horizon < 0:
+        raise UsageError(f"--horizon must be >= 0, got {args.horizon}")
     subtle_fits = _load_fits(args.fit_uloc)
     obvious_fits = _load_fits(args.fit_file)
     shared = sorted(set(subtle_fits) & set(obvious_fits))

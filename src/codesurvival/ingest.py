@@ -5,7 +5,7 @@ archives prepared externally, one per release).  Scanning a version
 produces, per extension group, the list of file records (relative
 path and content digest; the basename is the path's last component)
 and the unique lines pooled across all files of the group, as rows of
-a group index that holds each distinct line digest once.  Duplicate
+a group index, one row per distinct line digest.  Duplicate
 lines are discarded; a line is the exact byte content after CRLF
 normalization, with no whitespace trimming and no special treatment of
 comments.
@@ -30,12 +30,13 @@ Most lines of a release were already in the release before it, so
 ``scan_corpus`` carries a line -> row map per group from one version to
 the next, rows of the lifetime index it builds.  A line the map holds
 costs one lookup; only a line the previous version lacked is digested,
-and the version's new digests are looked up in the index in one batch,
-so a line that comes back after an absence keeps its old row.  A file
-whose relpath and content equal the previous version's is not split
-at all: it takes that file's rows.  When a version ends, the lines the
-previous version had and this one lacks leave the map, so it never
-holds more than two versions' distinct lines, each once.
+and it takes the index's next row at once.  So a line that comes back
+after an absence takes a new row; its two rows hold disjoint versions,
+and they are merged into one when the store is written.  A file whose
+relpath and content equal the previous version's is not split at all:
+it takes that file's rows.  When a version ends, the lines it lacks
+leave the map, so it never holds more than two versions' distinct
+lines, each once.
 
 The store (format 3) is one file per store directory, a lifetime index
 of the corpus: per group, the sorted distinct line digests of every
@@ -44,7 +45,8 @@ version and, for each digest, a presence mask with one bit per version
 versions x lines.  ``scan`` folds each version into the index as it goes,
 setting its bit on the rows it has, and writes the file once, after the
 last version, under a temporary name that then replaces the old file; a
-store is never partial or stale.
+store is never partial or stale.  The digests are sorted, and a revived
+line's rows merged, only then (``GroupIndex.canonical``).
 """
 
 from __future__ import annotations
@@ -209,18 +211,18 @@ class GroupPayload:
     """Digested content of one extension group within one version.
 
     The group's unique lines, pooled across its files, are ``rows``: the
-    distinct rows of a group index (``GroupIndex``), in ascending order.
-    ``row_digests`` holds the digest of every row of that index up to
-    the highest of them.  A scan into a lifetime index numbers lines by
-    that index's rows, so folding the payload into it sets bits and looks
+    distinct rows of ``index`` (a ``GroupIndex``), in ascending order, one
+    row per line.  A scan into a lifetime index numbers lines by that
+    index's rows, so folding the payload into it sets bits and looks
     nothing up; a standalone scan numbers them in an index of its own.
-    Payloads compare by content (files, skipped count and line digests),
-    whichever index numbered their rows.
+    A line revived after an absence holds a newer row than in the
+    versions before the absence.  Payloads compare by content (files,
+    skipped count and line digests), whichever index numbered their rows.
     """
 
     files: tuple[FileRecord, ...]
     rows: np.ndarray
-    row_digests: np.ndarray
+    index: GroupIndex
     skipped_files: int = 0
 
     def __eq__(self, other: object) -> bool:
@@ -235,7 +237,7 @@ class GroupPayload:
     @property
     def digests(self) -> np.ndarray:
         """The unique line digests, one per row."""
-        return self.row_digests[self.rows]
+        return self.index.digests[self.rows]
 
     @property
     def uloc(self) -> frozenset[bytes]:
@@ -377,21 +379,20 @@ class ScanCounters:
     lines: int = 0  # lines of the files read, reused ones included
     lines_digested: int = 0  # lines the memo did not hold
     memo_lines_max: int = 0  # the most lines the memo held at once
-    index_rows: int = 0  # distinct lines of the group's lifetime index
+    index_rows: int = 0  # rows of the scan's index; a revived line holds one more
 
 
 class _LineRows(dict):
     """Line -> row of one group's index, for the lines of the previous and the current version.
 
     A line the map holds costs one lookup.  Any other line is digested
-    on first lookup and given a provisional row past the index's last.
-    ``settle`` ends the version: the new lines' digests are looked up in
-    the index in one batch, so a line an earlier version had gets its
-    old row back and only a line never seen gets a new row.  A file
+    on first lookup and takes the row after the index's last, which
+    ``settle`` appends its digest to when the version ends; a line an
+    earlier version had before an absence takes a new row too.  A file
     equal to the previous version's file at the same relpath takes that
-    file's rows without being split.  Rows the previous version had and
-    this one lacks then drop their line, so the map holds exactly the
-    lines of the version just scanned.
+    file's rows without being split.  Rows the version lacks then drop
+    their line, so the map holds exactly the lines of the version just
+    scanned.
     """
 
     def __init__(self, index: GroupIndex) -> None:
@@ -426,39 +427,21 @@ class _LineRows(dict):
 
     def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> np.ndarray:
         """End the version of these files: its distinct rows, ascending."""
-        index, base, new_lines = self.index, self.index.rows, self._new_lines
-        counters = self.counters
-        counters.lines_digested += len(new_lines)
+        index, counters = self.index, self.counters
+        counters.lines_digested += len(self._new_lines)
         counters.memo_lines_max = max(counters.memo_lines_max, len(self))
-        rows = np.concatenate([r for _, r in kept]) if kept else np.empty(0, dtype=_ROW_DTYPE)
-        if new_lines:
-            present = np.zeros(base + len(new_lines), dtype=bool)
-            present[rows] = True
-            # A new line can be absent: a later tar member of the same path
-            # replaced the file it was in.
-            held = present[base:]
-            final = np.full(len(new_lines), -1, dtype=_ROW_DTYPE)
-            final[held] = index.rows_of(np.frombuffer(self._new_digests, _DIGEST_DTYPE)[held])
-            if index.rows - base == len(new_lines):
-                # Every new line was held and never seen: its provisional row is its row.
-                self._line_of_row += new_lines
-            else:
-                self._line_of_row += repeat(None, index.rows - base)
-                for line, row in zip(new_lines, final.tolist()):
-                    if row < 0:
-                        del self[line]
-                    else:
-                        self[line] = row
-                        self._line_of_row[row] = line
-                remap = np.concatenate([np.arange(base, dtype=_ROW_DTYPE), final])
-                kept = [(record, remap[r]) for record, r in kept]
-                rows = remap[rows]
-            self._new_lines, self._new_digests = [], bytearray()
+        new = np.arange(index.rows, index.rows + len(self._new_lines))
+        index.append(np.frombuffer(self._new_digests, _DIGEST_DTYPE))
+        self._line_of_row += self._new_lines
+        self._new_lines, self._new_digests = [], bytearray()
         present = np.zeros(index.rows, dtype=bool)
-        present[rows] = True
+        for _, r in kept:
+            present[r] = True
         rows = np.flatnonzero(present)
-        previous = self._previous_rows
-        for row in previous[~present[previous]].tolist():
+        # A new line can be absent too: a later tar member of the same path
+        # replaced the file it was in.
+        left = np.concatenate([self._previous_rows, new])
+        for row in left[~present[left]].tolist():
             del self[self._line_of_row[row]]
             self._line_of_row[row] = None
         self._previous_rows = rows
@@ -617,7 +600,7 @@ def scan_version(
         payloads[g.name] = GroupPayload(
             files=tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath)),
             rows=rows,
-            row_digests=memo[g.name].index.row_digests,
+            index=memo[g.name].index,
             skipped_files=len(entries[g.name]) - len(kept),
         )
     return VersionSnapshot(
@@ -772,18 +755,16 @@ def _reserve(array: np.ndarray, rows: int, width: int | None = None) -> np.ndarr
 
 
 class GroupIndex:
-    """The distinct line digests of one group across versions, with presence masks.
+    """The line digests of one group across versions, with presence masks.
 
-    Each distinct digest has a row: ``digests[k]`` is its digest, and row
-    k of ``masks`` has bit i set iff version i has it.  ``versions``
-    keeps the rest of each version, in ordinal order.  An index built in
-    memory numbers rows in the order their digests first came, and grows
-    by appending rows; ``row_digests`` is the array ``digests`` is the
-    first ``rows`` items of, with room for more.  ``sorted_digests`` are
-    the digests by byte value, the section ``rows_of`` searches and the
-    store writes, and ``order`` lists the rows in that order.  ``order``
-    is None while the rows are in digest order already, as in an index
-    loaded from a store.
+    Each row has a digest: ``digests[k]`` is row k's, and row k of
+    ``masks`` has bit i set iff version i has it.  ``versions`` keeps the
+    rest of each version, in ordinal order.  An index built in memory
+    numbers rows in the order their digests first came and grows by
+    appending rows, so a line revived after an absence holds a second
+    row, whose versions are disjoint from the first's.  ``canonical``
+    gives the form a store holds and loads as: each digest once, sorted
+    by byte value.
     """
 
     def __init__(
@@ -792,58 +773,67 @@ class GroupIndex:
         masks: np.ndarray | None = None,
         versions: Sequence[GroupVersion] = (),
     ) -> None:
-        self.row_digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
-        self.rows = len(self.row_digests)
-        self.sorted_digests = self.row_digests
-        self.order: np.ndarray | None = None
+        self._digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
+        self.rows = len(self._digests)
         self._masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
         self.versions = list(versions)
+        # Per index whose payloads were folded in: its rows' rows here, -1 if none yet.
+        self._row_maps: dict[GroupIndex, np.ndarray] = {}
 
     @property
     def digests(self) -> np.ndarray:
-        return self.row_digests[: self.rows]
+        return self._digests[: self.rows]
 
     @property
     def masks(self) -> np.ndarray:
         return self._masks[: self.rows]
 
-    def rows_of(self, digests: np.ndarray) -> np.ndarray:
-        """The row of each of the distinct ``digests``, looked up in one batch.
+    def append(self, digests: np.ndarray) -> None:
+        """Give ``digests`` the next rows, in the order given."""
+        end = self.rows + len(digests)
+        self._digests = _reserve(self._digests, end)
+        self._digests[self.rows : end] = digests
+        self.rows = end
 
-        A digest the index does not hold yet gets the next row, in the
-        order given, and is merged into the sorted section.
-        """
-        order = np.arange(self.rows, dtype=_ROW_DTYPE) if self.order is None else self.order
-        at = np.searchsorted(self.sorted_digests, digests)
-        found = at < self.rows
-        found[found] = self.sorted_digests[at[found]] == digests[found]
-        rows = np.empty(len(digests), dtype=np.intp)
-        rows[found] = order[at[found]]
-        new = np.flatnonzero(~found)
-        if len(new):
-            end = self.rows + len(new)
-            rows[new] = np.arange(self.rows, end)
-            self.row_digests = _reserve(self.row_digests, end)
-            self.row_digests[self.rows : end] = digests[new]
-            # New digests in byte order land at nondecreasing positions.
-            new = new[np.argsort(digests[new])]
-            self.sorted_digests = np.insert(self.sorted_digests, at[new], digests[new])
-            order = np.insert(order, at[new], rows[new])
-            self.rows = end
-        self.order = order
-        return rows
+    def _own_rows(self, payload: GroupPayload) -> np.ndarray:
+        """The payload's rows here; rows of another index get new rows the first time."""
+        source = payload.index
+        if source is self:
+            return payload.rows
+        own = self._row_maps.get(source, np.empty(0, dtype=np.intp))
+        if len(own) < source.rows:
+            own = self._row_maps[source] = np.concatenate(
+                [own, np.full(source.rows - len(own), -1, dtype=np.intp)]
+            )
+        new = payload.rows[own[payload.rows] < 0]
+        own[new] = np.arange(self.rows, self.rows + len(new))
+        self.append(source.digests[new])
+        return own[payload.rows]
 
     def add(self, payload: GroupPayload) -> None:
         """Fold in the next version: its bit is the number of versions before it."""
         column, bit = divmod(len(self.versions), 8)
-        # A payload scanned into this index holds its rows already.
-        if payload.row_digests is self.row_digests:
-            rows = payload.rows
-        else:
-            rows = self.rows_of(payload.digests)
+        rows = self._own_rows(payload)
         self._masks = _reserve(self._masks, self.rows, column + 1)
         self._masks[rows, column] |= np.uint8(1 << bit)
         self.versions.append(GroupVersion(payload.files, payload.uloc_count, payload.skipped_files))
+
+    def canonical(self) -> GroupIndex:
+        """This index as a store holds it: digests by byte value, each once.
+
+        Rows no version holds are dropped, and the rows of one digest
+        merge into one whose mask ORs theirs.
+        """
+        masks = self.masks
+        held = np.flatnonzero(masks.any(axis=1))
+        order = held[np.argsort(self.digests[held])]
+        digests = self.digests[order]
+        first = np.ones(len(digests), dtype=bool)
+        first[1:] = digests[1:] != digests[:-1]
+        starts = np.flatnonzero(first)
+        return GroupIndex(
+            digests[starts], np.bitwise_or.reduceat(masks[order], starts, axis=0), self.versions
+        )
 
 
 @dataclass
@@ -904,10 +894,8 @@ def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     sections: list[np.ndarray] = []
     offset = 0
     for name in sorted(index.groups):
-        group = index.groups[name]
-        digests, masks = group.sorted_digests, group.masks
-        if group.order is not None:
-            masks = masks[group.order]
+        group = index.groups[name].canonical()
+        digests, masks = group.digests, group.masks
         layout[name] = {"digests": offset, "keys": len(digests), "masks": offset + digests.nbytes}
         sections += [digests, masks]
         offset += digests.nbytes + masks.nbytes

@@ -22,8 +22,9 @@ pairs come from one kernel instead of one set intersection per pair:
 
 1. Each key's presence across the V versions is a ceil(V/8)-byte mask,
    one bit per version, for any V.  For uloc the masks are the lifetime
-   index's own (``ingest.GroupIndex``): read from the store, or built in
-   memory from snapshots by the same row lookup ``scan`` uses.  For file,
+   index's own (``ingest.GroupIndex``): read from the store, or folded
+   in memory from snapshots as ``scan`` folds them and put in the
+   store's form (``GroupIndex.canonical``).  For file,
    each record gets a dense id through a dict and its mask is packed
    here.
 2. Keys with equal masks are interchangeable, so the masks collapse to
@@ -125,7 +126,7 @@ def _group_index(snapshots: Sequence[VersionSnapshot], group: str) -> GroupIndex
     index = GroupIndex()
     for snapshot in snapshots:
         index.add(snapshot.group(group))
-    return index
+    return index.canonical()
 
 
 def _patterns(masks: np.ndarray, n_versions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

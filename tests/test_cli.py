@@ -379,6 +379,17 @@ def _write_plan(tmp_path, payload):
     return ("fit", "--curves", curves, "--plan", path, "--out", tmp_path / "fit.json")
 
 
+def _fit_with_seed(tmp_path, seed):
+    path = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5, versions=5)
+    return ("fit", "--curves", path, "--seed", seed, "--out", tmp_path / "fit.json")
+
+
+def _bounds_with_horizon(tmp_path, horizon):
+    fit = tmp_path / "fit.json"
+    assert run(*_fit_with_seed(tmp_path, 0)) == 0
+    return ("bounds", "--fit-uloc", fit, "--fit-file", fit, "--horizon", horizon, "--out", tmp_path / "b")
+
+
 def _write_curves(tmp_path, insert_at, row):
     path = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5, versions=5)
     lines = path.read_text().splitlines(keepends=True)
@@ -419,6 +430,8 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _write_curves(t, 3, "0,v0,10\n"), "c.csv:4"),
         (lambda t: _write_curves(t, 2, "\n"), "c.csv:3"),
         (lambda t: _write_curves(t, 3, "0,v0,10,1,abc\n"), "c.csv:4"),
+        (lambda t: _fit_with_seed(t, -1), "--seed must be >= 0, got -1"),
+        (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
     ],
     ids=[
         "plan-not-object",
@@ -438,13 +451,16 @@ def _write_curves(tmp_path, insert_at, row):
         "short-row",
         "blank-row",
         "non-numeric-field",
+        "fit-seed-negative",
+        "bounds-horizon-negative",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
     args = argv(tmp_path)
     capsys.readouterr()
     assert run(*args) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 

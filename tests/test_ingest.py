@@ -668,10 +668,10 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
 
 
 def _random_payload(rng: random.Random, pool: list[bytes], files, skipped: int) -> GroupPayload:
-    """Distinct digests from the pool, as rows 0, 1, ... of their own."""
+    """Distinct digests from the pool, as rows 0, 1, ... of an index of their own."""
     block = b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
     digests = np.frombuffer(block, dtype="S16")
-    return GroupPayload(files, np.arange(len(digests)), digests, skipped)
+    return GroupPayload(files, np.arange(len(digests)), GroupIndex(digests), skipped)
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -746,6 +746,15 @@ def assert_scans_equal(snaps: list[VersionSnapshot], fresh: list[VersionSnapshot
             assert payload.skipped_files == other.skipped_files
 
 
+def assert_families_equal(snaps: list[VersionSnapshot], store: Path, fresh: list[VersionSnapshot]) -> None:
+    """Curves from one scan's snapshots, from its store and from standalone scans agree."""
+    for group in snaps[0].groups:
+        for metric in MetricKind:
+            family = build_curve_family(store, group, metric)
+            assert build_curve_family(snaps, group, metric) == family
+            assert build_curve_family(fresh, group, metric) == family
+
+
 def scan_sources(tmp_path: Path, sources: list[str], extensions=(".cpp",)) -> tuple[list, dict, Path]:
     """Scan versions under tmp_path (directories or archives) into a store.
 
@@ -780,8 +789,10 @@ def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, mon
     _, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
     assert rows_by_line(store) == {b2(b"keep"): [0, 1, 2], b2(b"gone"): [0, 2]}
     assert digested.count(b"gone") == 2
+    # The scan gives the revived "gone" a third row; the store merges it
+    # into the first.
     assert counters["cpp"] == ScanCounters(
-        files=3, lines=5, lines_digested=3, memo_lines_max=2, index_rows=2
+        files=3, lines=5, lines_digested=3, memo_lines_max=2, index_rows=3
     )
 
 
@@ -808,9 +819,10 @@ def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, 
     monkeypatch.setattr(Path, "read_bytes", flaky)
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
     assert [s.group("cpp").skipped_files for s in snaps] == [0, 1, 0]
-    # v1 has no a.cpp to reuse, so v2 splits it and digests its lines again.
+    # v1 has no a.cpp to reuse, so v2 splits it, digests its lines again
+    # and gives them new rows.
     assert counters["cpp"] == ScanCounters(
-        files=5, files_reused=2, lines=7, lines_digested=5, memo_lines_max=3, index_rows=3
+        files=5, files_reused=2, lines=7, lines_digested=5, memo_lines_max=3, index_rows=5
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 2], b2(b"y"): [0, 2], b2(b"z"): [0, 1, 2]}
 
@@ -831,17 +843,20 @@ def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_pat
     last = members[-1][1].decode()
     assert snaps[1].group("cpp").uloc == {b2(line.encode()) for line in last.split()}
     if reused_last:
-        # "c" was digested in v1 but lost to the reused copy: no row until v2.
+        # "c" was digested in v1 but lost to the reused copy: its v1 row
+        # holds no version, and v2 gives it another.
         rows = {b2(b"a"): [0, 1], b2(b"b"): [0, 1], b2(b"c"): [2]}
-        reused, digested = 1, 2 + 1 + 1
+        reused, digested, index_rows = 1, 2 + 1 + 1, 4
     else:
         # v2 reuses the copy v1 kept.
         rows = {b2(b"a"): [0], b2(b"b"): [0], b2(b"c"): [1, 2]}
-        reused, digested = 2, 2 + 1 + 0
+        reused, digested, index_rows = 2, 2 + 1 + 0, 3
     assert rows_by_line(store) == rows
     assert counters["cpp"] == ScanCounters(
-        files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3, index_rows=3
+        files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3,
+        index_rows=index_rows,
     )
+    assert_families_equal(snaps, store, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
 
 def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
@@ -866,12 +881,14 @@ def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
         sources.append(f"v{i}")
     snaps, counters, store = scan_sources(tmp_path, sources, extensions=(".x", ".y"))
     # The history revives lines, and leaves files unchanged.
-    assert sum(c.lines_digested for c in counters.values()) > sum(c.index_rows for c in counters.values())
+    distinct = sum(len(rows_by_line(store, name)) for name in counters)
+    assert sum(c.lines_digested for c in counters.values()) > distinct
     assert sum(c.files_reused for c in counters.values()) > 0
     fresh = standalone_scans(load_manifest(tmp_path / "manifest.json"))
     assert_scans_equal(snaps, fresh)
     folded = write_snapshots(fresh, tmp_path / "folded")
     assert (store / STORE_FILENAME).read_bytes() == folded.read_bytes()
+    assert_families_equal(snaps, store, fresh)
 
 
 def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
