@@ -38,15 +38,19 @@ it takes that file's rows.  When a version ends, the lines it lacks
 leave the map, so it never holds more than two versions' distinct
 lines, each once.
 
-The store (format 3) is one file per store directory, a lifetime index
-of the corpus: per group, the sorted distinct line digests of every
-version and, for each digest, a presence mask with one bit per version
-(a bitmap index over versions).  It grows with distinct lines, not with
-versions x lines.  ``scan`` folds each version into the index as it goes,
-setting its bit on the rows it has, and writes the file once, after the
-last version, under a temporary name that then replaces the old file; a
-store is never partial or stale.  The digests are sorted, and a revived
-line's rows merged, only then (``GroupIndex.canonical``).
+The store (format 4) is one file per store directory, a lifetime index
+of the corpus (a bitmap index over versions).  Each group holds two key
+sets of the same layout: ``lines``, one row per distinct line digest, and
+``files``, one row per distinct (relpath, content digest) record.  Each
+row has a presence mask with one bit per version, so the store grows
+with distinct lines and records, not with versions x lines.  Paths are
+not stored as text: a record's row digest is the digest of its basename
+and content, then that of its directory, which is all ``curves`` needs.
+``scan`` folds each version into the index as it goes, setting its bit
+on the rows it has, and writes the file once, after the last version,
+under a temporary name that then replaces the old file; a store is never
+partial or stale.  The digests are sorted, and a revived line's or
+file's rows merged, only then (``GroupIndex.canonical``).
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ __all__ = [
     "GroupPayload",
     "VersionSnapshot",
     "GroupVersion",
+    "KeySet",
     "GroupIndex",
     "LifetimeIndex",
     "ScanCounters",
@@ -100,7 +105,7 @@ __all__ = [
     "load_all_snapshots",
 ]
 
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
@@ -112,6 +117,8 @@ DIGEST_SIZE = 16
 # Equality and order of fixed-width S items are exact byte comparisons,
 # NUL bytes included.
 _DIGEST_DTYPE = f"S{DIGEST_SIZE}"
+# A file record's row digest: its (basename, content) key, then its directory.
+_FILE_DIGEST_DTYPE = f"S{2 * DIGEST_SIZE}"
 # A line's row in a group index; 2**31 distinct lines in one group would
 # need masks and digests far beyond a desk machine's memory anyway.
 _ROW_DTYPE = np.int32
@@ -136,6 +143,10 @@ class ExtensionGroup:
     def __post_init__(self) -> None:
         if not _GROUP_NAME_RE.match(self.name):
             raise ManifestError(f"invalid group name {self.name!r}")
+        if not isinstance(self.extensions, (list, tuple)) or not all(
+            isinstance(ext, str) for ext in self.extensions
+        ):
+            raise ManifestError(f"group {self.name!r}: extensions must be a list of strings")
         object.__setattr__(self, "extensions", tuple(self.extensions))
         if not self.extensions:
             raise ManifestError(f"group {self.name!r} has no extensions")
@@ -193,7 +204,7 @@ class CorpusManifest:
         _check_groups_disjoint(self.groups)
 
 
-# Slots: a store holds one record per file per version.
+# Slots: a snapshot holds one record per file.
 @dataclass(frozen=True, slots=True)
 class FileRecord:
     """One file of a snapshot: root-relative path and content digest."""
@@ -206,15 +217,22 @@ class FileRecord:
         return self.relpath.rpartition("/")[2]
 
 
+def _file_digest(record: FileRecord) -> bytes:
+    """A record's row digest: that of basename, NUL and content digest, then that of its directory."""
+    directory, _, basename = record.relpath.encode("utf-8", "surrogateescape").rpartition(b"/")
+    return _digest(basename + b"\0" + record.content_digest) + _digest(directory)
+
+
 @dataclass(frozen=True)
 class GroupPayload:
     """Digested content of one extension group within one version.
 
     The group's unique lines, pooled across its files, are ``rows``: the
-    distinct rows of ``index`` (a ``GroupIndex``), in ascending order, one
-    row per line.  A scan into a lifetime index numbers lines by that
-    index's rows, so folding the payload into it sets bits and looks
-    nothing up; a standalone scan numbers them in an index of its own.
+    distinct rows of ``index.lines`` (``index`` is a ``GroupIndex``), in
+    ascending order, one row per line.  A scan into a lifetime index
+    numbers lines by that index's rows, so folding the payload into it
+    sets bits and looks nothing up; a standalone scan numbers them in an
+    index of its own.  Folding numbers the file records by themselves.
     A line revived after an absence holds a newer row than in the
     versions before the absence.  Payloads compare by content (files,
     skipped count and line digests), whichever index numbered their rows.
@@ -237,7 +255,7 @@ class GroupPayload:
     @property
     def digests(self) -> np.ndarray:
         """The unique line digests, one per row."""
-        return self.index.digests[self.rows]
+        return self.index.lines.digests[self.rows]
 
     @property
     def uloc(self) -> frozenset[bytes]:
@@ -302,7 +320,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
     try:
         groups = tuple(
-            ExtensionGroup(name=g["name"], extensions=tuple(g["extensions"]))
+            ExtensionGroup(name=g["name"], extensions=g["extensions"])
             for g in raw["groups"]
         )
     except (KeyError, TypeError) as exc:
@@ -406,7 +424,7 @@ class _LineRows(dict):
         self._previous_files: dict[str, tuple[FileRecord, np.ndarray]] = {}
 
     def __missing__(self, line: bytes) -> int:
-        row = self[line] = self.index.rows + len(self._new_lines)
+        row = self[line] = self.index.lines.rows + len(self._new_lines)
         self._new_lines.append(line)
         self._new_digests += _digest(line)
         return row
@@ -427,7 +445,7 @@ class _LineRows(dict):
 
     def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> np.ndarray:
         """End the version of these files: its distinct rows, ascending."""
-        index, counters = self.index, self.counters
+        index, counters = self.index.lines, self.counters
         counters.lines_digested += len(self._new_lines)
         counters.memo_lines_max = max(counters.memo_lines_max, len(self))
         new = np.arange(index.rows, index.rows + len(self._new_lines))
@@ -566,10 +584,10 @@ def scan_version(
     Every regular file whose name ends with a group suffix is digested
     into that group; symbolic links are not followed, and a tar's hard
     link reads as the file it names.  When a tar holds one path twice,
-    the member archived last wins, as on extraction.  The group's uloc
-    block pools the line digests of all its files, so duplicate lines
-    within or across files collapse to one digest.  Unreadable files are
-    skipped and counted per group; a missing source is a hard error.
+    the member archived last wins, as on extraction.  The group's unique
+    lines pool the lines of all its files, so a line repeated within or
+    across files is one row.  Unreadable files are skipped and counted
+    per group; a missing source is a hard error.
 
     ``memo`` maps each group to the lines of the version scanned before
     and their rows in the group's lifetime index; ``scan_corpus`` passes
@@ -701,39 +719,43 @@ def scan_corpus(
 
 # --- lifetime store -------------------------------------------------------
 #
-# Format 3: one file per store directory, named STORE_FILENAME.
+# Format 4: one file per store directory, named STORE_FILENAME.
 #   <header>\n<sections>
 # The header is one line of canonical JSON (sorted keys, no spaces, ASCII
 # only, so it holds no raw newline):
-#   {"digest": "blake2b-128", "format": 3,
-#    "groups": {group: {"digests": offset, "keys": n, "masks": offset}},
-#    "versions": [{"groups": {group: {"files": [[relpath,
-#      content_digest_hex], ...] sorted by relpath, "skipped": k,
+#   {"digest": "blake2b-128", "format": 4,
+#    "groups": {group: {"files": key set, "lines": key set}},
+#    "versions": [{"groups": {group: {"files": f, "skipped": k,
 #      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
+# with each key set {"digests": offset, "keys": n, "masks": offset}.
 # "digest" is always the one digest; a file naming another is refused.
 # Offsets count from the first byte after the header's newline.  Groups
-# follow one another in name order, each as two sections:
-#   digests: its n distinct line digests, n * DIGEST_SIZE bytes, sorted by
-#            byte value;
+# follow one another in name order, each as its lines key set, then its
+# files key set, and each key set as two sections:
+#   digests: its n row digests, each once, sorted by byte value: 16 bytes
+#            per row for lines, 32 for files;
 #   masks:   n rows of ceil(V/8) bytes for V versions; bit i of row k
-#            (byte i // 8, bit i % 8) is set iff version i has digest k.
-# A version's uloc count is the number of rows with its bit set.  A
-# file's basename is the last component of its relpath.
+#            (byte i // 8, bit i % 8) is set iff version i has row k.
+# A line's row digest is the line's digest.  A file record's is the digest
+# of basename + NUL + content digest, then the digest of the directory
+# part of its relpath (empty at the root), names encoded as UTF-8 with
+# surrogate escapes.  Its first 16 bytes are the record's (basename,
+# content) key, so the rows of one key are adjacent.  A version's uloc
+# and file counts are the numbers of lines and files rows with its bit.
 
 STORE_FILENAME = "lifetime.store"
+
+# The key sets of a group, in store order, and the dtype of their digests.
+_KEY_SETS = {"lines": np.dtype(_DIGEST_DTYPE), "files": np.dtype(_FILE_DIGEST_DTYPE)}
 
 
 @dataclass(frozen=True, slots=True)
 class GroupVersion:
-    """One group of one version as the store keeps it, besides its line digests."""
+    """One group of one version as the store records it, besides its rows."""
 
-    files: tuple[FileRecord, ...]
+    file_count: int
     uloc_count: int
     skipped_files: int = 0
-
-    @property
-    def file_count(self) -> int:
-        return len(self.files)
 
 
 def _reserve(array: np.ndarray, rows: int, width: int | None = None) -> np.ndarray:
@@ -754,31 +776,26 @@ def _reserve(array: np.ndarray, rows: int, width: int | None = None) -> np.ndarr
     return grown
 
 
-class GroupIndex:
-    """The line digests of one group across versions, with presence masks.
+class KeySet:
+    """Fixed-width row digests, each row with a presence mask over versions.
 
-    Each row has a digest: ``digests[k]`` is row k's, and row k of
-    ``masks`` has bit i set iff version i has it.  ``versions`` keeps the
-    rest of each version, in ordinal order.  An index built in memory
-    numbers rows in the order their digests first came and grows by
-    appending rows, so a line revived after an absence holds a second
-    row, whose versions are disjoint from the first's.  ``canonical``
-    gives the form a store holds and loads as: each digest once, sorted
-    by byte value.
+    ``digests[k]`` is row k's digest, and row k of ``masks`` has bit i
+    set iff version i has row k.  A key set built in memory numbers rows
+    in the order they were appended, so a digest revived after an
+    absence holds a second row, whose versions are disjoint from the
+    first's.  ``canonical`` gives the form a store holds and loads: each
+    digest once, sorted by byte value.
     """
 
     def __init__(
         self,
         digests: np.ndarray | None = None,
         masks: np.ndarray | None = None,
-        versions: Sequence[GroupVersion] = (),
+        dtype: str = _DIGEST_DTYPE,
     ) -> None:
-        self._digests = np.empty(0, dtype=_DIGEST_DTYPE) if digests is None else digests
+        self._digests = np.empty(0, dtype=dtype) if digests is None else digests
         self.rows = len(self._digests)
         self._masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
-        self.versions = list(versions)
-        # Per index whose payloads were folded in: its rows' rows here, -1 if none yet.
-        self._row_maps: dict[GroupIndex, np.ndarray] = {}
 
     @property
     def digests(self) -> np.ndarray:
@@ -795,31 +812,31 @@ class GroupIndex:
         self._digests[self.rows : end] = digests
         self.rows = end
 
-    def _own_rows(self, payload: GroupPayload) -> np.ndarray:
-        """The payload's rows here; rows of another index get new rows the first time."""
-        source = payload.index
-        if source is self:
-            return payload.rows
-        own = self._row_maps.get(source, np.empty(0, dtype=np.intp))
-        if len(own) < source.rows:
-            own = self._row_maps[source] = np.concatenate(
-                [own, np.full(source.rows - len(own), -1, dtype=np.intp)]
-            )
-        new = payload.rows[own[payload.rows] < 0]
-        own[new] = np.arange(self.rows, self.rows + len(new))
-        self.append(source.digests[new])
-        return own[payload.rows]
-
-    def add(self, payload: GroupPayload) -> None:
-        """Fold in the next version: its bit is the number of versions before it."""
-        column, bit = divmod(len(self.versions), 8)
-        rows = self._own_rows(payload)
+    def mark(self, rows: np.ndarray, version: int) -> None:
+        """Set the version's bit on these rows."""
+        column, bit = divmod(version, 8)
         self._masks = _reserve(self._masks, self.rows, column + 1)
         self._masks[rows, column] |= np.uint8(1 << bit)
-        self.versions.append(GroupVersion(payload.files, payload.uloc_count, payload.skipped_files))
 
-    def canonical(self) -> GroupIndex:
-        """This index as a store holds it: digests by byte value, each once.
+    def key_masks(self) -> np.ndarray | None:
+        """Per row, the mask of its key: the OR of the masks of every row with that key.
+
+        A row's key is the first DIGEST_SIZE bytes of its digest, so in a
+        canonical key set the rows of one key are adjacent.  None where
+        each row is its own key, as every line is.
+        """
+        digests = self.digests
+        keys = digests.view(_DIGEST_DTYPE)[:: digests.itemsize // DIGEST_SIZE]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        if first.all():
+            return None
+        starts = np.flatnonzero(first)
+        key_masks = np.bitwise_or.reduceat(self.masks, starts, axis=0)
+        return np.repeat(key_masks, np.diff(starts, append=len(first)), axis=0)
+
+    def canonical(self) -> KeySet:
+        """These rows as a store holds them: digests by byte value, each once.
 
         Rows no version holds are dropped, and the rows of one digest
         merge into one whose mask ORs theirs.
@@ -831,9 +848,65 @@ class GroupIndex:
         first = np.ones(len(digests), dtype=bool)
         first[1:] = digests[1:] != digests[:-1]
         starts = np.flatnonzero(first)
-        return GroupIndex(
-            digests[starts], np.bitwise_or.reduceat(masks[order], starts, axis=0), self.versions
-        )
+        return KeySet(digests[starts], np.bitwise_or.reduceat(masks[order], starts, axis=0))
+
+
+class GroupIndex:
+    """One group across versions: its lines and its file records, as two key sets.
+
+    ``lines`` has a row per line digest, ``files`` a row per (relpath,
+    content digest) record (``_file_digest``), and ``versions`` keeps
+    each version's counts, in ordinal order.  ``canonical`` gives the
+    form a store holds and loads.
+    """
+
+    def __init__(
+        self,
+        lines: KeySet | None = None,
+        files: KeySet | None = None,
+        versions: Sequence[GroupVersion] = (),
+    ) -> None:
+        self.lines = KeySet() if lines is None else lines
+        self.files = KeySet(dtype=_FILE_DIGEST_DTYPE) if files is None else files
+        self.versions = list(versions)
+        # Per index whose payloads were folded in: its line rows' rows here, -1 if none yet.
+        self._row_maps: dict[GroupIndex, np.ndarray] = {}
+        # The records of the version added last, and their rows.
+        self._file_rows: dict[FileRecord, int] = {}
+
+    def _line_rows(self, payload: GroupPayload) -> np.ndarray:
+        """The payload's line rows here; rows of another index get new rows the first time."""
+        source = payload.index
+        if source is self:
+            return payload.rows
+        own = self._row_maps.get(source, np.empty(0, dtype=np.intp))
+        if len(own) < source.lines.rows:
+            own = self._row_maps[source] = np.concatenate(
+                [own, np.full(source.lines.rows - len(own), -1, dtype=np.intp)]
+            )
+        new = payload.rows[own[payload.rows] < 0]
+        own[new] = np.arange(self.lines.rows, self.lines.rows + len(new))
+        self.lines.append(source.lines.digests[new])
+        return own[payload.rows]
+
+    def _record_rows(self, files: Sequence[FileRecord]) -> np.ndarray:
+        """The records' rows; a record the version added last lacked takes a new row."""
+        new = [record for record in files if record not in self._file_rows]
+        self._file_rows.update(zip(new, range(self.files.rows, self.files.rows + len(new))))
+        self.files.append(np.frombuffer(b"".join(map(_file_digest, new)), _FILE_DIGEST_DTYPE))
+        self._file_rows = {record: self._file_rows[record] for record in files}
+        return np.fromiter(self._file_rows.values(), dtype=np.intp, count=len(self._file_rows))
+
+    def add(self, payload: GroupPayload) -> None:
+        """Fold in the next version: its bit is the number of versions before it."""
+        version = len(self.versions)
+        self.lines.mark(self._line_rows(payload), version)
+        self.files.mark(self._record_rows(payload.files), version)
+        self.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))
+
+    def canonical(self) -> GroupIndex:
+        """This index as a store holds it: both key sets canonical (``KeySet.canonical``)."""
+        return GroupIndex(self.lines.canonical(), self.files.canonical(), self.versions)
 
 
 @dataclass
@@ -869,49 +942,36 @@ def _canonical_json(value: object) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _version_entry(version: GroupVersion) -> dict:
-    return {
-        "files": [
-            [record.relpath, record.content_digest.hex()]
-            for record in sorted(version.files, key=lambda r: r.relpath)
-        ],
-        "skipped": version.skipped_files,
-        "uloc": version.uloc_count,
-    }
-
-
 def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     """Write the index as the store file of a directory, replacing it whole.
 
-    The bytes are canonical (files by relpath, digests by byte value), so
-    re-scanning an unchanged corpus reproduces the store byte for byte.
-    The file is written under a temporary name in the same directory and
-    then renamed over the old one, so the store is never partial.
+    The bytes are canonical (digests by byte value), so re-scanning an
+    unchanged corpus reproduces the store byte for byte.  The file is
+    written under a temporary name in the same directory and then
+    renamed over the old one, so the store is never partial.
     """
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
-    layout: dict[str, dict[str, int]] = {}
+    versions = [{"groups": {}, "label": label, "ordinal": i} for i, label in enumerate(index.labels)]
+    layout: dict[str, dict[str, dict[str, int]]] = {}
     sections: list[np.ndarray] = []
     offset = 0
     for name in sorted(index.groups):
         group = index.groups[name].canonical()
-        digests, masks = group.digests, group.masks
-        layout[name] = {"digests": offset, "keys": len(digests), "masks": offset + digests.nbytes}
-        sections += [digests, masks]
-        offset += digests.nbytes + masks.nbytes
-    head = _canonical_json({"digest": DIGEST_ALGORITHM, "format": STORE_FORMAT_VERSION, "groups": layout})
+        for entry, v in zip(versions, group.versions):
+            entry["groups"][name] = dict(files=v.file_count, skipped=v.skipped_files, uloc=v.uloc_count)
+        layout[name] = {}
+        for kind in _KEY_SETS:
+            keys = getattr(group, kind)
+            layout[name][kind] = dict(digests=offset, keys=keys.rows, masks=offset + keys.digests.nbytes)
+            sections += [keys.digests, keys.masks]
+            offset += keys.digests.nbytes + keys.masks.nbytes
+    header = dict(digest=DIGEST_ALGORITHM, format=STORE_FORMAT_VERSION, groups=layout, versions=versions)
     path = store / STORE_FILENAME
     temporary = store / f".{STORE_FILENAME}.{os.getpid()}.tmp"
     try:
         with temporary.open("wb") as fh:
-            # "versions" sorts last, so the header is written one version
-            # at a time, never whole in memory, and stays canonical JSON.
-            fh.write(head[:-1] + b',"versions":[')
-            for ordinal, label in enumerate(index.labels):
-                groups = {name: _version_entry(g.versions[ordinal]) for name, g in index.groups.items()}
-                entry = {"groups": groups, "label": label, "ordinal": ordinal}
-                fh.write((b"," if ordinal else b"") + _canonical_json(entry))
-            fh.write(b"]}\n")
+            fh.write(_canonical_json(header) + b"\n")
             fh.writelines(sections)
             fh.flush()
             os.fsync(fh.fileno())
@@ -946,32 +1006,18 @@ def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[
             )
         for name in names:
             entry, where = groups[name], f"version {i} group {name!r}"
-            try:
-                files = tuple(
-                    FileRecord(relpath=relpath, content_digest=bytes.fromhex(hexdigest))
-                    for relpath, hexdigest in _field(path, entry, "files", list, where)
-                )
-                if not all(isinstance(record.relpath, str) for record in files):
-                    raise TypeError("a relpath is not a string")
-            except (TypeError, ValueError) as exc:
-                raise StoreFormatError(f"{path}: malformed file record in {where} ({exc})") from None
-            per_group[name].append(
-                GroupVersion(
-                    files,
-                    _field(path, entry, "uloc", int, where),
-                    _field(path, entry, "skipped", int, where),
-                )
-            )
+            counts = (_field(path, entry, key, int, where) for key in ("files", "uloc", "skipped"))
+            per_group[name].append(GroupVersion(*counts))
     return labels, per_group
 
 
 def load_all_snapshots(store: str | Path) -> LifetimeIndex:
-    """Load a store: every version's header, and each group's digests and masks.
+    """Load a store: every version's counts, and each group's two key sets.
 
     The digests and masks are read-only views into a memory map of the
-    file, so a caller that never touches them (``curves --metric file``)
-    reads only the header.  A directory without a store file holds no
-    versions.
+    file, so a caller reads from disk only the pages it touches.  A key
+    set whose digests are not strictly increasing is refused.  A
+    directory without a store file holds no versions.
     """
     store = Path(store)
     path = store / STORE_FILENAME
@@ -992,7 +1038,8 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
             raise StoreFormatError(f"{path}: missing or malformed header line")
         if header.get("format") != STORE_FORMAT_VERSION:
             raise StoreFormatError(
-                f"{path}: unsupported store format version {header.get('format')!r}"
+                f"{path}: unsupported store format version {header.get('format')!r}, only "
+                f"{STORE_FORMAT_VERSION} is read; rescan the corpus into a new store"
             )
         digest = _field(path, header, "digest", str, "header")
         if digest != DIGEST_ALGORITHM:
@@ -1007,14 +1054,16 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
         mask_bytes = (len(labels) + 7) // 8
         offset = 0
         for name in sorted(layout):
-            keys = _field(path, layout[name], "keys", int, f"group {name!r}")
-            expected = {"digests": offset, "keys": keys, "masks": offset + keys * DIGEST_SIZE}
-            if keys < 0 or layout[name] != expected:
-                raise StoreFormatError(
-                    f"{path}: group {name!r} sections {layout[name]} are not laid out "
-                    f"as {expected}"
-                )
-            offset = expected["masks"] + keys * mask_bytes
+            for kind, dtype in _KEY_SETS.items():
+                section = _field(path, layout[name], kind, dict, f"group {name!r}")
+                keys = _field(path, section, "keys", int, f"group {name!r} {kind}")
+                expected = {"digests": offset, "keys": keys, "masks": offset + keys * dtype.itemsize}
+                if keys < 0 or section != expected:
+                    raise StoreFormatError(
+                        f"{path}: group {name!r} {kind} sections {section} are not laid out "
+                        f"as {expected}"
+                    )
+                offset = expected["masks"] + keys * mask_bytes
         size = os.fstat(fh.fileno()).st_size
         if size != len(line) + offset:
             raise StoreFormatError(
@@ -1023,11 +1072,18 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
         # The views below keep the map open; it closes with the last of them.
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     groups = {}
-    for name, section in layout.items():
-        n = section["keys"]
-        digests = np.frombuffer(data, _DIGEST_DTYPE, count=n, offset=len(line) + section["digests"])
-        masks = np.frombuffer(
-            data, np.uint8, count=n * mask_bytes, offset=len(line) + section["masks"]
-        ).reshape(n, mask_bytes)
-        groups[name] = GroupIndex(digests, masks, per_group[name])
+    for name, sections in layout.items():
+        key_sets = []
+        for kind, dtype in _KEY_SETS.items():
+            n = sections[kind]["keys"]
+            digests = np.frombuffer(data, dtype, count=n, offset=len(line) + sections[kind]["digests"])
+            if not (digests[1:] > digests[:-1]).all():
+                raise StoreFormatError(
+                    f"{path}: group {name!r} {kind} digests are not strictly increasing"
+                )
+            masks = np.frombuffer(
+                data, np.uint8, count=n * mask_bytes, offset=len(line) + sections[kind]["masks"]
+            ).reshape(n, mask_bytes)
+            key_sets.append(KeySet(digests, masks))
+        groups[name] = GroupIndex(*key_sets, per_group[name])
     return LifetimeIndex(labels=labels, groups=groups)

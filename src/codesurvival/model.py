@@ -41,10 +41,10 @@ class SaturationParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.A > 0:
-            raise ValueError(f"saturation level must be positive, got {self.A}")
-        if not self.lam > 0:
-            raise ValueError(f"rate parameter must be positive, got {self.lam}")
+        if not 0 < self.A < math.inf:
+            raise ValueError(f"saturation level must be positive and finite, got {self.A}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"rate parameter must be positive and finite, got {self.lam}")
 
     @property
     def base_rate(self) -> float:

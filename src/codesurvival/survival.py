@@ -15,40 +15,40 @@ The denominator is always the baseline size, so growth of the later
 version never dilutes the fraction.  Line reintroductions count as
 present: each pair is compared on its own, with no history memory.
 
-Both metrics are one count, |base keys present in later| / |base keys|,
-over different keys: a line digest for uloc, a (basename, content
-digest) pair per file record for file, duplicates kept.  All version
-pairs come from one kernel instead of one set intersection per pair:
+Both metrics are one count, |base rows whose key the later version has|
+/ |base rows|, over one of a group's two key sets (``ingest.GroupIndex``):
+``lines`` for uloc, one row per line digest, and ``files`` for file, one
+row per (relpath, content digest) record.  A row's key is the first 16
+bytes of its digest: the line digest itself, or the digest of a record's
+basename and content, so records that share a key keep their
+multiplicity.  All version pairs come from one kernel instead of one set
+intersection per pair:
 
-1. Each key's presence across the V versions is a ceil(V/8)-byte mask,
-   one bit per version, for any V.  For uloc the masks are the lifetime
-   index's own (``ingest.GroupIndex``): read from the store, or folded
-   in memory from snapshots as ``scan`` folds them and put in the
-   store's form (``GroupIndex.canonical``).  For file,
-   each record gets a dense id through a dict and its mask is packed
-   here.
-2. Keys with equal masks are interchangeable, so the masks collapse to
-   U distinct patterns.  Lines live in contiguous version intervals, so
-   U grows with V**2, not with the number of keys.
-3. With W[u, i] the number of version i's keys (with multiplicity)
-   whose pattern is u, and P[u, j] whether pattern u includes version
-   j, the overlap of every pair is C = W.T @ P, summed in exact integer
-   arithmetic over blocks of patterns so temporaries stay small.  A line
-   digest is one key, so for uloc W = diag(count) P, with count(u) the
-   number of digests of pattern u: no per-version array is built.
+1. Each row's presence across the V versions is a ceil(V/8)-byte mask,
+   one bit per version, for any V: the key set's own, read from the
+   store, or folded in memory from snapshots as ``scan`` folds them and
+   put in the store's form (``GroupIndex.canonical``).  A key is present
+   in a version if any of its rows is, so its mask ORs its rows' masks;
+   the rows of one key are adjacent in the sorted key set.  A line is
+   its own key, so for lines the two masks are one.
+2. Rows with equal (row mask, key mask) pairs are interchangeable, so
+   the rows collapse to U distinct patterns.  Lines live in contiguous
+   version intervals, so U grows with V**2, not with the number of rows.
+3. With count(u) the number of rows of pattern u, R[u, i] whether its
+   row mask has version i and K[u, j] whether its key mask has version
+   j, the overlap of every pair is C = (count R).T @ K, summed in exact
+   integer arithmetic over blocks of patterns so temporaries stay small.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
-bit-identical to it.  For uloc, C[i, i] must equal the version's
-recorded uloc count; a store whose masks disagree is refused.
+bit-identical to it.  C[i, i] must equal the version's recorded uloc or
+file count; a store whose masks disagree is refused.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StoreFormatError
-from .ingest import GroupIndex, VersionSnapshot, load_all_snapshots
+from .ingest import GroupIndex, KeySet, VersionSnapshot, load_all_snapshots
 
 __all__ = [
     "MetricKind",
@@ -77,6 +77,14 @@ _PATTERN_BLOCK = 512
 class MetricKind(enum.Enum):
     ULOC = "uloc"
     FILE = "file"
+
+
+# Per metric: the key set of a group index it counts, the attribute of a
+# version's recorded count of them, and what a version without any has.
+_METRIC_KEYS = {
+    MetricKind.ULOC: ("lines", "uloc_count", "an empty uloc set"),
+    MetricKind.FILE: ("files", "file_count", "no files"),
+}
 
 
 @dataclass(frozen=True)
@@ -129,60 +137,22 @@ def _group_index(snapshots: Sequence[VersionSnapshot], group: str) -> GroupIndex
     return index.canonical()
 
 
-def _patterns(masks: np.ndarray, n_versions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a presence-mask array, as one 0/1 column per version.
-
-    Also returns each row's pattern and each pattern's number of rows.
-    """
-    # One opaque mask-wide item per key sorts far faster than rows.
-    mask_bytes = masks.shape[1]
-    unique_masks, pattern_of, key_counts = np.unique(
-        masks.view(np.dtype((np.void, mask_bytes))).ravel(), return_inverse=True, return_counts=True
-    )
-    patterns = unique_masks.view(np.uint8).reshape(-1, mask_bytes)
-    presence = np.unpackbits(patterns, axis=1, count=n_versions, bitorder="little")
-    return presence, pattern_of, key_counts
-
-
-def _file_patterns(index: GroupIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern presence and per-version pattern weights of the file records."""
-    # A (basename, content digest) key seen for the first time gets the
-    # next free id; duplicate records keep their multiplicity.
-    key_ids = defaultdict(itertools.count().__next__)
-    ids = [
-        np.fromiter(
-            (key_ids[record.basename, record.content_digest] for record in version.files),
-            dtype=np.int64,
-            count=version.file_count,
-        )
-        for version in index.versions
-    ]
-    n_versions = len(ids)
-    masks = np.zeros((len(key_ids), (n_versions + 7) // 8), dtype=np.uint8)
-    for i, version_ids in enumerate(ids):
-        masks[version_ids, i // 8] |= np.uint8(1 << (i % 8))
-    presence, pattern_of, _ = _patterns(masks, n_versions)
-    weights = np.empty(presence.shape, dtype=np.int64)
-    for i, version_ids in enumerate(ids):
-        weights[:, i] = np.bincount(pattern_of[version_ids], minlength=len(presence))
-    return presence, weights
-
-
-def _shared_counts(index: GroupIndex, metric: MetricKind) -> np.ndarray:
-    """C[i, j]: how many of version i's keys, with multiplicity, version j has."""
-    n_versions = len(index.versions)
-    if metric is MetricKind.ULOC:
-        # Each line digest is one key of its own mask, so a pattern's weight
-        # in version i is its key count if i is in the pattern, else 0.
-        presence, _, key_counts = _patterns(index.masks, n_versions)
-        weights = presence * key_counts[:, np.newaxis]
-    else:
-        presence, weights = _file_patterns(index)
-    counts = np.zeros((n_versions, n_versions), dtype=np.int64)
-    for start in range(0, len(presence), _PATTERN_BLOCK):
+def _shared_counts(keys: KeySet, n_versions: int) -> np.ndarray:
+    """C[i, j]: how many of version i's rows have their key in version j."""
+    masks, key_masks = keys.masks, keys.key_masks()
+    pairs = masks if key_masks is None else np.concatenate([masks, key_masks], axis=1)
+    # One opaque (row mask, key mask) item per row sorts far faster than rows.
+    width = pairs.shape[1]
+    patterns, counts = np.unique(pairs.view(np.dtype((np.void, width))).ravel(), return_counts=True)
+    bits = np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1, bitorder="little")
+    row_bits = bits[:, :n_versions] * counts[:, np.newaxis]
+    # Key bits end each pattern; where keys are rows they are the row bits.
+    key_bits = bits[:, (width - masks.shape[1]) * 8 :][:, :n_versions]
+    shared = np.zeros((n_versions, n_versions), dtype=np.int64)
+    for start in range(0, len(patterns), _PATTERN_BLOCK):
         block = slice(start, start + _PATTERN_BLOCK)
-        counts += weights[block].T @ presence[block].astype(np.int64)
-    return counts
+        shared += row_bits[block].T @ key_bits[block].astype(np.int64)
+    return shared
 
 
 def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int, list[float]]]:
@@ -190,16 +160,14 @@ def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int,
 
     A version that is empty under the metric has size 0 and no fractions.
     """
-    shared = _shared_counts(index, metric)
-    if metric is MetricKind.ULOC:
-        sizes = [version.uloc_count for version in index.versions]
-        if shared.diagonal().tolist() != sizes:
-            raise StoreFormatError(
-                f"presence masks give uloc counts {shared.diagonal().tolist()}, "
-                f"the versions record {sizes}"
-            )
-    else:
-        sizes = [version.file_count for version in index.versions]
+    key_set, count, _ = _METRIC_KEYS[metric]
+    shared = _shared_counts(getattr(index, key_set), len(index.versions))
+    sizes = [getattr(version, count) for version in index.versions]
+    if shared.diagonal().tolist() != sizes:
+        raise StoreFormatError(
+            f"presence masks give {metric.value} counts {shared.diagonal().tolist()}, "
+            f"the versions record {sizes}"
+        )
     rows = shared.tolist()
     return [
         (size, [1.0 - c / size for c in rows[i][i + 1 :]] if size else [])
@@ -237,7 +205,7 @@ def build_curve_family(
     rows = _changed_fractions(index, metric)
     for (ordinal, label), (size, fractions) in zip(versions[:-1], rows):
         if not size:
-            what = "an empty uloc set" if metric is MetricKind.ULOC else "no files"
+            what = _METRIC_KEYS[metric][2]
             warnings.append(f"baseline {label!r} omitted: version {label!r} group {group!r} has {what}")
             continue
         curves.append(

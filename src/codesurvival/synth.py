@@ -63,8 +63,10 @@ class SynthSpec:
         object.__setattr__(self, "jumps", tuple(self.jumps))
         if not 0.0 <= self.A <= 1.0:
             raise ValueError(f"mutable fraction A must be in [0, 1], got {self.A}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.versions < 2:
             raise ValueError(f"need >= 2 versions, got {self.versions}")
         if self.lines_per_version < 1 or self.files < 1:

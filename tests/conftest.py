@@ -7,6 +7,7 @@ compliance is readable at a glance.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codesurvival.ingest import GroupIndex, LifetimeIndex, store_snapshot, write_store
+from codesurvival.ingest import GroupIndex, KeySet, LifetimeIndex, store_snapshot, write_store
 
 CRITERIA = {
     1: "base-rate identity on all 19 published parameter rows",
@@ -61,11 +62,24 @@ def write_snapshots(snapshots, store: Path) -> Path:
     return write_store(index, store)
 
 
-def indexed_uloc(group: GroupIndex, version: int) -> frozenset[bytes]:
-    """The line digests whose presence mask has the version's bit."""
-    raw = group.digests.tobytes()  # an S item would lose trailing NUL bytes
-    present = np.unpackbits(group.masks, axis=1, bitorder="little")[:, version]
-    return frozenset(raw[k * 16 : (k + 1) * 16] for k in np.flatnonzero(present))
+def row_versions(keys: KeySet) -> dict[bytes, list[int]]:
+    """Per row digest of a key set, the versions whose bit its mask has."""
+    width = keys.digests.itemsize
+    raw = keys.digests.tobytes()  # an S item would lose trailing NUL bytes
+    bits = np.unpackbits(keys.masks, axis=1, bitorder="little")
+    return {raw[k * width : (k + 1) * width]: np.flatnonzero(row).tolist() for k, row in enumerate(bits)}
+
+
+def indexed_rows(keys: KeySet, version: int) -> frozenset[bytes]:
+    """The row digests of a key set whose presence mask has the version's bit."""
+    return frozenset(digest for digest, versions in row_versions(keys).items() if version in versions)
+
+
+def file_row_digest(relpath: str, content_digest: bytes) -> bytes:
+    """A file record's row digest as the store format defines it, computed independently."""
+    directory, _, basename = relpath.encode("utf-8", "surrogateescape").rpartition(b"/")
+    key = hashlib.blake2b(basename + b"\0" + content_digest, digest_size=16).digest()
+    return key + hashlib.blake2b(directory, digest_size=16).digest()
 
 
 # --- random toy corpora with a brute-force oracle ---------------------------

@@ -287,6 +287,28 @@ def test_curves_refuses_a_format_2_store(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_curves_refuses_a_format_3_store(tmp_path, capsys):
+    # Format 3: one lifetime.store whose header lists every version's file records.
+    store = tmp_path / "store"
+    store.mkdir()
+    versions = [
+        {"groups": {"syn": {"files": [["a.txt", "00" * 16]], "skipped": 0, "uloc": 1}},
+         "label": f"v{ordinal}", "ordinal": ordinal}
+        for ordinal in range(2)
+    ]
+    header = {"digest": "blake2b-128", "format": 3,
+              "groups": {"syn": {"digests": 0, "keys": 1, "masks": 16}}, "versions": versions}
+    (store / "lifetime.store").write_bytes(json.dumps(header).encode() + b"\n" + b"\x11" * 16 + b"\x03")
+    out_csv = tmp_path / "c.csv"
+    for metric in ("uloc", "file"):
+        assert run("curves", "--store", store, "--group", "syn",
+                   "--metric", metric, "--out", out_csv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "format version 3" in err and "rescan" in err
+    assert not out_csv.exists()
+
+
 def test_curves_missing_store(tmp_path, capsys):
     assert run("curves", "--store", tmp_path / "void", "--group", "syn",
                "--metric", "uloc", "--out", tmp_path / "c.csv") == 2
@@ -372,6 +394,12 @@ def _write_manifest(tmp_path, payload):
     return ("scan", "--manifest", path, "--store", tmp_path / "store")
 
 
+def _group_manifest(tmp_path, extensions):
+    return _write_manifest(
+        tmp_path, {"software": "s", "groups": [{"name": "c", "extensions": extensions}], "versions": []}
+    )
+
+
 def _write_plan(tmp_path, payload):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(payload))
@@ -388,6 +416,21 @@ def _bounds_with_horizon(tmp_path, horizon):
     fit = tmp_path / "fit.json"
     assert run(*_fit_with_seed(tmp_path, 0)) == 0
     return ("bounds", "--fit-uloc", fit, "--fit-file", fit, "--horizon", horizon, "--out", tmp_path / "b")
+
+
+def _synth(tmp_path, *flags):
+    args = {"--A": 0.5, "--lambda": 0.2, "--versions": 2, "--lines": 10, "--seed": 0}
+    args.update(zip(flags[::2], flags[1::2]))
+    return ("synth", *(x for pair in args.items() for x in pair), "--out", tmp_path / "corpus")
+
+
+def _bounds_with_lambda(tmp_path, text):
+    fit = tmp_path / "fit.json"
+    assert run(*_fit_with_seed(tmp_path, 0)) == 0
+    document = json.loads(fit.read_text())
+    lam = json.dumps(document["fits"][0]["lambda"])
+    fit.write_text(fit.read_text().replace(f'"lambda": {lam}', f'"lambda": {text}'))
+    return ("bounds", "--fit-uloc", fit, "--fit-file", fit, "--horizon", 3, "--out", tmp_path / "b")
 
 
 def _write_curves(tmp_path, insert_at, row):
@@ -432,6 +475,13 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _write_curves(t, 3, "0,v0,10,1,abc\n"), "c.csv:4"),
         (lambda t: _fit_with_seed(t, -1), "--seed must be >= 0, got -1"),
         (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
+        (lambda t: _group_manifest(t, [5]), "group 'c': extensions must be a list of strings"),
+        (lambda t: _group_manifest(t, ".c"), "group 'c': extensions must be a list of strings"),
+        (lambda t: _synth(t, "--seed", -1), "seed must be >= 0, got -1"),
+        (lambda t: _synth(t, "--lambda", "nan"), "lambda must be > 0 and finite, got nan"),
+        (lambda t: _synth(t, "--lambda", "inf"), "lambda must be > 0 and finite, got inf"),
+        (lambda t: _bounds_with_lambda(t, "Infinity"), "rate parameter must be positive and finite"),
+        (lambda t: _bounds_with_lambda(t, "1e400"), "rate parameter must be positive and finite"),
     ],
     ids=[
         "plan-not-object",
@@ -453,6 +503,13 @@ def _write_curves(tmp_path, insert_at, row):
         "non-numeric-field",
         "fit-seed-negative",
         "bounds-horizon-negative",
+        "extensions-not-strings",
+        "extensions-a-string",
+        "synth-seed-negative",
+        "synth-lambda-nan",
+        "synth-lambda-inf",
+        "fit-lambda-infinity",
+        "fit-lambda-overflow",
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, message):

@@ -29,6 +29,7 @@ from codesurvival.ingest import (
     FileRecord,
     GroupIndex,
     GroupPayload,
+    KeySet,
     LifetimeIndex,
     ScanCounters,
     VersionEntry,
@@ -42,7 +43,14 @@ from codesurvival.ingest import (
 )
 from codesurvival.survival import MetricKind, build_curve_family
 
-from conftest import indexed_uloc, random_corpus_history, write_snapshots, write_tree
+from conftest import (
+    file_row_digest,
+    indexed_rows,
+    random_corpus_history,
+    row_versions,
+    write_snapshots,
+    write_tree,
+)
 
 CPP = ExtensionGroup(name="cpp", extensions=(".cpp",))
 H = ExtensionGroup(name="h", extensions=(".h",))
@@ -515,14 +523,19 @@ def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
     for name, group in loaded.groups.items():
         payloads = [s.group(name) for s in snaps]
         union = sorted({d for p in payloads for d in p.uloc})
-        assert group.digests.tobytes() == b"".join(union)
-        assert group.masks.shape == (len(union), (len(snaps) + 7) // 8)
+        assert group.lines.digests.tobytes() == b"".join(union)
+        assert group.lines.masks.shape == (len(union), (len(snaps) + 7) // 8)
+        records = [{file_row_digest(r.relpath, r.content_digest) for r in p.files} for p in payloads]
+        distinct = sorted(set().union(*records))
+        assert group.files.digests.tobytes() == b"".join(distinct)
+        assert group.files.masks.shape == (len(distinct), (len(snaps) + 7) // 8)
         for i, payload in enumerate(payloads):
             version = group.versions[i]
-            assert version.files == payload.files
+            assert version.file_count == payload.file_count
             assert version.uloc_count == payload.uloc_count
             assert version.skipped_files == payload.skipped_files
-            assert indexed_uloc(group, i) == payload.uloc
+            assert indexed_rows(group.lines, i) == payload.uloc
+            assert indexed_rows(group.files, i) == records[i]
 
 
 def test_store_round_trip(tree_writer, tmp_path):
@@ -552,6 +565,8 @@ def test_store_write_is_deterministic(tree_writer, tmp_path):
 
 def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     root = tree_writer({"dir with space/my file.cpp": "x\n", "d\u00e9j\u00e0/\u00fc.cpp": "y\n"})
+    # A name that is not UTF-8 reaches the record with surrogate escapes.
+    (root / os.fsdecode(b"caf\xe9.cpp")).write_text("z\n")
     label = "release 1.0 beta\nnext \"line\""
     snaps = [
         scan_version(root, [CPP], label=label, ordinal=0),
@@ -561,10 +576,13 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     loaded = load_all_snapshots(tmp_path / "store")
     assert_store_holds(loaded, snaps)
     assert loaded.labels[0] == label
-    assert [(r.basename, r.relpath) for r in loaded.group("cpp").versions[0].files] == [
-        ("my file.cpp", "dir with space/my file.cpp"),
-        ("\u00fc.cpp", "d\u00e9j\u00e0/\u00fc.cpp"),
-    ]
+    # Relpaths are not stored, only the digests of their parts.
+    expected = {
+        b2("my file.cpp".encode() + b"\0" + b2(b"x\n")) + b2("dir with space".encode()),
+        b2("\u00fc.cpp".encode() + b"\0" + b2(b"y\n")) + b2("d\u00e9j\u00e0".encode()),
+        b2(b"caf\xe9.cpp\0" + b2(b"z\n")) + b2(b""),
+    }
+    assert indexed_rows(loaded.group("cpp").files, 0) == expected
 
 
 def test_store_rejects_corruption(tree_writer, tmp_path):
@@ -577,9 +595,15 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
     good = path.read_bytes()
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
-    assert header["format"] == 3 and header["digest"] == "blake2b-128"
-    assert header["groups"] == {"cpp": {"digests": 0, "keys": 3, "masks": 48}}
-    assert len(body) == 3 * 16 + 3 * 1
+    assert header["format"] == 4 and header["digest"] == "blake2b-128"
+    assert header["groups"] == {
+        "cpp": {
+            "lines": {"digests": 0, "keys": 3, "masks": 48},
+            "files": {"digests": 51, "keys": 2, "masks": 115},
+        }
+    }
+    assert header["versions"][0]["groups"] == {"cpp": {"files": 1, "skipped": 0, "uloc": 2}}
+    assert len(body) == 3 * 16 + 3 * 1 + 2 * 32 + 2 * 1
 
     def with_header(**changes) -> bytes:
         return json.dumps({**header, **changes}).encode() + b"\n" + body
@@ -591,6 +615,9 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
         entry = header["versions"][0]["groups"]["cpp"]
         return with_version(groups={"cpp": {**entry, **changes}})
 
+    def with_layout(**key_sets) -> bytes:
+        return with_header(groups={"cpp": {**header["groups"]["cpp"], **key_sets}})
+
     unlabelled = {k: v for k, v in header["versions"][0].items() if k != "label"}
     cases = [
         (b"nonsense\n" + good, "header"),
@@ -599,6 +626,7 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
         (b"\xff\xfe\n" + body, "header"),  # not UTF-8
         (b"[3]\n" + body, "header"),
         (with_header(format=2), "version 2"),
+        (with_header(format=3), "version 3.*rescan"),
         (with_header(digest="sha256"), "'sha256'.*'blake2b-128'.*rescan"),
         (with_header(versions={}), "'versions'"),
         (with_header(groups=[]), "'groups'"),
@@ -607,25 +635,42 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
         (with_version(groups={}), "groups"),
         (with_group(uloc="2"), "'uloc'"),
         (with_group(skipped=None), "'skipped'"),
-        (with_group(files=[["a.cpp"]]), "file record"),
-        (with_group(files=[["a.cpp", "not hex"]]), "file record"),
-        (with_group(files=[[7, "00"]]), "file record"),
-        (with_header(groups={"cpp": {"digests": 0, "keys": 2, "masks": 32}}), "bytes"),
-        (with_header(groups={"cpp": {"digests": 0, "keys": 3, "masks": 32}}), "laid out"),
-        (with_header(groups={"cpp": {"digests": 3, "keys": 3, "masks": 51}}), "laid out"),
-        (with_header(groups={"cpp": {"digests": 0, "keys": -1, "masks": -16}}), "laid out"),
+        (with_group(files=[["a.cpp", "00" * 16]]), "'files'"),  # a format 3 file list
+        (with_group(files=None), "'files'"),
+        (with_header(groups={"cpp": header["groups"]["cpp"]["lines"]}), "'lines'"),
+        (with_header(groups={"cpp": {"lines": header["groups"]["cpp"]["lines"]}}), "'files'"),
+        (
+            with_layout(
+                lines={"digests": 0, "keys": 2, "masks": 32},
+                files={"digests": 34, "keys": 2, "masks": 98},
+            ),
+            "bytes",
+        ),
+        (with_layout(lines={"digests": 0, "keys": 3, "masks": 32}), "lines .*laid out"),
+        (with_layout(lines={"digests": 3, "keys": 3, "masks": 51}), "laid out"),
+        (with_layout(lines={"digests": 0, "keys": -1, "masks": -16}), "laid out"),
+        (with_layout(files={"digests": 51, "keys": 2, "masks": 83}), "files .*laid out"),
+        (with_layout(files={"digests": 48, "keys": 2, "masks": 112}), "files .*laid out"),
         (good + b"trailing junk", "bytes"),
         (good[:-2], "bytes"),  # truncated
     ]
+    # Key sets whose rows are out of order or repeated.
+    at = len(line) + 1
+    for kind, first, width in (("lines", at, 16), ("files", at + 51, 32)):
+        a, b = good[first : first + width], good[first + width : first + 2 * width]
+        for rows in (b + a, a + a):
+            data = good[:first] + rows + good[first + 2 * width :]
+            cases.append((data, f"{kind} digests are not strictly increasing"))
     for data, match in cases:
         path.write_bytes(data)
         with pytest.raises(StoreFormatError, match=match):
             load_all_snapshots(store)
 
-    # Masks that disagree with the recorded uloc counts are refused by the kernel.
-    path.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
-    with pytest.raises(StoreFormatError, match="uloc counts"):
-        build_curve_family(store, "cpp", MetricKind.ULOC)
+    # Masks that disagree with the recorded counts are refused by the kernel.
+    for metric, mask_byte in ((MetricKind.ULOC, at + 50), (MetricKind.FILE, at + 116)):
+        path.write_bytes(good[:mask_byte] + bytes([good[mask_byte] ^ 1]) + good[mask_byte + 1 :])
+        with pytest.raises(StoreFormatError, match=f"{metric.value} counts"):
+            build_curve_family(store, "cpp", metric)
 
     path.write_bytes(good)
     assert_store_holds(load_all_snapshots(store), snaps)
@@ -649,7 +694,7 @@ def test_store_bulk_load(tree_writer, tmp_path):
     write_snapshots(snaps, tmp_path / "store")
     loaded = load_all_snapshots(tmp_path / "store")
     assert loaded.labels == ["v0", "v1", "v2"]
-    assert indexed_uloc(loaded.group("cpp"), 2) == frozenset({b2(b"c")})
+    assert indexed_rows(loaded.group("cpp").lines, 2) == frozenset({b2(b"c")})
     with pytest.raises(KeyError, match="no group 'h'; available: \\['cpp'\\]"):
         loaded.group("h")
     # A directory without a store file holds no versions.
@@ -664,14 +709,14 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
     with pytest.raises(ValueError, match="groups \\['cpp'\\]"):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
     store_snapshot(scan_version(root, [CPP, H], ordinal=0), index)
-    assert len(index.labels) == 1 and index.groups["h"].masks.tolist() == [[1]]
+    assert len(index.labels) == 1 and index.groups["h"].lines.masks.tolist() == [[1]]
 
 
 def _random_payload(rng: random.Random, pool: list[bytes], files, skipped: int) -> GroupPayload:
     """Distinct digests from the pool, as rows 0, 1, ... of an index of their own."""
     block = b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
     digests = np.frombuffer(block, dtype="S16")
-    return GroupPayload(files, np.arange(len(digests)), GroupIndex(digests), skipped)
+    return GroupPayload(files, np.arange(len(digests)), GroupIndex(KeySet(digests)), skipped)
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -691,8 +736,9 @@ def test_store_mask_edges(tmp_path, versions):
     loaded = load_all_snapshots(tmp_path / "store")
     assert_store_holds(loaded, snaps)
     header_bytes = path.read_bytes().index(b"\n") + 1
-    keys = len(loaded.group("x").digests)
-    assert path.stat().st_size == header_bytes + keys * (16 + (versions + 7) // 8)
+    lines, files = loaded.group("x").lines.rows, loaded.group("x").files.rows
+    mask_bytes = (versions + 7) // 8
+    assert path.stat().st_size == header_bytes + lines * (16 + mask_bytes) + files * (32 + mask_bytes)
     for metric in MetricKind:
         assert build_curve_family(tmp_path / "store", "x", metric) == build_curve_family(snaps, "x", metric)
 
@@ -774,10 +820,7 @@ def scan_sources(tmp_path: Path, sources: list[str], extensions=(".cpp",)) -> tu
 
 def rows_by_line(store: Path, group: str = "cpp") -> dict[bytes, list[int]]:
     """Per line digest in the store, the versions whose bit its row has."""
-    loaded = load_all_snapshots(store).group(group)
-    raw = loaded.digests.tobytes()
-    bits = np.unpackbits(loaded.masks, axis=1, bitorder="little")[:, : len(loaded.versions)]
-    return {raw[k * 16 : (k + 1) * 16]: np.flatnonzero(row).tolist() for k, row in enumerate(bits)}
+    return row_versions(load_all_snapshots(store).group(group).lines)
 
 
 def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, monkeypatch):
@@ -906,7 +949,7 @@ def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
             assert set(lines) == expected
             # Each line maps to the row of its digest.
             rows = [lines[line] for line in sorted(expected)]
-            assert lines.index.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
+            assert lines.index.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
 
 
 def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_path, monkeypatch):

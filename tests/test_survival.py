@@ -23,10 +23,12 @@ from codesurvival.survival import (
     write_curves_csv,
 )
 from conftest import (
-    indexed_uloc,
+    file_row_digest,
+    indexed_rows,
     random_corpus_history,
     raw_file_fraction,
     raw_uloc_fraction,
+    row_versions,
     write_snapshots,
     write_tree,
 )
@@ -132,6 +134,75 @@ def test_groups_are_independent(tree_writer):
     assert pair_fraction(base, later, "y", MetricKind.ULOC) == 0.5
 
 
+# --- the files key set -------------------------------------------------------
+
+
+def b2(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def stored_files(snaps, store):
+    """The file family of group x from a store of the snapshots, and the store's files key set.
+
+    The family must equal the one built from the snapshots in memory.
+    """
+    write_snapshots(snaps, store)
+    family = build_curve_family(store, "x", MetricKind.FILE)
+    assert family == build_curve_family(snaps, "x", MetricKind.FILE)
+    return family, load_all_snapshots(store).group("x").files
+
+
+def test_files_key_set_keeps_records_that_share_a_key(tree_writer, tmp_path):
+    trees = [
+        {"a/f.x": "1\n", "b/f.x": "1\n", "c/g.x": "2\n"},
+        {"a/f.x": "1\n"},
+        {"b/f.x": "1\n", "c/g.x": "2\n"},
+    ]
+    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
+    family, files = stored_files(snaps, tmp_path / "store")
+    # Both f.x copies of v0 are in v1 by key; g.x is not.
+    assert [(c.baseline_size, c.points) for c in family.curves] == [
+        (3, ((1, 1.0 - 2 / 3), (2, 0.0))),
+        (1, ((1, 0.0),)),
+    ]
+    assert row_versions(files) == {
+        file_row_digest("a/f.x", b2(b"1\n")): [0, 1],
+        file_row_digest("b/f.x", b2(b"1\n")): [0, 2],
+        file_row_digest("c/g.x", b2(b"2\n")): [0, 2],
+    }
+    # The two f.x rows share their first 16 bytes, the key, and are adjacent.
+    raw = files.digests.tobytes()
+    keys = [raw[k * 32 : k * 32 + 16] for k in range(files.rows)]
+    first = keys.index(b2(b"f.x\0" + b2(b"1\n")))
+    assert keys[first + 1] == keys[first] and keys.count(keys[first]) == 2
+
+
+def test_files_key_set_merges_a_revived_file(tree_writer, tmp_path):
+    trees = [{"a.x": "1\n"}, {"b.x": "2\n"}, {"a.x": "1\n"}]
+    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
+    family, files = stored_files(snaps, tmp_path / "store")
+    assert [c.points for c in family.curves] == [((1, 1.0), (2, 0.0)), ((1, 1.0),)]
+    # a.x took a second row in v2; the store holds one.
+    assert row_versions(files) == {
+        file_row_digest("a.x", b2(b"1\n")): [0, 2],
+        file_row_digest("b.x", b2(b"2\n")): [1],
+    }
+
+
+def test_files_key_set_moved_and_renamed_files(tree_writer, tmp_path):
+    trees = [{"src/a.x": "1\n", "b.x": "2\n"}, {"lib/a.x": "1\n", "c.x": "2\n"}]
+    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
+    family, files = stored_files(snaps, tmp_path / "store")
+    # The moved a.x survives; the renamed b.x does not.
+    assert [c.points for c in family.curves] == [((1, 0.5),)]
+    assert row_versions(files) == {
+        file_row_digest("src/a.x", b2(b"1\n")): [0],
+        file_row_digest("b.x", b2(b"2\n")): [0],
+        file_row_digest("lib/a.x", b2(b"1\n")): [1],
+        file_row_digest("c.x", b2(b"2\n")): [1],
+    }
+
+
 # --- curve families ----------------------------------------------------------
 
 
@@ -210,8 +281,8 @@ def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
     assert digest in snaps[0].group("x").uloc
     write_snapshots(snaps, store)
     loaded = load_all_snapshots(store).group("x")
-    assert indexed_uloc(loaded, 0) == snaps[0].group("x").uloc
-    assert indexed_uloc(loaded, 1) == {digest}
+    assert indexed_rows(loaded.lines, 0) == snaps[0].group("x").uloc
+    assert indexed_rows(loaded.lines, 1) == {digest}
     family = build_curve_family(store, "x", MetricKind.ULOC)
     assert [c.points for c in family.curves] == [((1, 0.5), (2, 0.5)), ((1, 1.0),)]
     assert family == build_curve_family(snaps, "x", MetricKind.ULOC)
@@ -342,3 +413,25 @@ def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
             assert [w.split(":")[0] for w in family.warnings] == omitted
     # Group y is empty in v0, so its first curve is always omitted.
     assert build_curve_family(snaps, "y", MetricKind.FILE).warnings
+
+
+@pytest.mark.parametrize("versions", [8, 9, 64, 65])
+def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
+    # The file curves read back from a store, at mask byte and word edges.
+    history = _edge_case_history(random.Random(1000 + versions), versions)
+    snaps = []
+    for i, tree in enumerate(history):
+        root = tmp_path / f"v{i}"
+        root.mkdir()
+        snaps.append(scan_version(write_tree(root, tree), [X, Y], label=f"v{i}", ordinal=i))
+    store = tmp_path / "store"
+    write_snapshots(snaps, store)
+    for group, ext in (("x", ".x"), ("y", ".y")):
+        family = build_curve_family(store, group, MetricKind.FILE)
+        got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
+        expected = {}
+        for i, base in enumerate(history[:-1]):
+            fractions = [raw_file_fraction(base, later, ext) for later in history[i + 1 :]]
+            if fractions[0] is not None:
+                expected[i] = fractions
+        assert got == expected
