@@ -325,6 +325,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest {path}: malformed group entry ({exc})") from exc
+    except ManifestError as exc:
+        raise ManifestError(f"manifest {path}: {exc}") from exc
 
     base = path.parent
     versions = []

@@ -10,6 +10,13 @@ expectation; the process is stationary, which is what makes pooling
 curves across baselines legitimate.  Replaced lines never reappear, so
 measured curves are monotone.
 
+``generate`` renders each line once, as a 14-byte row of a per-slot
+byte matrix (``u``, a 12-digit id, LF); a later version re-renders only
+the slots whose line it replaces and writes each file as one slice of
+the matrix, so a version costs O(replaced lines) in formatting.  It
+refuses an ``out`` that exists and is not an empty directory, so two
+corpora never mix.
+
 A saturation level above 1 cannot be generated (it is not a fraction of
 lines); linear-regime behavior is exercised analytically instead.
 ``analytic_family`` builds noiseless curve families directly, with
@@ -27,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import UsageError
 from .ingest import CorpusManifest, ExtensionGroup, load_manifest
 from .survival import ChangeCurve, CurveFamily, MetricKind
 
@@ -38,6 +46,10 @@ __all__ = [
     "write_expected_csv",
     "analytic_family",
 ]
+
+# Every line is ``u``, its id in _ID_DIGITS zero-padded digits, then LF.
+_ID_DIGITS = 12
+_LINE_BYTES = _ID_DIGITS + 2
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,14 @@ class SynthSpec:
                 raise ValueError(f"burn-in length {k} outside 0..{self.versions - 1}")
             if factor < 1.0:
                 raise ValueError(f"burn-in factor must be >= 1, got {factor}")
+        # Ids start at 0 and each version or jump adds at most one line
+        # budget of new ones, so this bounds every id the corpus can use.
+        id_bound = self.lines_per_version * (self.versions + len(self.jumps))
+        if id_bound >= 10**_ID_DIGITS:
+            raise ValueError(
+                f"line ids could reach {id_bound} (lines x (versions + jumps)), "
+                f"past the {_ID_DIGITS} digits of a synthetic line"
+            )
 
 
 def derive_mutation_prob(lam: float) -> float:
@@ -96,18 +116,26 @@ def derive_mutation_prob(lam: float) -> float:
     return -math.expm1(-lam)
 
 
-def _write_version(root: Path, ordinal: int, spec: SynthSpec, line_ids: np.ndarray) -> None:
+def _render(first_id: int, count: int) -> np.ndarray:
+    """One byte row per id in [first_id, first_id + count): ``u``, digits, LF."""
+    rows = np.empty((count, _LINE_BYTES), dtype=np.uint8)
+    rows[:, 0] = ord("u")
+    rows[:, -1] = ord("\n")
+    rest = np.arange(first_id, first_id + count, dtype=np.int64)
+    for col in range(_ID_DIGITS, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        rows[:, col] = digit + ord("0")
+    return rows
+
+
+def _write_version(root: Path, ordinal: int, spec: SynthSpec, lines: np.ndarray) -> None:
     vdir = root / f"v{ordinal:03d}"
-    vdir.mkdir(parents=True, exist_ok=True)
+    vdir.mkdir()
     ext = spec.group.extensions[0]
     per_file = -(-spec.lines_per_version // spec.files)
     for f in range(spec.files):
-        chunk = line_ids[f * per_file : (f + 1) * per_file]
-        if chunk.size == 0:
-            body = ""
-        else:
-            body = "".join(f"u{line_id:012d}\n" for line_id in chunk.tolist())
-        (vdir / f"f{f:04d}{ext}").write_text(body, encoding="ascii")
+        # A run of whole rows of a C-ordered matrix is one contiguous buffer.
+        (vdir / f"f{f:04d}{ext}").write_bytes(lines[f * per_file : (f + 1) * per_file])
 
 
 def generate(spec: SynthSpec, out: str | Path) -> CorpusManifest:
@@ -115,17 +143,25 @@ def generate(spec: SynthSpec, out: str | Path) -> CorpusManifest:
 
     Version directories are v000, v001, ...; lines are opaque unique
     tokens embedding a global counter, so no line can ever reappear.
-    Same spec, same bytes.
+    Same spec, same bytes, on every platform (LF line ends).
+
+    One ``(lines_per_version, 14)`` byte matrix holds the current
+    version, one rendered line per slot.  It is rendered once for v000;
+    each later version re-renders only the slots whose line is
+    replaced, and each file is written as one slice of it.  ``out`` must
+    not exist or be an empty directory, so two corpora never mix.
     """
     out = Path(out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise UsageError(f"synth output {out} exists and is not an empty directory")
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     total = spec.lines_per_version
     n_mutable = round(spec.A * total)
-    line_ids = np.arange(total, dtype=np.int64)
+    lines = _render(0, total)
     next_id = total
 
-    _write_version(out, 0, spec, line_ids)
+    _write_version(out, 0, spec, lines)
     for v in range(1, spec.versions):
         lam_v = spec.lam
         if spec.burn_in is not None and v <= spec.burn_in[0]:
@@ -133,14 +169,14 @@ def generate(spec: SynthSpec, out: str | Path) -> CorpusManifest:
         # Redraw every mutable slot each version, replaced or not: the
         # process must be memoryless for baselines to be exchangeable.
         hit = np.flatnonzero(rng.random(n_mutable) < derive_mutation_prob(lam_v))
-        line_ids[hit] = np.arange(next_id, next_id + hit.size)
+        lines[hit] = _render(next_id, hit.size)
         next_id += hit.size
         for jump_version, fraction in spec.jumps:
             if jump_version == v:
                 extra = np.flatnonzero(rng.random(total) < fraction)
-                line_ids[extra] = np.arange(next_id, next_id + extra.size)
+                lines[extra] = _render(next_id, extra.size)
                 next_id += extra.size
-        _write_version(out, v, spec, line_ids)
+        _write_version(out, v, spec, lines)
 
     manifest = {
         "software": "synthetic",

@@ -424,6 +424,11 @@ def _synth(tmp_path, *flags):
     return ("synth", *(x for pair in args.items() for x in pair), "--out", tmp_path / "corpus")
 
 
+def _synth_into_used(tmp_path):
+    assert run(*_synth(tmp_path, "--files", 8, "--versions", 4)) == 0
+    return _synth(tmp_path, "--files", 4, "--versions", 3)
+
+
 def _bounds_with_lambda(tmp_path, text):
     fit = tmp_path / "fit.json"
     assert run(*_fit_with_seed(tmp_path, 0)) == 0
@@ -475,11 +480,13 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _write_curves(t, 3, "0,v0,10,1,abc\n"), "c.csv:4"),
         (lambda t: _fit_with_seed(t, -1), "--seed must be >= 0, got -1"),
         (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
-        (lambda t: _group_manifest(t, [5]), "group 'c': extensions must be a list of strings"),
-        (lambda t: _group_manifest(t, ".c"), "group 'c': extensions must be a list of strings"),
+        (lambda t: _group_manifest(t, [5]), "m.json: group 'c': extensions must be a list of strings"),
+        (lambda t: _group_manifest(t, ".c"), "m.json: group 'c': extensions must be a list of strings"),
         (lambda t: _synth(t, "--seed", -1), "seed must be >= 0, got -1"),
         (lambda t: _synth(t, "--lambda", "nan"), "lambda must be > 0 and finite, got nan"),
         (lambda t: _synth(t, "--lambda", "inf"), "lambda must be > 0 and finite, got inf"),
+        (_synth_into_used, "corpus exists and is not an empty directory"),
+        (lambda t: _synth(t, "--lines", 1000000, "--versions", 1000001), "line ids could reach 1000001000000"),
         (lambda t: _bounds_with_lambda(t, "Infinity"), "rate parameter must be positive and finite"),
         (lambda t: _bounds_with_lambda(t, "1e400"), "rate parameter must be positive and finite"),
     ],
@@ -508,6 +515,8 @@ def _write_curves(tmp_path, insert_at, row):
         "synth-seed-negative",
         "synth-lambda-nan",
         "synth-lambda-inf",
+        "synth-out-not-empty",
+        "synth-id-width",
         "fit-lambda-infinity",
         "fit-lambda-overflow",
     ],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -116,9 +117,13 @@ def test_spec_validation():
         dict(jumps=((3, 1.5),)),
         dict(burn_in=(8, 2.0)),
         dict(burn_in=(2, 0.5)),
+        # Line ids must fit 12 digits: lines x (versions + jumps) < 10**12.
+        dict(lines_per_version=1_000_000, versions=1_000_000),
+        dict(lines_per_version=1_000_000, versions=999_999, jumps=((3, 0.5),)),
     ):
         with pytest.raises(ValueError):
             make_spec(**bad)
+    make_spec(lines_per_version=1_000_000, versions=999_999)
 
 
 # --- generate -------------------------------------------------------------------
@@ -145,6 +150,35 @@ def test_generate_is_deterministic(tmp_path):
     assert one == two
     for rel in one:
         assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+
+def _tree_digest(root):
+    """blake2b-128 over every file's relative path and bytes, in sorted order."""
+    h = hashlib.blake2b(digest_size=16)
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.blake2b(path.read_bytes(), digest_size=16).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        # 9 lines in 4 files: three files of 3 lines and an empty last file.
+        (dict(lam=0.3, versions=5, lines_per_version=9, files=4), "9fb74b8ac0d5a1937c8c5653dbf34133"),
+        (
+            dict(A=0.5, lam=0.1, versions=7, lines_per_version=50, files=6, seed=9,
+                 burn_in=(2, 3.0), jumps=((3, 0.4), (5, 0.25))),
+            "af8118acfc96357531f5e7ad76efb32b",
+        ),
+    ],
+    ids=["uneven-files", "jumps-burn-in"],
+)
+def test_generate_golden_bytes(tmp_path, overrides, digest):
+    # Pins the corpus bytes, not just their repeatability: a faster writer
+    # or a reordered random draw must not change any corpus.
+    generate(make_spec(**overrides), tmp_path / "corpus")
+    assert _tree_digest(tmp_path / "corpus") == digest
 
 
 def test_generate_immutable_corpus_never_changes(tmp_path):
