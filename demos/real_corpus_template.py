@@ -19,10 +19,11 @@ import json
 import tempfile
 from pathlib import Path
 
+from codesurvival.curves import MetricKind
 from codesurvival.fitting import fit_saturation
 from codesurvival.ingest import load_manifest, scan_corpus
 from codesurvival.screening import ScreeningPlan, apply_plan, detect_jumps
-from codesurvival.survival import MetricKind, build_curve_family
+from codesurvival.survival import build_curve_family
 
 STAND_IN = {
     "v1.0": {"src/main.c": "int a;\nint b;\nint c;\n", "src/util.h": "#define U 1\n"},

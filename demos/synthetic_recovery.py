@@ -10,10 +10,11 @@ rate should land on the generator's inputs.
 import tempfile
 from pathlib import Path
 
+from codesurvival.curves import MetricKind
 from codesurvival.fitting import fit_saturation
 from codesurvival.ingest import ExtensionGroup, scan_corpus
 from codesurvival.screening import ScreeningPlan, apply_plan
-from codesurvival.survival import MetricKind, build_curve_family
+from codesurvival.survival import build_curve_family
 from codesurvival.synth import SynthSpec, generate
 
 TRUE_A = 0.6

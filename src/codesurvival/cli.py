@@ -7,6 +7,9 @@ readable artifact.  Outputs are deterministic for fixed inputs and
 flags; the optional --report run report is the one exception, since it
 includes wall-clock timings.
 
+Each subcommand imports only the modules it runs: ``fit`` and ``bounds``
+start without numpy, and ``curves`` without the fitting code.
+
 Exit codes: 0 success, 2 input or usage error, 3 data or computation
 error (for example a screening plan that excludes every point).
 """
@@ -17,25 +20,52 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .discoverability import bounds, persistence_summary, write_bounds_csv
+from .curves import MetricKind, read_curves_csv, write_curves_csv
 from .errors import CodeSurvivalError, DataError, UsageError
-from .fitting import FitResult, fit_saturation
-from .ingest import STORE_FILENAME, ExtensionGroup, ScanCounters, load_manifest, scan_corpus
-from .screening import ScreeningPlan, apply_plan, load_plan
-from .survival import MetricKind, build_curve_family, read_curves_csv, write_curves_csv
-from .synth import SynthSpec, generate, write_expected_csv
 
 __all__ = ["main"]
+
+# The names each stage module lends this one, loaded by the subcommands
+# that call them (``_load``) or on first attribute access from outside.
+_STAGE_NAMES = {
+    "ingest": ("STORE_FILENAME", "ExtensionGroup", "ScanCounters", "load_manifest", "scan_corpus"),
+    "survival": ("build_curve_family",),
+    "screening": ("ScreeningPlan", "apply_plan", "load_plan"),
+    "fitting": ("FitResult", "fit_saturation"),
+    "discoverability": ("bounds", "persistence_summary", "write_bounds_csv"),
+    "synth": ("SynthSpec", "generate", "write_expected_csv"),
+}
 
 FIT_SCHEMA = "codesurvival.fit/1"
 BOUNDS_SCHEMA = "codesurvival.bounds/1"
 REPORT_SCHEMA = "codesurvival.report/1"
+
+
+def _load(*modules: str) -> None:
+    """Import stage modules and bind their names here.
+
+    A name already bound is kept, so a wrapper set on this module before
+    the stage ran is the function the stage calls.
+    """
+    for module in modules:
+        imported = importlib.import_module(f"{__package__}.{module}")
+        for name in _STAGE_NAMES[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    for module, names in _STAGE_NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _tool_version() -> str:
@@ -50,6 +80,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    _load("ingest")
     manifest = load_manifest(args.manifest)
     store = Path(args.store)
     store.mkdir(parents=True, exist_ok=True)
@@ -87,6 +118,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 
 
 def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    _load("survival")
     try:
         family = build_curve_family(args.store, args.group, MetricKind(args.metric))
     except (KeyError, ValueError) as exc:
@@ -101,8 +133,7 @@ def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    _load("screening", "fitting")
     plan = load_plan(args.plan) if args.plan else ScreeningPlan()
     group = args.group or plan.group
     metric = args.metric or plan.metric or MetricKind.ULOC.value
@@ -115,7 +146,7 @@ def cmd_fit(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     fits = [
-        dataclasses.replace(fit_saturation(point_set, seed=args.seed), group=group, metric=metric)
+        dataclasses.replace(fit_saturation(point_set), group=group, metric=metric)
         for point_set in apply_plan(family, plan)
     ]
     document = {
@@ -157,6 +188,7 @@ def _load_fits(path: str) -> dict[str, FitResult]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    _load("fitting", "discoverability")
     if args.horizon < 0:
         raise UsageError(f"--horizon must be >= 0, got {args.horizon}")
     subtle_fits = _load_fits(args.fit_uloc)
@@ -209,6 +241,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 
 
 def cmd_synth(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
+    _load("ingest", "synth")
     try:
         spec = SynthSpec(
             A=args.A,
@@ -257,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--plan", help="screening plan JSON (default: keep everything)")
     fit.add_argument("--group", default="", help="group label for the output (default: from plan)")
     fit.add_argument("--metric", default="", choices=["", *(m.value for m in MetricKind)])
-    fit.add_argument("--seed", type=int, default=0, help="restart-jitter seed")
     fit.add_argument("--out", required=True, help="output fit JSON")
     fit.set_defaults(func=cmd_fit)
 

@@ -3,26 +3,37 @@
 The observed changed fractions are modeled as the saturation curve plus
 Gaussian noise whose variance is profiled at its own MLE (the mean
 squared residual), so maximizing the log-likelihood coincides with
-least squares.  Optimization runs over unconstrained coordinates
-(a, l) with A = A_MAX * sigmoid(a) and lambda = exp(l), which keeps the
-parameters inside their bounds without penalty terms, and uses a
-self-contained Nelder-Mead downhill simplex that stops after
-MAX_ITERATIONS steps.  A_MAX = 3.0 and MAX_ITERATIONS = 500 suit pooled
-change curves; the restart seed is the only setting a caller passes.
+least squares.
 
-Fits in a near-linear regime (A above 1, or so little curvature that
-lambda * n_max < 0.2) carry the LinearRegime warning; for those the
-base rate A*lambda should be read as the constant per-version rate of
-change over the observed range, not as a rate that decays.
+The fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+1973).  The points are grouped by offset n into a count c_n and a mean
+m_n, so the sum of squared residuals is the within-offset scatter, a
+constant, plus sum c_n (m_n - A g_n)^2 with g_n = 1 - exp(-lambda n).
+Working on the means, not on raw sums of squares, keeps the profile
+free of cancellation.  For a fixed lambda that is a convex quadratic in
+A, minimized by A(lambda) = sum c_n m_n g_n / sum c_n g_n^2 clipped
+into (0, A_MAX).  What is left is a 1-D profile over ln lambda,
+searched on a fixed grid over [LAMBDA_MIN, LAMBDA_MAX] and refined by
+golden-section search around the best grid point.  The fit is
+deterministic and needs at most V - 1 terms per profile evaluation,
+whatever the number of points; it uses only the standard library.
+
+NotConverged means the minimum lies on the edge of the lambda range, so
+the data do not pin lambda down inside it; lambda is then reported as
+that edge.  Fits in a near-linear regime (A above 1, or so little
+curvature that lambda * n_max < 0.2) carry the LinearRegime warning;
+for those the base rate A*lambda should be read as the constant
+per-version rate of change over the observed range, not as a rate that
+decays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable
 
 from .errors import DataError, TooFewPointsError
 from .model import SaturationParams
@@ -34,7 +45,6 @@ __all__ = [
     "NOT_CONVERGED",
     "FitResult",
     "log_likelihood",
-    "neldermead_minimize",
     "fit_saturation",
 ]
 
@@ -56,26 +66,23 @@ BOUNDARY_FRACTION = 0.95
 #: never bends over the observed range.
 LINEAR_CURVATURE = 0.2
 
-#: Simplex diameter guard on convergence.  The objective spread alone is
-#: blind to a simplex straddling a symmetric minimum (equal values at
-#: equal distance on both sides), so vertices must also have collapsed.
-DIAMETER_TOL = 1e-7
+#: The range of the rate parameter searched.
+LAMBDA_MIN = 1e-6
+LAMBDA_MAX = 50.0
 
-#: Standard Nelder-Mead simplex coefficients.
-REFLECTION = 1.0
-EXPANSION = 2.0
-CONTRACTION = 0.5
-SHRINK = 0.5
+#: Points of the ln(lambda) grid, evenly spaced over the range.
+GRID_POINTS = 401
 
-#: The simplex has converged once its objective values spread less than
-#: this (and its diameter is below DIAMETER_TOL).
-CONVERGENCE_TOL = 1e-10
+#: Golden-section search stops once its bracket is this narrow in
+#: ln(lambda); a result this close to either end lies on the edge.
+LOG_LAMBDA_TOL = 1e-10
 
-#: Simplex steps before a run stops and reports non-convergence.
-MAX_ITERATIONS = 500
+# A stays strictly inside (0, A_MAX): SaturationParams needs A > 0, and a
+# capped level still reads as below its bound.
+_A_LOW = A_MAX * 1e-12
+_A_HIGH = A_MAX * (1.0 - 1e-12)
 
-#: Jittered starts tried after the data-driven one.
-RESTARTS = 3
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -122,13 +129,20 @@ class FitResult:
         )
 
 
-def _point_arrays(points: FitPointSet | Iterable[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(points: FitPointSet | Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
     if isinstance(points, FitPointSet):
         points = points.points
-    pairs = list(points)
-    ns = np.array([n for n, _ in pairs], dtype=float)
-    ps = np.array([p for _, p in pairs], dtype=float)
-    return ns, ps
+    return [(int(n), float(p)) for n, p in points]
+
+
+def _sse(params: SaturationParams, pairs: list[tuple[int, float]]) -> float:
+    A, lam = params.A, params.lam
+    return math.fsum((p - A * -math.expm1(-lam * n)) ** 2 for n, p in pairs)
+
+
+def _log_likelihood(sse: float, m: int) -> float:
+    sigma2 = max(sse / m, SIGMA2_FLOOR)
+    return -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
 
 
 def log_likelihood(params: SaturationParams, points: FitPointSet | Iterable[tuple[int, float]]) -> float:
@@ -138,160 +152,88 @@ def log_likelihood(params: SaturationParams, points: FitPointSet | Iterable[tupl
     this equals -(m/2) * (ln(2 pi sigma^2) + 1); larger is better and
     the maximizer coincides with the least-squares parameters.
     """
-    ns, ps = _point_arrays(points)
-    if ns.size < 2:
-        raise TooFewPointsError(f"log-likelihood needs >= 2 points, got {ns.size}")
-    resid = ps - params.A * -np.expm1(-params.lam * ns)
-    sigma2 = max(float(np.mean(resid**2)), SIGMA2_FLOOR)
-    return -0.5 * ns.size * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    pairs = _pairs(points)
+    if len(pairs) < 2:
+        raise TooFewPointsError(f"log-likelihood needs >= 2 points, got {len(pairs)}")
+    return _log_likelihood(_sse(params, pairs), len(pairs))
 
 
-def neldermead_minimize(
-    objective: Callable[[np.ndarray], float],
-    start: Sequence[float],
-    *,
-    initial_step: float = 0.25,
-) -> tuple[np.ndarray, float, bool]:
-    """Standard downhill-simplex minimization of a d-dimensional objective.
-
-    Iterates order / reflect / expand / contract / shrink with the
-    standard coefficients until the spread of objective values across
-    the simplex drops below ``CONVERGENCE_TOL`` or ``MAX_ITERATIONS`` is
-    hit.  A small diameter guard keeps a simplex that straddles a
-    symmetric minimum from stopping early on equal values.  Deterministic
-    given start and step.  Returns (argmin, value, converged).
-    """
-
-    def f(x: np.ndarray) -> float:
-        value = float(objective(x))
-        return value if math.isfinite(value) else math.inf
-
-    x0 = np.asarray(start, dtype=float)
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise DataError(f"objective is non-finite at start {x0.tolist()}")
-    dim = x0.size
-    simplex: list[tuple[np.ndarray, float]] = [(x0, f0)]
-    for i in range(dim):
-        vertex = x0.copy()
-        vertex[i] += initial_step
-        simplex.append((vertex, f(vertex)))
-
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        simplex.sort(key=lambda vf: vf[1])
-        spread = simplex[-1][1] - simplex[0][1]
-        diameter = max(float(np.max(np.abs(v - simplex[0][0]))) for v, _ in simplex[1:])
-        if spread < CONVERGENCE_TOL and diameter < DIAMETER_TOL:
-            converged = True
-            break
-        best, second_worst, worst = simplex[0], simplex[-2], simplex[-1]
-        centroid = np.mean([v for v, _ in simplex[:-1]], axis=0)
-
-        xr = centroid + REFLECTION * (centroid - worst[0])
-        fr = f(xr)
-        if best[1] <= fr < second_worst[1]:
-            simplex[-1] = (xr, fr)
-            continue
-        if fr < best[1]:
-            xe = centroid + EXPANSION * (xr - centroid)
-            fe = f(xe)
-            simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
-            continue
-        if fr < worst[1]:
-            xc = centroid + CONTRACTION * (xr - centroid)
-            fc = f(xc)
-            if fc <= fr:
-                simplex[-1] = (xc, fc)
-                continue
+def _golden_section(f, a: float, b: float) -> float:
+    """A minimizer of ``f`` on [a, b]; ties move the bracket up."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > LOG_LAMBDA_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
         else:
-            xc = centroid + CONTRACTION * (worst[0] - centroid)
-            fc = f(xc)
-            if fc < worst[1]:
-                simplex[-1] = (xc, fc)
-                continue
-        anchor = simplex[0][0]
-        simplex = [simplex[0]] + [
-            (anchor + SHRINK * (v - anchor), f(anchor + SHRINK * (v - anchor)))
-            for v, _ in simplex[1:]
-        ]
-
-    simplex.sort(key=lambda vf: vf[1])
-    return simplex[0][0], simplex[0][1], converged
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
 
 
-def _sigmoid(a: float | np.ndarray) -> float | np.ndarray:
-    return np.where(
-        np.asarray(a) >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(a))),
-        np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))),
-    )
-
-
-def _decode(theta: np.ndarray) -> SaturationParams:
-    # Clamp so the amplitude stays strictly inside (0, A_MAX) even when the
-    # optimizer pushes the logistic into its rounded-to-1.0 tail.
-    fraction = min(max(float(_sigmoid(theta[0])), 1e-12), 1.0 - 1e-12)
-    return SaturationParams(A=A_MAX * fraction, lam=math.exp(theta[1]))
-
-
-def fit_saturation(
-    points: FitPointSet | Iterable[tuple[int, float]],
-    *,
-    seed: int = 0,
-) -> FitResult:
+def fit_saturation(points: FitPointSet | Iterable[tuple[int, float]]) -> FitResult:
     """Fit (A, lambda) to pooled change points by maximum likelihood.
 
-    Runs the simplex from a data-driven start plus ``RESTARTS`` jittered
-    starts (seeded, deterministic), keeps the best objective (ties break
-    to the earliest run), then polishes with one small-step run.  Never
-    fails silently: non-convergence is reported through the NotConverged
-    warning on the result.
+    A is solved in closed form for each lambda, and ln lambda by a grid
+    then golden-section search over the profile (see the module
+    docstring).  Never fails silently: a minimum on the edge of the
+    lambda range is reported through the NotConverged warning.
     """
     regime = points.regime if isinstance(points, FitPointSet) else "all"
-    ns, ps = _point_arrays(points)
-    if ns.size < 3 or np.unique(ns).size < 2:
+    pairs = _pairs(points)
+    by_offset: dict[int, list[float]] = {}
+    for n, p in pairs:
+        by_offset.setdefault(n, []).append(p)
+    if len(pairs) < 3 or len(by_offset) < 2:
         raise TooFewPointsError(
-            f"fit needs >= 3 points spanning >= 2 distinct offsets, got {ns.size} points "
-            f"on {np.unique(ns).size} offset(s)"
+            f"fit needs >= 3 points spanning >= 2 distinct offsets, got {len(pairs)} points "
+            f"on {len(by_offset)} offset(s)"
         )
-    max_p = float(ps.max())
-    if max_p == 0.0:
+    if not all(math.isfinite(p) for _, p in pairs):
+        raise DataError("a changed fraction is not finite")
+    if max(p for _, p in pairs) == 0.0:
         raise DataError("every observed changed fraction is zero")
 
-    m = ns.size
+    offsets = sorted(by_offset)
+    counts = [len(by_offset[n]) for n in offsets]
+    means = [math.fsum(by_offset[n]) / c for n, c in zip(offsets, counts)]
+    weighted = list(map(mul, counts, means))
+    negated = [-float(n) for n in offsets]
 
-    def objective(theta: np.ndarray) -> float:
-        params = _decode(theta)
-        resid = ps - params.A * -np.expm1(-params.lam * ns)
-        sigma2 = max(float(np.mean(resid**2)), SIGMA2_FLOOR)
-        return 0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    # Both work on h_n = -g_n = expm1(-lambda n), so m_n - A g_n = m_n + A h_n.
+    # A's sums have terms of one sign, so plain sums lose nothing to
+    # cancellation, and the profile is stationary in A anyway.
+    def amplitude(lam: float) -> tuple[float, list[float]]:
+        h = list(map(math.expm1, map(mul, negated, repeat(lam))))
+        A = -sum(map(mul, weighted, h)) / sum(map(mul, counts, map(mul, h, h)))
+        return min(max(A, _A_LOW), _A_HIGH), h
 
-    a0_value = min(1.2 * max_p, BOUNDARY_FRACTION * A_MAX)
-    ratio = a0_value / A_MAX
-    a0 = math.log(ratio / (1.0 - ratio))
-    n1 = float(ns.min())
-    p1 = float(ps[ns == n1].mean())
-    lam0 = max(-math.log1p(-p1 / a0_value) / n1, 1e-4)
-    start = np.array([a0, math.log(lam0)])
+    def profile(log_lam: float) -> float:
+        A, h = amplitude(math.exp(log_lam))
+        resid = list(map(add, means, map(mul, h, repeat(A))))
+        return math.fsum(map(mul, counts, map(mul, resid, resid)))
 
-    rng = np.random.default_rng(seed)
-    starts = [start] + [start + rng.normal(0.0, 0.5, size=2) for _ in range(RESTARTS)]
-    best: tuple[float, int, np.ndarray, bool] | None = None
-    for k, theta in enumerate(starts):
-        x, fx, conv = neldermead_minimize(objective, theta)
-        if best is None or fx < best[0]:
-            best = (fx, k, x, conv)
-    assert best is not None
-    x, _, converged = neldermead_minimize(objective, best[2], initial_step=0.05)
-
-    params = _decode(x)
-    resid = ps - params.A * -np.expm1(-params.lam * ns)
-    rms = math.sqrt(float(np.mean(resid**2)))
-    n_max = float(ns.max())
+    lo, hi = math.log(LAMBDA_MIN), math.log(LAMBDA_MAX)
+    step = (hi - lo) / (GRID_POINTS - 1)
+    grid = [lo + k * step for k in range(GRID_POINTS - 1)] + [hi]
+    values = [profile(u) for u in grid]
+    # Ties go to the larger lambda: once every g_n rounds to 1 the profile
+    # is flat, and its minimum then runs out to the upper edge.
+    best = min(range(GRID_POINTS), key=lambda k: (values[k], -k))
+    log_lam = _golden_section(profile, grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)])
+    converged = lo + LOG_LAMBDA_TOL < log_lam < hi - LOG_LAMBDA_TOL
+    if converged:
+        lam = math.exp(log_lam)
+    else:
+        lam = LAMBDA_MIN if log_lam - lo < hi - log_lam else LAMBDA_MAX
+    params = SaturationParams(A=amplitude(lam)[0], lam=lam)
+    sse = _sse(params, pairs)
 
     warnings = set()
-    if params.A > 1.0 or params.lam * n_max < LINEAR_CURVATURE:
+    if params.A > 1.0 or params.lam * offsets[-1] < LINEAR_CURVATURE:
         warnings.add(LINEAR_REGIME)
     if params.A >= BOUNDARY_FRACTION * A_MAX:
         warnings.add(NEAR_BOUNDARY)
@@ -300,9 +242,9 @@ def fit_saturation(
 
     return FitResult(
         params=params,
-        log_likelihood=log_likelihood(params, zip(ns.astype(int), ps)),
-        residual_rms=rms,
-        points_used=m,
+        log_likelihood=_log_likelihood(sse, len(pairs)),
+        residual_rms=math.sqrt(sse / len(pairs)),
+        points_used=len(pairs),
         converged=converged,
         warnings=frozenset(warnings),
         regime=regime,

@@ -786,7 +786,9 @@ class KeySet:
     in the order they were appended, so a digest revived after an
     absence holds a second row, whose versions are disjoint from the
     first's.  ``canonical`` gives the form a store holds and loads: each
-    digest once, sorted by byte value.
+    digest once, sorted by byte value.  A key set read from a store names
+    its ``source``, and its digests are checked to strictly increase when
+    they are first read, so a stage reads only the key sets it uses.
     """
 
     def __init__(
@@ -794,13 +796,20 @@ class KeySet:
         digests: np.ndarray | None = None,
         masks: np.ndarray | None = None,
         dtype: str = _DIGEST_DTYPE,
+        *,
+        source: str = "",
     ) -> None:
         self._digests = np.empty(0, dtype=dtype) if digests is None else digests
         self.rows = len(self._digests)
         self._masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
+        self._unchecked = source
 
     @property
     def digests(self) -> np.ndarray:
+        if self._unchecked:
+            if not (self._digests[1:] > self._digests[:-1]).all():
+                raise StoreFormatError(f"{self._unchecked} digests are not strictly increasing")
+            self._unchecked = ""
         return self._digests[: self.rows]
 
     @property
@@ -1018,8 +1027,9 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
 
     The digests and masks are read-only views into a memory map of the
     file, so a caller reads from disk only the pages it touches.  A key
-    set whose digests are not strictly increasing is refused.  A
-    directory without a store file holds no versions.
+    set whose digests are not strictly increasing is refused when its
+    digests are first read (``KeySet``).  A directory without a store
+    file holds no versions.
     """
     store = Path(store)
     path = store / STORE_FILENAME
@@ -1079,13 +1089,9 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
         for kind, dtype in _KEY_SETS.items():
             n = sections[kind]["keys"]
             digests = np.frombuffer(data, dtype, count=n, offset=len(line) + sections[kind]["digests"])
-            if not (digests[1:] > digests[:-1]).all():
-                raise StoreFormatError(
-                    f"{path}: group {name!r} {kind} digests are not strictly increasing"
-                )
             masks = np.frombuffer(
                 data, np.uint8, count=n * mask_bytes, offset=len(line) + sections[kind]["masks"]
             ).reshape(n, mask_bytes)
-            key_sets.append(KeySet(digests, masks))
+            key_sets.append(KeySet(digests, masks, source=f"{path}: group {name!r} {kind}"))
         groups[name] = GroupIndex(*key_sets, per_group[name])
     return LifetimeIndex(labels=labels, groups=groups)

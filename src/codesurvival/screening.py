@@ -24,8 +24,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
+from .curves import ChangeCurve, CurveFamily
 from .errors import DataError, NothingToFitError, PlanError
-from .survival import ChangeCurve, CurveFamily
 
 __all__ = [
     "ISOLATED",
@@ -136,6 +136,11 @@ def detect_jumps(
     Only differences between consecutive points are used, so adding a
     constant to a whole curve cannot change which versions are flagged.
     Curves with fewer than 3 points are skipped.
+
+    For the same reason a jump at the first transition (landing at
+    ordinal 1) is never flagged: it lifts baseline 0's whole curve by a
+    constant and no other curve crosses it.  ``detect_stabilization``
+    sees it as baseline 0's elevated initial change and cuts it.
     """
     if not family.curves:
         raise ValueError("empty curve family")

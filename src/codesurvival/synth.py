@@ -34,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .curves import ChangeCurve, CurveFamily, MetricKind
 from .errors import UsageError
 from .ingest import CorpusManifest, ExtensionGroup, load_manifest
-from .survival import ChangeCurve, CurveFamily, MetricKind
 
 __all__ = [
     "SynthSpec",

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from codesurvival.cli import main as cli_main
+from codesurvival.curves import MetricKind, read_curves_csv
 from codesurvival.discoverability import discovery_probability
 from codesurvival.fitting import fit_saturation
 from codesurvival.ingest import ExtensionGroup, scan_version
@@ -25,7 +26,7 @@ from codesurvival.screening import (
     detect_jumps,
     detect_stabilization,
 )
-from codesurvival.survival import MetricKind, build_curve_family, read_curves_csv
+from codesurvival.survival import build_curve_family
 from codesurvival.synth import SynthSpec, analytic_family, generate
 from conftest import (
     random_corpus_history,

@@ -6,6 +6,9 @@ import csv
 import importlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
@@ -13,8 +16,8 @@ import pytest
 
 from codesurvival import cli, ingest
 from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
+from codesurvival.curves import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.ingest import STORE_FILENAME, load_all_snapshots
-from codesurvival.survival import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.synth import analytic_family
 
 from conftest import write_tree
@@ -309,6 +312,28 @@ def test_curves_refuses_a_format_3_store(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_curves_reads_only_the_key_set_it_uses(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=4)
+    store = tmp_path / "store"
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    intact = tmp_path / "intact.csv"
+    assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", intact) == 0
+    # Swap the first two line digests: the lines key set is out of order.
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(line)["groups"]["syn"]["lines"]["digests"] == 0
+    path.write_bytes(line + b"\n" + body[16:32] + body[:16] + body[32:])
+    capsys.readouterr()
+    out_csv = tmp_path / "c.csv"
+    assert run("curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out_csv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'syn' lines digests are not strictly increasing" in err
+    assert not out_csv.exists()
+    assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", out_csv) == 0
+    assert out_csv.read_bytes() == intact.read_bytes()
+
+
 def test_curves_missing_store(tmp_path, capsys):
     assert run("curves", "--store", tmp_path / "void", "--group", "syn",
                "--metric", "uloc", "--out", tmp_path / "c.csv") == 2
@@ -407,14 +432,14 @@ def _write_plan(tmp_path, payload):
     return ("fit", "--curves", curves, "--plan", path, "--out", tmp_path / "fit.json")
 
 
-def _fit_with_seed(tmp_path, seed):
+def _fit(tmp_path):
     path = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5, versions=5)
-    return ("fit", "--curves", path, "--seed", seed, "--out", tmp_path / "fit.json")
+    return ("fit", "--curves", path, "--out", tmp_path / "fit.json")
 
 
 def _bounds_with_horizon(tmp_path, horizon):
     fit = tmp_path / "fit.json"
-    assert run(*_fit_with_seed(tmp_path, 0)) == 0
+    assert run(*_fit(tmp_path)) == 0
     return ("bounds", "--fit-uloc", fit, "--fit-file", fit, "--horizon", horizon, "--out", tmp_path / "b")
 
 
@@ -431,7 +456,7 @@ def _synth_into_used(tmp_path):
 
 def _bounds_with_lambda(tmp_path, text):
     fit = tmp_path / "fit.json"
-    assert run(*_fit_with_seed(tmp_path, 0)) == 0
+    assert run(*_fit(tmp_path)) == 0
     document = json.loads(fit.read_text())
     lam = json.dumps(document["fits"][0]["lambda"])
     fit.write_text(fit.read_text().replace(f'"lambda": {lam}', f'"lambda": {text}'))
@@ -478,7 +503,6 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _write_curves(t, 3, "0,v0,10\n"), "c.csv:4"),
         (lambda t: _write_curves(t, 2, "\n"), "c.csv:3"),
         (lambda t: _write_curves(t, 3, "0,v0,10,1,abc\n"), "c.csv:4"),
-        (lambda t: _fit_with_seed(t, -1), "--seed must be >= 0, got -1"),
         (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
         (lambda t: _group_manifest(t, [5]), "m.json: group 'c': extensions must be a list of strings"),
         (lambda t: _group_manifest(t, ".c"), "m.json: group 'c': extensions must be a list of strings"),
@@ -508,7 +532,6 @@ def _write_curves(tmp_path, insert_at, row):
         "short-row",
         "blank-row",
         "non-numeric-field",
-        "fit-seed-negative",
         "bounds-horizon-negative",
         "extensions-not-strings",
         "extensions-a-string",
@@ -659,7 +682,8 @@ def test_report_on_fit(tmp_path):
     assert run("fit", "--curves", csv_path, "--group", "cpp",
                "--out", tmp_path / "fit.json", "--report", report) == 0
     payload = json.loads(report.read_text())
-    assert payload["config"]["seed"] == 0
+    assert payload["config"]["group"] == "cpp"
+    assert "seed" not in payload["config"]
     assert payload["artifacts"] == [str(tmp_path / "fit.json")]
 
 
@@ -668,11 +692,103 @@ def test_cli_requires_a_command():
         main([])
 
 
+# --- what each stage imports ----------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter that imports the package from SRC.
+
+    Returns what the script prints as JSON on its last line of output.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Runs one stage, then prints its exit code and the modules it loaded.
+STAGE_IMPORTS = """
+import json, sys
+from codesurvival.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_fit_and_bounds_start_without_numpy(tmp_path, fitted_pair):
+    csv_path = write_analytic_csv(tmp_path / "c.csv", 0.1, 0.5)
+    fit = run_fresh(STAGE_IMPORTS, "fit", "--curves", csv_path, "--out", tmp_path / "fit.json")
+    assert fit["code"] == 0 and "numpy" not in fit["modules"]
+    uloc_fit, file_fit = fitted_pair
+    bounds = run_fresh(STAGE_IMPORTS, "bounds", "--fit-uloc", uloc_fit, "--fit-file", file_fit,
+                       "--horizon", 5, "--out", tmp_path / "b")
+    assert bounds["code"] == 0 and "numpy" not in bounds["modules"]
+
+
+def test_curves_loads_no_fitting_code(tmp_path):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    store = tmp_path / "store"
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    curves = run_fresh(STAGE_IMPORTS, "curves", "--store", store, "--group", "syn",
+                       "--metric", "uloc", "--out", tmp_path / "c.csv")
+    assert curves["code"] == 0
+    assert "codesurvival.survival" in curves["modules"]
+    for module in ("codesurvival.fitting", "codesurvival.discoverability", "codesurvival.synth"):
+        assert module not in curves["modules"]
+
+
 # --- the benchmark's tracing contract ------------------------------------------
 #
 # perfbench/tracing.py swaps these functions for timed wrappers during a
-# traced pass and reads what they return; a rename or a lazy import
-# would leave a span unrecorded.
+# traced pass and reads what they return; a rename, or a stage that
+# calls them other than through these module globals, would leave a span
+# unrecorded.
+
+# In a new interpreter: which tracer targets on cli are not bound before
+# first use, whether each then resolves, and which wrappers set on cli
+# before any stage ran were the functions the stages called.
+TRACER_CONTRACT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from codesurvival import cli
+import tracing
+names = [attr for module, attr, _ in tracing._patch_targets() if module is cli]
+unbound = [name for name in names if name not in vars(cli)]
+resolved = [name for name in names if callable(getattr(cli, name))]
+calls = []
+for name in ("load_manifest", "build_curve_family"):
+    def wrapper(*args, _name=name, _original=getattr(cli, name), **kwargs):
+        calls.append(_name)
+        return _original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+manifest, store, out = sys.argv[2:]
+codes = [
+    cli.main(["scan", "--manifest", manifest, "--store", store]),
+    cli.main(["curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out]),
+]
+print(json.dumps({"names": names, "unbound": unbound, "resolved": resolved, "calls": calls, "codes": codes}))
+"""
+
+
+def test_tracer_targets_resolve_in_a_new_interpreter(tmp_path):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    contract = run_fresh(TRACER_CONTRACT, PERFBENCH, corpus / "manifest.json",
+                         tmp_path / "store", tmp_path / "c.csv")
+    assert contract["names"] == [
+        "load_manifest", "build_curve_family", "write_curves_csv", "read_curves_csv", "apply_plan",
+        "fit_saturation", "bounds", "persistence_summary", "write_bounds_csv",
+    ]
+    # Only the curve CSV functions are bound when cli is imported.
+    assert contract["unbound"] == [n for n in contract["names"] if not n.endswith("_curves_csv")]
+    assert contract["resolved"] == contract["names"]
+    assert contract["codes"] == [0, 0]
+    assert contract["calls"] == ["load_manifest", "build_curve_family"]
 
 
 def test_traced_entry_points_are_module_globals(tmp_path, monkeypatch):

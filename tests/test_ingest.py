@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from codesurvival import ingest
+from codesurvival.curves import MetricKind
 from codesurvival.errors import (
     ManifestError,
     MissingSourceError,
@@ -41,7 +42,7 @@ from codesurvival.ingest import (
     scan_version,
     store_snapshot,
 )
-from codesurvival.survival import MetricKind, build_curve_family
+from codesurvival.survival import build_curve_family
 
 from conftest import (
     file_row_digest,
@@ -654,17 +655,22 @@ def test_store_rejects_corruption(tree_writer, tmp_path):
         (good + b"trailing junk", "bytes"),
         (good[:-2], "bytes"),  # truncated
     ]
-    # Key sets whose rows are out of order or repeated.
-    at = len(line) + 1
-    for kind, first, width in (("lines", at, 16), ("files", at + 51, 32)):
-        a, b = good[first : first + width], good[first + width : first + 2 * width]
-        for rows in (b + a, a + a):
-            data = good[:first] + rows + good[first + 2 * width :]
-            cases.append((data, f"{kind} digests are not strictly increasing"))
     for data, match in cases:
         path.write_bytes(data)
         with pytest.raises(StoreFormatError, match=match):
             load_all_snapshots(store)
+
+    # Key sets whose rows are out of order or repeated are refused when
+    # their digests are first read; the other key set stays usable.
+    at = len(line) + 1
+    for kind, first, width, other, keys in (("lines", at, 16, "files", 2), ("files", at + 51, 32, "lines", 3)):
+        a, b = good[first : first + width], good[first + width : first + 2 * width]
+        for rows in (b + a, a + a):
+            path.write_bytes(good[:first] + rows + good[first + 2 * width :])
+            group = load_all_snapshots(store).group("cpp")
+            assert len(getattr(group, other).digests) == keys
+            with pytest.raises(StoreFormatError, match=f"{kind} digests are not strictly increasing"):
+                getattr(group, kind).digests
 
     # Masks that disagree with the recorded counts are refused by the kernel.
     for metric, mask_byte in ((MetricKind.ULOC, at + 50), (MetricKind.FILE, at + 116)):

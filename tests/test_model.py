@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from codesurvival import SaturationParams, base_rate, cumulative_change, instantaneous_rate
+from codesurvival.model import SaturationParams, base_rate, cumulative_change, instantaneous_rate
 
 CPP_ULOC = SaturationParams(A=0.777, lam=0.0369)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from codesurvival import REFERENCE_FITS, base_rate, reference_fit
+from codesurvival.model import base_rate
+from codesurvival.reference import REFERENCE_FITS, reference_fit
 
 
 def test_nineteen_rows_across_three_corpora():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from codesurvival.curves import ChangeCurve, CurveFamily, MetricKind
 from codesurvival.errors import DataError, NothingToFitError, PlanError
 from codesurvival.screening import (
     ISOLATED,
@@ -19,7 +20,6 @@ from codesurvival.screening import (
     detect_stabilization,
     load_plan,
 )
-from codesurvival.survival import ChangeCurve, CurveFamily, MetricKind
 from codesurvival.synth import analytic_family
 
 
@@ -155,6 +155,20 @@ def test_stabilization_rel_factor_sets_the_bar():
     assert detect_stabilization(family) == 4
     # A laxer bar accepts the 3x-elevated early curves.
     assert detect_stabilization(family, rel_factor=4.0) == 0
+
+
+def test_a_jump_at_the_first_transition_is_cut_not_flagged():
+    # A jump landing at version 1 lifts baseline 0's whole curve by a
+    # constant and crosses no other curve, so no first difference that
+    # detect_jumps compares changes; baseline 0's elevated initial change
+    # makes detect_stabilization cut it instead.  One version later it is
+    # a jump.
+    first = analytic_family(0.5, 0.1, 12, jumps={1: 0.25})
+    assert detect_jumps(first) == []
+    assert detect_stabilization(first) == 1
+    second = analytic_family(0.5, 0.1, 12, jumps={2: 0.25})
+    assert [event.ordinal for event in detect_jumps(second)] == [2]
+    assert detect_stabilization(second) == 0
 
 
 def test_stabilization_needs_enough_curves():

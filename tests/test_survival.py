@@ -13,15 +13,15 @@ from codesurvival.ingest import (
     load_all_snapshots,
     scan_version,
 )
-from codesurvival.survival import (
+from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
     CurveFamily,
     MetricKind,
-    build_curve_family,
     read_curves_csv,
     write_curves_csv,
 )
+from codesurvival.survival import build_curve_family
 from conftest import (
     file_row_digest,
     indexed_rows,

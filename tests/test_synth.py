@@ -7,10 +7,11 @@ import math
 
 import pytest
 
+from codesurvival.curves import MetricKind
 from codesurvival.ingest import ExtensionGroup, scan_version
 from codesurvival.model import SaturationParams, cumulative_change
 from codesurvival.screening import ISOLATED, detect_jumps, detect_stabilization
-from codesurvival.survival import MetricKind, build_curve_family
+from codesurvival.survival import build_curve_family
 from codesurvival.synth import (
     SynthSpec,
     analytic_family,
