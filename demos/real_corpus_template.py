@@ -61,10 +61,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         manifest_path = write_stand_in(Path(tmp))
         manifest = load_manifest(manifest_path)
-        snapshots = list(scan_corpus(manifest))
+        store = Path(tmp) / "store"
+        list(scan_corpus(manifest, store))
 
         for group in ("c", "h"):
-            family = build_curve_family(snapshots, group, MetricKind.ULOC)
+            family = build_curve_family(store, group, MetricKind.ULOC)
             for curve in family.curves:
                 print(f"group {group} baseline {curve.baseline_label}: {curve.points}")
             # Real histories: screen before fitting and record the plan.
@@ -73,7 +74,7 @@ def main() -> None:
 
         # Three versions give three points: enough to run the machinery,
         # far too few to trust. Real histories want 15+ releases.
-        family = build_curve_family(snapshots, "c", MetricKind.ULOC)
+        family = build_curve_family(store, "c", MetricKind.ULOC)
         (points,) = apply_plan(family, ScreeningPlan())
         result = fit_saturation(points.points)
         print(f"toy fit (do not trust 3 points): A={result.params.A:.3f} lambda={result.params.lam:.4f}")

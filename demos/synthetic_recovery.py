@@ -2,9 +2,9 @@
 """Round-trip check: generate a corpus with known parameters, recover them.
 
 Builds a synthetic version history where every line is rewritten with a
-fixed per-version probability, scans it like any real corpus, pools the
-change curves, and fits the saturation model. The fitted amplitude and
-rate should land on the generator's inputs.
+fixed per-version probability, scans it into a store like any real
+corpus, pools the change curves, and fits the saturation model. The
+fitted amplitude and rate should land on the generator's inputs.
 """
 
 import tempfile
@@ -34,9 +34,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus"
         manifest = generate(spec, corpus)
-        snapshots = list(scan_corpus(manifest))
+        store = Path(tmp) / "store"
+        list(scan_corpus(manifest, store))
+        family = build_curve_family(store, "syn", MetricKind.ULOC)
 
-    family = build_curve_family(snapshots, "syn", MetricKind.ULOC)
     print(f"{len(family.curves)} baselines, {sum(len(c.points) for c in family.curves)} curve points")
 
     (points,) = apply_plan(family, ScreeningPlan())

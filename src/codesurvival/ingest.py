@@ -1,14 +1,15 @@
-"""Load version snapshots from disk and digest them into comparable form.
+"""Scan a corpus's releases, in order, into one lifetime index and its store.
 
 A corpus is an ordered list of version snapshots (directories or tar
-archives prepared externally, one per release).  Scanning a version
-produces, per extension group, the list of file records (relative
-path and content digest; the basename is the path's last component)
-and the unique lines pooled across all files of the group, as rows of
-a group index, one row per distinct line digest.  Duplicate
-lines are discarded; a line is the exact byte content after CRLF
-normalization, with no whitespace trimming and no special treatment of
-comments.
+archives prepared externally, one per release).  ``scan_corpus`` reads
+each version and folds it into the lifetime index as the index's next
+version: per extension group, its file records (relative path and
+content digest; the basename is the path's last component) and the
+unique lines pooled across all files of the group, as rows of the
+group's index, one row per distinct line digest.  Duplicate lines are
+discarded; a line is the exact byte content after CRLF normalization,
+with no whitespace trimming and no special treatment of comments.  The
+index is then written as the store, the only input of ``curves``.
 
 Lines and file contents are represented by fixed-width digests so that
 corpora with billions of lines stay tractable.  The digest is 16-byte
@@ -33,10 +34,10 @@ costs one lookup; only a line the previous version lacked is digested,
 and it takes the index's next row at once.  So a line that comes back
 after an absence takes a new row; its two rows hold disjoint versions,
 and they are merged into one when the store is written.  A file whose
-relpath and content equal the previous version's is not split at all:
-it takes that file's rows.  When a version ends, the lines it lacks
-leave the map, so it never holds more than two versions' distinct
-lines, each once.
+content equals that of a file of the previous version, wherever either
+lies, is not split at all: it takes that file's rows.  When a version
+ends, the lines it lacks leave the map, so it never holds more than two
+versions' distinct lines, each once.
 
 The store (format 4) is one file per store directory, a lifetime index
 of the corpus (a bitmap index over versions).  Each group holds two key
@@ -228,14 +229,13 @@ class GroupPayload:
     """Digested content of one extension group within one version.
 
     The group's unique lines, pooled across its files, are ``rows``: the
-    distinct rows of ``index.lines`` (``index`` is a ``GroupIndex``), in
-    ascending order, one row per line.  A scan into a lifetime index
-    numbers lines by that index's rows, so folding the payload into it
-    sets bits and looks nothing up; a standalone scan numbers them in an
-    index of its own.  Folding numbers the file records by themselves.
-    A line revived after an absence holds a newer row than in the
-    versions before the absence.  Payloads compare by content (files,
-    skipped count and line digests), whichever index numbered their rows.
+    distinct rows of ``index.lines`` (``index`` is the ``GroupIndex`` the
+    scan numbered them in), in ascending order, one row per line.  Only
+    the index that numbered a payload's rows can fold it in
+    (``store_snapshot``), by setting bits on those rows.  A line revived
+    after an absence holds a newer row than in the versions before the
+    absence.  Payloads compare by content (files, skipped count and line
+    digests), whichever index numbered their rows.
     """
 
     files: tuple[FileRecord, ...]
@@ -253,15 +253,10 @@ class GroupPayload:
         )
 
     @property
-    def digests(self) -> np.ndarray:
-        """The unique line digests, one per row."""
-        return self.index.lines.digests[self.rows]
-
-    @property
     def uloc(self) -> frozenset[bytes]:
         """The unique line digests as a set, built on each access."""
         # tobytes: an S item would lose a digest's trailing NUL bytes.
-        block = self.digests.tobytes()
+        block = self.index.lines.digests[self.rows].tobytes()
         return frozenset(block[i : i + DIGEST_SIZE] for i in range(0, len(block), DIGEST_SIZE))
 
     @property
@@ -283,15 +278,6 @@ class VersionSnapshot:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", dict(self.groups))
-
-    def group(self, name: str) -> GroupPayload:
-        try:
-            return self.groups[name]
-        except KeyError:
-            raise KeyError(
-                f"snapshot {self.version_label!r} has no group {name!r}; "
-                f"available: {sorted(self.groups)}"
-            ) from None
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -395,7 +381,7 @@ class ScanCounters:
     """The work of scanning one group, summed over the versions scanned."""
 
     files: int = 0  # files read; unreadable ones are counted as skipped instead
-    files_reused: int = 0  # files equal to the previous version's at their relpath
+    files_reused: int = 0  # files whose content a file of the previous version had
     lines: int = 0  # lines of the files read, reused ones included
     lines_digested: int = 0  # lines the memo did not hold
     memo_lines_max: int = 0  # the most lines the memo held at once
@@ -409,10 +395,11 @@ class _LineRows(dict):
     on first lookup and takes the row after the index's last, which
     ``settle`` appends its digest to when the version ends; a line an
     earlier version had before an absence takes a new row too.  A file
-    equal to the previous version's file at the same relpath takes that
-    file's rows without being split.  Rows the version lacks then drop
-    their line, so the map holds exactly the lines of the version just
-    scanned.
+    whose content digest a file of the previous version had takes that
+    file's rows without being split, whatever either's relpath: the map
+    still holds the previous version's lines, so the same bytes would
+    give the same rows.  Rows the version lacks then drop their line, so
+    the map holds exactly the lines of the version just scanned.
     """
 
     def __init__(self, index: GroupIndex) -> None:
@@ -423,7 +410,7 @@ class _LineRows(dict):
         self._new_lines: list[bytes] = []
         self._new_digests = bytearray()
         self._previous_rows = np.empty(0, dtype=np.intp)
-        self._previous_files: dict[str, tuple[FileRecord, np.ndarray]] = {}
+        self._previous_files: dict[bytes, np.ndarray] = {}  # content digest -> rows
 
     def __missing__(self, line: bytes) -> int:
         row = self[line] = self.index.lines.rows + len(self._new_lines)
@@ -434,9 +421,8 @@ class _LineRows(dict):
     def file(self, relpath: str, data: bytes) -> tuple[FileRecord, np.ndarray]:
         """The file's record and the row of each of its lines, in order."""
         record = FileRecord(relpath=relpath, content_digest=_digest(data))
-        previous = self._previous_files.get(relpath)
-        if previous is not None and previous[0] == record:
-            rows = previous[1]
+        rows = self._previous_files.get(record.content_digest)
+        if rows is not None:
             self.counters.files_reused += 1
         else:
             lines = _split_lines(data)
@@ -465,7 +451,7 @@ class _LineRows(dict):
             del self[self._line_of_row[row]]
             self._line_of_row[row] = None
         self._previous_rows = rows
-        self._previous_files = {record.relpath: (record, r) for record, r in kept}
+        self._previous_files = {record.content_digest: r for record, r in kept}
         counters.index_rows = index.rows
         return rows
 
@@ -594,8 +580,9 @@ def scan_version(
     ``memo`` maps each group to the lines of the version scanned before
     and their rows in the group's lifetime index; ``scan_corpus`` passes
     the same one for every version, so a line is digested only when the
-    version before lacked it.  Without it each distinct line of this
-    version is digested once and numbered in an index of its own.
+    version before lacked it, and the snapshot folds into that index.
+    Without it each distinct line of this version is digested once and
+    numbered in an index of its own, which no lifetime index folds in.
     ``contents`` are the source's group files as (group, relpath, bytes
     or None if unreadable), already read; without them the source is
     read here.
@@ -682,19 +669,19 @@ def _read_ahead(manifest: CorpusManifest) -> Iterator[list[_GroupFile] | None]:
 
 def scan_corpus(
     manifest: CorpusManifest,
-    store: str | Path | None = None,
+    store: str | Path,
     *,
     counters: dict[str, ScanCounters] | None = None,
 ) -> Iterator[VersionSnapshot]:
-    """Scan every version of a manifest in order, optionally persisting.
+    """Scan every version of a manifest in order into one lifetime index, and write its store.
 
     Yields each snapshot as it is completed so callers can report
-    per-version counts without holding the whole corpus in memory.  With
-    a store, each snapshot is folded into one lifetime index, and the
-    store file is written once, after the last version: a scan that
-    fails part way leaves the store as it was.  Archives are read ahead
-    in worker processes (``_read_ahead``); all digesting happens here, in
-    manifest order.  ``counters``, if given, gets each group's
+    per-version counts without holding the whole corpus in memory.  Each
+    version is scanned with the index's memo and folded into the index,
+    and the store file is written once, after the last version: a scan
+    that fails part way leaves the store as it was.  Archives are read
+    ahead in worker processes (``_read_ahead``); all digesting happens
+    here, in manifest order.  ``counters``, if given, gets each group's
     ``ScanCounters``, which count the work as the scan goes.
     """
     index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
@@ -712,11 +699,9 @@ def scan_corpus(
                 memo=memo,
                 contents=next(reads),
             )
-            if store is not None:
-                store_snapshot(snapshot, index)
+            store_snapshot(snapshot, index)
             yield snapshot
-    if store is not None:
-        write_store(index, store)
+    write_store(index, store)
 
 
 # --- lifetime store -------------------------------------------------------
@@ -880,25 +865,8 @@ class GroupIndex:
         self.lines = KeySet() if lines is None else lines
         self.files = KeySet(dtype=_FILE_DIGEST_DTYPE) if files is None else files
         self.versions = list(versions)
-        # Per index whose payloads were folded in: its line rows' rows here, -1 if none yet.
-        self._row_maps: dict[GroupIndex, np.ndarray] = {}
         # The records of the version added last, and their rows.
         self._file_rows: dict[FileRecord, int] = {}
-
-    def _line_rows(self, payload: GroupPayload) -> np.ndarray:
-        """The payload's line rows here; rows of another index get new rows the first time."""
-        source = payload.index
-        if source is self:
-            return payload.rows
-        own = self._row_maps.get(source, np.empty(0, dtype=np.intp))
-        if len(own) < source.lines.rows:
-            own = self._row_maps[source] = np.concatenate(
-                [own, np.full(source.lines.rows - len(own), -1, dtype=np.intp)]
-            )
-        new = payload.rows[own[payload.rows] < 0]
-        own[new] = np.arange(self.lines.rows, self.lines.rows + len(new))
-        self.lines.append(source.lines.digests[new])
-        return own[payload.rows]
 
     def _record_rows(self, files: Sequence[FileRecord]) -> np.ndarray:
         """The records' rows; a record the version added last lacked takes a new row."""
@@ -909,9 +877,12 @@ class GroupIndex:
         return np.fromiter(self._file_rows.values(), dtype=np.intp, count=len(self._file_rows))
 
     def add(self, payload: GroupPayload) -> None:
-        """Fold in the next version: its bit is the number of versions before it."""
+        """Fold in the next version: its bit is the number of versions before it.
+
+        The payload's line rows are rows of this index (``store_snapshot``).
+        """
         version = len(self.versions)
-        self.lines.mark(self._line_rows(payload), version)
+        self.lines.mark(payload.rows, version)
         self.files.mark(self._record_rows(payload.files), version)
         self.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))
 
@@ -937,12 +908,18 @@ class LifetimeIndex:
 
 
 def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
-    """Fold one snapshot into the lifetime index as its next version."""
+    """Fold one snapshot, scanned with this index's memo, into it as its next version."""
     if snapshot.ordinal != len(index.labels) or snapshot.groups.keys() != index.groups.keys():
         raise ValueError(
             f"snapshot {snapshot.version_label!r} (ordinal {snapshot.ordinal}, groups "
             f"{sorted(snapshot.groups)}) is not version {len(index.labels)} of groups "
             f"{sorted(index.groups)}"
+        )
+    foreign = sorted(name for name, group in index.groups.items() if snapshot.groups[name].index is not group)
+    if foreign:
+        raise ValueError(
+            f"snapshot {snapshot.version_label!r} groups {foreign} hold rows of another index, "
+            "not of this lifetime index; scan them with its memo, as scan_corpus does"
         )
     index.labels.append(snapshot.version_label)
     for name, group in index.groups.items():

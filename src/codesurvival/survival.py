@@ -26,8 +26,7 @@ intersection per pair:
 
 1. Each row's presence across the V versions is a ceil(V/8)-byte mask,
    one bit per version, for any V: the key set's own, read from the
-   store, or folded in memory from snapshots as ``scan`` folds them and
-   put in the store's form (``GroupIndex.canonical``).  A key is present
+   store that ``scan`` wrote (``ingest.scan_corpus``).  A key is present
    in a version if any of its rows is, so its mask ORs its rows' masks;
    the rows of one key are adjacent in the sorted key set.  A line is
    its own key, so for lines the two masks are one.
@@ -49,13 +48,12 @@ and their CSV form live in ``curves``.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .curves import ChangeCurve, CurveFamily, MetricKind
 from .errors import StoreFormatError
-from .ingest import GroupIndex, KeySet, VersionSnapshot, load_all_snapshots
+from .ingest import GroupIndex, KeySet, load_all_snapshots
 
 __all__ = ["build_curve_family"]
 
@@ -69,14 +67,6 @@ _METRIC_KEYS = {
     MetricKind.ULOC: ("lines", "uloc_count", "an empty uloc set"),
     MetricKind.FILE: ("files", "file_count", "no files"),
 }
-
-
-def _group_index(snapshots: Sequence[VersionSnapshot], group: str) -> GroupIndex:
-    """The lifetime index of one group of in-memory snapshots, as the store holds it."""
-    index = GroupIndex()
-    for snapshot in snapshots:
-        index.add(snapshot.group(group))
-    return index.canonical()
 
 
 def _shared_counts(keys: KeySet, n_versions: int) -> np.ndarray:
@@ -118,34 +108,26 @@ def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int,
 
 
 def build_curve_family(
-    snapshots: str | Path | Sequence[VersionSnapshot],
+    store: str | Path,
     group: str,
     metric: MetricKind,
     *,
     software: str = "",
 ) -> CurveFamily:
-    """Compare every baseline with every later version.
+    """Compare every baseline of a store directory with every later version.
 
-    ``snapshots`` may be a store directory or an ordered sequence of
-    snapshots, which are indexed in memory exactly as ``scan`` indexes
-    them into a store.  A baseline that is empty under the metric yields
-    no curve; the omission is recorded in the family's warnings instead
-    of being silently zeroed.
+    A baseline that is empty under the metric yields no curve; the
+    omission is recorded in the family's warnings instead of being
+    silently zeroed.
     """
-    lifetime = None
-    if isinstance(snapshots, (str, Path)):
-        lifetime = load_all_snapshots(snapshots)
-        versions = list(enumerate(lifetime.labels))
-    else:
-        snapshots = sorted(snapshots, key=lambda s: s.ordinal)
-        versions = [(s.ordinal, s.version_label) for s in snapshots]
-    if len(versions) < 2:
+    lifetime = load_all_snapshots(store)
+    if len(lifetime.labels) < 2:
         raise ValueError("need at least 2 versions to build change curves")
-    index = lifetime.group(group) if lifetime is not None else _group_index(snapshots, group)
+    index = lifetime.group(group)
     curves: list[ChangeCurve] = []
     warnings: list[str] = []
     rows = _changed_fractions(index, metric)
-    for (ordinal, label), (size, fractions) in zip(versions[:-1], rows):
+    for (ordinal, label), (size, fractions) in zip(enumerate(lifetime.labels[:-1]), rows):
         if not size:
             what = _METRIC_KEYS[metric][2]
             warnings.append(f"baseline {label!r} omitted: version {label!r} group {group!r} has {what}")

@@ -8,6 +8,7 @@ compliance is readable at a glance.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codesurvival.ingest import GroupIndex, KeySet, LifetimeIndex, store_snapshot, write_store
+from codesurvival.ingest import KeySet, ScanCounters, VersionSnapshot, load_manifest, scan_corpus
 
 CRITERIA = {
     1: "base-rate identity on all 19 published parameter rows",
@@ -54,12 +55,42 @@ def tree_writer(tmp_path):
     return _write
 
 
-def write_snapshots(snapshots, store: Path) -> Path:
-    """Fold snapshots (ordinals 0, 1, ...) into one store file, as scan does."""
-    index = LifetimeIndex(labels=[], groups={name: GroupIndex() for name in snapshots[0].groups})
-    for snapshot in snapshots:
-        store_snapshot(snapshot, index)
-    return write_store(index, store)
+def scan_sources(
+    root: Path,
+    sources: list[str | dict[str, str | bytes]],
+    extensions: tuple[str, ...] = (".cpp",),
+    labels: list[str] | None = None,
+) -> tuple[list[VersionSnapshot], dict[str, ScanCounters], Path]:
+    """Scan versions into a store under root, as ``codesurvival scan`` does.
+
+    Each source is the name of a directory or archive under root, or a
+    {relpath: content} tree, written to root/v<i> (made even when the tree
+    is empty).  The manifest, root/manifest.json, has one group per
+    extension, named after it without its dot, and labels the versions
+    ``labels``, or v0, v1, ...  Returns the snapshots, the scan counters
+    and the store directory, root/store.
+    """
+    paths = []
+    for i, source in enumerate(sources):
+        if isinstance(source, dict):
+            (root / f"v{i}").mkdir(parents=True, exist_ok=True)
+            write_tree(root / f"v{i}", source)
+            source = f"v{i}"
+        paths.append(source)
+    labels = [f"v{i}" for i in range(len(sources))] if labels is None else labels
+    manifest = root / "manifest.json"
+    manifest.write_text(
+        json.dumps({
+            "software": "demo",
+            "groups": [{"name": ext[1:], "extensions": [ext]} for ext in extensions],
+            "versions": [{"label": label, "path": path} for label, path in zip(labels, paths)],
+        }),
+        encoding="utf-8",
+    )
+    counters: dict[str, ScanCounters] = {}
+    store = root / "store"
+    snaps = list(scan_corpus(load_manifest(manifest), store, counters=counters))
+    return snaps, counters, store
 
 
 def row_versions(keys: KeySet) -> dict[bytes, list[int]]:
@@ -86,7 +117,7 @@ def file_row_digest(relpath: str, content_digest: bytes) -> bytes:
 #
 # The builder evolves a {relpath: text} tree through deletes, renames,
 # moves, edits, and additions.  The oracle recomputes changed fractions
-# directly on the raw strings, independent of digests and snapshots, so
+# directly on the raw strings, independent of digests and stores, so
 # production results can be checked for exact float equality.
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")

@@ -17,7 +17,7 @@ from codesurvival.cli import main as cli_main
 from codesurvival.curves import MetricKind, read_curves_csv
 from codesurvival.discoverability import discovery_probability
 from codesurvival.fitting import fit_saturation
-from codesurvival.ingest import ExtensionGroup, scan_version
+from codesurvival.ingest import ExtensionGroup
 from codesurvival.model import SaturationParams, cumulative_change, instantaneous_rate
 from codesurvival.reference import REFERENCE_FITS, reference_fit
 from codesurvival.screening import (
@@ -32,7 +32,7 @@ from conftest import (
     random_corpus_history,
     raw_file_fraction,
     raw_uloc_fraction,
-    write_tree,
+    scan_sources,
 )
 
 # Monte Carlo reference configuration: the strongest published parameter
@@ -150,25 +150,17 @@ def test_criterion_4_monte_carlo_end_to_end(mc_pipeline):
 
 
 def test_criterion_5_exact_oracle_equivalence(tmp_path):
-    groups = [
-        ExtensionGroup(name="x", extensions=(".x",)),
-        ExtensionGroup(name="y", extensions=(".y",)),
-    ]
     rng = random.Random(55)
     for corpus_id in range(25):
         history = random_corpus_history(rng, versions=rng.randint(3, 6))
-        snaps = []
-        for i, tree in enumerate(history):
-            root = tmp_path / f"c{corpus_id}" / f"v{i}"
-            root.mkdir(parents=True)
-            write_tree(root, tree)
-            snaps.append(scan_version(root, groups, label=f"v{i}", ordinal=i))
+        # One manifest per history, scanned into a store as `scan` does.
+        _, _, store = scan_sources(tmp_path / f"c{corpus_id}", history, (".x", ".y"))
         for group, ext in (("x", ".x"), ("y", ".y")):
             for metric, oracle in (
                 (MetricKind.ULOC, raw_uloc_fraction),
                 (MetricKind.FILE, raw_file_fraction),
             ):
-                family = build_curve_family(snaps, group, metric)
+                family = build_curve_family(store, group, metric)
                 by_ordinal = {c.baseline_ordinal: c for c in family.curves}
                 for i, base in enumerate(history[:-1]):
                     expected = [oracle(base, later, ext) for later in history[i + 1 :]]

@@ -808,7 +808,7 @@ def test_traced_entry_points_are_module_globals(tmp_path, monkeypatch):
     snaps = list(ingest.scan_corpus(manifest, tmp_path / "store"))
     assert calls == ["scan_version", "store_snapshot"] * 3
 
-    payload = snaps[0].group(manifest.groups[0].name)
+    payload = snaps[0].groups[manifest.groups[0].name]
     assert payload.files and all(
         isinstance(r.relpath, str) and len(r.content_digest) == 16 for r in payload.files
     )
@@ -818,6 +818,6 @@ def test_traced_entry_points_are_module_globals(tmp_path, monkeypatch):
     monkeypatch.undo()
     source = manifest.versions[0].source
     alone = ingest.scan_version(source, [manifest.groups[0]])
-    assert alone.group(manifest.groups[0].name).uloc == payload.uloc
+    assert alone.groups[manifest.groups[0].name].uloc == payload.uloc
     blob = next(p for p in sorted(source.rglob("*")) if p.is_file()).read_bytes()
     assert len(ingest.normalize_lines(blob)) == blob.count(b"\n")

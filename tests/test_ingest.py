@@ -1,4 +1,4 @@
-"""Snapshot scanning, line normalization, manifests, and the store format."""
+"""Release scanning, line normalization, manifests, and the store format."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import random
 import tarfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from codesurvival import ingest
@@ -27,10 +26,7 @@ from codesurvival.ingest import (
     STORE_FILENAME,
     CorpusManifest,
     ExtensionGroup,
-    FileRecord,
     GroupIndex,
-    GroupPayload,
-    KeySet,
     LifetimeIndex,
     ScanCounters,
     VersionEntry,
@@ -48,8 +44,10 @@ from conftest import (
     file_row_digest,
     indexed_rows,
     random_corpus_history,
+    raw_file_fraction,
+    raw_uloc_fraction,
     row_versions,
-    write_snapshots,
+    scan_sources,
     write_tree,
 )
 
@@ -136,13 +134,13 @@ def test_scan_routes_files_to_groups(tree_writer):
     snap = scan_version(root, [CPP, H], label="v1", ordinal=3)
     assert snap.version_label == "v1"
     assert snap.ordinal == 3
-    cpp = snap.group("cpp")
+    cpp = snap.groups["cpp"]
     assert [f.relpath for f in cpp.files] == ["a.cpp", "src/b.cpp"]
     assert [f.basename for f in cpp.files] == ["a.cpp", "b.cpp"]
     # "int a;" appears in two files but pools to one line digest.
     assert cpp.uloc == frozenset({b2(b"int a;"), b2(b"int b;")})
     assert cpp.uloc_count == 2
-    assert snap.group("h").file_count == 1
+    assert snap.groups["h"].file_count == 1
 
 
 def test_scan_label_defaults_to_source_name(tree_writer):
@@ -152,7 +150,7 @@ def test_scan_label_defaults_to_source_name(tree_writer):
 
 def test_scan_content_digest_matches_hashlib(tree_writer):
     root = tree_writer({"a.cpp": "int a;\n"})
-    record = scan_version(root, [CPP]).group("cpp").files[0]
+    record = scan_version(root, [CPP]).groups["cpp"].files[0]
     assert record.content_digest == b2(b"int a;\n")
 
 
@@ -160,21 +158,21 @@ def test_scan_longest_suffix_wins(tree_writer):
     incl = ExtensionGroup(name="incl", extensions=(".inc.h",))
     root = tree_writer({"gen.inc.h": "g\n", "plain.h": "p\n"})
     snap = scan_version(root, [H, incl])
-    assert [f.basename for f in snap.group("incl").files] == ["gen.inc.h"]
-    assert [f.basename for f in snap.group("h").files] == ["plain.h"]
+    assert [f.basename for f in snap.groups["incl"].files] == ["gen.inc.h"]
+    assert [f.basename for f in snap.groups["h"].files] == ["plain.h"]
 
 
 def test_scan_suffix_match_is_case_sensitive(tree_writer):
     root = tree_writer({"A.CPP": "x\n", "b.cpp": "y\n"})
-    assert [f.basename for f in scan_version(root, [CPP]).group("cpp").files] == ["b.cpp"]
+    assert [f.basename for f in scan_version(root, [CPP]).groups["cpp"].files] == ["b.cpp"]
 
 
 def test_scan_skips_symlinks(tree_writer):
     root = tree_writer({"real.cpp": "x\n"})
     (root / "link.cpp").symlink_to(root / "real.cpp")
     snap = scan_version(root, [CPP])
-    assert [f.basename for f in snap.group("cpp").files] == ["real.cpp"]
-    assert snap.group("cpp").skipped_files == 0
+    assert [f.basename for f in snap.groups["cpp"].files] == ["real.cpp"]
+    assert snap.groups["cpp"].skipped_files == 0
 
 
 def test_scan_counts_unreadable_files(tree_writer, monkeypatch):
@@ -188,8 +186,8 @@ def test_scan_counts_unreadable_files(tree_writer, monkeypatch):
 
     monkeypatch.setattr(Path, "read_bytes", flaky)
     snap = scan_version(root, [CPP])
-    assert [f.basename for f in snap.group("cpp").files] == ["ok.cpp"]
-    assert snap.group("cpp").skipped_files == 1
+    assert [f.basename for f in snap.groups["cpp"].files] == ["ok.cpp"]
+    assert snap.groups["cpp"].skipped_files == 1
 
 
 def test_scan_missing_source_is_an_error(tmp_path):
@@ -202,12 +200,6 @@ def test_scan_rejects_overlapping_groups(tree_writer):
     other = ExtensionGroup(name="other", extensions=(".cpp", ".cc"))
     with pytest.raises(ManifestError):
         scan_version(root, [CPP, other])
-
-
-def test_snapshot_unknown_group_lists_available(tree_writer):
-    snap = scan_version(tree_writer({"a.cpp": "x\n"}), [CPP])
-    with pytest.raises(KeyError, match="cpp"):
-        snap.group("js")
 
 
 # --- tar archives -----------------------------------------------------------
@@ -225,14 +217,14 @@ def test_scan_tar_equals_scan_directory(tree_writer, tmp_path):
     from_dir = scan_version(root, [CPP, H], label="v1")
     from_tar = scan_version(archive, [CPP, H], label="v1")
     for name in ("cpp", "h"):
-        assert from_tar.group(name).files == from_dir.group(name).files
-        assert from_tar.group(name).uloc == from_dir.group(name).uloc
+        assert from_tar.groups[name].files == from_dir.groups[name].files
+        assert from_tar.groups[name].uloc == from_dir.groups[name].uloc
 
 
 def test_scan_compressed_tar(tree_writer, tmp_path):
     root = tree_writer({"a.cpp": "int a;\n"})
     archive = make_tar(root, tmp_path / "v1.tar.gz", "w:gz")
-    assert scan_version(archive, [CPP]).group("cpp").uloc == frozenset({b2(b"int a;")})
+    assert scan_version(archive, [CPP]).groups["cpp"].uloc == frozenset({b2(b"int a;")})
 
 
 def test_tar_keeps_leading_dots_of_member_names(tmp_path):
@@ -245,7 +237,7 @@ def test_tar_keeps_leading_dots_of_member_names(tmp_path):
             tar.addfile(info, io.BytesIO(data))
     root = write_tree(tmp_path / "tree", {".cfg/x.txt": "x\n", ".y.txt": "y\n"})
     from_tar = scan_version(archive, [txt], label="v1")
-    files = from_tar.group("txt").files
+    files = from_tar.groups["txt"].files
     assert [(r.basename, r.relpath) for r in files] == [("x.txt", ".cfg/x.txt"), (".y.txt", ".y.txt")]
     assert from_tar == scan_version(root, [txt], label="v1")
 
@@ -275,7 +267,7 @@ def test_tar_hard_link_reads_as_its_target(tmp_path, mode, suffix):
     with tarfile.open(archive) as tar:
         assert tar.getmember("./y.txt").islnk()
     from_dir = scan_version(root, [txt], label="v1")
-    assert [r.relpath for r in from_dir.group("txt").files] == ["x.txt", "y.txt", "z.txt"]
+    assert [r.relpath for r in from_dir.groups["txt"].files] == ["x.txt", "y.txt", "z.txt"]
     assert scan_version(archive, [txt], label="v1") == from_dir
 
 
@@ -286,7 +278,7 @@ def test_tar_hard_link_to_a_missing_file_is_skipped(tmp_path):
         info = tarfile.TarInfo("y.txt")
         info.type, info.linkname = tarfile.LNKTYPE, "gone.txt"
         tar.addfile(info)
-    payload = scan_version(archive, [txt]).group("txt")
+    payload = scan_version(archive, [txt]).groups["txt"]
     assert (payload.file_count, payload.skipped_files, payload.uloc_count) == (0, 1, 0)
 
 
@@ -301,7 +293,7 @@ def test_tar_member_archived_last_wins(tmp_path):
             tar.addfile(info, io.BytesIO(data))
     root = write_tree(tmp_path / "tree", {"x.txt": "new\n"})
     from_tar = scan_version(archive, [txt], label="v1")
-    assert (from_tar.group("txt").file_count, from_tar.group("txt").uloc_count) == (1, 1)
+    assert (from_tar.groups["txt"].file_count, from_tar.groups["txt"].uloc_count) == (1, 1)
     assert from_tar == scan_version(root, [txt], label="v1")
 
 
@@ -323,7 +315,7 @@ def test_tar_reads_no_member_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(gzip._GzipReader, "_rewind", counting)
     from_tar = scan_version(archive, [CPP], label="v1")
     assert rewinds == []
-    assert [r.relpath for r in from_tar.group("cpp").files] == ["a.cpp", "copy.cpp"]
+    assert [r.relpath for r in from_tar.groups["cpp"].files] == ["a.cpp", "copy.cpp"]
     assert from_tar == scan_version(root, [CPP], label="v1")
 
 
@@ -522,7 +514,7 @@ def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
     assert loaded.labels == [s.version_label for s in snaps]
     assert set(loaded.groups) == set(snaps[0].groups)
     for name, group in loaded.groups.items():
-        payloads = [s.group(name) for s in snaps]
+        payloads = [s.groups[name] for s in snaps]
         union = sorted({d for p in payloads for d in p.uloc})
         assert group.lines.digests.tobytes() == b"".join(union)
         assert group.lines.masks.shape == (len(union), (len(snaps) + 7) // 8)
@@ -539,29 +531,24 @@ def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
             assert indexed_rows(group.files, i) == records[i]
 
 
-def test_store_round_trip(tree_writer, tmp_path):
+def test_store_round_trip(tmp_path):
     trees = [
         {"a.cpp": "int a;\nint b;\n", "inc/c.h": "h\n"},
         {"a.cpp": "int a;\n", "b.cpp": "int c;\nint b;\n"},
         {"inc/c.h": "h\nk\n"},
     ]
-    snaps = [
-        scan_version(tree_writer(tree, f"v{i}"), [CPP, H], label=f"v{i}", ordinal=i)
-        for i, tree in enumerate(trees)
-    ]
-    path = write_snapshots(snaps, tmp_path / "store")
-    assert path == tmp_path / "store" / STORE_FILENAME
-    assert_store_holds(load_all_snapshots(tmp_path / "store"), snaps)
+    snaps, _, store = scan_sources(tmp_path, trees, (".cpp", ".h"))
+    assert [p.name for p in store.iterdir()] == [STORE_FILENAME]
+    assert_store_holds(load_all_snapshots(store), snaps)
 
 
-def test_store_write_is_deterministic(tree_writer, tmp_path):
-    root = tree_writer({"a.cpp": "z\ny\nx\n", "b.cpp": "q\n"})
-    snaps = [scan_version(root, [CPP], label=f"v{i}", ordinal=i) for i in range(2)]
-    first = write_snapshots(snaps, tmp_path / "s1")
-    second = write_snapshots(snaps, tmp_path / "s2")
-    assert first.read_bytes() == second.read_bytes()
+def test_store_write_is_deterministic(tmp_path):
+    tree = {"a.cpp": "z\ny\nx\n", "b.cpp": "q\n"}
+    _, _, first = scan_sources(tmp_path / "s1", [tree, tree])
+    _, _, second = scan_sources(tmp_path / "s2", [tree, tree])
+    assert (first / STORE_FILENAME).read_bytes() == (second / STORE_FILENAME).read_bytes()
     # Written last and renamed into place: nothing else is left behind.
-    assert [p.name for p in (tmp_path / "s1").iterdir()] == [STORE_FILENAME]
+    assert [p.name for p in first.iterdir()] == [STORE_FILENAME]
 
 
 def test_store_round_trips_awkward_names(tree_writer, tmp_path):
@@ -569,12 +556,8 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     # A name that is not UTF-8 reaches the record with surrogate escapes.
     (root / os.fsdecode(b"caf\xe9.cpp")).write_text("z\n")
     label = "release 1.0 beta\nnext \"line\""
-    snaps = [
-        scan_version(root, [CPP], label=label, ordinal=0),
-        scan_version(root, [CPP], label="\u00e9t\u00e9 2", ordinal=1),
-    ]
-    write_snapshots(snaps, tmp_path / "store")
-    loaded = load_all_snapshots(tmp_path / "store")
+    snaps, _, store = scan_sources(tmp_path, [root.name] * 2, labels=[label, "\u00e9t\u00e9 2"])
+    loaded = load_all_snapshots(store)
     assert_store_holds(loaded, snaps)
     assert loaded.labels[0] == label
     # Relpaths are not stored, only the digests of their parts.
@@ -586,13 +569,9 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
     assert indexed_rows(loaded.group("cpp").files, 0) == expected
 
 
-def test_store_rejects_corruption(tree_writer, tmp_path):
-    snaps = [
-        scan_version(tree_writer({"a.cpp": text}, f"v{i}"), [CPP], label=f"v{i}", ordinal=i)
-        for i, text in enumerate(["x\ny\n", "y\nz\n"])
-    ]
-    store = tmp_path / "store"
-    path = write_snapshots(snaps, store)
+def test_store_rejects_corruption(tmp_path):
+    snaps, _, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"a.cpp": "y\nz\n"}])
+    path = store / STORE_FILENAME
     good = path.read_bytes()
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
@@ -692,13 +671,9 @@ def test_store_refuses_format_2_snapshot_files(tmp_path):
         load_all_snapshots(store)
 
 
-def test_store_bulk_load(tree_writer, tmp_path):
-    snaps = [
-        scan_version(tree_writer({"a.cpp": text}, f"v{ordinal}"), [CPP], label=f"v{ordinal}", ordinal=ordinal)
-        for ordinal, text in enumerate(["a\n", "b\n", "c\n"])
-    ]
-    write_snapshots(snaps, tmp_path / "store")
-    loaded = load_all_snapshots(tmp_path / "store")
+def test_store_bulk_load(tmp_path):
+    _, _, store = scan_sources(tmp_path, [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}, {"a.cpp": "c\n"}])
+    loaded = load_all_snapshots(store)
     assert loaded.labels == ["v0", "v1", "v2"]
     assert indexed_rows(loaded.group("cpp").lines, 2) == frozenset({b2(b"c")})
     with pytest.raises(KeyError, match="no group 'h'; available: \\['cpp'\\]"):
@@ -707,46 +682,88 @@ def test_store_bulk_load(tree_writer, tmp_path):
     assert load_all_snapshots(tmp_path / "elsewhere") == LifetimeIndex(labels=[], groups={})
 
 
+def index_is_empty(index: LifetimeIndex) -> bool:
+    """No version folded in: no label, and no group holds a version or a set bit."""
+    return index.labels == [] and all(
+        group.versions == [] and not group.lines.masks.any() and group.files.rows == 0
+        for group in index.groups.values()
+    )
+
+
 def test_store_snapshot_takes_versions_in_order(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
     index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
+    memo = {name: ingest._LineRows(group) for name, group in index.groups.items()}
     with pytest.raises(ValueError, match="not version 0"):
         store_snapshot(scan_version(root, [CPP, H], ordinal=1), index)
     with pytest.raises(ValueError, match="groups \\['cpp'\\]"):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
-    store_snapshot(scan_version(root, [CPP, H], ordinal=0), index)
+    assert index_is_empty(index)
+    store_snapshot(scan_version(root, [CPP, H], ordinal=0, memo=memo), index)
     assert len(index.labels) == 1 and index.groups["h"].lines.masks.tolist() == [[1]]
 
 
-def _random_payload(rng: random.Random, pool: list[bytes], files, skipped: int) -> GroupPayload:
-    """Distinct digests from the pool, as rows 0, 1, ... of an index of their own."""
-    block = b"".join(sorted(set(rng.sample(pool, rng.randint(0, len(pool) // 2)))))
-    digests = np.frombuffer(block, dtype="S16")
-    return GroupPayload(files, np.arange(len(digests)), GroupIndex(KeySet(digests)), skipped)
+def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
+    root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
+    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
+    memo = {"cpp": ingest._LineRows(index.groups["cpp"])}
+    own = scan_version(root, [CPP], memo=memo).groups["cpp"]
+    alone = scan_version(root, [CPP, H], label="v0")
+    # A standalone scan, and a snapshot with one group of each kind.
+    for groups, foreign in ((alone.groups, "['cpp', 'h']"), ({**alone.groups, "cpp": own}, "['h']")):
+        with pytest.raises(ValueError) as refused:
+            store_snapshot(VersionSnapshot("v0", 0, groups), index)
+        assert str(refused.value).startswith(f"snapshot 'v0' groups {foreign} hold rows of another index")
+        assert "\n" not in str(refused.value)
+        assert index_is_empty(index)
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
-def test_store_mask_edges(tmp_path, versions):
+def test_store_mask_edges(tmp_path, monkeypatch, versions):
     # 8/9 and 64/65 straddle a mask byte and a 64-bit word; 70 is > 64.
     rng = random.Random(versions)
-    pool = [rng.randbytes(15) + b"\0" for _ in range(20)] + [rng.randbytes(16) for _ in range(60)]
-    snaps = []
+    # Lines whose digests end in NUL bytes, which an S item would drop, and others.
+    nul = [line for line in (f"line {i}" for i in range(20_000)) if b2(line.encode())[-1] == 0]
+    pool = nul[:20] + [f"other {i}" for i in range(60)]
+    trees, read = [], []
     for i in range(versions):
         names = rng.sample(["a.x", "b.x", "c.x"], rng.randint(0, 3))
-        relpaths = sorted(f"d{rng.randint(0, 1)}/{name}" for name in names)
-        files = tuple(
-            FileRecord(relpath=rel, content_digest=rng.choice(pool)) for rel in relpaths
-        )
-        snaps.append(VersionSnapshot(f"v{i}", i, {"x": _random_payload(rng, pool, files, i % 3)}))
-    path = write_snapshots(snaps, tmp_path / "store")
-    loaded = load_all_snapshots(tmp_path / "store")
+        tree = {
+            f"d{rng.randint(0, 1)}/{name}": "".join(
+                f"{line}\n" for line in rng.sample(pool, rng.randint(0, 20))
+            )
+            for name in names
+        }
+        read.append(tree)
+        # i % 3 files that cannot be read, so each version skips as many.
+        trees.append({**tree, **{f"locked{k}.x": "never read\n" for k in range(i % 3)}})
+    original = Path.read_bytes
+
+    def flaky(self):
+        if self.name.startswith("locked"):
+            raise OSError("permission denied")
+        return original(self)
+
+    monkeypatch.setattr(Path, "read_bytes", flaky)
+    snaps, _, store = scan_sources(tmp_path, trees, (".x",))
+    loaded = load_all_snapshots(store)
     assert_store_holds(loaded, snaps)
+    assert [v.skipped_files for v in loaded.group("x").versions] == [i % 3 for i in range(versions)]
+    assert any(b2(line.encode()) in s.groups["x"].uloc for s in snaps for line in nul[:20])
+    path = store / STORE_FILENAME
     header_bytes = path.read_bytes().index(b"\n") + 1
     lines, files = loaded.group("x").lines.rows, loaded.group("x").files.rows
     mask_bytes = (versions + 7) // 8
     assert path.stat().st_size == header_bytes + lines * (16 + mask_bytes) + files * (32 + mask_bytes)
-    for metric in MetricKind:
-        assert build_curve_family(tmp_path / "store", "x", metric) == build_curve_family(snaps, "x", metric)
+    for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
+        family = build_curve_family(store, "x", metric)
+        got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
+        expected = {}
+        for i, base in enumerate(read[:-1]):
+            fractions = [oracle(base, later, ".x") for later in read[i + 1 :]]
+            if fractions[0] is not None:
+                expected[i] = fractions
+        assert got == expected
 
 
 def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
@@ -774,7 +791,7 @@ def test_scan_corpus_equals_fresh_scans_of_each_version(tree_writer, tmp_path):
     for i, tree in enumerate(history):
         tree_writer(tree, f"v{i}")
     manifest = load_manifest(write_manifest(tmp_path, payload))
-    assert_scans_equal(list(scan_corpus(manifest)), standalone_scans(manifest))
+    assert_scans_equal(list(scan_corpus(manifest, tmp_path / "store")), standalone_scans(manifest))
 
 
 def standalone_scans(manifest: CorpusManifest) -> list[VersionSnapshot]:
@@ -791,37 +808,11 @@ def assert_scans_equal(snaps: list[VersionSnapshot], fresh: list[VersionSnapshot
     ]
     for snap, alone in zip(snaps, fresh):
         for name, payload in snap.groups.items():
-            other = alone.group(name)
+            other = alone.groups[name]
             assert payload.uloc == other.uloc
             assert payload.uloc_count == other.uloc_count
             assert payload.files == other.files
             assert payload.skipped_files == other.skipped_files
-
-
-def assert_families_equal(snaps: list[VersionSnapshot], store: Path, fresh: list[VersionSnapshot]) -> None:
-    """Curves from one scan's snapshots, from its store and from standalone scans agree."""
-    for group in snaps[0].groups:
-        for metric in MetricKind:
-            family = build_curve_family(store, group, metric)
-            assert build_curve_family(snaps, group, metric) == family
-            assert build_curve_family(fresh, group, metric) == family
-
-
-def scan_sources(tmp_path: Path, sources: list[str], extensions=(".cpp",)) -> tuple[list, dict, Path]:
-    """Scan versions under tmp_path (directories or archives) into a store.
-
-    One group per extension, named after it; returns the snapshots, the
-    scan counters and the store directory.
-    """
-    payload = {
-        "software": "demo",
-        "groups": [{"name": ext[1:], "extensions": [ext]} for ext in extensions],
-        "versions": [{"label": f"v{i}", "path": path} for i, path in enumerate(sources)],
-    }
-    counters = {}
-    store = tmp_path / "store"
-    snaps = list(scan_corpus(load_manifest(write_manifest(tmp_path, payload)), store, counters=counters))
-    return snaps, counters, store
 
 
 def rows_by_line(store: Path, group: str = "cpp") -> dict[bytes, list[int]]:
@@ -845,13 +836,46 @@ def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, mon
     )
 
 
-def test_scan_corpus_takes_a_moved_file_from_the_memo(tree_writer, tmp_path):
-    tree_writer({"a.cpp": "x\ny\n"}, "v0")
-    tree_writer({"sub/a.cpp": "x\ny\n"}, "v1")
-    snaps, counters, store = scan_sources(tmp_path, ["v0", "v1"])
-    # Not reused, since its relpath changed, yet no line is digested again.
-    assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=2, memo_lines_max=2, index_rows=2)
+def test_scan_corpus_takes_a_moved_file_from_the_memo(tmp_path):
+    snaps, counters, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\ny\n"}])
+    # Reused by its content, though its relpath changed: no line is split again.
+    assert counters["cpp"] == ScanCounters(
+        files=2, files_reused=1, lines=4, lines_digested=2, memo_lines_max=2, index_rows=2
+    )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
+
+
+def test_scan_corpus_takes_a_file_under_a_renamed_top_directory(tmp_path):
+    trees = [
+        {"pkg-1.0/a.cpp": "x\ny\n", "pkg-1.0/b.cpp": "z\n"},
+        {"pkg-1.1/a.cpp": "x\ny\n", "pkg-1.1/b.cpp": "w\n"},
+    ]
+    snaps, counters, store = scan_sources(tmp_path, trees)
+    assert counters["cpp"] == ScanCounters(
+        files=4, files_reused=1, lines=6, lines_digested=4, memo_lines_max=4, index_rows=4
+    )
+    assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1], b2(b"z"): [0], b2(b"w"): [1]}
+    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+
+
+def test_scan_corpus_takes_two_equal_files_of_one_release_from_the_memo(tmp_path):
+    # Two equal files in each release, one of them renamed in the second.
+    trees = [{"a.cpp": "x\ny\n", "sub/a.cpp": "x\ny\n"}, {"a.cpp": "x\ny\n", "sub/b.cpp": "x\ny\n"}]
+    snaps, counters, store = scan_sources(tmp_path, trees)
+    assert counters["cpp"] == ScanCounters(
+        files=4, files_reused=2, lines=8, lines_digested=2, memo_lines_max=2, index_rows=2
+    )
+    assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
+    assert [s.groups["cpp"].file_count for s in snaps] == [2, 2]
+    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+
+
+def test_scan_corpus_splits_a_file_moved_and_edited(tmp_path):
+    snaps, counters, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\nz\n"}])
+    # Its content is new, so it is split; only its new line is digested.
+    assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3, index_rows=3)
+    assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0], b2(b"z"): [1]}
+    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
 
 def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, monkeypatch):
@@ -867,7 +891,7 @@ def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, 
 
     monkeypatch.setattr(Path, "read_bytes", flaky)
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
-    assert [s.group("cpp").skipped_files for s in snaps] == [0, 1, 0]
+    assert [s.groups["cpp"].skipped_files for s in snaps] == [0, 1, 0]
     # v1 has no a.cpp to reuse, so v2 splits it, digests its lines again
     # and gives them new rows.
     assert counters["cpp"] == ScanCounters(
@@ -890,7 +914,7 @@ def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_pat
     tree_writer({"x.cpp": "c\n"}, "v2")
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1.tar", "v2"])
     last = members[-1][1].decode()
-    assert snaps[1].group("cpp").uloc == {b2(line.encode()) for line in last.split()}
+    assert snaps[1].groups["cpp"].uloc == {b2(line.encode()) for line in last.split()}
     if reused_last:
         # "c" was digested in v1 but lost to the reused copy: its v1 row
         # holds no version, and v2 gives it another.
@@ -905,14 +929,14 @@ def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_pat
         files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3,
         index_rows=index_rows,
     )
-    assert_families_equal(snaps, store, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
 
 def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
     tree_writer({"a.cpp": "d\nd\ne\n", "b.cpp": "e\nd\n"}, "v0")
     tree_writer({"a.cpp": "d\nd\ne\nf\nf\n", "b.cpp": "e\nd\n"}, "v1")
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1"])
-    assert [s.group("cpp").uloc_count for s in snaps] == [2, 3]
+    assert [s.groups["cpp"].uloc_count for s in snaps] == [2, 3]
     assert counters["cpp"] == ScanCounters(
         files=4, files_reused=1, lines=12, lines_digested=3, memo_lines_max=3, index_rows=3
     )
@@ -923,21 +947,13 @@ def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
 def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
     # 8/9 and 64/65 versions straddle a mask byte and a 64-bit word.
     rng = random.Random(seed)
-    sources = []
-    for i, tree in enumerate(random_corpus_history(rng, versions=versions)):
-        (tmp_path / f"v{i}").mkdir()  # the tree may be empty
-        write_tree(tmp_path / f"v{i}", tree)
-        sources.append(f"v{i}")
-    snaps, counters, store = scan_sources(tmp_path, sources, extensions=(".x", ".y"))
+    history = random_corpus_history(rng, versions=versions)
+    snaps, counters, store = scan_sources(tmp_path, history, extensions=(".x", ".y"))
     # The history revives lines, and leaves files unchanged.
     distinct = sum(len(rows_by_line(store, name)) for name in counters)
     assert sum(c.lines_digested for c in counters.values()) > distinct
     assert sum(c.files_reused for c in counters.values()) > 0
-    fresh = standalone_scans(load_manifest(tmp_path / "manifest.json"))
-    assert_scans_equal(snaps, fresh)
-    folded = write_snapshots(fresh, tmp_path / "folded")
-    assert (store / STORE_FILENAME).read_bytes() == folded.read_bytes()
-    assert_families_equal(snaps, store, fresh)
+    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
 
 def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
@@ -972,11 +988,12 @@ def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_pa
 
     monkeypatch.setattr(ingest, "_digest", counting)
     counters = {}
-    scans = scan_corpus(manifest, counters=counters)
+    scans = scan_corpus(manifest, tmp_path / "store", counters=counters)
     next(scans)
-    assert sorted(digested) == sorted(
-        [b"int a;\nint b;\n", b"int b;\r\nint c;\n", b"int a;", b"int b;", b"int c;"]
-    )
+    contents = [b"int a;\nint b;\n", b"int b;\r\nint c;\n"]
+    # The store's file rows: each record's basename and content, then its directory.
+    records = [b"a.cpp\0" + b2(contents[0]), b"", b"b.cpp\0" + b2(contents[1]), b"src"]
+    assert sorted(digested) == sorted(contents + [b"int a;", b"int b;", b"int c;"] + records)
     assert counters == {"cpp": ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3, index_rows=3)}
     digested.clear()
     next(scans)

@@ -7,12 +7,7 @@ import random
 
 import pytest
 
-from codesurvival.ingest import (
-    ExtensionGroup,
-    VersionSnapshot,
-    load_all_snapshots,
-    scan_version,
-)
+from codesurvival.ingest import load_all_snapshots
 from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
@@ -29,109 +24,97 @@ from conftest import (
     raw_file_fraction,
     raw_uloc_fraction,
     row_versions,
-    write_snapshots,
-    write_tree,
+    scan_sources,
 )
 
-X = ExtensionGroup(name="x", extensions=(".x",))
-Y = ExtensionGroup(name="y", extensions=(".y",))
+# One group per extension: "x" and "y".
+XY = (".x", ".y")
 
 
-def snap(tree_writer, files, subdir, ordinal=0):
-    return scan_version(tree_writer(files, subdir), [X, Y], label=subdir, ordinal=ordinal)
+def family_of(root, trees, group, metric, **kwargs):
+    """The curve family of a group, from a store of these trees as versions v0, v1, ..."""
+    _, _, store = scan_sources(root, trees, XY)
+    return build_curve_family(store, group, metric, **kwargs)
 
 
 # --- one baseline and one later version -------------------------------------
 
 
-def pair_fraction(base, later, group, metric):
+def pair_fraction(root, base, later, group, metric):
     """The only changed fraction of the family built from two versions."""
-    family = build_curve_family([base, later], group, metric)
+    family = family_of(root, [base, later], group, metric)
     [curve] = family.curves
     [(_, fraction)] = curve.points
     return fraction
 
 
-def test_uloc_fraction_counts_missing_lines(tree_writer):
-    base = snap(tree_writer, {"a.x": "a\nb\nc\nd\n"}, "v0")
-    later = snap(tree_writer, {"a.x": "a\nb\nnew\nalso new\nmore\n"}, "v1")
+def test_uloc_fraction_counts_missing_lines(tmp_path):
+    base = {"a.x": "a\nb\nc\nd\n"}
+    later = {"a.x": "a\nb\nnew\nalso new\nmore\n"}
     # 2 of 4 baseline lines survive; later growth is irrelevant.
-    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.5
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.ULOC) == 0.5
 
 
-def test_uloc_fraction_pools_lines_across_files(tree_writer):
-    base = snap(tree_writer, {"a.x": "a\nb\n", "b.x": "b\nc\n"}, "v0")
-    later = snap(tree_writer, {"other.x": "c\n"}, "v1")
+def test_uloc_fraction_pools_lines_across_files(tmp_path):
+    base = {"a.x": "a\nb\n", "b.x": "b\nc\n"}
+    later = {"other.x": "c\n"}
     # Baseline uloc is {a, b, c}; only c survives, wherever it lives.
-    assert pair_fraction(base, later, "x", MetricKind.ULOC) == pytest.approx(2.0 / 3.0)
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.ULOC) == pytest.approx(2.0 / 3.0)
 
 
-def test_uloc_identical_versions_change_nothing(tree_writer):
-    base = snap(tree_writer, {"a.x": "a\nb\n"}, "v0")
-    later = snap(tree_writer, {"a.x": "a\nb\n"}, "v1")
-    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.0
+def test_uloc_identical_versions_change_nothing(tmp_path):
+    tree = {"a.x": "a\nb\n"}
+    assert pair_fraction(tmp_path, tree, tree, "x", MetricKind.ULOC) == 0.0
 
 
-def test_uloc_empty_baseline_is_an_error(tree_writer):
-    base = snap(tree_writer, {"a.x": ""}, "v0")
-    later = snap(tree_writer, {"a.x": "a\n"}, "v1")
-    family = build_curve_family([base, later], "x", MetricKind.ULOC)
+def test_uloc_empty_baseline_is_an_error(tmp_path):
+    family = family_of(tmp_path, [{"a.x": ""}, {"a.x": "a\n"}], "x", MetricKind.ULOC)
     assert family.curves == ()
     assert family.warnings == ("baseline 'v0' omitted: version 'v0' group 'x' has an empty uloc set",)
 
 
-def test_file_fraction_semantics(tree_writer):
-    base = snap(
-        tree_writer,
-        {
-            "kept.x": "k\n",
-            "old.x": "r\n",
-            "deep/moved.x": "m\n",
-            "edit.x": "before\n",
-            "gone.x": "g\n",
-        },
-        "v0",
-    )
-    later = snap(
-        tree_writer,
-        {
-            "kept.x": "k\n",
-            "new.x": "r\n",          # renamed: changed
-            "elsewhere/moved.x": "m\n",  # moved: unchanged
-            "edit.x": "after\n",     # edited: changed
-        },
-        "v1",
-    )
+def test_file_fraction_semantics(tmp_path):
+    base = {
+        "kept.x": "k\n",
+        "old.x": "r\n",
+        "deep/moved.x": "m\n",
+        "edit.x": "before\n",
+        "gone.x": "g\n",
+    }
+    later = {
+        "kept.x": "k\n",
+        "new.x": "r\n",          # renamed: changed
+        "elsewhere/moved.x": "m\n",  # moved: unchanged
+        "edit.x": "after\n",     # edited: changed
+    }
     # kept and moved survive; renamed, edited, deleted do not.
-    assert pair_fraction(base, later, "x", MetricKind.FILE) == pytest.approx(3.0 / 5.0)
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.FILE) == pytest.approx(3.0 / 5.0)
 
 
-def test_file_fraction_denominator_is_baseline_size(tree_writer):
-    base = snap(tree_writer, {"a.x": "a\n"}, "v0")
-    later = snap(tree_writer, {"a.x": "a\n", "b.x": "b\n", "c.x": "c\n"}, "v1")
-    assert pair_fraction(base, later, "x", MetricKind.FILE) == 0.0
+def test_file_fraction_denominator_is_baseline_size(tmp_path):
+    base = {"a.x": "a\n"}
+    later = {"a.x": "a\n", "b.x": "b\n", "c.x": "c\n"}
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.FILE) == 0.0
 
 
-def test_file_fraction_any_duplicate_copy_counts(tree_writer):
-    base = snap(tree_writer, {"a/f.x": "one\n"}, "v0")
-    later = snap(tree_writer, {"b/f.x": "two\n", "c/f.x": "one\n"}, "v1")
+def test_file_fraction_any_duplicate_copy_counts(tmp_path):
+    base = {"a/f.x": "one\n"}
+    later = {"b/f.x": "two\n", "c/f.x": "one\n"}
     # Path is ignored, so the c/ copy preserves the baseline file.
-    assert pair_fraction(base, later, "x", MetricKind.FILE) == 0.0
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.FILE) == 0.0
 
 
-def test_file_empty_baseline_is_an_error(tree_writer):
-    base = snap(tree_writer, {"a.y": "y\n"}, "v0")
-    later = snap(tree_writer, {"a.x": "a\n"}, "v1")
-    family = build_curve_family([base, later], "x", MetricKind.FILE)
+def test_file_empty_baseline_is_an_error(tmp_path):
+    family = family_of(tmp_path, [{"a.y": "y\n"}, {"a.x": "a\n"}], "x", MetricKind.FILE)
     assert family.curves == ()
     assert family.warnings == ("baseline 'v0' omitted: version 'v0' group 'x' has no files",)
 
 
-def test_groups_are_independent(tree_writer):
-    base = snap(tree_writer, {"a.x": "a\n", "a.y": "p\nq\n"}, "v0")
-    later = snap(tree_writer, {"a.x": "a\n", "a.y": "p\nz\n"}, "v1")
-    assert pair_fraction(base, later, "x", MetricKind.ULOC) == 0.0
-    assert pair_fraction(base, later, "y", MetricKind.ULOC) == 0.5
+def test_groups_are_independent(tmp_path):
+    base = {"a.x": "a\n", "a.y": "p\nq\n"}
+    later = {"a.x": "a\n", "a.y": "p\nz\n"}
+    assert pair_fraction(tmp_path, base, later, "x", MetricKind.ULOC) == 0.0
+    assert pair_fraction(tmp_path, base, later, "y", MetricKind.ULOC) == 0.5
 
 
 # --- the files key set -------------------------------------------------------
@@ -141,25 +124,19 @@ def b2(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-def stored_files(snaps, store):
-    """The file family of group x from a store of the snapshots, and the store's files key set.
-
-    The family must equal the one built from the snapshots in memory.
-    """
-    write_snapshots(snaps, store)
-    family = build_curve_family(store, "x", MetricKind.FILE)
-    assert family == build_curve_family(snaps, "x", MetricKind.FILE)
-    return family, load_all_snapshots(store).group("x").files
+def stored_files(root, trees):
+    """The file family of group x from a store of the trees, and the store's files key set."""
+    _, _, store = scan_sources(root, trees, XY)
+    return build_curve_family(store, "x", MetricKind.FILE), load_all_snapshots(store).group("x").files
 
 
-def test_files_key_set_keeps_records_that_share_a_key(tree_writer, tmp_path):
+def test_files_key_set_keeps_records_that_share_a_key(tmp_path):
     trees = [
         {"a/f.x": "1\n", "b/f.x": "1\n", "c/g.x": "2\n"},
         {"a/f.x": "1\n"},
         {"b/f.x": "1\n", "c/g.x": "2\n"},
     ]
-    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
-    family, files = stored_files(snaps, tmp_path / "store")
+    family, files = stored_files(tmp_path, trees)
     # Both f.x copies of v0 are in v1 by key; g.x is not.
     assert [(c.baseline_size, c.points) for c in family.curves] == [
         (3, ((1, 1.0 - 2 / 3), (2, 0.0))),
@@ -177,10 +154,8 @@ def test_files_key_set_keeps_records_that_share_a_key(tree_writer, tmp_path):
     assert keys[first + 1] == keys[first] and keys.count(keys[first]) == 2
 
 
-def test_files_key_set_merges_a_revived_file(tree_writer, tmp_path):
-    trees = [{"a.x": "1\n"}, {"b.x": "2\n"}, {"a.x": "1\n"}]
-    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
-    family, files = stored_files(snaps, tmp_path / "store")
+def test_files_key_set_merges_a_revived_file(tmp_path):
+    family, files = stored_files(tmp_path, [{"a.x": "1\n"}, {"b.x": "2\n"}, {"a.x": "1\n"}])
     assert [c.points for c in family.curves] == [((1, 1.0), (2, 0.0)), ((1, 1.0),)]
     # a.x took a second row in v2; the store holds one.
     assert row_versions(files) == {
@@ -189,10 +164,9 @@ def test_files_key_set_merges_a_revived_file(tree_writer, tmp_path):
     }
 
 
-def test_files_key_set_moved_and_renamed_files(tree_writer, tmp_path):
+def test_files_key_set_moved_and_renamed_files(tmp_path):
     trees = [{"src/a.x": "1\n", "b.x": "2\n"}, {"lib/a.x": "1\n", "c.x": "2\n"}]
-    snaps = [snap(tree_writer, tree, f"v{i}", i) for i, tree in enumerate(trees)]
-    family, files = stored_files(snaps, tmp_path / "store")
+    family, files = stored_files(tmp_path, trees)
     # The moved a.x survives; the renamed b.x does not.
     assert [c.points for c in family.curves] == [((1, 0.5),)]
     assert row_versions(files) == {
@@ -206,22 +180,16 @@ def test_files_key_set_moved_and_renamed_files(tree_writer, tmp_path):
 # --- curve families ----------------------------------------------------------
 
 
-def test_reintroduced_lines_count_as_present(tree_writer):
-    snaps = [
-        snap(tree_writer, {"a.x": "a\nb\n"}, "v0", 0),
-        snap(tree_writer, {"a.x": "a\n"}, "v1", 1),
-        snap(tree_writer, {"a.x": "a\nb\n"}, "v2", 2),
-    ]
-    family = build_curve_family(snaps, "x", MetricKind.ULOC)
+def test_reintroduced_lines_count_as_present(tmp_path):
+    trees = [{"a.x": "a\nb\n"}, {"a.x": "a\n"}, {"a.x": "a\nb\n"}]
+    family = family_of(tmp_path, trees, "x", MetricKind.ULOC)
     # Pairs are compared independently: b is back at offset 2.
     assert family.curves[0].points == ((1, 0.5), (2, 0.0))
 
 
-def test_family_has_all_version_pairs(tree_writer):
-    snaps = [
-        snap(tree_writer, {"a.x": f"line {i}\ncommon\n"}, f"v{i}", i) for i in range(5)
-    ]
-    family = build_curve_family(snaps, "x", MetricKind.ULOC, software="demo")
+def test_family_has_all_version_pairs(tmp_path):
+    trees = [{"a.x": f"line {i}\ncommon\n"} for i in range(5)]
+    family = family_of(tmp_path, trees, "x", MetricKind.ULOC, software="demo")
     assert family.software == "demo"
     assert [c.baseline_ordinal for c in family.curves] == [0, 1, 2, 3]
     assert [len(c.points) for c in family.curves] == [4, 3, 2, 1]
@@ -229,43 +197,31 @@ def test_family_has_all_version_pairs(tree_writer):
     assert family.curves[0].baseline_size == 2
 
 
-def test_family_omits_empty_baselines_with_warning(tree_writer):
-    snaps = [
-        snap(tree_writer, {"a.x": ""}, "v0", 0),
-        snap(tree_writer, {"a.x": "a\n"}, "v1", 1),
-        snap(tree_writer, {"a.x": "a\nb\n"}, "v2", 2),
-    ]
-    family = build_curve_family(snaps, "x", MetricKind.ULOC)
+def test_family_omits_empty_baselines_with_warning(tmp_path):
+    family = family_of(tmp_path, [{"a.x": ""}, {"a.x": "a\n"}, {"a.x": "a\nb\n"}], "x", MetricKind.ULOC)
     assert [c.baseline_ordinal for c in family.curves] == [1]
     assert len(family.warnings) == 1
     assert "v0" in family.warnings[0]
 
 
-def test_family_missing_group_is_a_key_error(tree_writer):
-    snaps = [snap(tree_writer, {"a.x": "a\n"}, f"v{i}", i) for i in range(3)]
-    snaps[2] = VersionSnapshot("v2", 2, {"y": snaps[2].group("y")})
+def test_family_missing_group_is_a_key_error(tmp_path):
+    _, _, store = scan_sources(tmp_path, [{"a.x": "a\n", "a.y": "y\n"}] * 3, (".y",))
     for metric in MetricKind:
-        with pytest.raises(KeyError, match="no group 'x'"):
-            build_curve_family(snaps, "x", metric)
+        with pytest.raises(KeyError, match="no group 'x'; available: \\['y'\\]"):
+            build_curve_family(store, "x", metric)
 
 
-def test_family_needs_two_versions(tree_writer):
-    only = snap(tree_writer, {"a.x": "a\n"}, "v0")
+def test_family_needs_two_versions(tmp_path):
     with pytest.raises(ValueError, match="at least 2"):
-        build_curve_family([only], "x", MetricKind.ULOC)
+        family_of(tmp_path, [{"a.x": "a\n"}], "x", MetricKind.ULOC)
 
 
-def test_family_from_store_directory(tree_writer, tmp_path):
-    store = tmp_path / "store"
-    write_snapshots(
-        [snap(tree_writer, {"a.x": text}, f"v{i}", i) for i, text in enumerate(["a\nb\n", "a\n", "c\n"])],
-        store,
-    )
-    family = build_curve_family(store, "x", MetricKind.ULOC)
+def test_family_from_store_directory(tmp_path):
+    family = family_of(tmp_path, [{"a.x": "a\nb\n"}, {"a.x": "a\n"}, {"a.x": "c\n"}], "x", MetricKind.ULOC)
     assert family.curves[0].points == ((1, 0.5), (2, 1.0))
 
 
-def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
+def test_digest_ending_in_nul_survives_store_and_kernel(tmp_path):
     # numpy drops trailing NULs when an S item becomes bytes; the store
     # and the kernel must keep every digest at full width.
     line = next(
@@ -273,19 +229,14 @@ def test_digest_ending_in_nul_survives_store_and_kernel(tree_writer, tmp_path):
         if hashlib.blake2b(f"line {i}".encode(), digest_size=16).digest()[-1] == 0
     )
     digest = hashlib.blake2b(line.encode(), digest_size=16).digest()
-    store = tmp_path / "store"
-    snaps = [
-        snap(tree_writer, {"a.x": text}, f"v{i}", i)
-        for i, text in enumerate([f"{line}\nother\n", f"{line}\n", "other\n"])
-    ]
-    assert digest in snaps[0].group("x").uloc
-    write_snapshots(snaps, store)
+    trees = [{"a.x": f"{line}\nother\n"}, {"a.x": f"{line}\n"}, {"a.x": "other\n"}]
+    snaps, _, store = scan_sources(tmp_path, trees, XY)
+    assert digest in snaps[0].groups["x"].uloc
     loaded = load_all_snapshots(store).group("x")
-    assert indexed_rows(loaded.lines, 0) == snaps[0].group("x").uloc
+    assert indexed_rows(loaded.lines, 0) == snaps[0].groups["x"].uloc
     assert indexed_rows(loaded.lines, 1) == {digest}
     family = build_curve_family(store, "x", MetricKind.ULOC)
     assert [c.points for c in family.curves] == [((1, 0.5), (2, 0.5)), ((1, 1.0),)]
-    assert family == build_curve_family(snaps, "x", MetricKind.ULOC)
 
 
 def test_change_curve_validation():
@@ -306,13 +257,9 @@ def test_curve_family_rejects_duplicate_baselines():
 # --- CSV round trip ----------------------------------------------------------
 
 
-def test_curves_csv_round_trip(tree_writer, tmp_path):
-    snaps = [
-        snap(tree_writer, {"a.x": "a\nb\nc\n"}, "v0", 0),
-        snap(tree_writer, {"a.x": "a\nd\n"}, "v1", 1),
-        snap(tree_writer, {"a.x": "e\n"}, "v2", 2),
-    ]
-    family = build_curve_family(snaps, "x", MetricKind.ULOC, software="demo")
+def test_curves_csv_round_trip(tmp_path):
+    trees = [{"a.x": "a\nb\nc\n"}, {"a.x": "a\nd\n"}, {"a.x": "e\n"}]
+    family = family_of(tmp_path, trees, "x", MetricKind.ULOC, software="demo")
     path = tmp_path / "curves.csv"
     write_curves_csv(family, path)
     loaded = read_curves_csv(path, group="x", metric=MetricKind.ULOC, software="demo")
@@ -347,18 +294,13 @@ def test_fractions_match_brute_force_oracle(tmp_path):
     rng = random.Random(20260814)
     for corpus_id in range(10):
         history = random_corpus_history(rng, versions=5)
-        snaps = []
-        for i, tree in enumerate(history):
-            root = tmp_path / f"c{corpus_id}" / f"v{i}"
-            root.mkdir(parents=True)
-            write_tree(root, tree)
-            snaps.append(scan_version(root, [X, Y], label=f"v{i}", ordinal=i))
+        _, _, store = scan_sources(tmp_path / f"c{corpus_id}", history, XY)
         for group, ext in (("x", ".x"), ("y", ".y")):
             for metric, oracle in (
                 (MetricKind.ULOC, raw_uloc_fraction),
                 (MetricKind.FILE, raw_file_fraction),
             ):
-                family = build_curve_family(snaps, group, metric)
+                family = build_curve_family(store, group, metric)
                 by_ordinal = {c.baseline_ordinal: c for c in family.curves}
                 for i, base in enumerate(history[:-1]):
                     expected = [oracle(base, later, ext) for later in history[i + 1 :]]
@@ -389,18 +331,14 @@ def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
     # 8/9 and 64/65 straddle a presence-mask byte and a 64-bit word.
     rng = random.Random(versions)
     history = _edge_case_history(rng, versions)
-    snaps = []
-    for i, tree in enumerate(history):
-        root = tmp_path / f"v{i}"
-        root.mkdir()  # the tree may be empty
-        snaps.append(scan_version(write_tree(root, tree), [X, Y], label=f"v{i}", ordinal=i))
+    _, _, store = scan_sources(tmp_path, history, XY)
     assert any(rel.startswith("dup/") for tree in history for rel in tree)
     for group, ext in (("x", ".x"), ("y", ".y")):
         for metric, oracle in (
             (MetricKind.ULOC, raw_uloc_fraction),
             (MetricKind.FILE, raw_file_fraction),
         ):
-            family = build_curve_family(snaps, group, metric)
+            family = build_curve_family(store, group, metric)
             by_ordinal = {c.baseline_ordinal: c for c in family.curves}
             omitted = []
             for i, base in enumerate(history[:-1]):
@@ -412,20 +350,14 @@ def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
                 assert [p for _, p in by_ordinal[i].points] == expected
             assert [w.split(":")[0] for w in family.warnings] == omitted
     # Group y is empty in v0, so its first curve is always omitted.
-    assert build_curve_family(snaps, "y", MetricKind.FILE).warnings
+    assert build_curve_family(store, "y", MetricKind.FILE).warnings
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65])
 def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
     # The file curves read back from a store, at mask byte and word edges.
     history = _edge_case_history(random.Random(1000 + versions), versions)
-    snaps = []
-    for i, tree in enumerate(history):
-        root = tmp_path / f"v{i}"
-        root.mkdir()
-        snaps.append(scan_version(write_tree(root, tree), [X, Y], label=f"v{i}", ordinal=i))
-    store = tmp_path / "store"
-    write_snapshots(snaps, store)
+    _, _, store = scan_sources(tmp_path, history, XY)
     for group, ext in (("x", ".x"), ("y", ".y")):
         family = build_curve_family(store, group, MetricKind.FILE)
         got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from codesurvival.curves import MetricKind
-from codesurvival.ingest import ExtensionGroup, scan_version
+from codesurvival.ingest import ExtensionGroup, scan_corpus, scan_version
 from codesurvival.model import SaturationParams, cumulative_change
 from codesurvival.screening import ISOLATED, detect_jumps, detect_stabilization
 from codesurvival.survival import build_curve_family
@@ -39,12 +39,10 @@ def make_spec(**overrides):
 
 
 def measured_family(spec, out):
+    """The uloc family of a corpus generated into ``out``, scanned into out/store."""
     manifest = generate(spec, out)
-    snaps = [
-        scan_version(v.source, manifest.groups, label=v.label, ordinal=v.ordinal)
-        for v in manifest.versions
-    ]
-    return build_curve_family(snaps, spec.group.name, MetricKind.ULOC)
+    list(scan_corpus(manifest, out / "store"))
+    return build_curve_family(out / "store", spec.group.name, MetricKind.ULOC)
 
 
 # --- derive_mutation_prob -----------------------------------------------------
@@ -137,9 +135,9 @@ def test_generate_writes_expected_layout(tmp_path):
     assert [v.label for v in manifest.versions] == ["v0", "v1", "v2"]
     assert (tmp_path / "corpus" / "v000").is_dir()
     snap = scan_version(manifest.versions[0].source, manifest.groups)
-    assert snap.group("syn").file_count == 7
+    assert snap.groups["syn"].file_count == 7
     # Every line is a unique token, so uloc equals the line budget.
-    assert snap.group("syn").uloc_count == 100
+    assert snap.groups["syn"].uloc_count == 100
 
 
 def test_generate_is_deterministic(tmp_path):
