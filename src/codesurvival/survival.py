@@ -35,8 +35,13 @@ intersection per pair:
    version intervals, so U grows with V**2, not with the number of rows.
 3. With count(u) the number of rows of pattern u, R[u, i] whether its
    row mask has version i and K[u, j] whether its key mask has version
-   j, the overlap of every pair is C = (count R).T @ K, summed in exact
-   integer arithmetic over blocks of patterns so temporaries stay small.
+   j, the overlap of every pair is C = (count R).T @ K.  It runs as a
+   float64 product, which numpy hands to BLAS, over blocks of patterns
+   unpacked one at a time so temporaries stay small.  Every partial sum
+   is a whole number of rows, at most the key set's row count, and
+   float64 holds every integer up to 2**53, so C is exact in any order of
+   summation and on any number of BLAS threads; it is cast back to int64
+   once, at the end.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
@@ -52,14 +57,18 @@ from pathlib import Path
 import numpy as np
 
 from .curves import ChangeCurve, CurveFamily, MetricKind
-from .errors import StoreFormatError
-from .ingest import GroupIndex, KeySet, load_all_snapshots
+from .errors import StoreFormatError, UsageError
+from .ingest import STORE_FILENAME, GroupIndex, KeySet, load_all_snapshots
 
 __all__ = ["build_curve_family"]
 
-# Patterns per block of the overlap product; bounds its int64 temporaries
-# to 2 * _PATTERN_BLOCK * V * 8 bytes.
-_PATTERN_BLOCK = 512
+# Patterns per block of the overlap product.  Each block unpacks its own
+# bits, so its two float64 operands, and BLAS's packed copies of them, take
+# about _PATTERN_BLOCK * V * 8 bytes each; larger blocks bought no speed.
+# The sums are exact while a key set has fewer than 2**53 rows; line rows
+# are int32, so a lines key set has fewer than 2**31.  float32 would be
+# exact only up to 2**24.
+_PATTERN_BLOCK = 64
 
 # Per metric: the key set of a group index it counts, the attribute of a
 # version's recorded count of them, and what a version without any has.
@@ -76,15 +85,18 @@ def _shared_counts(keys: KeySet, n_versions: int) -> np.ndarray:
     # One opaque (row mask, key mask) item per row sorts far faster than rows.
     width = pairs.shape[1]
     patterns, counts = np.unique(pairs.view(np.dtype((np.void, width))).ravel(), return_counts=True)
-    bits = np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1, bitorder="little")
-    row_bits = bits[:, :n_versions] * counts[:, np.newaxis]
+    patterns = patterns.view(np.uint8).reshape(-1, width)
+    counts = counts.astype(np.float64)[:, np.newaxis]
     # Key bits end each pattern; where keys are rows they are the row bits.
-    key_bits = bits[:, (width - masks.shape[1]) * 8 :][:, :n_versions]
-    shared = np.zeros((n_versions, n_versions), dtype=np.int64)
+    key_start = (width - masks.shape[1]) * 8
+    shared = np.zeros((n_versions, n_versions), dtype=np.float64)
     for start in range(0, len(patterns), _PATTERN_BLOCK):
         block = slice(start, start + _PATTERN_BLOCK)
-        shared += row_bits[block].T @ key_bits[block].astype(np.int64)
-    return shared
+        bits = np.unpackbits(patterns[block], axis=1, bitorder="little")
+        row_bits = bits[:, :n_versions] * counts[block]
+        key_bits = bits[:, key_start : key_start + n_versions].astype(np.float64)
+        shared += row_bits.T @ key_bits
+    return shared.astype(np.int64)
 
 
 def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int, list[float]]]:
@@ -121,6 +133,9 @@ def build_curve_family(
     silently zeroed.
     """
     lifetime = load_all_snapshots(store)
+    path = Path(store) / STORE_FILENAME
+    if not path.is_file():
+        raise UsageError(f"{path}: no store file; run `codesurvival scan` to write one")
     if len(lifetime.labels) < 2:
         raise ValueError("need at least 2 versions to build change curves")
     index = lifetime.group(group)

@@ -335,9 +335,14 @@ def test_curves_reads_only_the_key_set_it_uses(tmp_path, capsys):
 
 
 def test_curves_missing_store(tmp_path, capsys):
-    assert run("curves", "--store", tmp_path / "void", "--group", "syn",
-               "--metric", "uloc", "--out", tmp_path / "c.csv") == 2
-    assert "at least 2" in capsys.readouterr().err
+    # A directory that does not exist, and one without a store file.
+    (tmp_path / "empty").mkdir()
+    for store in (tmp_path / "void", tmp_path / "empty"):
+        assert run("curves", "--store", store, "--group", "syn",
+                   "--metric", "uloc", "--out", tmp_path / "c.csv") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {store / 'lifetime.store'}: no store file; run `codesurvival scan` to write one\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 # --- fit ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from codesurvival.ingest import load_all_snapshots
+from codesurvival import survival
+from codesurvival.ingest import KeySet, load_all_snapshots
 from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
@@ -367,3 +369,59 @@ def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
             if fractions[0] is not None:
                 expected[i] = fractions
         assert got == expected
+
+
+# --- the all-pairs kernel on key sets built directly ------------------------
+
+
+def _random_mask(rng: random.Random, versions: int) -> int:
+    """A presence run over versions, with holes: a row that is dropped and revived."""
+    start = rng.randrange(versions)
+    end = rng.randrange(start, versions) + 1
+    mask = (1 << end) - (1 << start)
+    for _ in range(rng.randrange(3)):
+        mask &= ~(1 << rng.randrange(versions))
+    return mask or 1 << start
+
+
+def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[KeySet, list[bytes], list[int]]:
+    """A canonical key set of random rows, with each row's key and mask.
+
+    In the files form up to three adjacent rows share a 16-byte key, as
+    records with one basename and content in several directories do.
+    """
+    keys = sorted({rng.randbytes(16) for _ in range(150)})
+    rows = sorted(
+        key + rng.randbytes(16) if files else key
+        for key in keys
+        for _ in range(rng.randint(1, 3) if files else 1)
+    )
+    masks = [_random_mask(rng, versions) for _ in rows]
+    width = (versions + 7) // 8
+    key_set = KeySet(
+        np.frombuffer(b"".join(rows), dtype=f"S{len(rows[0])}"),
+        np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8).reshape(-1, width),
+        f"S{len(rows[0])}",
+    )
+    return key_set, [row[:16] for row in rows], masks
+
+
+@pytest.mark.parametrize("versions", [1, 2, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("files", [False, True], ids=["lines", "files"])
+def test_shared_counts_match_per_pair_counts(monkeypatch, versions, files):
+    # Blocks of 1 and 3 patterns put many block edges inside the pattern
+    # list; 63 to 129 versions straddle 64-bit words of the masks.
+    key_set, keys, masks = _random_key_set(random.Random(versions * 2 + files), versions, files)
+    if files:
+        assert len(set(keys)) < len(keys)
+    holding = [[r for r, mask in enumerate(masks) if mask >> v & 1] for v in range(versions)]
+    key_sets = [{keys[r] for r in rows} for rows in holding]
+    expected = [
+        [sum(keys[r] in key_sets[j] for r in holding[i]) for j in range(versions)]
+        for i in range(versions)
+    ]
+    for block in (1, 3, survival._PATTERN_BLOCK):
+        monkeypatch.setattr(survival, "_PATTERN_BLOCK", block)
+        shared = survival._shared_counts(key_set, versions)
+        assert shared.dtype == np.int64
+        assert shared.tolist() == expected
