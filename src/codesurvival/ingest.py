@@ -31,27 +31,29 @@ Most lines of a release were already in the release before it, so
 ``scan_corpus`` carries a line -> row map per group from one version to
 the next, rows of the lifetime index it builds.  A line the map holds
 costs one lookup; only a line the previous version lacked is digested,
-and it takes the index's next row at once.  So a line that comes back
-after an absence takes a new row; its two rows hold disjoint versions,
-and they are merged into one when the store is written.  A file whose
-content equals that of a file of the previous version, wherever either
-lies, is not split at all: it takes that file's rows.  When a version
-ends, the lines it lacks leave the map, so it never holds more than two
-versions' distinct lines, each once.
+and it takes the index's next row at once.  So a row lives in one run
+of versions, and a line that comes back after an absence takes a new
+row for its new run.  A file whose content equals that of a file of the
+previous version, wherever either lies, is not split at all: it takes
+that file's rows.  When a version ends, the lines it lacks leave the
+map, so it never holds more than two versions' distinct lines, each
+once.
 
-The store (format 4) is one file per store directory, a lifetime index
-of the corpus (a bitmap index over versions).  Each group holds two key
-sets of the same layout: ``lines``, one row per distinct line digest, and
-``files``, one row per distinct (relpath, content digest) record.  Each
-row has a presence mask with one bit per version, so the store grows
-with distinct lines and records, not with versions x lines.  Paths are
-not stored as text: a record's row digest is the digest of its basename
-and content, then that of its directory, which is all ``curves`` needs.
-``scan`` folds each version into the index as it goes, setting its bit
-on the rows it has, and writes the file once, after the last version,
-under a temporary name that then replaces the old file; a store is never
-partial or stale.  The digests are sorted, and a revived line's or
-file's rows merged, only then (``GroupIndex.canonical``).
+The store (format 5) is one file per store directory, a life table of
+the corpus.  Each group holds two key sets of the same layout: ``lines``,
+one row per run of a line digest, and ``files``, one row per run of a
+(relpath, content digest) record.  Each row holds its digest and its
+run of versions, (birth, death), so the store grows with distinct lines
+and records, not with versions x lines.  Paths are not stored as text:
+a record's row digest is the digest of its basename and content, then
+that of its directory, which is all ``curves`` needs.  ``scan`` folds
+each version into the index as it goes, extending the run of each row
+it has, and writes the file once, after the last version, under a
+temporary name that then replaces the old file; a store is never
+partial or stale.  The rows are sorted by digest only then
+(``GroupIndex.canonical``); nothing is merged, so a revived line keeps
+one row per run.  A run's ends are 16-bit, so a corpus holds at most
+65,535 versions.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import lzma
 import mmap
 import os
 import re
+import stat
 import tarfile
 import zlib
 from collections import deque
@@ -106,7 +109,7 @@ __all__ = [
     "load_all_snapshots",
 ]
 
-STORE_FORMAT_VERSION = 4
+STORE_FORMAT_VERSION = 5
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
@@ -121,8 +124,11 @@ _DIGEST_DTYPE = f"S{DIGEST_SIZE}"
 # A file record's row digest: its (basename, content) key, then its directory.
 _FILE_DIGEST_DTYPE = f"S{2 * DIGEST_SIZE}"
 # A line's row in a group index; 2**31 distinct lines in one group would
-# need masks and digests far beyond a desk machine's memory anyway.
+# need digests far beyond a desk machine's memory anyway.
 _ROW_DTYPE = np.int32
+# A row's run of versions, (birth, death), as in the store; a death is at most V.
+_RUN_DTYPE = np.dtype(("<u2", 2))
+_MAX_VERSIONS = np.iinfo(_RUN_DTYPE.base).max
 
 
 def _digest(data: bytes) -> bytes:
@@ -192,10 +198,13 @@ class CorpusManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "versions", tuple(self.versions))
         object.__setattr__(self, "groups", tuple(self.groups))
-        labels = [v.label for v in self.versions]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ManifestError(f"duplicate version label {label!r}")
+        if len(self.versions) > _MAX_VERSIONS:
+            raise ManifestError(f"{len(self.versions)} versions; a corpus holds at most {_MAX_VERSIONS}")
+        labels: set[str] = set()
+        for version in self.versions:
+            if version.label in labels:
+                raise ManifestError(f"duplicate version label {version.label!r}")
+            labels.add(version.label)
         for i, version in enumerate(self.versions):
             if version.ordinal != i:
                 raise ManifestError(
@@ -232,7 +241,7 @@ class GroupPayload:
     distinct rows of ``index.lines`` (``index`` is the ``GroupIndex`` the
     scan numbered them in), in ascending order, one row per line.  Only
     the index that numbered a payload's rows can fold it in
-    (``store_snapshot``), by setting bits on those rows.  A line revived
+    (``store_snapshot``), by extending those rows' runs.  A line revived
     after an absence holds a newer row than in the versions before the
     absence.  Payloads compare by content (files, skipped count and line
     digests), whichever index numbered their rows.
@@ -437,7 +446,7 @@ class _LineRows(dict):
         counters.lines_digested += len(self._new_lines)
         counters.memo_lines_max = max(counters.memo_lines_max, len(self))
         new = np.arange(index.rows, index.rows + len(self._new_lines))
-        index.append(np.frombuffer(self._new_digests, _DIGEST_DTYPE))
+        index.append(np.frombuffer(self._new_digests, _DIGEST_DTYPE), len(self.index.versions))
         self._line_of_row += self._new_lines
         self._new_lines, self._new_digests = [], bytearray()
         present = np.zeros(index.rows, dtype=bool)
@@ -473,20 +482,25 @@ _GroupFile = tuple[ExtensionGroup, str, bytes | None]
 
 
 def _read_directory(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
-    for root, dirnames, filenames in os.walk(source, followlinks=False):
+    # str paths throughout: pathlib's parsing cost as much as the reads.
+    top = os.fspath(source)
+    for root, dirnames, filenames in os.walk(top, followlinks=False):
         dirnames.sort()
+        directory = root[len(top) :].lstrip(os.sep).replace(os.sep, "/")
+        prefix = f"{directory}/" if directory else ""
         for filename in sorted(filenames):
             group = _match_group(filename, groups)
             if group is None:
                 continue
-            full = Path(root) / filename
-            if full.is_symlink() or not full.is_file():
-                continue
+            full = os.path.join(root, filename)
             try:
-                data = full.read_bytes()
+                if not stat.S_ISREG(os.lstat(full).st_mode):  # a symbolic link is not followed
+                    continue
+                with open(full, "rb") as fh:
+                    data = fh.read()
             except OSError:
                 data = None
-            yield group, full.relative_to(source).as_posix(), data
+            yield group, prefix + filename, data
 
 
 def _extract_link(tar: tarfile.TarFile, member: tarfile.TarInfo) -> bytes | None:
@@ -706,29 +720,33 @@ def scan_corpus(
 
 # --- lifetime store -------------------------------------------------------
 #
-# Format 4: one file per store directory, named STORE_FILENAME.
+# Format 5: one file per store directory, named STORE_FILENAME.
 #   <header>\n<sections>
 # The header is one line of canonical JSON (sorted keys, no spaces, ASCII
 # only, so it holds no raw newline):
-#   {"digest": "blake2b-128", "format": 4,
+#   {"digest": "blake2b-128", "format": 5,
 #    "groups": {group: {"files": key set, "lines": key set}},
 #    "versions": [{"groups": {group: {"files": f, "skipped": k,
 #      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
-# with each key set {"digests": offset, "keys": n, "masks": offset}.
+# with each key set {"digests": offset, "keys": n, "runs": offset}.
 # "digest" is always the one digest; a file naming another is refused.
 # Offsets count from the first byte after the header's newline.  Groups
 # follow one another in name order, each as its lines key set, then its
 # files key set, and each key set as two sections:
-#   digests: its n row digests, each once, sorted by byte value: 16 bytes
-#            per row for lines, 32 for files;
-#   masks:   n rows of ceil(V/8) bytes for V versions; bit i of row k
-#            (byte i // 8, bit i % 8) is set iff version i has row k.
-# A line's row digest is the line's digest.  A file record's is the digest
-# of basename + NUL + content digest, then the digest of the directory
-# part of its relpath (empty at the root), names encoded as UTF-8 with
-# surrogate escapes.  Its first 16 bytes are the record's (basename,
-# content) key, so the rows of one key are adjacent.  A version's uloc
-# and file counts are the numbers of lines and files rows with its bit.
+#   digests: its n row digests, sorted by byte value: 16 bytes per row for
+#            lines, 32 for files;
+#   runs:    n (birth, death) pairs of little-endian uint16: versions
+#            birth, ..., death - 1 hold row k, and 0 <= birth < death <= V
+#            for V <= 65,535 versions.
+# A digest has one row per run: the rows of a line revived after an
+# absence are adjacent, in birth order, and each dies before the next is
+# born.  A line's row digest is the line's digest.  A file record's is the
+# digest of basename + NUL + content digest, then the digest of the
+# directory part of its relpath (empty at the root), names encoded as
+# UTF-8 with surrogate escapes.  Its first 16 bytes are the record's
+# (basename, content) key, so the rows of one key are adjacent.  A
+# version's uloc and file counts are the numbers of lines and files rows
+# whose runs hold it.
 
 STORE_FILENAME = "lifetime.store"
 
@@ -745,115 +763,105 @@ class GroupVersion:
     skipped_files: int = 0
 
 
-def _reserve(array: np.ndarray, rows: int, width: int | None = None) -> np.ndarray:
-    """``array`` if it has room for ``rows`` rows (of ``width`` columns), else a copy that has.
+def _reserve(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` if it has room for ``rows`` rows, else a copy that has.
 
-    The copy keeps the first ``rows`` rows.  When it grows in rows, its
-    room at least doubles, so appending rows one version at a time copies
-    each row a bounded number of times.  New room is zero and left
-    unwritten, so it takes no memory until rows go into it.
+    The copy's room at least doubles, so appending rows one version at a
+    time copies each row a bounded number of times.  New room is zero and
+    left unwritten, so it takes no memory until rows go into it.
     """
-    shape = array.shape[1:] if width is None else (width,)
-    if len(array) >= rows and array.shape[1:] == shape:
+    if len(array) >= rows:
         return array
-    size = len(array) if len(array) >= rows else max(rows, 2 * len(array))
-    grown = np.zeros((size, *shape), dtype=array.dtype)
-    kept = array[:rows]
-    grown[tuple(slice(n) for n in kept.shape)] = kept
+    grown = np.zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
+    grown[: len(array)] = array
     return grown
 
 
 class KeySet:
-    """Fixed-width row digests, each row with a presence mask over versions.
+    """Fixed-width row digests, each row held by one run of versions.
 
-    ``digests[k]`` is row k's digest, and row k of ``masks`` has bit i
-    set iff version i has row k.  A key set built in memory numbers rows
-    in the order they were appended, so a digest revived after an
-    absence holds a second row, whose versions are disjoint from the
-    first's.  ``canonical`` gives the form a store holds and loads: each
-    digest once, sorted by byte value.  A key set read from a store names
-    its ``source``, and its digests are checked to strictly increase when
-    they are first read, so a stage reads only the key sets it uses.
+    ``digests[k]`` is row k's digest, and ``runs[k]`` its (birth, death):
+    versions birth, ..., death - 1 hold row k, and no others.  A key set
+    built in memory numbers rows in the order they were appended, so a
+    digest revived after an absence holds a second row, born after the
+    first died.  ``canonical`` gives the form a store holds and loads.  A
+    key set read from a store names its ``source`` and the store's number
+    of ``versions``; its rows are checked when first read, so a stage
+    reads only the key sets it uses.
     """
 
     def __init__(
         self,
         digests: np.ndarray | None = None,
-        masks: np.ndarray | None = None,
+        runs: np.ndarray | None = None,
         dtype: str = _DIGEST_DTYPE,
         *,
         source: str = "",
+        versions: int = 0,
     ) -> None:
         self._digests = np.empty(0, dtype=dtype) if digests is None else digests
         self.rows = len(self._digests)
-        self._masks = np.zeros((0, 0), dtype=np.uint8) if masks is None else masks
+        self._runs = np.empty(0, dtype=_RUN_DTYPE) if runs is None else runs
         self._unchecked = source
+        self._versions = versions
+
+    def _check(self) -> None:
+        """Refuse a loaded key set whose rows a scan could not have written."""
+        if not self._unchecked:
+            return
+        digests, births, deaths = self._digests, self._runs[:, 0], self._runs[:, 1]
+        if (digests[1:] < digests[:-1]).any():
+            raise StoreFormatError(f"{self._unchecked} digests are not sorted")
+        if ((births >= deaths) | (deaths > self._versions)).any():
+            raise StoreFormatError(f"{self._unchecked} runs are not all within versions 0 to {self._versions}")
+        if ((digests[1:] == digests[:-1]) & (deaths[:-1] >= births[1:])).any():
+            raise StoreFormatError(f"{self._unchecked} rows of one digest overlap or touch")
+        self._unchecked = ""
 
     @property
     def digests(self) -> np.ndarray:
-        if self._unchecked:
-            if not (self._digests[1:] > self._digests[:-1]).all():
-                raise StoreFormatError(f"{self._unchecked} digests are not strictly increasing")
-            self._unchecked = ""
+        self._check()
         return self._digests[: self.rows]
 
     @property
-    def masks(self) -> np.ndarray:
-        return self._masks[: self.rows]
+    def runs(self) -> np.ndarray:
+        self._check()
+        return self._runs[: self.rows]
 
-    def append(self, digests: np.ndarray) -> None:
-        """Give ``digests`` the next rows, in the order given."""
+    def append(self, digests: np.ndarray, version: int) -> None:
+        """Give ``digests`` the next rows, in the order given, each an empty run at ``version``."""
         end = self.rows + len(digests)
         self._digests = _reserve(self._digests, end)
         self._digests[self.rows : end] = digests
+        self._runs = _reserve(self._runs, end)
+        self._runs[self.rows : end] = version
         self.rows = end
 
     def mark(self, rows: np.ndarray, version: int) -> None:
-        """Set the version's bit on these rows."""
-        column, bit = divmod(version, 8)
-        self._masks = _reserve(self._masks, self.rows, column + 1)
-        self._masks[rows, column] |= np.uint8(1 << bit)
-
-    def key_masks(self) -> np.ndarray | None:
-        """Per row, the mask of its key: the OR of the masks of every row with that key.
-
-        A row's key is the first DIGEST_SIZE bytes of its digest, so in a
-        canonical key set the rows of one key are adjacent.  None where
-        each row is its own key, as every line is.
-        """
-        digests = self.digests
-        keys = digests.view(_DIGEST_DTYPE)[:: digests.itemsize // DIGEST_SIZE]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        if first.all():
-            return None
-        starts = np.flatnonzero(first)
-        key_masks = np.bitwise_or.reduceat(self.masks, starts, axis=0)
-        return np.repeat(key_masks, np.diff(starts, append=len(first)), axis=0)
+        """Add the version to these rows' runs, each of which must end just before it."""
+        broken = rows[self._runs[rows, 1] != version]
+        if len(broken):
+            raise ValueError(
+                f"rows {broken[:3].tolist()} ({len(broken)} in all) neither start nor "
+                f"continue a run at version {version}"
+            )
+        self._runs[rows, 1] = version + 1
 
     def canonical(self) -> KeySet:
-        """These rows as a store holds them: digests by byte value, each once.
-
-        Rows no version holds are dropped, and the rows of one digest
-        merge into one whose mask ORs theirs.
-        """
-        masks = self.masks
-        held = np.flatnonzero(masks.any(axis=1))
-        order = held[np.argsort(self.digests[held])]
-        digests = self.digests[order]
-        first = np.ones(len(digests), dtype=bool)
-        first[1:] = digests[1:] != digests[:-1]
-        starts = np.flatnonzero(first)
-        return KeySet(digests[starts], np.bitwise_or.reduceat(masks[order], starts, axis=0))
+        """These rows as a store holds them: rows a version holds, by digest, each digest's by birth."""
+        runs = self.runs
+        held = np.flatnonzero(runs[:, 0] < runs[:, 1])
+        order = held[np.argsort(self.digests[held], kind="stable")]
+        return KeySet(self.digests[order], runs[order])
 
 
 class GroupIndex:
     """One group across versions: its lines and its file records, as two key sets.
 
-    ``lines`` has a row per line digest, ``files`` a row per (relpath,
-    content digest) record (``_file_digest``), and ``versions`` keeps
-    each version's counts, in ordinal order.  ``canonical`` gives the
-    form a store holds and loads.
+    ``lines`` has a row per run of a line digest, ``files`` one per run of
+    a (relpath, content digest) record (``_file_digest``), and
+    ``versions`` keeps each version's counts, in ordinal order.
+    ``canonical`` gives the form a store holds and loads.
     """
 
     def __init__(
@@ -868,22 +876,22 @@ class GroupIndex:
         # The records of the version added last, and their rows.
         self._file_rows: dict[FileRecord, int] = {}
 
-    def _record_rows(self, files: Sequence[FileRecord]) -> np.ndarray:
+    def _record_rows(self, files: Sequence[FileRecord], version: int) -> np.ndarray:
         """The records' rows; a record the version added last lacked takes a new row."""
         new = [record for record in files if record not in self._file_rows]
         self._file_rows.update(zip(new, range(self.files.rows, self.files.rows + len(new))))
-        self.files.append(np.frombuffer(b"".join(map(_file_digest, new)), _FILE_DIGEST_DTYPE))
+        self.files.append(np.frombuffer(b"".join(map(_file_digest, new)), _FILE_DIGEST_DTYPE), version)
         self._file_rows = {record: self._file_rows[record] for record in files}
         return np.fromiter(self._file_rows.values(), dtype=np.intp, count=len(self._file_rows))
 
     def add(self, payload: GroupPayload) -> None:
-        """Fold in the next version: its bit is the number of versions before it.
+        """Fold in the next version, numbered by the versions before it.
 
         The payload's line rows are rows of this index (``store_snapshot``).
         """
         version = len(self.versions)
         self.lines.mark(payload.rows, version)
-        self.files.mark(self._record_rows(payload.files), version)
+        self.files.mark(self._record_rows(payload.files, version), version)
         self.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))
 
     def canonical(self) -> GroupIndex:
@@ -951,9 +959,9 @@ def write_store(index: LifetimeIndex, store: str | Path) -> Path:
         layout[name] = {}
         for kind in _KEY_SETS:
             keys = getattr(group, kind)
-            layout[name][kind] = dict(digests=offset, keys=keys.rows, masks=offset + keys.digests.nbytes)
-            sections += [keys.digests, keys.masks]
-            offset += keys.digests.nbytes + keys.masks.nbytes
+            layout[name][kind] = dict(digests=offset, keys=keys.rows, runs=offset + keys.digests.nbytes)
+            sections += [keys.digests, keys.runs]
+            offset += keys.digests.nbytes + keys.runs.nbytes
     header = dict(digest=DIGEST_ALGORITHM, format=STORE_FORMAT_VERSION, groups=layout, versions=versions)
     path = store / STORE_FILENAME
     temporary = store / f".{STORE_FILENAME}.{os.getpid()}.tmp"
@@ -1002,11 +1010,11 @@ def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[
 def load_all_snapshots(store: str | Path) -> LifetimeIndex:
     """Load a store: every version's counts, and each group's two key sets.
 
-    The digests and masks are read-only views into a memory map of the
+    The digests and runs are read-only views into a memory map of the
     file, so a caller reads from disk only the pages it touches.  A key
-    set whose digests are not strictly increasing is refused when its
-    digests are first read (``KeySet``).  A directory without a store
-    file holds no versions.
+    set whose rows a scan could not have written is refused when its rows
+    are first read (``KeySet``).  A directory without a store file is a
+    usage error.
     """
     store = Path(store)
     path = store / STORE_FILENAME
@@ -1016,7 +1024,7 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
                 f"{store}: per-version .snap files are store format 1 or 2, which is no "
                 "longer read; rescan the corpus into a new store"
             )
-        return LifetimeIndex(labels=[], groups={})
+        raise UsageError(f"{path}: no store file; run `codesurvival scan` to write one")
     with path.open("rb") as fh:
         line = fh.readline()
         try:
@@ -1040,19 +1048,18 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
         labels, per_group = _group_versions(
             path, _field(path, header, "versions", list, "header"), sorted(layout)
         )
-        mask_bytes = (len(labels) + 7) // 8
         offset = 0
         for name in sorted(layout):
             for kind, dtype in _KEY_SETS.items():
                 section = _field(path, layout[name], kind, dict, f"group {name!r}")
                 keys = _field(path, section, "keys", int, f"group {name!r} {kind}")
-                expected = {"digests": offset, "keys": keys, "masks": offset + keys * dtype.itemsize}
+                expected = {"digests": offset, "keys": keys, "runs": offset + keys * dtype.itemsize}
                 if keys < 0 or section != expected:
                     raise StoreFormatError(
                         f"{path}: group {name!r} {kind} sections {section} are not laid out "
                         f"as {expected}"
                     )
-                offset = expected["masks"] + keys * mask_bytes
+                offset = expected["runs"] + keys * _RUN_DTYPE.itemsize
         size = os.fstat(fh.fileno()).st_size
         if size != len(line) + offset:
             raise StoreFormatError(
@@ -1066,9 +1073,7 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
         for kind, dtype in _KEY_SETS.items():
             n = sections[kind]["keys"]
             digests = np.frombuffer(data, dtype, count=n, offset=len(line) + sections[kind]["digests"])
-            masks = np.frombuffer(
-                data, np.uint8, count=n * mask_bytes, offset=len(line) + sections[kind]["masks"]
-            ).reshape(n, mask_bytes)
-            key_sets.append(KeySet(digests, masks, source=f"{path}: group {name!r} {kind}"))
+            runs = np.frombuffer(data, _RUN_DTYPE, count=n, offset=len(line) + sections[kind]["runs"])
+            key_sets.append(KeySet(digests, runs, source=f"{path}: group {name!r} {kind}", versions=len(labels)))
         groups[name] = GroupIndex(*key_sets, per_group[name])
     return LifetimeIndex(labels=labels, groups=groups)

@@ -17,36 +17,30 @@ present: each pair is compared on its own, with no history memory.
 
 Both metrics are one count, |base rows whose key the later version has|
 / |base rows|, over one of a group's two key sets (``ingest.GroupIndex``):
-``lines`` for uloc, one row per line digest, and ``files`` for file, one
-row per (relpath, content digest) record.  A row's key is the first 16
-bytes of its digest: the line digest itself, or the digest of a record's
-basename and content, so records that share a key keep their
-multiplicity.  All version pairs come from one kernel instead of one set
-intersection per pair:
+``lines`` for uloc, one row per run of a line digest, and ``files`` for
+file, one row per run of a (relpath, content digest) record.  A row's
+key is the first 16 bytes of its digest: the line digest itself, or the
+digest of a record's basename and content, so records that share a key
+keep their multiplicity.  All version pairs come from one kernel instead
+of one set intersection per pair:
 
-1. Each row's presence across the V versions is a ceil(V/8)-byte mask,
-   one bit per version, for any V: the key set's own, read from the
-   store that ``scan`` wrote (``ingest.scan_corpus``).  A key is present
-   in a version if any of its rows is, so its mask ORs its rows' masks;
-   the rows of one key are adjacent in the sorted key set.  A line is
-   its own key, so for lines the two masks are one.
-2. Rows with equal (row mask, key mask) pairs are interchangeable, so
-   the rows collapse to U distinct patterns.  Lines live in contiguous
-   version intervals, so U grows with V**2, not with the number of rows.
-3. With count(u) the number of rows of pattern u, R[u, i] whether its
-   row mask has version i and K[u, j] whether its key mask has version
-   j, the overlap of every pair is C = (count R).T @ K.  It runs as a
-   float64 product, which numpy hands to BLAS, over blocks of patterns
-   unpacked one at a time so temporaries stay small.  Every partial sum
-   is a whole number of rows, at most the key set's row count, and
-   float64 holds every integer up to 2**53, so C is exact in any order of
-   summation and on any number of BLAS threads; it is cast back to int64
-   once, at the end.
+1. Each row is held by one run of versions, [birth, death): the key
+   set's own, read from the store that ``scan`` wrote
+   (``ingest.scan_corpus``).  A key is present in a version if any of its
+   rows is, so its runs are its rows' runs merged; the rows of one key
+   are adjacent in the sorted key set.  A line is its own key, and its
+   rows' runs are disjoint already.
+2. A row with run [b, d) whose key has run [kb, kd) adds one to C[i, j]
+   for every b <= i < d and kb <= j < kd: a rectangle.  Each rectangle
+   adds +-1 at its four corners of a (V+1) x (V+1) difference array, and
+   two cumulative sums over it give C, in int64 and so exactly.  A key
+   with one row, as most are, has one rectangle, the square [b, d) x
+   [b, d), and one ``bincount`` over (b, d) counts all of them.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
 bit-identical to it.  C[i, i] must equal the version's recorded uloc or
-file count; a store whose masks disagree is refused.  The curve types
+file count; a store whose runs disagree is refused.  The curve types
 and their CSV form live in ``curves``.
 """
 
@@ -57,18 +51,10 @@ from pathlib import Path
 import numpy as np
 
 from .curves import ChangeCurve, CurveFamily, MetricKind
-from .errors import StoreFormatError, UsageError
-from .ingest import STORE_FILENAME, GroupIndex, KeySet, load_all_snapshots
+from .errors import StoreFormatError
+from .ingest import DIGEST_SIZE, GroupIndex, KeySet, load_all_snapshots
 
 __all__ = ["build_curve_family"]
-
-# Patterns per block of the overlap product.  Each block unpacks its own
-# bits, so its two float64 operands, and BLAS's packed copies of them, take
-# about _PATTERN_BLOCK * V * 8 bytes each; larger blocks bought no speed.
-# The sums are exact while a key set has fewer than 2**53 rows; line rows
-# are int32, so a lines key set has fewer than 2**31.  float32 would be
-# exact only up to 2**24.
-_PATTERN_BLOCK = 64
 
 # Per metric: the key set of a group index it counts, the attribute of a
 # version's recorded count of them, and what a version without any has.
@@ -80,23 +66,35 @@ _METRIC_KEYS = {
 
 def _shared_counts(keys: KeySet, n_versions: int) -> np.ndarray:
     """C[i, j]: how many of version i's rows have their key in version j."""
-    masks, key_masks = keys.masks, keys.key_masks()
-    pairs = masks if key_masks is None else np.concatenate([masks, key_masks], axis=1)
-    # One opaque (row mask, key mask) item per row sorts far faster than rows.
-    width = pairs.shape[1]
-    patterns, counts = np.unique(pairs.view(np.dtype((np.void, width))).ravel(), return_counts=True)
-    patterns = patterns.view(np.uint8).reshape(-1, width)
-    counts = counts.astype(np.float64)[:, np.newaxis]
-    # Key bits end each pattern; where keys are rows they are the row bits.
-    key_start = (width - masks.shape[1]) * 8
-    shared = np.zeros((n_versions, n_versions), dtype=np.float64)
-    for start in range(0, len(patterns), _PATTERN_BLOCK):
-        block = slice(start, start + _PATTERN_BLOCK)
-        bits = np.unpackbits(patterns[block], axis=1, bitorder="little")
-        row_bits = bits[:, :n_versions] * counts[block]
-        key_bits = bits[:, key_start : key_start + n_versions].astype(np.float64)
-        shared += row_bits.T @ key_bits
-    return shared.astype(np.int64)
+    side = n_versions + 1
+    births, deaths = keys.runs.astype(np.int64).T
+    key = keys.digests.view(f"S{DIGEST_SIZE}")[:: keys.digests.itemsize // DIGEST_SIZE]
+    # edge[k]: row k starts a key (k < rows), or k is the end.
+    edge = np.ones(len(key) + 1, dtype=bool)
+    edge[1:-1] = key[1:] != key[:-1]
+    alone = edge[:-1] & edge[1:]
+    squares = np.bincount(births[alone] * side + deaths[alone], minlength=side * side).reshape(side, side)
+    diff = np.diag(squares.sum(axis=1) + squares.sum(axis=0)) - squares - squares.T
+
+    # The other keys: sort each one's rows by birth, and merge overlapping
+    # or touching runs into the key's runs.
+    shared = np.flatnonzero(~alone)
+    key_id = np.cumsum(edge[:-1])[shared]
+    order = np.lexsort((births[shared], key_id))
+    key_id, b, d = key_id[order], births[shared][order], deaths[shared][order]
+    # Per row, the last death of its key's rows so far; key_id * side keeps each max in its key.
+    reach = np.maximum.accumulate(key_id * side + d) - key_id * side
+    starts = np.flatnonzero((np.diff(key_id, prepend=-1) != 0) | (b > np.roll(reach, 1)))
+    run_key, run_birth = key_id[starts], b[starts]
+    run_death = reach[np.append(starts, len(b))[1:] - 1]
+    # One rectangle per row and run of its key, added at its four corners.
+    first = np.searchsorted(run_key, key_id)
+    count = np.searchsorted(run_key, key_id, side="right") - first
+    row = np.repeat(np.arange(len(b)), count)
+    run = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(row))
+    for ends, key_ends, sign in ((b, run_birth, 1), (b, run_death, -1), (d, run_birth, -1), (d, run_death, 1)):
+        np.add.at(diff, (ends[row], key_ends[run]), sign)
+    return diff.cumsum(axis=0).cumsum(axis=1)[:n_versions, :n_versions]
 
 
 def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int, list[float]]]:
@@ -109,7 +107,7 @@ def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int,
     sizes = [getattr(version, count) for version in index.versions]
     if shared.diagonal().tolist() != sizes:
         raise StoreFormatError(
-            f"presence masks give {metric.value} counts {shared.diagonal().tolist()}, "
+            f"runs give {metric.value} counts {shared.diagonal().tolist()}, "
             f"the versions record {sizes}"
         )
     rows = shared.tolist()
@@ -133,9 +131,6 @@ def build_curve_family(
     silently zeroed.
     """
     lifetime = load_all_snapshots(store)
-    path = Path(store) / STORE_FILENAME
-    if not path.is_file():
-        raise UsageError(f"{path}: no store file; run `codesurvival scan` to write one")
     if len(lifetime.labels) < 2:
         raise ValueError("need at least 2 versions to build change curves")
     index = lifetime.group(group)

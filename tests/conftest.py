@@ -13,9 +13,9 @@ import random
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from codesurvival import ingest
 from codesurvival.ingest import KeySet, ScanCounters, VersionSnapshot, load_manifest, scan_corpus
 
 CRITERIA = {
@@ -53,6 +53,21 @@ def tree_writer(tmp_path):
         return write_tree(root, files)
 
     return _write
+
+
+def refuse_reads(monkeypatch, refused) -> None:
+    """Make ``scan`` fail to read each directory file whose Path ``refused`` accepts.
+
+    Tests run as any user, so a permission bit cannot make a file
+    unreadable; the scan's ``open`` raises instead, as a denied read would.
+    """
+
+    def flaky(file, *args, **kwargs):
+        if refused(Path(file)):
+            raise OSError("permission denied")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", flaky, raising=False)
 
 
 def scan_sources(
@@ -94,15 +109,17 @@ def scan_sources(
 
 
 def row_versions(keys: KeySet) -> dict[bytes, list[int]]:
-    """Per row digest of a key set, the versions whose bit its mask has."""
+    """Per row digest of a key set, the versions whose runs of its rows hold it, ascending."""
     width = keys.digests.itemsize
     raw = keys.digests.tobytes()  # an S item would lose trailing NUL bytes
-    bits = np.unpackbits(keys.masks, axis=1, bitorder="little")
-    return {raw[k * width : (k + 1) * width]: np.flatnonzero(row).tolist() for k, row in enumerate(bits)}
+    versions: dict[bytes, list[int]] = {}
+    for k, (birth, death) in enumerate(keys.runs.tolist()):
+        versions.setdefault(raw[k * width : (k + 1) * width], []).extend(range(birth, death))
+    return {digest: sorted(held) for digest, held in versions.items()}
 
 
 def indexed_rows(keys: KeySet, version: int) -> frozenset[bytes]:
-    """The row digests of a key set whose presence mask has the version's bit."""
+    """The row digests of a key set that a run holding the version has."""
     return frozenset(digest for digest, versions in row_versions(keys).items() if version in versions)
 
 

@@ -328,7 +328,7 @@ def test_curves_reads_only_the_key_set_it_uses(tmp_path, capsys):
     assert run("curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out_csv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'syn' lines digests are not strictly increasing" in err
+    assert "'syn' lines digests are not sorted" in err
     assert not out_csv.exists()
     assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", out_csv) == 0
     assert out_csv.read_bytes() == intact.read_bytes()
@@ -511,6 +511,13 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
         (lambda t: _group_manifest(t, [5]), "m.json: group 'c': extensions must be a list of strings"),
         (lambda t: _group_manifest(t, ".c"), "m.json: group 'c': extensions must be a list of strings"),
+        # Every version is the manifest's own directory, so nothing is made per version.
+        (
+            lambda t: _write_manifest(
+                t, {"software": "s", "groups": [], "versions": [{"label": f"v{i}", "path": "."} for i in range(65_536)]}
+            ),
+            "65536 versions; a corpus holds at most 65535",
+        ),
         (lambda t: _synth(t, "--seed", -1), "seed must be >= 0, got -1"),
         (lambda t: _synth(t, "--lambda", "nan"), "lambda must be > 0 and finite, got nan"),
         (lambda t: _synth(t, "--lambda", "inf"), "lambda must be > 0 and finite, got inf"),
@@ -540,6 +547,7 @@ def _write_curves(tmp_path, insert_at, row):
         "bounds-horizon-negative",
         "extensions-not-strings",
         "extensions-a-string",
+        "too-many-versions",
         "synth-seed-negative",
         "synth-lambda-nan",
         "synth-lambda-inf",

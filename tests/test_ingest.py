@@ -46,6 +46,7 @@ from conftest import (
     random_corpus_history,
     raw_file_fraction,
     raw_uloc_fraction,
+    refuse_reads,
     row_versions,
     scan_sources,
     write_tree,
@@ -177,14 +178,7 @@ def test_scan_skips_symlinks(tree_writer):
 
 def test_scan_counts_unreadable_files(tree_writer, monkeypatch):
     root = tree_writer({"ok.cpp": "x\n", "locked.cpp": "y\n"})
-    original = Path.read_bytes
-
-    def flaky(self):
-        if self.name == "locked.cpp":
-            raise OSError("permission denied")
-        return original(self)
-
-    monkeypatch.setattr(Path, "read_bytes", flaky)
+    refuse_reads(monkeypatch, lambda path: path.name == "locked.cpp")
     snap = scan_version(root, [CPP])
     assert [f.basename for f in snap.groups["cpp"].files] == ["ok.cpp"]
     assert snap.groups["cpp"].skipped_files == 1
@@ -515,13 +509,14 @@ def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
     assert set(loaded.groups) == set(snaps[0].groups)
     for name, group in loaded.groups.items():
         payloads = [s.groups[name] for s in snaps]
+        # Each digest once in store order, however many runs it has.
         union = sorted({d for p in payloads for d in p.uloc})
-        assert group.lines.digests.tobytes() == b"".join(union)
-        assert group.lines.masks.shape == (len(union), (len(snaps) + 7) // 8)
+        assert list(row_versions(group.lines)) == union
+        assert group.lines.runs.shape == (group.lines.rows, 2)
         records = [{file_row_digest(r.relpath, r.content_digest) for r in p.files} for p in payloads]
         distinct = sorted(set().union(*records))
-        assert group.files.digests.tobytes() == b"".join(distinct)
-        assert group.files.masks.shape == (len(distinct), (len(snaps) + 7) // 8)
+        assert list(row_versions(group.files)) == distinct
+        assert group.files.runs.shape == (group.files.rows, 2)
         for i, payload in enumerate(payloads):
             version = group.versions[i]
             assert version.file_count == payload.file_count
@@ -573,17 +568,19 @@ def test_store_rejects_corruption(tmp_path):
     snaps, _, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"a.cpp": "y\nz\n"}])
     path = store / STORE_FILENAME
     good = path.read_bytes()
+    loaded = load_all_snapshots(store).group("cpp")
+    good_runs = {"lines": loaded.lines.runs.tolist(), "files": loaded.files.runs.tolist()}
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
-    assert header["format"] == 4 and header["digest"] == "blake2b-128"
+    assert header["format"] == 5 and header["digest"] == "blake2b-128"
     assert header["groups"] == {
         "cpp": {
-            "lines": {"digests": 0, "keys": 3, "masks": 48},
-            "files": {"digests": 51, "keys": 2, "masks": 115},
+            "lines": {"digests": 0, "keys": 3, "runs": 48},
+            "files": {"digests": 60, "keys": 2, "runs": 124},
         }
     }
     assert header["versions"][0]["groups"] == {"cpp": {"files": 1, "skipped": 0, "uloc": 2}}
-    assert len(body) == 3 * 16 + 3 * 1 + 2 * 32 + 2 * 1
+    assert len(body) == 3 * 16 + 3 * 4 + 2 * 32 + 2 * 4
 
     def with_header(**changes) -> bytes:
         return json.dumps({**header, **changes}).encode() + b"\n" + body
@@ -607,6 +604,7 @@ def test_store_rejects_corruption(tmp_path):
         (b"[3]\n" + body, "header"),
         (with_header(format=2), "version 2"),
         (with_header(format=3), "version 3.*rescan"),
+        (with_header(format=4), "version 4.*rescan"),
         (with_header(digest="sha256"), "'sha256'.*'blake2b-128'.*rescan"),
         (with_header(versions={}), "'versions'"),
         (with_header(groups=[]), "'groups'"),
@@ -621,16 +619,17 @@ def test_store_rejects_corruption(tmp_path):
         (with_header(groups={"cpp": {"lines": header["groups"]["cpp"]["lines"]}}), "'files'"),
         (
             with_layout(
-                lines={"digests": 0, "keys": 2, "masks": 32},
-                files={"digests": 34, "keys": 2, "masks": 98},
+                lines={"digests": 0, "keys": 2, "runs": 32},
+                files={"digests": 40, "keys": 2, "runs": 104},
             ),
             "bytes",
         ),
-        (with_layout(lines={"digests": 0, "keys": 3, "masks": 32}), "lines .*laid out"),
-        (with_layout(lines={"digests": 3, "keys": 3, "masks": 51}), "laid out"),
-        (with_layout(lines={"digests": 0, "keys": -1, "masks": -16}), "laid out"),
-        (with_layout(files={"digests": 51, "keys": 2, "masks": 83}), "files .*laid out"),
-        (with_layout(files={"digests": 48, "keys": 2, "masks": 112}), "files .*laid out"),
+        (with_layout(lines={"digests": 0, "keys": 3, "masks": 48}), "lines .*laid out"),  # format 4
+        (with_layout(lines={"digests": 0, "keys": 3, "runs": 32}), "lines .*laid out"),
+        (with_layout(lines={"digests": 3, "keys": 3, "runs": 51}), "laid out"),
+        (with_layout(lines={"digests": 0, "keys": -1, "runs": -16}), "laid out"),
+        (with_layout(files={"digests": 60, "keys": 2, "runs": 92}), "files .*laid out"),
+        (with_layout(files={"digests": 48, "keys": 2, "runs": 112}), "files .*laid out"),
         (good + b"trailing junk", "bytes"),
         (good[:-2], "bytes"),  # truncated
     ]
@@ -639,21 +638,42 @@ def test_store_rejects_corruption(tmp_path):
         with pytest.raises(StoreFormatError, match=match):
             load_all_snapshots(store)
 
-    # Key sets whose rows are out of order or repeated are refused when
-    # their digests are first read; the other key set stays usable.
+    # Key sets whose rows a scan could not have written are refused when
+    # their rows are first read; the other key set stays usable.
     at = len(line) + 1
-    for kind, first, width, other, keys in (("lines", at, 16, "files", 2), ("files", at + 51, 32, "lines", 3)):
-        a, b = good[first : first + width], good[first + width : first + 2 * width]
-        for rows in (b + a, a + a):
-            path.write_bytes(good[:first] + rows + good[first + 2 * width :])
-            group = load_all_snapshots(store).group("cpp")
-            assert len(getattr(group, other).digests) == keys
-            with pytest.raises(StoreFormatError, match=f"{kind} digests are not strictly increasing"):
-                getattr(group, kind).digests
+    # Per key set: where its digests start, their width, its rows, where its runs start.
+    sections = {"lines": (at, 16, 3, at + 48), "files": (at + 60, 32, 2, at + 124)}
 
-    # Masks that disagree with the recorded counts are refused by the kernel.
-    for metric, mask_byte in ((MetricKind.ULOC, at + 50), (MetricKind.FILE, at + 116)):
-        path.write_bytes(good[:mask_byte] + bytes([good[mask_byte] ^ 1]) + good[mask_byte + 1 :])
+    def with_rows(kind: str, digests: bytes = b"", runs: tuple = ()) -> bytes:
+        first, _, _, runs_at = sections[kind]
+        raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
+        data = bytearray(good)
+        data[first : first + len(digests)] = digests
+        data[runs_at : runs_at + len(raw)] = raw
+        return bytes(data)
+
+    for kind, other in (("lines", "files"), ("files", "lines")):
+        first, width, _, _ = sections[kind]
+        a, b = good[first : first + width], good[first + width : first + 2 * width]
+        for data, match in (
+            (with_rows(kind, digests=b + a), "digests are not sorted"),
+            (with_rows(kind, runs=[(1, 1)]), "runs are not all within versions 0 to 2"),
+            (with_rows(kind, runs=[(2, 1)]), "runs are not all within"),
+            (with_rows(kind, runs=[(0, 3)]), "runs are not all within"),
+            (with_rows(kind, digests=a + a, runs=[(0, 2), (1, 2)]), "rows of one digest overlap"),
+            (with_rows(kind, digests=a + a, runs=[(0, 1), (1, 2)]), "rows of one digest overlap or touch"),
+        ):
+            path.write_bytes(data)
+            group = load_all_snapshots(store).group("cpp")
+            assert len(getattr(group, other).digests) == sections[other][2]
+            for rows in ("digests", "runs"):
+                with pytest.raises(StoreFormatError, match=f"{kind} {match}"):
+                    getattr(getattr(group, kind), rows)
+
+    # Valid runs that disagree with the recorded counts are refused by the kernel.
+    for metric, kind in ((MetricKind.ULOC, "lines"), (MetricKind.FILE, "files")):
+        run = (0, 1) if good_runs[kind][0] == [0, 2] else (0, 2)
+        path.write_bytes(with_rows(kind, runs=[run]))
         with pytest.raises(StoreFormatError, match=f"{metric.value} counts"):
             build_curve_family(store, "cpp", metric)
 
@@ -678,14 +698,15 @@ def test_store_bulk_load(tmp_path):
     assert indexed_rows(loaded.group("cpp").lines, 2) == frozenset({b2(b"c")})
     with pytest.raises(KeyError, match="no group 'h'; available: \\['cpp'\\]"):
         loaded.group("h")
-    # A directory without a store file holds no versions.
-    assert load_all_snapshots(tmp_path / "elsewhere") == LifetimeIndex(labels=[], groups={})
+    # A directory without a store file is a usage error.
+    with pytest.raises(UsageError, match="lifetime.store: no store file; run `codesurvival scan`"):
+        load_all_snapshots(tmp_path / "elsewhere")
 
 
 def index_is_empty(index: LifetimeIndex) -> bool:
-    """No version folded in: no label, and no group holds a version or a set bit."""
+    """No version folded in: no label, and no group holds a version or a non-empty run."""
     return index.labels == [] and all(
-        group.versions == [] and not group.lines.masks.any() and group.files.rows == 0
+        group.versions == [] and all(b == d for b, d in group.lines.runs.tolist()) and group.files.rows == 0
         for group in index.groups.values()
     )
 
@@ -700,7 +721,19 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
     assert index_is_empty(index)
     store_snapshot(scan_version(root, [CPP, H], ordinal=0, memo=memo), index)
-    assert len(index.labels) == 1 and index.groups["h"].lines.masks.tolist() == [[1]]
+    assert len(index.labels) == 1 and index.groups["h"].lines.runs.tolist() == [[0, 1]]
+
+
+def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
+    # "gone" is in v0 and not in v1, so v0's payload folded in again as v2
+    # would give its row a second run.
+    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex()})
+    memo = {"cpp": ingest._LineRows(index.groups["cpp"])}
+    first = scan_version(tree_writer({"a.cpp": "keep\ngone\n"}, "v0"), [CPP], ordinal=0, memo=memo)
+    store_snapshot(first, index)
+    store_snapshot(scan_version(tree_writer({"a.cpp": "keep\n"}, "v1"), [CPP], ordinal=1, memo=memo), index)
+    with pytest.raises(ValueError, match=r"^rows \[1\] \(1 in all\) neither start nor continue a run at version 2$"):
+        store_snapshot(VersionSnapshot("v2", 2, first.groups), index)
 
 
 def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
@@ -720,7 +753,7 @@ def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
 def test_store_mask_edges(tmp_path, monkeypatch, versions):
-    # 8/9 and 64/65 straddle a mask byte and a 64-bit word; 70 is > 64.
+    # 8/9 and 64/65 straddle a byte and a 64-bit word; 70 is > 64.
     rng = random.Random(versions)
     # Lines whose digests end in NUL bytes, which an S item would drop, and others.
     nul = [line for line in (f"line {i}" for i in range(20_000)) if b2(line.encode())[-1] == 0]
@@ -737,14 +770,7 @@ def test_store_mask_edges(tmp_path, monkeypatch, versions):
         read.append(tree)
         # i % 3 files that cannot be read, so each version skips as many.
         trees.append({**tree, **{f"locked{k}.x": "never read\n" for k in range(i % 3)}})
-    original = Path.read_bytes
-
-    def flaky(self):
-        if self.name.startswith("locked"):
-            raise OSError("permission denied")
-        return original(self)
-
-    monkeypatch.setattr(Path, "read_bytes", flaky)
+    refuse_reads(monkeypatch, lambda path: path.name.startswith("locked"))
     snaps, _, store = scan_sources(tmp_path, trees, (".x",))
     loaded = load_all_snapshots(store)
     assert_store_holds(loaded, snaps)
@@ -753,8 +779,8 @@ def test_store_mask_edges(tmp_path, monkeypatch, versions):
     path = store / STORE_FILENAME
     header_bytes = path.read_bytes().index(b"\n") + 1
     lines, files = loaded.group("x").lines.rows, loaded.group("x").files.rows
-    mask_bytes = (versions + 7) // 8
-    assert path.stat().st_size == header_bytes + lines * (16 + mask_bytes) + files * (32 + mask_bytes)
+    # A digest and a (birth, death) pair of uint16 per row.
+    assert path.stat().st_size == header_bytes + lines * (16 + 4) + files * (32 + 4)
     for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
         family = build_curve_family(store, "x", metric)
         got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
@@ -829,8 +855,9 @@ def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, mon
     _, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
     assert rows_by_line(store) == {b2(b"keep"): [0, 1, 2], b2(b"gone"): [0, 2]}
     assert digested.count(b"gone") == 2
-    # The scan gives the revived "gone" a third row; the store merges it
-    # into the first.
+    # The scan gives the revived "gone" a third row, and the store keeps
+    # it: one row per run.
+    assert load_all_snapshots(store).group("cpp").lines.rows == 3
     assert counters["cpp"] == ScanCounters(
         files=3, lines=5, lines_digested=3, memo_lines_max=2, index_rows=3
     )
@@ -882,14 +909,7 @@ def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, 
     tree = {"a.cpp": "x\ny\n", "b.cpp": "z\n"}
     for i in range(3):
         tree_writer(tree, f"v{i}")
-    original = Path.read_bytes
-
-    def flaky(self):
-        if self.name == "a.cpp" and self.parent.name == "v1":
-            raise OSError("permission denied")
-        return original(self)
-
-    monkeypatch.setattr(Path, "read_bytes", flaky)
+    refuse_reads(monkeypatch, lambda path: path.name == "a.cpp" and path.parent.name == "v1")
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1", "v2"])
     assert [s.groups["cpp"].skipped_files for s in snaps] == [0, 1, 0]
     # v1 has no a.cpp to reuse, so v2 splits it, digests its lines again
@@ -945,7 +965,7 @@ def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
 
 @pytest.mark.parametrize("versions, seed", [(5, 9), (5, 12), (8, 3), (9, 5), (64, 5), (65, 6)])
 def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
-    # 8/9 and 64/65 versions straddle a mask byte and a 64-bit word.
+    # 8/9 and 64/65 versions straddle a byte and a 64-bit word.
     rng = random.Random(seed)
     history = random_corpus_history(rng, versions=versions)
     snaps, counters, store = scan_sources(tmp_path, history, extensions=(".x", ".y"))

@@ -149,17 +149,19 @@ def test_files_key_set_keeps_records_that_share_a_key(tmp_path):
         file_row_digest("b/f.x", b2(b"1\n")): [0, 2],
         file_row_digest("c/g.x", b2(b"2\n")): [0, 2],
     }
-    # The two f.x rows share their first 16 bytes, the key, and are adjacent.
+    # The f.x rows, a/f.x's run and b/f.x's two, share their first 16
+    # bytes, the key, and are adjacent.
     raw = files.digests.tobytes()
     keys = [raw[k * 32 : k * 32 + 16] for k in range(files.rows)]
     first = keys.index(b2(b"f.x\0" + b2(b"1\n")))
-    assert keys[first + 1] == keys[first] and keys.count(keys[first]) == 2
+    assert keys[first : first + 3] == [keys[first]] * 3 and keys.count(keys[first]) == 3
 
 
 def test_files_key_set_merges_a_revived_file(tmp_path):
     family, files = stored_files(tmp_path, [{"a.x": "1\n"}, {"b.x": "2\n"}, {"a.x": "1\n"}])
     assert [c.points for c in family.curves] == [((1, 1.0), (2, 0.0)), ((1, 1.0),)]
-    # a.x took a second row in v2; the store holds one.
+    # a.x took a second row in v2, and the store keeps both, one per run.
+    assert files.runs.tolist() in ([[0, 1], [2, 3], [1, 2]], [[1, 2], [0, 1], [2, 3]])
     assert row_versions(files) == {
         file_row_digest("a.x", b2(b"1\n")): [0, 2],
         file_row_digest("b.x", b2(b"2\n")): [1],
@@ -330,7 +332,7 @@ def _edge_case_history(rng: random.Random, versions: int) -> list[dict[str, str]
 
 @pytest.mark.parametrize("versions", [2, 8, 9, 64, 65, 70])
 def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
-    # 8/9 and 64/65 straddle a presence-mask byte and a 64-bit word.
+    # 8/9 and 64/65 straddle a byte and a 64-bit word.
     rng = random.Random(versions)
     history = _edge_case_history(rng, versions)
     _, _, store = scan_sources(tmp_path, history, XY)
@@ -357,7 +359,7 @@ def test_all_pairs_kernel_matches_oracle(tmp_path, versions):
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65])
 def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
-    # The file curves read back from a store, at mask byte and word edges.
+    # The file curves read back from a store, at byte and word edges.
     history = _edge_case_history(random.Random(1000 + versions), versions)
     _, _, store = scan_sources(tmp_path, history, XY)
     for group, ext in (("x", ".x"), ("y", ".y")):
@@ -374,54 +376,51 @@ def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
 # --- the all-pairs kernel on key sets built directly ------------------------
 
 
-def _random_mask(rng: random.Random, versions: int) -> int:
-    """A presence run over versions, with holes: a row that is dropped and revived."""
-    start = rng.randrange(versions)
-    end = rng.randrange(start, versions) + 1
-    mask = (1 << end) - (1 << start)
-    for _ in range(rng.randrange(3)):
-        mask &= ~(1 << rng.randrange(versions))
-    return mask or 1 << start
+def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[KeySet, list[bytes], list[tuple[int, int]]]:
+    """A canonical key set of random rows, with each row's key and run.
 
-
-def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[KeySet, list[bytes], list[int]]:
-    """A canonical key set of random rows, with each row's key and mask.
-
-    In the files form up to three adjacent rows share a 16-byte key, as
-    records with one basename and content in several directories do.
+    A digest has one or more rows, each born at least one version after
+    the one before it died, as a line or record revived after an absence.
+    In the files form up to three digests share a 16-byte key, as records
+    with one basename and content in several directories do, and their
+    runs may overlap.
     """
     keys = sorted({rng.randbytes(16) for _ in range(150)})
-    rows = sorted(
+    digests = sorted(
         key + rng.randbytes(16) if files else key
         for key in keys
         for _ in range(rng.randint(1, 3) if files else 1)
     )
-    masks = [_random_mask(rng, versions) for _ in rows]
-    width = (versions + 7) // 8
+    rows, runs = [], []
+    for digest in digests:
+        birth = rng.randrange(versions)
+        while birth < versions:
+            death = rng.randint(birth + 1, versions)
+            rows.append(digest)
+            runs.append((birth, death))
+            birth = death + 1 + rng.randrange(3) if rng.random() < 0.5 else versions
     key_set = KeySet(
         np.frombuffer(b"".join(rows), dtype=f"S{len(rows[0])}"),
-        np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8).reshape(-1, width),
+        np.array(runs, dtype="<u2"),
         f"S{len(rows[0])}",
     )
-    return key_set, [row[:16] for row in rows], masks
+    return key_set, [row[:16] for row in rows], runs
 
 
-@pytest.mark.parametrize("versions", [1, 2, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("versions", [1, 2, 8, 9, 63, 64, 65, 127, 128, 129])
 @pytest.mark.parametrize("files", [False, True], ids=["lines", "files"])
-def test_shared_counts_match_per_pair_counts(monkeypatch, versions, files):
-    # Blocks of 1 and 3 patterns put many block edges inside the pattern
-    # list; 63 to 129 versions straddle 64-bit words of the masks.
-    key_set, keys, masks = _random_key_set(random.Random(versions * 2 + files), versions, files)
+def test_shared_counts_match_per_pair_counts(versions, files):
+    key_set, keys, runs = _random_key_set(random.Random(versions * 2 + files), versions, files)
+    if versions > 2:
+        assert key_set.rows > len(set(key_set.digests.tolist()))  # revived digests
     if files:
-        assert len(set(keys)) < len(keys)
-    holding = [[r for r, mask in enumerate(masks) if mask >> v & 1] for v in range(versions)]
+        assert len(set(keys)) < len(set(key_set.digests.tolist()))  # keys shared across directories
+    holding = [[r for r, (birth, death) in enumerate(runs) if birth <= v < death] for v in range(versions)]
     key_sets = [{keys[r] for r in rows} for rows in holding]
     expected = [
         [sum(keys[r] in key_sets[j] for r in holding[i]) for j in range(versions)]
         for i in range(versions)
     ]
-    for block in (1, 3, survival._PATTERN_BLOCK):
-        monkeypatch.setattr(survival, "_PATTERN_BLOCK", block)
-        shared = survival._shared_counts(key_set, versions)
-        assert shared.dtype == np.int64
-        assert shared.tolist() == expected
+    shared = survival._shared_counts(key_set, versions)
+    assert shared.dtype == np.int64
+    assert shared.tolist() == expected
