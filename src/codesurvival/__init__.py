@@ -1,7 +1,8 @@
 """Measure how code survives across releases and what that implies for
 how long an undiscovered in-code vulnerability can persist.
 
-The pipeline: ingest version snapshots into digests (`ingest`), measure
+The pipeline: ingest version snapshots into digests (`ingest`), kept in
+a lifetime store (`store`), measure
 changed fractions between every version pair (`survival`, with the
 curve types and their CSV form in `curves`), screen out
 pre-stabilization versions and discontinuous events (`screening`), fit

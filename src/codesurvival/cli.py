@@ -7,8 +7,8 @@ readable artifact.  Outputs are deterministic for fixed inputs and
 flags; the optional --report run report is the one exception, since it
 includes wall-clock timings.
 
-Each subcommand imports only the modules it runs: ``fit`` and ``bounds``
-start without numpy, and ``curves`` without the fitting code.
+Each subcommand imports only the modules it runs: only ``synth`` and
+``scan`` import numpy, and ``curves`` loads no fitting code.
 
 Exit codes: 0 success, 2 input or usage error, 3 data or computation
 error (for example a screening plan that excludes every point).
@@ -35,7 +35,8 @@ __all__ = ["main"]
 # The names each stage module lends this one, loaded by the subcommands
 # that call them (``_load``) or on first attribute access from outside.
 _STAGE_NAMES = {
-    "ingest": ("STORE_FILENAME", "ExtensionGroup", "ScanCounters", "load_manifest", "scan_corpus"),
+    "ingest": ("ExtensionGroup", "ScanCounters", "load_manifest", "scan_corpus"),
+    "store": ("STORE_FILENAME",),
     "survival": ("build_curve_family",),
     "screening": ("ScreeningPlan", "apply_plan", "load_plan"),
     "fitting": ("FitResult", "fit_saturation"),
@@ -80,7 +81,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
-    _load("ingest")
+    _load("ingest", "store")
     manifest = load_manifest(args.manifest)
     store = Path(args.store)
     store.mkdir(parents=True, exist_ok=True)
@@ -129,7 +130,7 @@ def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     print(f"{n_rows} curve rows ({len(family.curves)} baselines) -> {args.out}")
     for warning in family.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return [Path(args.out)], list(family.warnings), {}
+    return [Path(args.out)], list(family.warnings), {"store_sections": dict(family.inputs)}
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:

@@ -58,13 +58,19 @@ class ChangeCurve:
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """All change curves of one group/metric, one per baseline version."""
+    """All change curves of one group/metric, one per baseline version.
+
+    ``inputs`` names what the curves were computed from: (section,
+    checksum) pairs of the store sections read, empty for a family read
+    from a CSV.
+    """
 
     software: str
     group: str
     metric: MetricKind
     curves: tuple[ChangeCurve, ...]
     warnings: tuple[str, ...] = field(default=())
+    inputs: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "curves", tuple(self.curves))

@@ -39,21 +39,16 @@ that file's rows.  When a version ends, the lines it lacks leave the
 map, so it never holds more than two versions' distinct lines, each
 once.
 
-The store (format 5) is one file per store directory, a life table of
-the corpus.  Each group holds two key sets of the same layout: ``lines``,
-one row per run of a line digest, and ``files``, one row per run of a
-(relpath, content digest) record.  Each row holds its digest and its
-run of versions, (birth, death), so the store grows with distinct lines
-and records, not with versions x lines.  Paths are not stored as text:
-a record's row digest is the digest of its basename and content, then
-that of its directory, which is all ``curves`` needs.  ``scan`` folds
-each version into the index as it goes, extending the run of each row
-it has, and writes the file once, after the last version, under a
+The index is written as the store (``store``, format 6): one file per
+store directory, a life table of the corpus, whose rows are each one
+run of versions of a line or a file record.  ``scan`` folds each
+version into the index as it goes, extending the run of each row it
+has, and writes the file once, after the last version, under a
 temporary name that then replaces the old file; a store is never
 partial or stale.  The rows are sorted by digest only then
 (``GroupIndex.canonical``); nothing is merged, so a revived line keeps
-one row per run.  A run's ends are 16-bit, so a corpus holds at most
-65,535 versions.
+one row per run.  Only this module and ``synth`` need numpy: ``curves``
+reads the store with the standard library alone.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ import gzip
 import hashlib
 import json
 import lzma
-import mmap
 import os
 import re
 import stat
@@ -78,46 +72,30 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ManifestError,
-    MissingSourceError,
-    StoreFormatError,
-    UsageError,
-)
+from .errors import ManifestError, MissingSourceError, UsageError
+from .store import DIGEST_SIZE, MAX_VERSIONS, GroupVersion, LifetimeIndex, write_store
+from .store import GroupIndex as _StoredGroupIndex
 
 __all__ = [
-    "DIGEST_ALGORITHM",
-    "DIGEST_SIZE",
     "ExtensionGroup",
     "VersionEntry",
     "CorpusManifest",
     "FileRecord",
     "GroupPayload",
     "VersionSnapshot",
-    "GroupVersion",
-    "KeySet",
     "GroupIndex",
-    "LifetimeIndex",
     "ScanCounters",
-    "STORE_FILENAME",
     "load_manifest",
     "normalize_lines",
     "scan_version",
     "scan_corpus",
     "store_snapshot",
-    "write_store",
-    "load_all_snapshots",
 ]
-
-STORE_FORMAT_VERSION = 5
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
 
 
-#: The one digest of lines and file contents, as named in store headers.
-DIGEST_ALGORITHM = "blake2b-128"
-DIGEST_SIZE = 16
 # Equality and order of fixed-width S items are exact byte comparisons,
 # NUL bytes included.
 _DIGEST_DTYPE = f"S{DIGEST_SIZE}"
@@ -126,9 +104,6 @@ _FILE_DIGEST_DTYPE = f"S{2 * DIGEST_SIZE}"
 # A line's row in a group index; 2**31 distinct lines in one group would
 # need digests far beyond a desk machine's memory anyway.
 _ROW_DTYPE = np.int32
-# A row's run of versions, (birth, death), as in the store; a death is at most V.
-_RUN_DTYPE = np.dtype(("<u2", 2))
-_MAX_VERSIONS = np.iinfo(_RUN_DTYPE.base).max
 
 
 def _digest(data: bytes) -> bytes:
@@ -198,8 +173,8 @@ class CorpusManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "versions", tuple(self.versions))
         object.__setattr__(self, "groups", tuple(self.groups))
-        if len(self.versions) > _MAX_VERSIONS:
-            raise ManifestError(f"{len(self.versions)} versions; a corpus holds at most {_MAX_VERSIONS}")
+        if len(self.versions) > MAX_VERSIONS:
+            raise ManifestError(f"{len(self.versions)} versions; a corpus holds at most {MAX_VERSIONS}")
         labels: set[str] = set()
         for version in self.versions:
             if version.label in labels:
@@ -718,161 +693,15 @@ def scan_corpus(
     write_store(index, store)
 
 
-# --- lifetime store -------------------------------------------------------
-#
-# Format 5: one file per store directory, named STORE_FILENAME.
-#   <header>\n<sections>
-# The header is one line of canonical JSON (sorted keys, no spaces, ASCII
-# only, so it holds no raw newline):
-#   {"digest": "blake2b-128", "format": 5,
-#    "groups": {group: {"files": key set, "lines": key set}},
-#    "versions": [{"groups": {group: {"files": f, "skipped": k,
-#      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
-# with each key set {"digests": offset, "keys": n, "runs": offset}.
-# "digest" is always the one digest; a file naming another is refused.
-# Offsets count from the first byte after the header's newline.  Groups
-# follow one another in name order, each as its lines key set, then its
-# files key set, and each key set as two sections:
-#   digests: its n row digests, sorted by byte value: 16 bytes per row for
-#            lines, 32 for files;
-#   runs:    n (birth, death) pairs of little-endian uint16: versions
-#            birth, ..., death - 1 hold row k, and 0 <= birth < death <= V
-#            for V <= 65,535 versions.
-# A digest has one row per run: the rows of a line revived after an
-# absence are adjacent, in birth order, and each dies before the next is
-# born.  A line's row digest is the line's digest.  A file record's is the
-# digest of basename + NUL + content digest, then the digest of the
-# directory part of its relpath (empty at the root), names encoded as
-# UTF-8 with surrogate escapes.  Its first 16 bytes are the record's
-# (basename, content) key, so the rows of one key are adjacent.  A
-# version's uloc and file counts are the numbers of lines and files rows
-# whose runs hold it.
+class GroupIndex(_StoredGroupIndex):
+    """A group index that a scan folds versions into (``store_snapshot``).
 
-STORE_FILENAME = "lifetime.store"
-
-# The key sets of a group, in store order, and the dtype of their digests.
-_KEY_SETS = {"lines": np.dtype(_DIGEST_DTYPE), "files": np.dtype(_FILE_DIGEST_DTYPE)}
-
-
-@dataclass(frozen=True, slots=True)
-class GroupVersion:
-    """One group of one version as the store records it, besides its rows."""
-
-    file_count: int
-    uloc_count: int
-    skipped_files: int = 0
-
-
-def _reserve(array: np.ndarray, rows: int) -> np.ndarray:
-    """``array`` if it has room for ``rows`` rows, else a copy that has.
-
-    The copy's room at least doubles, so appending rows one version at a
-    time copies each row a bounded number of times.  New room is zero and
-    left unwritten, so it takes no memory until rows go into it.
-    """
-    if len(array) >= rows:
-        return array
-    grown = np.zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
-    grown[: len(array)] = array
-    return grown
-
-
-class KeySet:
-    """Fixed-width row digests, each row held by one run of versions.
-
-    ``digests[k]`` is row k's digest, and ``runs[k]`` its (birth, death):
-    versions birth, ..., death - 1 hold row k, and no others.  A key set
-    built in memory numbers rows in the order they were appended, so a
-    digest revived after an absence holds a second row, born after the
-    first died.  ``canonical`` gives the form a store holds and loads.  A
-    key set read from a store names its ``source`` and the store's number
-    of ``versions``; its rows are checked when first read, so a stage
-    reads only the key sets it uses.
+    File records take rows as they come: a record the version added last
+    lacked takes a new row of ``files``, its row digest ``_file_digest``.
     """
 
-    def __init__(
-        self,
-        digests: np.ndarray | None = None,
-        runs: np.ndarray | None = None,
-        dtype: str = _DIGEST_DTYPE,
-        *,
-        source: str = "",
-        versions: int = 0,
-    ) -> None:
-        self._digests = np.empty(0, dtype=dtype) if digests is None else digests
-        self.rows = len(self._digests)
-        self._runs = np.empty(0, dtype=_RUN_DTYPE) if runs is None else runs
-        self._unchecked = source
-        self._versions = versions
-
-    def _check(self) -> None:
-        """Refuse a loaded key set whose rows a scan could not have written."""
-        if not self._unchecked:
-            return
-        digests, births, deaths = self._digests, self._runs[:, 0], self._runs[:, 1]
-        if (digests[1:] < digests[:-1]).any():
-            raise StoreFormatError(f"{self._unchecked} digests are not sorted")
-        if ((births >= deaths) | (deaths > self._versions)).any():
-            raise StoreFormatError(f"{self._unchecked} runs are not all within versions 0 to {self._versions}")
-        if ((digests[1:] == digests[:-1]) & (deaths[:-1] >= births[1:])).any():
-            raise StoreFormatError(f"{self._unchecked} rows of one digest overlap or touch")
-        self._unchecked = ""
-
-    @property
-    def digests(self) -> np.ndarray:
-        self._check()
-        return self._digests[: self.rows]
-
-    @property
-    def runs(self) -> np.ndarray:
-        self._check()
-        return self._runs[: self.rows]
-
-    def append(self, digests: np.ndarray, version: int) -> None:
-        """Give ``digests`` the next rows, in the order given, each an empty run at ``version``."""
-        end = self.rows + len(digests)
-        self._digests = _reserve(self._digests, end)
-        self._digests[self.rows : end] = digests
-        self._runs = _reserve(self._runs, end)
-        self._runs[self.rows : end] = version
-        self.rows = end
-
-    def mark(self, rows: np.ndarray, version: int) -> None:
-        """Add the version to these rows' runs, each of which must end just before it."""
-        broken = rows[self._runs[rows, 1] != version]
-        if len(broken):
-            raise ValueError(
-                f"rows {broken[:3].tolist()} ({len(broken)} in all) neither start nor "
-                f"continue a run at version {version}"
-            )
-        self._runs[rows, 1] = version + 1
-
-    def canonical(self) -> KeySet:
-        """These rows as a store holds them: rows a version holds, by digest, each digest's by birth."""
-        runs = self.runs
-        held = np.flatnonzero(runs[:, 0] < runs[:, 1])
-        order = held[np.argsort(self.digests[held], kind="stable")]
-        return KeySet(self.digests[order], runs[order])
-
-
-class GroupIndex:
-    """One group across versions: its lines and its file records, as two key sets.
-
-    ``lines`` has a row per run of a line digest, ``files`` one per run of
-    a (relpath, content digest) record (``_file_digest``), and
-    ``versions`` keeps each version's counts, in ordinal order.
-    ``canonical`` gives the form a store holds and loads.
-    """
-
-    def __init__(
-        self,
-        lines: KeySet | None = None,
-        files: KeySet | None = None,
-        versions: Sequence[GroupVersion] = (),
-    ) -> None:
-        self.lines = KeySet() if lines is None else lines
-        self.files = KeySet(dtype=_FILE_DIGEST_DTYPE) if files is None else files
-        self.versions = list(versions)
+    def __init__(self) -> None:
+        super().__init__()
         # The records of the version added last, and their rows.
         self._file_rows: dict[FileRecord, int] = {}
 
@@ -894,26 +723,6 @@ class GroupIndex:
         self.files.mark(self._record_rows(payload.files, version), version)
         self.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))
 
-    def canonical(self) -> GroupIndex:
-        """This index as a store holds it: both key sets canonical (``KeySet.canonical``)."""
-        return GroupIndex(self.lines.canonical(), self.files.canonical(), self.versions)
-
-
-@dataclass
-class LifetimeIndex:
-    """Every version's label, in ordinal order, and one index per group."""
-
-    labels: list[str]
-    groups: dict[str, GroupIndex]
-
-    def group(self, name: str) -> GroupIndex:
-        try:
-            return self.groups[name]
-        except KeyError:
-            raise KeyError(
-                f"store has no group {name!r}; available: {sorted(self.groups)}"
-            ) from None
-
 
 def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
     """Fold one snapshot, scanned with this index's memo, into it as its next version."""
@@ -932,148 +741,3 @@ def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
     index.labels.append(snapshot.version_label)
     for name, group in index.groups.items():
         group.add(snapshot.groups[name])
-
-
-def _canonical_json(value: object) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
-def write_store(index: LifetimeIndex, store: str | Path) -> Path:
-    """Write the index as the store file of a directory, replacing it whole.
-
-    The bytes are canonical (digests by byte value), so re-scanning an
-    unchanged corpus reproduces the store byte for byte.  The file is
-    written under a temporary name in the same directory and then
-    renamed over the old one, so the store is never partial.
-    """
-    store = Path(store)
-    store.mkdir(parents=True, exist_ok=True)
-    versions = [{"groups": {}, "label": label, "ordinal": i} for i, label in enumerate(index.labels)]
-    layout: dict[str, dict[str, dict[str, int]]] = {}
-    sections: list[np.ndarray] = []
-    offset = 0
-    for name in sorted(index.groups):
-        group = index.groups[name].canonical()
-        for entry, v in zip(versions, group.versions):
-            entry["groups"][name] = dict(files=v.file_count, skipped=v.skipped_files, uloc=v.uloc_count)
-        layout[name] = {}
-        for kind in _KEY_SETS:
-            keys = getattr(group, kind)
-            layout[name][kind] = dict(digests=offset, keys=keys.rows, runs=offset + keys.digests.nbytes)
-            sections += [keys.digests, keys.runs]
-            offset += keys.digests.nbytes + keys.runs.nbytes
-    header = dict(digest=DIGEST_ALGORITHM, format=STORE_FORMAT_VERSION, groups=layout, versions=versions)
-    path = store / STORE_FILENAME
-    temporary = store / f".{STORE_FILENAME}.{os.getpid()}.tmp"
-    try:
-        with temporary.open("wb") as fh:
-            fh.write(_canonical_json(header) + b"\n")
-            fh.writelines(sections)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-    return path
-
-
-def _field(path: Path, record: object, name: str, kind: type, where: str):
-    value = record.get(name) if isinstance(record, dict) else None
-    if not isinstance(value, kind):
-        raise StoreFormatError(
-            f"{path}: {where} field {name!r} is missing or not a {kind.__name__}"
-        )
-    return value
-
-
-def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[str], dict]:
-    """Labels in ordinal order and, per group, each version's GroupVersion."""
-    labels: list[str] = []
-    per_group: dict[str, list[GroupVersion]] = {name: [] for name in names}
-    for i, version in enumerate(versions):
-        where = f"version {i}"
-        labels.append(_field(path, version, "label", str, where))
-        if _field(path, version, "ordinal", int, where) != i:
-            raise StoreFormatError(f"{path}: version {i} has ordinal {version['ordinal']}")
-        groups = _field(path, version, "groups", dict, where)
-        if sorted(groups) != names:
-            raise StoreFormatError(
-                f"{path}: version {i} has groups {sorted(groups)}, the store has {names}"
-            )
-        for name in names:
-            entry, where = groups[name], f"version {i} group {name!r}"
-            counts = (_field(path, entry, key, int, where) for key in ("files", "uloc", "skipped"))
-            per_group[name].append(GroupVersion(*counts))
-    return labels, per_group
-
-
-def load_all_snapshots(store: str | Path) -> LifetimeIndex:
-    """Load a store: every version's counts, and each group's two key sets.
-
-    The digests and runs are read-only views into a memory map of the
-    file, so a caller reads from disk only the pages it touches.  A key
-    set whose rows a scan could not have written is refused when its rows
-    are first read (``KeySet``).  A directory without a store file is a
-    usage error.
-    """
-    store = Path(store)
-    path = store / STORE_FILENAME
-    if not path.is_file():
-        if any(store.glob("*.snap")):
-            raise StoreFormatError(
-                f"{store}: per-version .snap files are store format 1 or 2, which is no "
-                "longer read; rescan the corpus into a new store"
-            )
-        raise UsageError(f"{path}: no store file; run `codesurvival scan` to write one")
-    with path.open("rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line)
-        except ValueError:  # also a UnicodeDecodeError
-            header = None
-        if not line.endswith(b"\n") or not isinstance(header, dict):
-            raise StoreFormatError(f"{path}: missing or malformed header line")
-        if header.get("format") != STORE_FORMAT_VERSION:
-            raise StoreFormatError(
-                f"{path}: unsupported store format version {header.get('format')!r}, only "
-                f"{STORE_FORMAT_VERSION} is read; rescan the corpus into a new store"
-            )
-        digest = _field(path, header, "digest", str, "header")
-        if digest != DIGEST_ALGORITHM:
-            raise StoreFormatError(
-                f"{path}: unknown digest {digest!r}, only {DIGEST_ALGORITHM!r} is read; "
-                "rescan the corpus into a new store"
-            )
-        layout = _field(path, header, "groups", dict, "header")
-        labels, per_group = _group_versions(
-            path, _field(path, header, "versions", list, "header"), sorted(layout)
-        )
-        offset = 0
-        for name in sorted(layout):
-            for kind, dtype in _KEY_SETS.items():
-                section = _field(path, layout[name], kind, dict, f"group {name!r}")
-                keys = _field(path, section, "keys", int, f"group {name!r} {kind}")
-                expected = {"digests": offset, "keys": keys, "runs": offset + keys * dtype.itemsize}
-                if keys < 0 or section != expected:
-                    raise StoreFormatError(
-                        f"{path}: group {name!r} {kind} sections {section} are not laid out "
-                        f"as {expected}"
-                    )
-                offset = expected["runs"] + keys * _RUN_DTYPE.itemsize
-        size = os.fstat(fh.fileno()).st_size
-        if size != len(line) + offset:
-            raise StoreFormatError(
-                f"{path}: file has {size} bytes, its header promises {len(line) + offset}"
-            )
-        # The views below keep the map open; it closes with the last of them.
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    groups = {}
-    for name, sections in layout.items():
-        key_sets = []
-        for kind, dtype in _KEY_SETS.items():
-            n = sections[kind]["keys"]
-            digests = np.frombuffer(data, dtype, count=n, offset=len(line) + sections[kind]["digests"])
-            runs = np.frombuffer(data, _RUN_DTYPE, count=n, offset=len(line) + sections[kind]["runs"])
-            key_sets.append(KeySet(digests, runs, source=f"{path}: group {name!r} {kind}", versions=len(labels)))
-        groups[name] = GroupIndex(*key_sets, per_group[name])
-    return LifetimeIndex(labels=labels, groups=groups)

@@ -1,0 +1,474 @@
+"""The lifetime store: the one file ``scan`` writes and ``curves`` reads.
+
+A store is a life table of a corpus.  Each group holds two key sets of
+the same layout: ``lines``, one row per run of a line digest, and
+``files``, one row per run of a (relpath, content digest) record.  Each
+row holds its digest and its run of versions, (birth, death), so the
+store grows with distinct lines and records, not with versions x lines.
+Paths are not stored as text: a record's row digest is the digest of its
+basename and content, then that of its directory, which is all
+``curves`` needs.  Rows are sorted by digest, and nothing is merged, so
+a revived line keeps one row per run.  A run's ends are 16-bit, so a
+corpus holds at most 65,535 versions.
+
+Besides its rows, each key set holds the rows of every key that has more
+than one (revived lines, and records of one basename and content in
+several directories), so that ``curves`` counts every pair's overlap
+from the runs and those rows alone, without reading a digest.  The
+header records a checksum of every section, and a section is checked
+when first read.
+
+Importing this module does not import numpy, so ``curves`` reads a store
+on the standard library alone.  numpy is imported by the code that
+builds arrays: a key set's ``digests`` and ``runs`` views, and the
+methods that build a key set in memory and write it (``scan``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import mmap
+import os
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+from .errors import DataError, StoreFormatError, UsageError
+
+__all__ = [
+    "DIGEST_ALGORITHM",
+    "DIGEST_SIZE",
+    "MAX_VERSIONS",
+    "STORE_FILENAME",
+    "GroupVersion",
+    "KeySet",
+    "GroupIndex",
+    "LifetimeIndex",
+    "write_store",
+    "load_all_snapshots",
+]
+
+# Format 6: one file per store directory, named STORE_FILENAME.
+#   <header>\n<sections>
+# The header is one line of canonical JSON (sorted keys, no spaces, ASCII
+# only, so it holds no raw newline):
+#   {"digest": "blake2b-128", "format": 6,
+#    "groups": {group: {"files": key set, "lines": key set}},
+#    "versions": [{"groups": {group: {"files": f, "skipped": k,
+#      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
+# with each key set
+#   {"checksums": {"digests": c, "multi": c, "runs": c},
+#    "digests": offset, "keys": n, "multi": offset, "multi_rows": m,
+#    "runs": offset}.
+# "digest" is always the one digest; a file naming another is refused.
+# Offsets count from the first byte after the header's newline.  Groups
+# follow one another in name order, each as its lines key set, then its
+# files key set, and each key set as three sections:
+#   digests: its n row digests, sorted by byte value: 16 bytes per row for
+#            lines, 32 for files;
+#   runs:    n (birth, death) pairs of little-endian uint16: versions
+#            birth, ..., death - 1 hold row k, and 0 <= birth < death <= V
+#            for V <= 65,535 versions;
+#   multi:   m (key, birth, death) triples of little-endian uint32,
+#            uint16, uint16: each row, in store order, whose key has more
+#            than one row, with the first row of its key.
+# Each checksum c is the hex blake2b-128 of its section's bytes.
+# A digest has one row per run: the rows of a line revived after an
+# absence are adjacent, in birth order, and each dies before the next is
+# born.  A line's row digest is the line's digest, and its key.  A file
+# record's is the digest of basename + NUL + content digest, then the
+# digest of the directory part of its relpath (empty at the root), names
+# encoded as UTF-8 with surrogate escapes.  Its first 16 bytes are the
+# record's (basename, content) key, so the rows of one key are adjacent.
+# A version's uloc and file counts are the numbers of lines and files
+# rows whose runs hold it.
+
+STORE_FORMAT_VERSION = 6
+STORE_FILENAME = "lifetime.store"
+
+#: The one digest of lines and file contents, as named in store headers.
+DIGEST_ALGORITHM = "blake2b-128"
+DIGEST_SIZE = 16
+MAX_VERSIONS = 2**16 - 1
+
+# The key sets of a group, in store order, and the width of their row digests.
+_KEY_SETS = {"lines": DIGEST_SIZE, "files": 2 * DIGEST_SIZE}
+# A row's run of versions, (birth, death), as a numpy dtype and in bytes.
+_RUN_DTYPE = ("<u2", 2)
+_RUN_SIZE = 4
+# A multi section row: the first row of its key, then its run.
+_MULTI_DTYPE = [("key", "<u4"), ("birth", "<u2"), ("death", "<u2")]
+_MULTI_SIZE = 8
+_SECTIONS = ("digests", "runs", "multi")
+
+
+def _numpy():
+    """numpy, imported by the first caller that builds an array."""
+    import numpy
+
+    return numpy
+
+
+def _checksum(data) -> str:
+    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).hexdigest()
+
+
+@dataclass(frozen=True, slots=True)
+class GroupVersion:
+    """One group of one version as the store records it, besides its rows."""
+
+    file_count: int
+    uloc_count: int
+    skipped_files: int = 0
+
+
+def _reserve(array, rows: int):
+    """``array`` if it has room for ``rows`` rows, else a copy that has.
+
+    The copy's room at least doubles, so appending rows one version at a
+    time copies each row a bounded number of times.  New room is zero and
+    left unwritten, so it takes no memory until rows go into it.
+    """
+    if len(array) >= rows:
+        return array
+    grown = _numpy().zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+def _multi_rows(digests, runs):
+    """The multi section of sorted rows: each row whose key has more than one, with its key's first row."""
+    np = _numpy()
+    if len(digests) > 2**32:
+        raise ValueError(f"{len(digests)} rows; a key set holds at most 2**32")
+    keys = digests.view(f"S{DIGEST_SIZE}")[:: digests.itemsize // DIGEST_SIZE]
+    # edge[k]: row k starts a key (k < rows), or k is the end.
+    edge = np.ones(len(keys) + 1, dtype=bool)
+    edge[1:-1] = keys[1:] != keys[:-1]
+    multi = np.flatnonzero(~(edge[:-1] & edge[1:]))
+    # A key's rows are adjacent, and the first of them starts it.
+    opens = np.where(edge[multi], np.arange(len(multi)), 0)
+    rows = np.empty(len(multi), dtype=_MULTI_DTYPE)
+    rows["key"], rows["birth"], rows["death"] = multi[np.maximum.accumulate(opens)], runs[multi, 0], runs[multi, 1]
+    return rows
+
+
+class KeySet:
+    """Fixed-width row digests, each row held by one run of versions.
+
+    ``digests[k]`` is row k's digest, and ``runs[k]`` its (birth, death):
+    versions birth, ..., death - 1 hold row k, and no others.  A key set
+    built in memory numbers rows in the order they were appended, so a
+    digest revived after an absence holds a second row, born after the
+    first died.  ``canonical`` gives the form a store holds and loads.
+
+    A key set read from a store (``stored``) holds its sections' bytes.
+    ``section`` gives one, refused unless it matches the header's
+    checksum, and ``checked`` names the checksums matched so far.
+    ``digests`` and ``runs`` are numpy views of the sections, built on
+    first access, when the rows are checked too: a stage reads only the
+    sections it uses.
+    """
+
+    def __init__(self, digests=None, runs=None, width: int = DIGEST_SIZE) -> None:
+        self.width = width
+        self._digests, self._runs = digests, runs
+        self.rows = 0 if digests is None else len(digests)
+        self.source = ""
+        self.checked: dict[str, str] = {}
+        # A stored key set's sections, as (bytes, checksum), and its store's number of versions.
+        self._sections: dict[str, tuple[memoryview, str]] = {}
+        self._versions = 0
+
+    @classmethod
+    def stored(cls, sections: dict[str, tuple[memoryview, str]], rows: int, width: int, *, source: str, versions: int) -> KeySet:
+        """A key set of a store: its sections by name, as (bytes, checksum); ``source`` says where it lies."""
+        keys = cls(width=width)
+        keys.rows, keys.source, keys._sections, keys._versions = rows, source, sections, versions
+        return keys
+
+    def section(self, name: str) -> memoryview:
+        """A stored section's bytes, once they match the header's checksum."""
+        data, checksum = self._sections[name]
+        if name not in self.checked:
+            if _checksum(data) != checksum:
+                raise DataError(
+                    f"{self.source} {name} section does not match its checksum; the store "
+                    "is corrupted, rescan the corpus into a new store"
+                )
+            self.checked[name] = checksum
+        return data
+
+    def _arrays(self) -> None:
+        """Build the numpy arrays: empty in memory, or checked views of the store's sections."""
+        if self._digests is not None:
+            return
+        np = _numpy()
+        if not self._sections:
+            self._digests, self._runs = np.empty(0, f"S{self.width}"), np.empty(0, _RUN_DTYPE)
+            return
+        digests = np.frombuffer(self.section("digests"), f"S{self.width}")
+        runs = np.frombuffer(self.section("runs"), _RUN_DTYPE)
+        births, deaths = runs[:, 0], runs[:, 1]
+        if (digests[1:] < digests[:-1]).any():
+            raise StoreFormatError(f"{self.source} digests are not sorted")
+        if ((births >= deaths) | (deaths > self._versions)).any():
+            raise StoreFormatError(f"{self.source} runs are not all within versions 0 to {self._versions}")
+        if ((digests[1:] == digests[:-1]) & (deaths[:-1] >= births[1:])).any():
+            raise StoreFormatError(f"{self.source} rows of one digest overlap or touch")
+        if _multi_rows(digests, runs).tobytes() != self.section("multi"):
+            raise StoreFormatError(f"{self.source} multi section does not list the rows of its shared keys")
+        self._digests, self._runs = digests, runs
+
+    @property
+    def digests(self):
+        self._arrays()
+        return self._digests[: self.rows]
+
+    @property
+    def runs(self):
+        self._arrays()
+        return self._runs[: self.rows]
+
+    def append(self, digests, version: int) -> None:
+        """Give ``digests`` the next rows, in the order given, each an empty run at ``version``."""
+        self._arrays()
+        end = self.rows + len(digests)
+        self._digests = _reserve(self._digests, end)
+        self._digests[self.rows : end] = digests
+        self._runs = _reserve(self._runs, end)
+        self._runs[self.rows : end] = version
+        self.rows = end
+
+    def mark(self, rows, version: int) -> None:
+        """Add the version to these rows' runs, each of which must end just before it."""
+        self._arrays()
+        broken = rows[self._runs[rows, 1] != version]
+        if len(broken):
+            raise ValueError(
+                f"rows {broken[:3].tolist()} ({len(broken)} in all) neither start nor "
+                f"continue a run at version {version}"
+            )
+        self._runs[rows, 1] = version + 1
+
+    def canonical(self) -> KeySet:
+        """These rows as a store holds them: rows a version holds, by digest, each digest's by birth."""
+        np = _numpy()
+        runs = self.runs
+        held = np.flatnonzero(runs[:, 0] < runs[:, 1])
+        order = held[np.argsort(self.digests[held], kind="stable")]
+        return KeySet(self.digests[order], runs[order], self.width)
+
+
+class GroupIndex:
+    """One group across versions: its lines and its file records, as two key sets.
+
+    ``lines`` has a row per run of a line digest, ``files`` one per run of
+    a (relpath, content digest) record, and ``versions`` keeps each
+    version's counts, in ordinal order.  ``canonical`` gives the form a
+    store holds and loads.
+    """
+
+    def __init__(
+        self,
+        lines: KeySet | None = None,
+        files: KeySet | None = None,
+        versions: Sequence[GroupVersion] = (),
+    ) -> None:
+        self.lines = KeySet() if lines is None else lines
+        self.files = KeySet(width=_KEY_SETS["files"]) if files is None else files
+        self.versions = list(versions)
+
+    def canonical(self) -> GroupIndex:
+        """This index as a store holds it: both key sets canonical (``KeySet.canonical``)."""
+        return GroupIndex(self.lines.canonical(), self.files.canonical(), self.versions)
+
+
+@dataclass
+class LifetimeIndex:
+    """Every version's label, in ordinal order, and one index per group."""
+
+    labels: list[str]
+    groups: dict[str, GroupIndex]
+
+    def group(self, name: str) -> GroupIndex:
+        try:
+            return self.groups[name]
+        except KeyError:
+            raise KeyError(
+                f"store has no group {name!r}; available: {sorted(self.groups)}"
+            ) from None
+
+
+def _canonical_json(value: object) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def write_store(index: LifetimeIndex, store: str | Path) -> Path:
+    """Write the index as the store file of a directory, replacing it whole.
+
+    The bytes are canonical (digests by byte value), so re-scanning an
+    unchanged corpus reproduces the store byte for byte.  The file is
+    written under a temporary name in the same directory and then
+    renamed over the old one, so the store is never partial.
+    """
+    store = Path(store)
+    store.mkdir(parents=True, exist_ok=True)
+    versions = [{"groups": {}, "label": label, "ordinal": i} for i, label in enumerate(index.labels)]
+    layout: dict[str, dict[str, dict]] = {}
+    sections: list = []
+    offset = 0
+    for name in sorted(index.groups):
+        group = index.groups[name].canonical()
+        for entry, v in zip(versions, group.versions):
+            entry["groups"][name] = dict(files=v.file_count, skipped=v.skipped_files, uloc=v.uloc_count)
+        layout[name] = {}
+        for kind in _KEY_SETS:
+            keys = getattr(group, kind)
+            multi = _multi_rows(keys.digests, keys.runs)
+            entry = dict(keys=keys.rows, multi_rows=len(multi), checksums={})
+            for section, data in zip(_SECTIONS, (keys.digests, keys.runs, multi)):
+                entry[section] = offset
+                entry["checksums"][section] = _checksum(data)
+                sections.append(data)
+                offset += data.nbytes
+            layout[name][kind] = entry
+    header = dict(digest=DIGEST_ALGORITHM, format=STORE_FORMAT_VERSION, groups=layout, versions=versions)
+    path = store / STORE_FILENAME
+    temporary = store / f".{STORE_FILENAME}.{os.getpid()}.tmp"
+    try:
+        with temporary.open("wb") as fh:
+            fh.write(_canonical_json(header) + b"\n")
+            fh.writelines(sections)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+    return path
+
+
+def _field(path: Path, record: object, name: str, kind: type, where: str):
+    value = record.get(name) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise StoreFormatError(
+            f"{path}: {where} field {name!r} is missing or not a {kind.__name__}"
+        )
+    return value
+
+
+def _group_versions(path: Path, versions: list, names: list[str]) -> tuple[list[str], dict]:
+    """Labels in ordinal order and, per group, each version's GroupVersion."""
+    labels: list[str] = []
+    per_group: dict[str, list[GroupVersion]] = {name: [] for name in names}
+    for i, version in enumerate(versions):
+        where = f"version {i}"
+        labels.append(_field(path, version, "label", str, where))
+        if _field(path, version, "ordinal", int, where) != i:
+            raise StoreFormatError(f"{path}: version {i} has ordinal {version['ordinal']}")
+        groups = _field(path, version, "groups", dict, where)
+        if sorted(groups) != names:
+            raise StoreFormatError(
+                f"{path}: version {i} has groups {sorted(groups)}, the store has {names}"
+            )
+        for name in names:
+            entry, where = groups[name], f"version {i} group {name!r}"
+            counts = (_field(path, entry, key, int, where) for key in ("files", "uloc", "skipped"))
+            per_group[name].append(GroupVersion(*counts))
+    return labels, per_group
+
+
+def _key_set_spans(path: Path, entry: object, where: str, width: int, offset: int) -> dict[str, tuple[int, int, str]]:
+    """Each section of a key set laid out from this offset, as (start, end, checksum).
+
+    Refused unless the header lays the key set out so.
+    """
+    keys = _field(path, entry, "keys", int, where)
+    multi = _field(path, entry, "multi_rows", int, where)
+    checksums = entry.get("checksums")
+    runs = offset + keys * width
+    expected = {
+        "checksums": checksums,
+        "digests": offset,
+        "keys": keys,
+        "multi": runs + keys * _RUN_SIZE,
+        "multi_rows": multi,
+        "runs": runs,
+    }
+    named = isinstance(checksums, dict) and checksums.keys() == set(_SECTIONS)
+    if not named or not all(isinstance(c, str) for c in checksums.values()) or not 0 <= multi <= keys or entry != expected:
+        raise StoreFormatError(f"{path}: {where} sections {entry} are not laid out as {expected}")
+    ends = {"digests": runs, "runs": expected["multi"], "multi": expected["multi"] + multi * _MULTI_SIZE}
+    return {name: (entry[name], ends[name], checksums[name]) for name in _SECTIONS}
+
+
+def load_all_snapshots(store: str | Path) -> LifetimeIndex:
+    """Load a store: every version's counts, and each group's two key sets.
+
+    Each key set holds its sections as read-only views into a memory map
+    of the file, so a caller reads from disk only the sections it uses,
+    each checked against its checksum when first read (``KeySet``).  The
+    header and the sections' layout are checked here.  A directory
+    without a store file is a usage error.
+    """
+    store = Path(store)
+    path = store / STORE_FILENAME
+    if not path.is_file():
+        if any(store.glob("*.snap")):
+            raise StoreFormatError(
+                f"{store}: per-version .snap files are store format 1 or 2, which is no "
+                "longer read; rescan the corpus into a new store"
+            )
+        raise UsageError(f"{path}: no store file; run `codesurvival scan` to write one")
+    with path.open("rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line)
+        except ValueError:  # also a UnicodeDecodeError
+            header = None
+        if not line.endswith(b"\n") or not isinstance(header, dict):
+            raise StoreFormatError(f"{path}: missing or malformed header line")
+        if header.get("format") != STORE_FORMAT_VERSION:
+            raise StoreFormatError(
+                f"{path}: unsupported store format version {header.get('format')!r}, only "
+                f"{STORE_FORMAT_VERSION} is read; rescan the corpus into a new store"
+            )
+        digest = _field(path, header, "digest", str, "header")
+        if digest != DIGEST_ALGORITHM:
+            raise StoreFormatError(
+                f"{path}: unknown digest {digest!r}, only {DIGEST_ALGORITHM!r} is read; "
+                "rescan the corpus into a new store"
+            )
+        layout = _field(path, header, "groups", dict, "header")
+        labels, per_group = _group_versions(
+            path, _field(path, header, "versions", list, "header"), sorted(layout)
+        )
+        spans: dict[tuple[str, str], dict[str, tuple[int, int, str]]] = {}
+        offset = 0
+        for name in sorted(layout):
+            for kind, width in _KEY_SETS.items():
+                entry = _field(path, layout[name], kind, dict, f"group {name!r}")
+                spans[name, kind] = _key_set_spans(path, entry, f"group {name!r} {kind}", width, offset)
+                offset = spans[name, kind]["multi"][1]
+        size = os.fstat(fh.fileno()).st_size
+        if size != len(line) + offset:
+            raise StoreFormatError(
+                f"{path}: file has {size} bytes, its header promises {len(line) + offset}"
+            )
+        # The views below keep the map open; it closes with the last of them.
+        data = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))[len(line) :]
+    groups = {}
+    for name in layout:
+        key_sets = [
+            KeySet.stored(
+                {section: (data[a:z], checksum) for section, (a, z, checksum) in spans[name, kind].items()},
+                layout[name][kind]["keys"],
+                width,
+                source=f"{path}: group {name!r} {kind}",
+                versions=len(labels),
+            )
+            for kind, width in _KEY_SETS.items()
+        ]
+        groups[name] = GroupIndex(*key_sets, per_group[name])
+    return LifetimeIndex(labels=labels, groups=groups)

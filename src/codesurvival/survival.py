@@ -16,43 +16,49 @@ version never dilutes the fraction.  Line reintroductions count as
 present: each pair is compared on its own, with no history memory.
 
 Both metrics are one count, |base rows whose key the later version has|
-/ |base rows|, over one of a group's two key sets (``ingest.GroupIndex``):
+/ |base rows|, over one of a group's two key sets (``store.GroupIndex``):
 ``lines`` for uloc, one row per run of a line digest, and ``files`` for
 file, one row per run of a (relpath, content digest) record.  A row's
 key is the first 16 bytes of its digest: the line digest itself, or the
 digest of a record's basename and content, so records that share a key
 keep their multiplicity.  All version pairs come from one kernel instead
-of one set intersection per pair:
+of one set intersection per pair, on the standard library alone:
 
-1. Each row is held by one run of versions, [birth, death): the key
-   set's own, read from the store that ``scan`` wrote
-   (``ingest.scan_corpus``).  A key is present in a version if any of its
-   rows is, so its runs are its rows' runs merged; the rows of one key
-   are adjacent in the sorted key set.  A line is its own key, and its
-   rows' runs are disjoint already.
+1. Each row is held by one run of versions, [birth, death), read from
+   the store that ``scan`` wrote (``ingest.scan_corpus``).  A key is
+   present in a version if any of its rows is, so its runs are its rows'
+   runs merged.
 2. A row with run [b, d) whose key has run [kb, kd) adds one to C[i, j]
    for every b <= i < d and kb <= j < kd: a rectangle.  Each rectangle
-   adds +-1 at its four corners of a (V+1) x (V+1) difference array, and
-   two cumulative sums over it give C, in int64 and so exactly.  A key
-   with one row, as most are, has one rectangle, the square [b, d) x
-   [b, d), and one ``bincount`` over (b, d) counts all of them.
+   adds +-1 at its four corners of a (V+1) x (V+1) difference array of
+   Python ints, and two prefix sums over it give C exactly.
+3. A key with one row, as most are, has one rectangle, the square
+   [b, d) x [b, d).  So the runs section alone gives every square: a
+   ``Counter`` counts the rows of each distinct (birth, death) in one
+   pass that runs in C, and each adds its square once, times its count.  The store lists the rows of the
+   keys with more than one row apart (its multi section); each of those
+   trades its square for its rectangles.  No digest is read.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
 bit-identical to it.  C[i, i] must equal the version's recorded uloc or
-file count; a store whose runs disagree is refused.  The curve types
-and their CSV form live in ``curves``.
+file count; a store whose runs disagree is refused, as is one whose
+sections do not match their checksums.  The curve types and their CSV
+form live in ``curves``.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from collections import Counter
+from itertools import accumulate, groupby
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .curves import ChangeCurve, CurveFamily, MetricKind
 from .errors import StoreFormatError
-from .ingest import DIGEST_SIZE, GroupIndex, KeySet, load_all_snapshots
+from .store import GroupIndex, KeySet, load_all_snapshots
 
 __all__ = ["build_curve_family"]
 
@@ -64,37 +70,55 @@ _METRIC_KEYS = {
 }
 
 
-def _shared_counts(keys: KeySet, n_versions: int) -> np.ndarray:
-    """C[i, j]: how many of version i's rows have their key in version j."""
-    side = n_versions + 1
-    births, deaths = keys.runs.astype(np.int64).T
-    key = keys.digests.view(f"S{DIGEST_SIZE}")[:: keys.digests.itemsize // DIGEST_SIZE]
-    # edge[k]: row k starts a key (k < rows), or k is the end.
-    edge = np.ones(len(key) + 1, dtype=bool)
-    edge[1:-1] = key[1:] != key[:-1]
-    alone = edge[:-1] & edge[1:]
-    squares = np.bincount(births[alone] * side + deaths[alone], minlength=side * side).reshape(side, side)
-    diff = np.diag(squares.sum(axis=1) + squares.sum(axis=0)) - squares - squares.T
+def _run_counts(runs: memoryview, byteorder: str = sys.byteorder) -> dict[tuple[int, int], int]:
+    """How many rows hold each (birth, death), from a runs section.
 
-    # The other keys: sort each one's rows by birth, and merge overlapping
-    # or touching runs into the key's runs.
-    shared = np.flatnonzero(~alone)
-    key_id = np.cumsum(edge[:-1])[shared]
-    order = np.lexsort((births[shared], key_id))
-    key_id, b, d = key_id[order], births[shared][order], deaths[shared][order]
-    # Per row, the last death of its key's rows so far; key_id * side keeps each max in its key.
-    reach = np.maximum.accumulate(key_id * side + d) - key_id * side
-    starts = np.flatnonzero((np.diff(key_id, prepend=-1) != 0) | (b > np.roll(reach, 1)))
-    run_key, run_birth = key_id[starts], b[starts]
-    run_death = reach[np.append(starts, len(b))[1:] - 1]
-    # One rectangle per row and run of its key, added at its four corners.
-    first = np.searchsorted(run_key, key_id)
-    count = np.searchsorted(run_key, key_id, side="right") - first
-    row = np.repeat(np.arange(len(b)), count)
-    run = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(row))
-    for ends, key_ends, sign in ((b, run_birth, 1), (b, run_death, -1), (d, run_birth, -1), (d, run_death, 1)):
-        np.add.at(diff, (ends[row], key_ends[run]), sign)
-    return diff.cumsum(axis=0).cumsum(axis=1)[:n_versions, :n_versions]
+    Each row's two little-endian uint16 are counted as one native uint32,
+    in C, and only the distinct values are decoded, in the host's byte
+    order, so the section reads the same on any host.
+    """
+    counts = {}
+    for value, count in Counter(runs.cast("I")).items():
+        raw = value.to_bytes(4, byteorder)
+        counts[int.from_bytes(raw[:2], "little"), int.from_bytes(raw[2:], "little")] = count
+    return counts
+
+
+def _shared_counts(keys: KeySet, n_versions: int) -> list[list[int]]:
+    """C[i][j]: how many of version i's rows have their key in version j."""
+    side = n_versions + 1
+    diff = [[0] * side for _ in range(side)]
+
+    def rectangle(b: int, d: int, kb: int, kd: int, count: int) -> None:
+        diff[b][kb] += count
+        diff[b][kd] -= count
+        diff[d][kb] -= count
+        diff[d][kd] += count
+
+    squares = _run_counts(keys.section("runs"))
+    multi = list(struct.iter_unpack("<IHH", keys.section("multi")))
+    if not all(b < d <= n_versions for b, d in [*squares, *(row[1:] for row in multi)]):
+        raise StoreFormatError(f"{keys.source} runs are not all within versions 0 to {n_versions}")
+    for (b, d), count in squares.items():
+        rectangle(b, d, b, d, count)
+    for _, rows in groupby(multi, itemgetter(0)):
+        runs = [row[1:] for row in rows]
+        # The key's runs: its rows' runs, by birth, overlapping or touching ones merged.
+        key_runs: list[list[int]] = []
+        for b, d in sorted(runs):
+            if key_runs and b <= key_runs[-1][1]:
+                key_runs[-1][1] = max(key_runs[-1][1], d)
+            else:
+                key_runs.append([b, d])
+        for b, d in runs:
+            rectangle(b, d, b, d, -1)
+            for kb, kd in key_runs:
+                rectangle(b, d, kb, kd, 1)
+    shared, total = [], [0] * side
+    for row in diff[:n_versions]:
+        total = [above + here for above, here in zip(total, accumulate(row))]
+        shared.append(total[:n_versions])
+    return shared
 
 
 def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int, list[float]]]:
@@ -105,14 +129,11 @@ def _changed_fractions(index: GroupIndex, metric: MetricKind) -> list[tuple[int,
     key_set, count, _ = _METRIC_KEYS[metric]
     shared = _shared_counts(getattr(index, key_set), len(index.versions))
     sizes = [getattr(version, count) for version in index.versions]
-    if shared.diagonal().tolist() != sizes:
-        raise StoreFormatError(
-            f"runs give {metric.value} counts {shared.diagonal().tolist()}, "
-            f"the versions record {sizes}"
-        )
-    rows = shared.tolist()
+    diagonal = [row[i] for i, row in enumerate(shared)]
+    if diagonal != sizes:
+        raise StoreFormatError(f"runs give {metric.value} counts {diagonal}, the versions record {sizes}")
     return [
-        (size, [1.0 - c / size for c in rows[i][i + 1 :]] if size else [])
+        (size, [1.0 - c / size for c in shared[i][i + 1 :]] if size else [])
         for i, size in enumerate(sizes)
     ]
 
@@ -137,6 +158,8 @@ def build_curve_family(
     curves: list[ChangeCurve] = []
     warnings: list[str] = []
     rows = _changed_fractions(index, metric)
+    kind = _METRIC_KEYS[metric][0]
+    inputs = tuple((f"{kind}.{name}", checksum) for name, checksum in sorted(getattr(index, kind).checked.items()))
     for (ordinal, label), (size, fractions) in zip(enumerate(lifetime.labels[:-1]), rows):
         if not size:
             what = _METRIC_KEYS[metric][2]
@@ -156,4 +179,5 @@ def build_curve_family(
         metric=metric,
         curves=tuple(curves),
         warnings=tuple(warnings),
+        inputs=inputs,
     )

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from codesurvival import ingest
-from codesurvival.ingest import KeySet, ScanCounters, VersionSnapshot, load_manifest, scan_corpus
+from codesurvival.ingest import ScanCounters, VersionSnapshot, load_manifest, scan_corpus
+from codesurvival.store import KeySet
 
 CRITERIA = {
     1: "base-rate identity on all 19 published parameter rows",

@@ -17,10 +17,10 @@ import pytest
 from codesurvival import cli, ingest
 from codesurvival.cli import BOUNDS_SCHEMA, FIT_SCHEMA, REPORT_SCHEMA, main
 from codesurvival.curves import MetricKind, read_curves_csv, write_curves_csv
-from codesurvival.ingest import STORE_FILENAME, load_all_snapshots
+from codesurvival.store import STORE_FILENAME, load_all_snapshots
 from codesurvival.synth import analytic_family
 
-from conftest import write_tree
+from conftest import scan_sources, write_tree
 
 
 def run(*argv):
@@ -316,22 +316,94 @@ def test_curves_reads_only_the_key_set_it_uses(tmp_path, capsys):
     corpus = synth_corpus(tmp_path / "corpus", versions=4)
     store = tmp_path / "store"
     assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
-    intact = tmp_path / "intact.csv"
-    assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", intact) == 0
-    # Swap the first two line digests: the lines key set is out of order.
+    intact = {metric: tmp_path / f"intact-{metric}.csv" for metric in ("uloc", "file")}
+    for metric, out in intact.items():
+        assert run("curves", "--store", store, "--group", "syn", "--metric", metric, "--out", out) == 0
     path = store / STORE_FILENAME
     line, body = path.read_bytes().split(b"\n", 1)
-    assert json.loads(line)["groups"]["syn"]["lines"]["digests"] == 0
-    path.write_bytes(line + b"\n" + body[16:32] + body[:16] + body[32:])
-    capsys.readouterr()
+    lines = json.loads(line)["groups"]["syn"]["lines"]
+    assert lines["digests"] == 0
     out_csv = tmp_path / "c.csv"
-    assert run("curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out_csv) == 2
+    # Swap the first two line digests: curves reads no digest, so neither metric notices.
+    path.write_bytes(line + b"\n" + body[16:32] + body[:16] + body[32:])
+    for metric, out in intact.items():
+        assert run("curves", "--store", store, "--group", "syn", "--metric", metric, "--out", out_csv) == 0
+        assert out_csv.read_bytes() == out.read_bytes()
+    out_csv.unlink()
+    # Flip a bit of the lines runs: uloc is refused, and file reads the files key set alone.
+    at = lines["runs"]
+    path.write_bytes(line + b"\n" + body[:at] + bytes([body[at] ^ 1]) + body[at + 1 :])
+    capsys.readouterr()
+    assert run("curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out_csv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'syn' lines digests are not sorted" in err
+    assert "'syn' lines runs section does not match its checksum" in err
     assert not out_csv.exists()
     assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", out_csv) == 0
-    assert out_csv.read_bytes() == intact.read_bytes()
+    assert out_csv.read_bytes() == intact["file"].read_bytes()
+
+
+def _run(birth: int, death: int) -> bytes:
+    """A row's run as the store holds it."""
+    return birth.to_bytes(2, "little") + death.to_bytes(2, "little")
+
+
+def _edit_runs_keeping_counts(store: Path) -> None:
+    # "a" is in v0-v4 and "b" in v3 alone.  Giving v4 to b instead of a
+    # keeps every version's line count, so the diagonal still holds.
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
+    at = json.loads(line)["groups"]["cpp"]["lines"]["runs"]
+    runs = [body[at : at + 4], body[at + 4 : at + 8]]
+    assert sorted(runs) == sorted([_run(0, 5), _run(3, 4)])
+    edited = b"".join(_run(0, 4) if r == _run(0, 5) else _run(3, 5) for r in runs)
+    path.write_bytes(line + b"\n" + body[:at] + edited + body[at + 8 :])
+
+
+def _flip_a_multi_byte(store: Path) -> None:
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
+    lines = json.loads(line)["groups"]["cpp"]["lines"]
+    assert lines["multi_rows"] == 2  # the two runs of "gone"
+    at = lines["multi"] + 5
+    path.write_bytes(line + b"\n" + body[:at] + bytes([body[at] ^ 1]) + body[at + 1 :])
+
+
+def _mark_format_5(store: Path) -> None:
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(line), "format": 5}).encode() + b"\n" + body)
+
+
+@pytest.mark.parametrize(
+    "trees, edit, code, message",
+    [
+        (
+            [{"a.cpp": "a\n"}] * 3 + [{"a.cpp": "a\nb\n"}, {"a.cpp": "a\n"}],
+            _edit_runs_keeping_counts, 3, "'cpp' lines runs section does not match its checksum",
+        ),
+        (
+            [{"a.cpp": "keep\ngone\n"}, {"a.cpp": "keep\n"}, {"a.cpp": "keep\ngone\n"}],
+            _flip_a_multi_byte, 3, "'cpp' lines multi section does not match its checksum",
+        ),
+        (
+            [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}],
+            _mark_format_5, 2, "unsupported store format version 5, only 6 is read; rescan the corpus",
+        ),
+    ],
+    ids=["runs-keep-counts", "multi-bit-flip", "format-5"],
+)
+def test_curves_refuses_an_edited_store(tmp_path, capsys, trees, edit, code, message):
+    _, _, store = scan_sources(tmp_path, trees)
+    out_csv = tmp_path / "c.csv"
+    assert run("curves", "--store", store, "--group", "cpp", "--metric", "uloc", "--out", out_csv) == 0
+    out_csv.unlink()
+    edit(store)
+    capsys.readouterr()
+    assert run("curves", "--store", store, "--group", "cpp", "--metric", "uloc", "--out", out_csv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out_csv.exists()
 
 
 def test_curves_missing_store(tmp_path, capsys):
@@ -748,12 +820,33 @@ def test_curves_loads_no_fitting_code(tmp_path):
     corpus = synth_corpus(tmp_path / "corpus", versions=3)
     store = tmp_path / "store"
     assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
-    curves = run_fresh(STAGE_IMPORTS, "curves", "--store", store, "--group", "syn",
-                       "--metric", "uloc", "--out", tmp_path / "c.csv")
-    assert curves["code"] == 0
-    assert "codesurvival.survival" in curves["modules"]
-    for module in ("codesurvival.fitting", "codesurvival.discoverability", "codesurvival.synth"):
-        assert module not in curves["modules"]
+    for metric in ("uloc", "file"):
+        curves = run_fresh(STAGE_IMPORTS, "curves", "--store", store, "--group", "syn",
+                           "--metric", metric, "--out", tmp_path / f"{metric}.csv")
+        assert curves["code"] == 0
+        assert "codesurvival.survival" in curves["modules"]
+        for module in ("numpy", "codesurvival.ingest", "codesurvival.fitting",
+                       "codesurvival.discoverability", "codesurvival.synth"):
+            assert module not in curves["modules"]
+
+
+def test_curves_report_names_the_store_sections_it_read(tmp_path):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    store = tmp_path / "store"
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 0
+    header = json.loads((store / STORE_FILENAME).read_bytes().split(b"\n", 1)[0])
+    for metric, kind in (("uloc", "lines"), ("file", "files")):
+        out, report = tmp_path / f"{metric}.csv", tmp_path / f"{metric}.json"
+        assert run("curves", "--store", store, "--group", "syn", "--metric", metric, "--out", out) == 0
+        plain = out.read_bytes()
+        assert run("curves", "--store", store, "--group", "syn", "--metric", metric, "--out", out,
+                   "--report", report) == 0
+        assert out.read_bytes() == plain
+        checksums = header["groups"]["syn"][kind]["checksums"]
+        assert json.loads(report.read_text())["store_sections"] == {
+            f"{kind}.multi": checksums["multi"],
+            f"{kind}.runs": checksums["runs"],
+        }
 
 
 # --- the benchmark's tracing contract ------------------------------------------

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import random
 import tarfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,27 +18,26 @@ import pytest
 from codesurvival import ingest
 from codesurvival.curves import MetricKind
 from codesurvival.errors import (
+    DataError,
     ManifestError,
     MissingSourceError,
     StoreFormatError,
     UsageError,
 )
 from codesurvival.ingest import (
-    STORE_FILENAME,
     CorpusManifest,
     ExtensionGroup,
     GroupIndex,
-    LifetimeIndex,
     ScanCounters,
     VersionEntry,
     VersionSnapshot,
-    load_all_snapshots,
     load_manifest,
     normalize_lines,
     scan_corpus,
     scan_version,
     store_snapshot,
 )
+from codesurvival.store import STORE_FILENAME, LifetimeIndex, load_all_snapshots
 from codesurvival.survival import build_curve_family
 
 from conftest import (
@@ -572,15 +572,21 @@ def test_store_rejects_corruption(tmp_path):
     good_runs = {"lines": loaded.lines.runs.tolist(), "files": loaded.files.runs.tolist()}
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
-    assert header["format"] == 5 and header["digest"] == "blake2b-128"
-    assert header["groups"] == {
-        "cpp": {
-            "lines": {"digests": 0, "keys": 3, "runs": 48},
-            "files": {"digests": 60, "keys": 2, "runs": 124},
-        }
+    assert header["format"] == 6 and header["digest"] == "blake2b-128"
+    layout = header["groups"]["cpp"]
+    assert {kind: {k: v for k, v in entry.items() if k != "checksums"} for kind, entry in layout.items()} == {
+        "lines": {"digests": 0, "keys": 3, "runs": 48, "multi": 60, "multi_rows": 0},
+        "files": {"digests": 60, "keys": 2, "runs": 124, "multi": 132, "multi_rows": 0},
     }
     assert header["versions"][0]["groups"] == {"cpp": {"files": 1, "skipped": 0, "uloc": 2}}
     assert len(body) == 3 * 16 + 3 * 4 + 2 * 32 + 2 * 4
+    # Per key set: where each section starts and ends in the body.
+    bounds = {
+        kind: {"digests": (e["digests"], e["runs"]), "runs": (e["runs"], e["multi"]), "multi": (e["multi"], e["multi"] + 8 * e["multi_rows"])}
+        for kind, e in layout.items()
+    }
+    for kind, sections in bounds.items():
+        assert layout[kind]["checksums"] == {name: b2(body[a:z]).hex() for name, (a, z) in sections.items()}
 
     def with_header(**changes) -> bytes:
         return json.dumps({**header, **changes}).encode() + b"\n" + body
@@ -593,8 +599,9 @@ def test_store_rejects_corruption(tmp_path):
         return with_version(groups={"cpp": {**entry, **changes}})
 
     def with_layout(**key_sets) -> bytes:
-        return with_header(groups={"cpp": {**header["groups"]["cpp"], **key_sets}})
+        return with_header(groups={"cpp": {**layout, **key_sets}})
 
+    lines, files = layout["lines"], layout["files"]
     unlabelled = {k: v for k, v in header["versions"][0].items() if k != "label"}
     cases = [
         (b"nonsense\n" + good, "header"),
@@ -605,6 +612,7 @@ def test_store_rejects_corruption(tmp_path):
         (with_header(format=2), "version 2"),
         (with_header(format=3), "version 3.*rescan"),
         (with_header(format=4), "version 4.*rescan"),
+        (with_header(format=5), "version 5.*rescan"),
         (with_header(digest="sha256"), "'sha256'.*'blake2b-128'.*rescan"),
         (with_header(versions={}), "'versions'"),
         (with_header(groups=[]), "'groups'"),
@@ -615,21 +623,27 @@ def test_store_rejects_corruption(tmp_path):
         (with_group(skipped=None), "'skipped'"),
         (with_group(files=[["a.cpp", "00" * 16]]), "'files'"),  # a format 3 file list
         (with_group(files=None), "'files'"),
-        (with_header(groups={"cpp": header["groups"]["cpp"]["lines"]}), "'lines'"),
-        (with_header(groups={"cpp": {"lines": header["groups"]["cpp"]["lines"]}}), "'files'"),
+        (with_header(groups={"cpp": lines}), "'lines'"),
+        (with_header(groups={"cpp": {"lines": lines}}), "'files'"),
         (
             with_layout(
-                lines={"digests": 0, "keys": 2, "runs": 32},
-                files={"digests": 40, "keys": 2, "runs": 104},
+                lines={**lines, "keys": 2, "runs": 32, "multi": 40},
+                files={**files, "digests": 40, "runs": 104, "multi": 112},
             ),
             "bytes",
         ),
-        (with_layout(lines={"digests": 0, "keys": 3, "masks": 48}), "lines .*laid out"),  # format 4
-        (with_layout(lines={"digests": 0, "keys": 3, "runs": 32}), "lines .*laid out"),
-        (with_layout(lines={"digests": 3, "keys": 3, "runs": 51}), "laid out"),
-        (with_layout(lines={"digests": 0, "keys": -1, "runs": -16}), "laid out"),
-        (with_layout(files={"digests": 60, "keys": 2, "runs": 92}), "files .*laid out"),
-        (with_layout(files={"digests": 48, "keys": 2, "runs": 112}), "files .*laid out"),
+        (with_layout(lines={"digests": 0, "keys": 3, "masks": 48}), "lines field 'multi_rows'"),  # format 4
+        (with_layout(lines={"digests": 0, "keys": 3, "runs": 48}), "lines field 'multi_rows'"),  # format 5
+        (with_layout(lines={**lines, "runs": 32}), "lines .*laid out"),
+        (with_layout(lines={**lines, "digests": 3, "runs": 51, "multi": 63}), "laid out"),
+        (with_layout(lines={**lines, "keys": -1, "runs": -16, "multi": -20}), "laid out"),
+        (with_layout(lines={**lines, "multi_rows": 4}), "lines .*laid out"),  # more than its rows
+        (with_layout(lines={**lines, "multi_rows": -1}), "lines .*laid out"),
+        (with_layout(lines={**lines, "checksums": None}), "lines .*laid out"),
+        (with_layout(lines={**lines, "checksums": {"runs": lines["checksums"]["runs"]}}), "lines .*laid out"),
+        (with_layout(lines={**lines, "checksums": {**lines["checksums"], "runs": 7}}), "lines .*laid out"),
+        (with_layout(files={**files, "runs": 92}), "files .*laid out"),
+        (with_layout(files={**files, "digests": 48, "runs": 112, "multi": 120}), "files .*laid out"),
         (good + b"trailing junk", "bytes"),
         (good[:-2], "bytes"),  # truncated
     ]
@@ -638,44 +652,59 @@ def test_store_rejects_corruption(tmp_path):
         with pytest.raises(StoreFormatError, match=match):
             load_all_snapshots(store)
 
+    def with_rows(kind: str, digests: bytes = b"", runs: tuple = (), seal: bool = True) -> bytes:
+        """The good store with a key set's first digests and runs replaced, its checksums rewritten if ``seal``."""
+        raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
+        data = bytearray(body)
+        for section, replacement in (("digests", digests), ("runs", raw)):
+            first = bounds[kind][section][0]
+            data[first : first + len(replacement)] = replacement
+        checksums = {kind: {name: b2(data[a:z]).hex() for name, (a, z) in bounds[kind].items()}}
+        if not seal:
+            checksums = {}
+        entries = {k: {**e, "checksums": checksums.get(k, e["checksums"])} for k, e in layout.items()}
+        return json.dumps({**header, "groups": {"cpp": entries}}).encode() + b"\n" + bytes(data)
+
     # Key sets whose rows a scan could not have written are refused when
     # their rows are first read; the other key set stays usable.
-    at = len(line) + 1
-    # Per key set: where its digests start, their width, its rows, where its runs start.
-    sections = {"lines": (at, 16, 3, at + 48), "files": (at + 60, 32, 2, at + 124)}
-
-    def with_rows(kind: str, digests: bytes = b"", runs: tuple = ()) -> bytes:
-        first, _, _, runs_at = sections[kind]
-        raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
-        data = bytearray(good)
-        data[first : first + len(digests)] = digests
-        data[runs_at : runs_at + len(raw)] = raw
-        return bytes(data)
-
     for kind, other in (("lines", "files"), ("files", "lines")):
-        first, width, _, _ = sections[kind]
-        a, b = good[first : first + width], good[first + width : first + 2 * width]
-        for data, match in (
-            (with_rows(kind, digests=b + a), "digests are not sorted"),
-            (with_rows(kind, runs=[(1, 1)]), "runs are not all within versions 0 to 2"),
-            (with_rows(kind, runs=[(2, 1)]), "runs are not all within"),
-            (with_rows(kind, runs=[(0, 3)]), "runs are not all within"),
-            (with_rows(kind, digests=a + a, runs=[(0, 2), (1, 2)]), "rows of one digest overlap"),
-            (with_rows(kind, digests=a + a, runs=[(0, 1), (1, 2)]), "rows of one digest overlap or touch"),
+        first, end = bounds[kind]["digests"]
+        width = (end - first) // layout[kind]["keys"]
+        a, b = body[first : first + width], body[first + width : first + 2 * width]
+        for data, error, match in (
+            (with_rows(kind, digests=b + a, seal=False), DataError, "digests section does not match its checksum"),
+            (with_rows(kind, runs=[(5, 9)], seal=False), DataError, "runs section does not match its checksum"),
+            (with_rows(kind, digests=b + a), StoreFormatError, "digests are not sorted"),
+            (with_rows(kind, runs=[(1, 1)]), StoreFormatError, "runs are not all within versions 0 to 2"),
+            (with_rows(kind, runs=[(2, 1)]), StoreFormatError, "runs are not all within"),
+            (with_rows(kind, runs=[(0, 3)]), StoreFormatError, "runs are not all within"),
+            (with_rows(kind, digests=a + a, runs=[(0, 2), (1, 2)]), StoreFormatError, "rows of one digest overlap"),
+            (with_rows(kind, digests=a + a, runs=[(0, 1), (1, 2)]), StoreFormatError, "rows of one digest overlap or touch"),
+            # One key in two directories: its rows belong in the multi section.
+            (with_rows(kind, digests=a + a[:16] + b"\xff" * (width - 16)), StoreFormatError, "multi section does not list"),
         ):
+            if kind == "lines" and "multi" in match:
+                continue  # a line's key is its whole digest
             path.write_bytes(data)
             group = load_all_snapshots(store).group("cpp")
-            assert len(getattr(group, other).digests) == sections[other][2]
+            assert len(getattr(group, other).digests) == layout[other]["keys"]
             for rows in ("digests", "runs"):
-                with pytest.raises(StoreFormatError, match=f"{kind} {match}"):
+                with pytest.raises(error, match=f"{kind} {match}"):
                     getattr(getattr(group, kind), rows)
 
-    # Valid runs that disagree with the recorded counts are refused by the kernel.
+    # The kernel reads the runs and multi sections alone: it refuses runs
+    # that do not match their checksum, that leave the versions, or that
+    # disagree with the recorded counts.
     for metric, kind in ((MetricKind.ULOC, "lines"), (MetricKind.FILE, "files")):
         run = (0, 1) if good_runs[kind][0] == [0, 2] else (0, 2)
-        path.write_bytes(with_rows(kind, runs=[run]))
-        with pytest.raises(StoreFormatError, match=f"{metric.value} counts"):
-            build_curve_family(store, "cpp", metric)
+        for data, error, match in (
+            (with_rows(kind, runs=[run], seal=False), DataError, f"{kind} runs section does not match its checksum"),
+            (with_rows(kind, runs=[(2, 1)]), StoreFormatError, f"{kind} runs are not all within versions 0 to 2"),
+            (with_rows(kind, runs=[run]), StoreFormatError, f"{metric.value} counts"),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(error, match=match):
+                build_curve_family(store, "cpp", metric)
 
     path.write_bytes(good)
     assert_store_holds(load_all_snapshots(store), snaps)
@@ -779,8 +808,15 @@ def test_store_mask_edges(tmp_path, monkeypatch, versions):
     path = store / STORE_FILENAME
     header_bytes = path.read_bytes().index(b"\n") + 1
     lines, files = loaded.group("x").lines.rows, loaded.group("x").files.rows
-    # A digest and a (birth, death) pair of uint16 per row.
-    assert path.stat().st_size == header_bytes + lines * (16 + 4) + files * (32 + 4)
+    layout = json.loads(path.read_bytes()[:header_bytes])["groups"]["x"]
+    # The multi section: each row of a key that has more than one row.
+    for kind, width in (("lines", 16), ("files", 32)):
+        raw = getattr(loaded.group("x"), kind).digests.tobytes()
+        keys = Counter(raw[k : k + 16] for k in range(0, len(raw), width))
+        assert layout[kind]["multi_rows"] == sum(n for n in keys.values() if n > 1)
+    multi = layout["lines"]["multi_rows"] + layout["files"]["multi_rows"]
+    # A digest and a (birth, death) pair of uint16 per row, and (key, birth, death) per multi row.
+    assert path.stat().st_size == header_bytes + lines * (16 + 4) + files * (32 + 4) + multi * 8
     for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
         family = build_curve_family(store, "x", metric)
         got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from codesurvival import survival
-from codesurvival.ingest import KeySet, load_all_snapshots
 from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
@@ -18,6 +18,7 @@ from codesurvival.curves import (
     read_curves_csv,
     write_curves_csv,
 )
+from codesurvival.store import GroupIndex, GroupVersion, KeySet, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 from conftest import (
     file_row_digest,
@@ -402,25 +403,43 @@ def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[Key
     key_set = KeySet(
         np.frombuffer(b"".join(rows), dtype=f"S{len(rows[0])}"),
         np.array(runs, dtype="<u2"),
-        f"S{len(rows[0])}",
+        len(rows[0]),
     )
     return key_set, [row[:16] for row in rows], runs
 
 
 @pytest.mark.parametrize("versions", [1, 2, 8, 9, 63, 64, 65, 127, 128, 129])
 @pytest.mark.parametrize("files", [False, True], ids=["lines", "files"])
-def test_shared_counts_match_per_pair_counts(versions, files):
+def test_shared_counts_match_per_pair_counts(tmp_path, versions, files):
     key_set, keys, runs = _random_key_set(random.Random(versions * 2 + files), versions, files)
     if versions > 2:
         assert key_set.rows > len(set(key_set.digests.tolist()))  # revived digests
     if files:
         assert len(set(keys)) < len(set(key_set.digests.tolist()))  # keys shared across directories
+    kind = "files" if files else "lines"
+    group = GroupIndex(**{kind: key_set}, versions=[GroupVersion(0, 0)] * versions)
+    write_store(LifetimeIndex([f"v{i}" for i in range(versions)], {"x": group}), tmp_path)
+    stored = getattr(load_all_snapshots(tmp_path).group("x"), kind)
     holding = [[r for r, (birth, death) in enumerate(runs) if birth <= v < death] for v in range(versions)]
     key_sets = [{keys[r] for r in rows} for rows in holding]
     expected = [
         [sum(keys[r] in key_sets[j] for r in holding[i]) for j in range(versions)]
         for i in range(versions)
     ]
-    shared = survival._shared_counts(key_set, versions)
-    assert shared.dtype == np.int64
-    assert shared.tolist() == expected
+    assert survival._shared_counts(stored, versions) == expected
+    # The kernel read the runs and the rows of shared keys, and no digest.
+    assert sorted(stored.checked) == ["multi", "runs"]
+    assert versions <= 2 or len(stored.section("multi"))
+
+
+def test_run_counts_read_little_endian_runs_on_either_host():
+    runs = [(0, 1), (3, 65535), (258, 513), (0, 1), (65534, 65535)]
+    raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
+    expected = {(0, 1): 2, (3, 65535): 1, (258, 513): 1, (65534, 65535): 1}
+    # A host of the other byte order reads each row's four bytes as a
+    # uint32 in reverse, as this one reads them reversed.
+    reversed_rows = b"".join(raw[k : k + 4][::-1] for k in range(0, len(raw), 4))
+    other = "big" if sys.byteorder == "little" else "little"
+    assert survival._run_counts(memoryview(raw)) == expected
+    assert survival._run_counts(memoryview(reversed_rows), other) == expected
+    assert survival._run_counts(memoryview(raw), other) != expected
