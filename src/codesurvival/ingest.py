@@ -6,10 +6,11 @@ each version and folds it into the lifetime index as the index's next
 version: per extension group, its file records (relative path and
 content digest; the basename is the path's last component) and the
 unique lines pooled across all files of the group, as rows of the
-group's index, one row per distinct line digest.  Duplicate lines are
-discarded; a line is the exact byte content after CRLF normalization,
-with no whitespace trimming and no special treatment of comments.  The
-index is then written as the store, the only input of ``curves``.
+group's index, one row per run of versions of a record or line.
+Duplicate lines are discarded; a line is the exact byte content after
+CRLF normalization, with no whitespace trimming and no special treatment
+of comments.  The index is then written as the store, the only input of
+``curves``.
 
 Lines and file contents are represented by fixed-width digests so that
 corpora with billions of lines stay tractable.  The digest is 16-byte
@@ -27,17 +28,17 @@ manifest order, so the store does not depend on the workers.  At most
 ``workers + 1`` archives' group files are held here at once, read ahead
 or being digested.
 
-Most lines of a release were already in the release before it, so
-``scan_corpus`` carries a line -> row map per group from one version to
-the next, rows of the lifetime index it builds.  A line the map holds
-costs one lookup; only a line the previous version lacked is digested,
-and it takes the index's next row at once.  So a row lives in one run
-of versions, and a line that comes back after an absence takes a new
-row for its new run.  A file whose content equals that of a file of the
+Most lines and records of a release were already in the release before
+it, so ``scan_corpus`` carries two maps of one kind (``_Rows``) per
+group from one version to the next: line -> row of the group's
+``lines``, and file record -> row of its ``files``.  A key the map holds
+costs one lookup; only a key the previous version lacked is digested,
+and it takes the next row at once.  So a row lives in one run of
+versions, and a key that comes back after an absence takes a new row
+for its new run.  A file whose content equals that of a file of the
 previous version, wherever either lies, is not split at all: it takes
-that file's rows.  When a version ends, the lines it lacks leave the
-map, so it never holds more than two versions' distinct lines, each
-once.
+that file's line rows.  When a version ends, the keys it lacks leave
+their map, so a map never holds more than two versions' keys.
 
 The index is written as the store (``store``, format 6): one file per
 store directory, a life table of the corpus, whose rows are each one
@@ -68,13 +69,12 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ManifestError, MissingSourceError, UsageError
-from .store import DIGEST_SIZE, MAX_VERSIONS, GroupVersion, LifetimeIndex, write_store
-from .store import GroupIndex as _StoredGroupIndex
+from .store import DIGEST_SIZE, MAX_VERSIONS, GroupIndex, GroupVersion, KeySet, LifetimeIndex, write_store
 
 __all__ = [
     "ExtensionGroup",
@@ -83,7 +83,6 @@ __all__ = [
     "FileRecord",
     "GroupPayload",
     "VersionSnapshot",
-    "GroupIndex",
     "ScanCounters",
     "load_manifest",
     "normalize_lines",
@@ -96,13 +95,8 @@ _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
 _GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
 
 
-# Equality and order of fixed-width S items are exact byte comparisons,
-# NUL bytes included.
-_DIGEST_DTYPE = f"S{DIGEST_SIZE}"
-# A file record's row digest: its (basename, content) key, then its directory.
-_FILE_DIGEST_DTYPE = f"S{2 * DIGEST_SIZE}"
-# A line's row in a group index; 2**31 distinct lines in one group would
-# need digests far beyond a desk machine's memory anyway.
+# A row of a group's key set; 2**31 rows in one key set would need
+# digests far beyond a desk machine's memory anyway.
 _ROW_DTYPE = np.int32
 
 
@@ -212,18 +206,20 @@ def _file_digest(record: FileRecord) -> bytes:
 class GroupPayload:
     """Digested content of one extension group within one version.
 
-    The group's unique lines, pooled across its files, are ``rows``: the
-    distinct rows of ``index.lines`` (``index`` is the ``GroupIndex`` the
-    scan numbered them in), in ascending order, one row per line.  Only
-    the index that numbered a payload's rows can fold it in
-    (``store_snapshot``), by extending those rows' runs.  A line revived
-    after an absence holds a newer row than in the versions before the
-    absence.  Payloads compare by content (files, skipped count and line
-    digests), whichever index numbered their rows.
+    The group's unique lines, pooled across its files, are ``line_rows``,
+    and its file records (``files``, by relpath) are ``file_rows``: rows
+    of ``index.lines`` and ``index.files`` (``index`` is the
+    ``GroupIndex`` the scan numbered them in), each ascending, one row
+    per line or record.  Only the index that numbered a payload's rows
+    can fold it in (``store_snapshot``), by extending those rows' runs.
+    A line or record revived after an absence holds a newer row than in
+    the versions before.  Payloads compare by content (files, skipped
+    count and line digests), whichever index numbered their rows.
     """
 
     files: tuple[FileRecord, ...]
-    rows: np.ndarray
+    line_rows: np.ndarray
+    file_rows: np.ndarray
     index: GroupIndex
     skipped_files: int = 0
 
@@ -240,12 +236,12 @@ class GroupPayload:
     def uloc(self) -> frozenset[bytes]:
         """The unique line digests as a set, built on each access."""
         # tobytes: an S item would lose a digest's trailing NUL bytes.
-        block = self.index.lines.digests[self.rows].tobytes()
+        block = self.index.lines.digests[self.line_rows].tobytes()
         return frozenset(block[i : i + DIGEST_SIZE] for i in range(0, len(block), DIGEST_SIZE))
 
     @property
     def uloc_count(self) -> int:
-        return len(self.rows)
+        return len(self.line_rows)
 
     @property
     def file_count(self) -> int:
@@ -372,35 +368,68 @@ class ScanCounters:
     index_rows: int = 0  # rows of the scan's index; a revived line holds one more
 
 
-class _LineRows(dict):
-    """Line -> row of one group's index, for the lines of the previous and the current version.
+class _Rows(dict):
+    """Key -> row of one key set, for the keys of the previous and the current version.
 
-    A line the map holds costs one lookup.  Any other line is digested
-    on first lookup and takes the row after the index's last, which
-    ``settle`` appends its digest to when the version ends; a line an
-    earlier version had before an absence takes a new row too.  A file
-    whose content digest a file of the previous version had takes that
-    file's rows without being split, whatever either's relpath: the map
-    still holds the previous version's lines, so the same bytes would
-    give the same rows.  Rows the version lacks then drop their line, so
-    the map holds exactly the lines of the version just scanned.
+    A key the map holds costs one lookup.  Any other key is digested on
+    first lookup and takes the row after the key set's last, which
+    ``settle`` appends its digest to when the version ends; a key an
+    earlier version had before an absence takes a new row too.  Rows the
+    version lacks then drop their key, so the map holds exactly the keys
+    of the version just scanned.
+    """
+
+    def __init__(self, keys: KeySet, digest: Callable[[Hashable], bytes]) -> None:
+        super().__init__()
+        self.keys = keys
+        self._digest = digest
+        self._key_of_row: list[Hashable | None] = []  # None once the key has left the map
+        self._new_keys: list[Hashable] = []
+        self._new_digests = bytearray()
+        self._previous_rows = np.empty(0, dtype=np.intp)
+
+    def __missing__(self, key: Hashable) -> int:
+        row = self[key] = self.keys.rows + len(self._new_keys)
+        self._new_keys.append(key)
+        self._new_digests += self._digest(key)
+        return row
+
+    def settle(self, rows: Iterable[np.ndarray], version: int) -> np.ndarray:
+        """End the version whose keys took these rows: its distinct rows, ascending."""
+        keys = self.keys
+        new = np.arange(keys.rows, keys.rows + len(self._new_keys))
+        keys.append(np.frombuffer(self._new_digests, f"S{keys.width}"), version)
+        self._key_of_row += self._new_keys
+        self._new_keys, self._new_digests = [], bytearray()
+        present = np.zeros(keys.rows, dtype=bool)
+        for r in rows:
+            present[r] = True
+        held = np.flatnonzero(present)
+        # A new key can be absent too: a later tar member of the same path
+        # replaced the file it was in.
+        left = np.concatenate([self._previous_rows, new])
+        for row in left[~present[left]].tolist():
+            del self[self._key_of_row[row]]
+            self._key_of_row[row] = None
+        self._previous_rows = held
+        return held
+
+
+class _GroupRows:
+    """One group's rows in its index as a scan gives them: a line map and a record map (``_Rows``).
+
+    A file whose content digest a file of the previous version had takes
+    that file's line rows without being split, whatever either's relpath:
+    the line map still holds the previous version's lines, so the same
+    bytes would give the same rows.
     """
 
     def __init__(self, index: GroupIndex) -> None:
-        super().__init__()
         self.index = index
+        self.lines = _Rows(index.lines, _digest)
+        self.files = _Rows(index.files, _file_digest)
         self.counters = ScanCounters()
-        self._line_of_row: list[bytes | None] = []  # None once the line has left the map
-        self._new_lines: list[bytes] = []
-        self._new_digests = bytearray()
-        self._previous_rows = np.empty(0, dtype=np.intp)
-        self._previous_files: dict[bytes, np.ndarray] = {}  # content digest -> rows
-
-    def __missing__(self, line: bytes) -> int:
-        row = self[line] = self.index.lines.rows + len(self._new_lines)
-        self._new_lines.append(line)
-        self._new_digests += _digest(line)
-        return row
+        self._previous_files: dict[bytes, np.ndarray] = {}  # content digest -> line rows
 
     def file(self, relpath: str, data: bytes) -> tuple[FileRecord, np.ndarray]:
         """The file's record and the row of each of its lines, in order."""
@@ -410,34 +439,23 @@ class _LineRows(dict):
             self.counters.files_reused += 1
         else:
             lines = _split_lines(data)
-            rows = np.fromiter(map(self.__getitem__, lines), dtype=_ROW_DTYPE, count=len(lines))
+            rows = np.fromiter(map(self.lines.__getitem__, lines), dtype=_ROW_DTYPE, count=len(lines))
         self.counters.files += 1
         self.counters.lines += len(rows)
         return record, rows
 
-    def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> np.ndarray:
-        """End the version of these files: its distinct rows, ascending."""
-        index, counters = self.index.lines, self.counters
-        counters.lines_digested += len(self._new_lines)
-        counters.memo_lines_max = max(counters.memo_lines_max, len(self))
-        new = np.arange(index.rows, index.rows + len(self._new_lines))
-        index.append(np.frombuffer(self._new_digests, _DIGEST_DTYPE), len(self.index.versions))
-        self._line_of_row += self._new_lines
-        self._new_lines, self._new_digests = [], bytearray()
-        present = np.zeros(index.rows, dtype=bool)
-        for _, r in kept:
-            present[r] = True
-        rows = np.flatnonzero(present)
-        # A new line can be absent too: a later tar member of the same path
-        # replaced the file it was in.
-        left = np.concatenate([self._previous_rows, new])
-        for row in left[~present[left]].tolist():
-            del self[self._line_of_row[row]]
-            self._line_of_row[row] = None
-        self._previous_rows = rows
-        self._previous_files = {record.content_digest: r for record, r in kept}
-        counters.index_rows = index.rows
-        return rows
+    def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> tuple[tuple[FileRecord, ...], np.ndarray, np.ndarray]:
+        """End the version of these files: its ``GroupPayload`` files, line rows and file rows."""
+        version, counters, known = len(self.index.versions), self.counters, self.index.lines.rows
+        counters.memo_lines_max = max(counters.memo_lines_max, len(self.lines))
+        line_rows = self.lines.settle((rows for _, rows in kept), version)
+        counters.lines_digested += self.index.lines.rows - known
+        counters.index_rows = self.index.lines.rows
+        files = tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath))
+        taken = np.fromiter(map(self.files.__getitem__, files), dtype=_ROW_DTYPE, count=len(files))
+        file_rows = self.files.settle([taken], version)
+        self._previous_files = {record.content_digest: rows for record, rows in kept}
+        return files, line_rows, file_rows
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -553,7 +571,7 @@ def scan_version(
     *,
     label: str | None = None,
     ordinal: int = 0,
-    memo: Mapping[str, _LineRows] | None = None,
+    memo: Mapping[str, _GroupRows] | None = None,
     contents: Iterable[_GroupFile] | None = None,
 ) -> VersionSnapshot:
     """Digest one version directory (or tar archive) into a snapshot.
@@ -566,11 +584,12 @@ def scan_version(
     across files is one row.  Unreadable files are skipped and counted
     per group; a missing source is a hard error.
 
-    ``memo`` maps each group to the lines of the version scanned before
-    and their rows in the group's lifetime index; ``scan_corpus`` passes
-    the same one for every version, so a line is digested only when the
-    version before lacked it, and the snapshot folds into that index.
-    Without it each distinct line of this version is digested once and
+    ``memo`` maps each group to the lines and file records of the version
+    scanned before and their rows in the group's lifetime index
+    (``_GroupRows``); ``scan_corpus`` passes the same one for every
+    version, so a line or record is digested only when the version before
+    lacked it, and the snapshot folds into that index.  Without it each
+    distinct line and record of this version is digested once and
     numbered in an index of its own, which no lifetime index folds in.
     ``contents`` are the source's group files as (group, relpath, bytes
     or None if unreadable), already read; without them the source is
@@ -581,7 +600,7 @@ def scan_version(
     if contents is None:
         contents = _read_version(source, groups)
     if memo is None:
-        memo = {g.name: _LineRows(GroupIndex()) for g in groups}
+        memo = {g.name: _GroupRows(GroupIndex()) for g in groups}
 
     # Per group and relpath: the file's record and the row of each of its
     # lines, or None for a file that could not be read.
@@ -592,13 +611,8 @@ def scan_version(
     payloads = {}
     for g in groups:
         kept = [entry for entry in entries[g.name].values() if entry is not None]
-        rows = memo[g.name].settle(kept)
-        payloads[g.name] = GroupPayload(
-            files=tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath)),
-            rows=rows,
-            index=memo[g.name].index,
-            skipped_files=len(entries[g.name]) - len(kept),
-        )
+        rows = memo[g.name]
+        payloads[g.name] = GroupPayload(*rows.settle(kept), rows.index, len(entries[g.name]) - len(kept))
     return VersionSnapshot(
         version_label=label if label is not None else source.name,
         ordinal=ordinal,
@@ -674,9 +688,9 @@ def scan_corpus(
     ``ScanCounters``, which count the work as the scan goes.
     """
     index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
-    memo = {name: _LineRows(group) for name, group in index.groups.items()}
+    memo = {name: _GroupRows(group) for name, group in index.groups.items()}
     if counters is not None:
-        counters.update((name, lines.counters) for name, lines in memo.items())
+        counters.update((name, rows.counters) for name, rows in memo.items())
     with closing(_read_ahead(manifest)) as reads:
         for entry in manifest.versions:
             # Passed straight on, so the contents go when scan_version returns.
@@ -693,39 +707,12 @@ def scan_corpus(
     write_store(index, store)
 
 
-class GroupIndex(_StoredGroupIndex):
-    """A group index that a scan folds versions into (``store_snapshot``).
-
-    File records take rows as they come: a record the version added last
-    lacked takes a new row of ``files``, its row digest ``_file_digest``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        # The records of the version added last, and their rows.
-        self._file_rows: dict[FileRecord, int] = {}
-
-    def _record_rows(self, files: Sequence[FileRecord], version: int) -> np.ndarray:
-        """The records' rows; a record the version added last lacked takes a new row."""
-        new = [record for record in files if record not in self._file_rows]
-        self._file_rows.update(zip(new, range(self.files.rows, self.files.rows + len(new))))
-        self.files.append(np.frombuffer(b"".join(map(_file_digest, new)), _FILE_DIGEST_DTYPE), version)
-        self._file_rows = {record: self._file_rows[record] for record in files}
-        return np.fromiter(self._file_rows.values(), dtype=np.intp, count=len(self._file_rows))
-
-    def add(self, payload: GroupPayload) -> None:
-        """Fold in the next version, numbered by the versions before it.
-
-        The payload's line rows are rows of this index (``store_snapshot``).
-        """
-        version = len(self.versions)
-        self.lines.mark(payload.rows, version)
-        self.files.mark(self._record_rows(payload.files, version), version)
-        self.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))
-
-
 def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
-    """Fold one snapshot, scanned with this index's memo, into it as its next version."""
+    """Fold one snapshot, scanned with this index's memo, into it as its next version.
+
+    Every group's payload is checked before the index changes, so a
+    refused snapshot leaves the index as it was.
+    """
     if snapshot.ordinal != len(index.labels) or snapshot.groups.keys() != index.groups.keys():
         raise ValueError(
             f"snapshot {snapshot.version_label!r} (ordinal {snapshot.ordinal}, groups "
@@ -738,6 +725,14 @@ def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
             f"snapshot {snapshot.version_label!r} groups {foreign} hold rows of another index, "
             "not of this lifetime index; scan them with its memo, as scan_corpus does"
         )
+    version, payloads = len(index.labels), snapshot.groups
+    marks = [(group.lines, payloads[name].line_rows) for name, group in index.groups.items()]
+    marks += [(group.files, payloads[name].file_rows) for name, group in index.groups.items()]
+    for keys, rows in marks:
+        keys.check_runs(rows, version)
     index.labels.append(snapshot.version_label)
+    for keys, rows in marks:
+        keys.mark(rows, version)
     for name, group in index.groups.items():
-        group.add(snapshot.groups[name])
+        payload = payloads[name]
+        group.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))

@@ -241,8 +241,8 @@ class KeySet:
         self._runs[self.rows : end] = version
         self.rows = end
 
-    def mark(self, rows, version: int) -> None:
-        """Add the version to these rows' runs, each of which must end just before it."""
+    def check_runs(self, rows, version: int) -> None:
+        """Refuse these rows unless each one's run ends just before the version."""
         self._arrays()
         broken = rows[self._runs[rows, 1] != version]
         if len(broken):
@@ -250,6 +250,10 @@ class KeySet:
                 f"rows {broken[:3].tolist()} ({len(broken)} in all) neither start nor "
                 f"continue a run at version {version}"
             )
+
+    def mark(self, rows, version: int) -> None:
+        """Add the version to these rows' runs, each of which must end just before it (``check_runs``)."""
+        self.check_runs(rows, version)
         self._runs[rows, 1] = version + 1
 
     def canonical(self) -> KeySet:

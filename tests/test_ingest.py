@@ -27,7 +27,7 @@ from codesurvival.errors import (
 from codesurvival.ingest import (
     CorpusManifest,
     ExtensionGroup,
-    GroupIndex,
+    FileRecord,
     ScanCounters,
     VersionEntry,
     VersionSnapshot,
@@ -37,7 +37,7 @@ from codesurvival.ingest import (
     scan_version,
     store_snapshot,
 )
-from codesurvival.store import STORE_FILENAME, LifetimeIndex, load_all_snapshots
+from codesurvival.store import STORE_FILENAME, GroupIndex, LifetimeIndex, load_all_snapshots
 from codesurvival.survival import build_curve_family
 
 from conftest import (
@@ -735,15 +735,23 @@ def test_store_bulk_load(tmp_path):
 def index_is_empty(index: LifetimeIndex) -> bool:
     """No version folded in: no label, and no group holds a version or a non-empty run."""
     return index.labels == [] and all(
-        group.versions == [] and all(b == d for b, d in group.lines.runs.tolist()) and group.files.rows == 0
+        group.versions == [] and all(b == d for keys in (group.lines, group.files) for b, d in keys.runs.tolist())
         for group in index.groups.values()
     )
+
+
+def index_state(index: LifetimeIndex) -> tuple:
+    """The labels, and every group's versions and runs of both key sets."""
+    return index.labels[:], {
+        name: (group.versions[:], group.lines.runs.tolist(), group.files.runs.tolist())
+        for name, group in index.groups.items()
+    }
 
 
 def test_store_snapshot_takes_versions_in_order(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
     index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
-    memo = {name: ingest._LineRows(group) for name, group in index.groups.items()}
+    memo = {name: ingest._GroupRows(group) for name, group in index.groups.items()}
     with pytest.raises(ValueError, match="not version 0"):
         store_snapshot(scan_version(root, [CPP, H], ordinal=1), index)
     with pytest.raises(ValueError, match="groups \\['cpp'\\]"):
@@ -757,18 +765,40 @@ def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
     # "gone" is in v0 and not in v1, so v0's payload folded in again as v2
     # would give its row a second run.
     index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex()})
-    memo = {"cpp": ingest._LineRows(index.groups["cpp"])}
+    memo = {"cpp": ingest._GroupRows(index.groups["cpp"])}
     first = scan_version(tree_writer({"a.cpp": "keep\ngone\n"}, "v0"), [CPP], ordinal=0, memo=memo)
     store_snapshot(first, index)
     store_snapshot(scan_version(tree_writer({"a.cpp": "keep\n"}, "v1"), [CPP], ordinal=1, memo=memo), index)
+    before = index_state(index)
     with pytest.raises(ValueError, match=r"^rows \[1\] \(1 in all\) neither start nor continue a run at version 2$"):
         store_snapshot(VersionSnapshot("v2", 2, first.groups), index)
+    # Refused before any change: labels, versions and runs are as they were.
+    assert index_state(index) == before and index.labels == ["v0", "v1"]
+
+
+def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
+    # cpp's v1 payload would continue its runs at v2; h's v0 payload has a
+    # line v1 lacks, so it is refused, and cpp's runs must not move.
+    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
+    memo = {name: ingest._GroupRows(group) for name, group in index.groups.items()}
+    first = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\ngone\n"}, "v0"), [CPP, H], ordinal=0, memo=memo)
+    store_snapshot(first, index)
+    second = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v1"), [CPP, H], ordinal=1, memo=memo)
+    store_snapshot(second, index)
+    before = index_state(index)
+    with pytest.raises(ValueError, match="neither start nor continue a run at version 2"):
+        store_snapshot(VersionSnapshot("v2", 2, {"cpp": second.groups["cpp"], "h": first.groups["h"]}), index)
+    assert index_state(index) == before
+    assert index.groups["cpp"].lines.runs.tolist() == [[0, 2]]
+    # The same snapshot with h's current payload folds in.
+    store_snapshot(VersionSnapshot("v2", 2, second.groups), index)
+    assert index.groups["cpp"].lines.runs.tolist() == [[0, 3]]
 
 
 def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
     index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
-    memo = {"cpp": ingest._LineRows(index.groups["cpp"])}
+    memo = {"cpp": ingest._GroupRows(index.groups["cpp"])}
     own = scan_version(root, [CPP], memo=memo).groups["cpp"]
     alone = scan_version(root, [CPP, H], label="v0")
     # A standalone scan, and a snapshot with one group of each kind.
@@ -778,6 +808,14 @@ def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
         assert str(refused.value).startswith(f"snapshot 'v0' groups {foreign} hold rows of another index")
         assert "\n" not in str(refused.value)
         assert index_is_empty(index)
+
+
+def test_standalone_scan_numbers_its_records_in_its_own_index(tree_writer):
+    root = tree_writer({"a.cpp": "x\n", "src/a.cpp": "x\n", "b.cpp": "y\n"})
+    payload = scan_version(root, [CPP]).groups["cpp"]
+    # Numbered at scan time, one row per record, and no run extended yet.
+    assert payload.index.files.rows == 3 and payload.file_rows.tolist() == [0, 1, 2]
+    assert row_versions(payload.index.files) == {file_row_digest(r.relpath, r.content_digest): [] for r in payload.files}
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -1015,19 +1053,24 @@ def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
 def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
     x = ExtensionGroup(name="x", extensions=(".x",))
     y = ExtensionGroup(name="y", extensions=(".y",))
-    memo = {g.name: ingest._LineRows(GroupIndex()) for g in (x, y)}
+    memo = {g.name: ingest._GroupRows(GroupIndex()) for g in (x, y)}
     for i, tree in enumerate(random_corpus_history(random.Random(11), versions=12)):
         scan_version(write_tree(tmp_path / f"v{i}", tree), [x, y], ordinal=i, memo=memo)
-        for name, lines in memo.items():
-            expected = {
-                line.removesuffix("\r").encode()
-                for rel, text in tree.items() if rel.endswith("." + name)
-                for line in text.splitlines()
-            }
-            assert set(lines) == expected
+        for name, group in memo.items():
+            texts = {rel: text for rel, text in tree.items() if rel.endswith("." + name)}
+            expected = {line.removesuffix("\r").encode() for text in texts.values() for line in text.splitlines()}
+            assert set(group.lines) == expected
             # Each line maps to the row of its digest.
-            rows = [lines[line] for line in sorted(expected)]
-            assert lines.index.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
+            rows = [group.lines[line] for line in sorted(expected)]
+            assert group.index.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
+            # And each file record to the row of its record digest.
+            records = {FileRecord(rel, b2(text.encode())) for rel, text in texts.items()}
+            assert set(group.files) == records
+            for record in records:
+                row = group.files[record]
+                assert group.index.files.digests[row : row + 1].tobytes() == file_row_digest(
+                    record.relpath, record.content_digest
+                )
 
 
 def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_path, monkeypatch):
