@@ -28,6 +28,13 @@ manifest order, so the store does not depend on the workers.  At most
 ``workers + 1`` archives' group files are held here at once, read ahead
 or being digested.
 
+Archives are read by this module's own tar reader (``_read_tar``), not
+by ``tarfile``: one pass over the stream, one ``struct`` unpack per
+512-byte header.  It reads plain, gzip, bzip2 and xz streams, told apart
+by their magic bytes, in the ustar, GNU and pax formats, and refuses a
+GNU sparse member.  Member names are normalized.  A hard link to a
+member that no group takes costs a second pass over the archive.
+
 Most lines and records of a release were already in the release before
 it, so ``scan_corpus`` carries two maps of one kind (``_Rows``) per
 group from one version to the next: line -> row of the group's
@@ -60,9 +67,10 @@ import hashlib
 import json
 import lzma
 import os
+import posixpath
 import re
 import stat
-import tarfile
+import struct
 import zlib
 from collections import deque
 from contextlib import closing
@@ -402,8 +410,8 @@ class _Rows(dict):
         self._key_of_row += self._new_keys
         self._new_keys, self._new_digests = [], bytearray()
         present = np.zeros(keys.rows, dtype=bool)
-        for r in rows:
-            present[r] = True
+        # The empty array keeps a version without files concatenable.
+        present[np.concatenate([np.empty(0, dtype=_ROW_DTYPE), *rows])] = True
         held = np.flatnonzero(present)
         # A new key can be absent too: a later tar member of the same path
         # replaced the file it was in.
@@ -496,52 +504,229 @@ def _read_directory(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[
             yield group, prefix + filename, data
 
 
-def _extract_link(tar: tarfile.TarFile, member: tarfile.TarInfo) -> bytes | None:
-    # tarfile seeks back to the target, which in a compressed archive means
-    # decompressing again from the start.
-    try:
-        reader = tar.extractfile(member)
-    except KeyError:  # no member of that name archived before the link
-        return None
-    return None if reader is None else reader.read()
+# The fields of a tar header the reader uses: name, size, checksum, type,
+# link name and the ustar prefix.
+_TAR_HEADER = struct.Struct("100s24x12s12x8sc100s88x155s12x")
+_TAR_SIGNED_SUM = struct.Struct("148b8x356b")
+_TAR_BLOCK = 512
+_TAR_CHUNK = 1 << 20
+_TAR_REGULAR = (b"0", b"\0", b"7")  # CONTTYPE reads as a regular file, as in tarfile
+_TAR_NO_DATA = (b"2", b"3", b"4", b"5", b"6")  # symbolic links, devices, directories, FIFOs
 
 
-def _read_tar(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
-    # One pass in archive order (scan_version sorts what it keeps), then
-    # on to the end of the stream: a compressed archive's checksum sits
-    # past the last member and is only verified once it is read.
-    # A hard link reads as the last member of its target's name archived
-    # before it, names normalized, as tarfile resolves it.  ``held`` maps
-    # each name whose last member so far is a group file to its bytes, so
-    # a link to one is resolved without seeking back.
-    held: dict[str, bytes] = {}
-    try:
-        with tarfile.open(source) as tar:
-            for member in tar:
-                name = os.path.normpath(member.name)
-                # Only the "./" a tar of "." adds: ".cfg/x" keeps its dot.
-                relpath = member.name.removeprefix("./")
-                group = None
-                if member.isreg() or member.islnk():
-                    group = _match_group(relpath.rpartition("/")[2], groups)
-                if group is None:
-                    held.pop(name, None)
-                    continue
-                if member.isreg():
-                    data = tar.extractfile(member).read()
-                else:
-                    data = held.get(os.path.normpath(member.linkname))
-                    if data is None:
-                        data = _extract_link(tar, member)
-                if data is None:
-                    held.pop(name, None)
-                else:
-                    held[name] = data
-                yield group, relpath, data
-            while tar.fileobj.read(1 << 20):
+class _TarStream:
+    """An archive's tar bytes, read forward only, decompressed as its magic bytes say.
+
+    ``tell`` counts tar bytes from the start of the stream.  Reading or
+    skipping past its end raises ``EOFError``.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self._raw = open(path, "rb")
+        try:
+            magic = self._raw.read(6)
+            self._raw.seek(0)
+            if magic.startswith(b"\x1f\x8b"):
+                self._file = gzip.GzipFile(fileobj=self._raw)
+            elif magic.startswith(b"BZh"):
+                import bz2  # only a bzip2 archive needs it
+
+                self._file = bz2.BZ2File(self._raw)
+            elif magic == b"\xfd7zXZ\x00":
+                self._file = lzma.LZMAFile(self._raw)
+            else:
+                self._file = self._raw
+            self._size = os.fstat(self._raw.fileno()).st_size
+        except BaseException:
+            self._raw.close()
+            raise
+        self._buffer = b""
+        self._start = 0  # stream offset of the buffer's first byte
+        self._pos = 0  # the buffer's next unread byte
+
+    def __enter__(self) -> _TarStream:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._raw.close()
+
+    def tell(self) -> int:
+        return self._start + self._pos
+
+    def read(self, size: int) -> bytes:
+        """The next ``size`` bytes, or fewer where the stream ends."""
+        if self._pos + size > len(self._buffer):
+            rest = self._buffer[self._pos :]
+            self._start += self._pos
+            self._buffer = rest + self._file.read(max(size - len(rest), _TAR_CHUNK))
+            self._pos = 0
+        data = self._buffer[self._pos : self._pos + size]
+        self._pos += len(data)
+        return data
+
+    def take(self, size: int) -> bytes:
+        data = self.read(size)
+        if len(data) != size:
+            raise EOFError("unexpected end of data")
+        return data
+
+    def skip(self, size: int) -> None:
+        self._pos += size
+        over = self._pos - len(self._buffer)
+        if over <= 0:
+            return
+        self._start += len(self._buffer) + over
+        self._buffer, self._pos = b"", 0
+        if self._file is self._raw:
+            if self._raw.seek(over, os.SEEK_CUR) > self._size:
+                raise EOFError("unexpected end of data")
+            return
+        while over > 0:
+            data = self._file.read(min(over, _TAR_CHUNK))
+            if not data:
+                raise EOFError("unexpected end of data")
+            over -= len(data)
+
+    def drain(self) -> None:
+        """Read a compressed stream to its end, where its checksum is verified."""
+        if self._file is not self._raw:
+            while self._file.read(_TAR_CHUNK):
                 pass
-    except (tarfile.TarError, EOFError, gzip.BadGzipFile, zlib.error, lzma.LZMAError) as exc:
+
+
+def _tar_number(field: bytes) -> int:
+    """A header number: octal text, or base-256 after a first byte of 0x80 (0xff: negative)."""
+    if field[0] in (0x80, 0xFF):
+        value = int.from_bytes(field[1:], "big")
+        return value - 256 ** (len(field) - 1) if field[0] == 0xFF else value
+    return int(field.partition(b"\0")[0].strip() or b"0", 8)
+
+
+def _tar_text(field: bytes) -> str:
+    return field.partition(b"\0")[0].decode("utf-8", "surrogateescape")
+
+
+def _tar_header_ok(header: bytes, checksum: bytes) -> bool:
+    """Whether the header's checksum field holds its byte sum, unsigned or signed, as tarfile checks."""
+    # The field counts as eight spaces.  Each half of the header sums to at
+    # most 256 * 255 < 65521, so adler32's low half is 1 + its exact sum.
+    total = (zlib.adler32(header[:256]) & 0xFFFF) + (zlib.adler32(header[256:]) & 0xFFFF) - 2
+    stored = _tar_number(checksum)
+    return stored == 256 + total - sum(checksum) or stored == 256 + sum(_TAR_SIGNED_SUM.unpack(header))
+
+
+def _pax_records(block: bytes) -> dict[str, str]:
+    """The ``length keyword=value\\n`` records of a pax header's data."""
+    records, pos = {}, 0
+    while pos < len(block) and block[pos]:
+        space = block.index(b" ", pos)
+        end = pos + int(block[pos:space])
+        if not space < end <= len(block) or block[end - 1] != 0x0A:
+            raise ValueError(f"malformed pax record at byte {pos}")
+        keyword, equals, value = block[space + 1 : end - 1].partition(b"=")
+        if not equals:
+            raise ValueError(f"malformed pax record at byte {pos}")
+        records[keyword.decode("utf-8", "surrogateescape")] = value.decode("utf-8", "surrogateescape")
+        pos = end
+    return records
+
+
+def _tar_members(stream: _TarStream) -> Iterator[tuple[bytes, str, str, int]]:
+    """Each member's type, name, hard link target and data size, up to the end-of-archive block.
+
+    GNU long names and pax records are applied to the member they
+    precede; a v7 directory reads as a directory, as in tarfile.  The
+    caller reads or skips each member's data before asking for the next.
+    """
+    overrides: dict[str, str] = {}  # L, K and x headers' for the next member; the first wins
+    global_pax: dict[str, str] = {}
+    while True:
+        header = stream.read(_TAR_BLOCK)
+        if not header and stream.tell():
+            return  # no end-of-archive blocks, which tarfile accepts too
+        if len(header) != _TAR_BLOCK:
+            raise EOFError("unexpected end of data")
+        name, size, checksum, kind, link, prefix = _TAR_HEADER.unpack(header)
+        if not _tar_header_ok(header, checksum):
+            if not any(header):
+                return  # the end-of-archive block
+            raise ValueError(f"bad header checksum at byte {stream.tell() - _TAR_BLOCK}")
+        size = _tar_number(size)
+        name = _tar_text(name)
+        if kind == b"\0" and name.endswith("/"):
+            kind = b"5"
+        if prefix[0] and kind not in (b"L", b"K", b"S"):
+            name = f"{_tar_text(prefix)}/{name}"
+        if kind in (b"L", b"K"):
+            overrides.setdefault("path" if kind == b"L" else "linkpath", _tar_text(stream.take(size)))
+            stream.skip(-size % _TAR_BLOCK)
+        elif kind in (b"x", b"g", b"X"):
+            records = _pax_records(stream.take(size))
+            stream.skip(-size % _TAR_BLOCK)
+            if kind == b"g":
+                global_pax.update(records)
+            else:
+                for keyword, value in records.items():
+                    overrides.setdefault(keyword, value)
+        else:
+            fields, overrides = {**global_pax, **overrides}, {}
+            name = fields.get("path", name)
+            if kind == b"S" or any(keyword.startswith("GNU.sparse.") for keyword in fields):
+                raise ValueError(f"member {name!r} is a GNU sparse file, which scan does not read")
+            size = int(fields.get("size", size))
+            if size < 0:
+                raise ValueError(f"member {name!r} has a negative size")
+            yield kind, name, fields.get("linkpath", _tar_text(link)), size
+
+
+def _read_tar(source: Path, groups: Sequence[ExtensionGroup]) -> list[_GroupFile]:
+    """Every group file of a tar archive, in archive order, read in one pass.
+
+    A member's relpath is its name normalized (``posixpath.normpath``).  A
+    hard link reads as the last member archived before it under the
+    target's normalized name, as tarfile resolves it; a link to a
+    directory, a symbolic link or no member reads as None.  Only a link
+    to a member no group takes costs a second pass, from the start.  A
+    GNU sparse member is refused, as is a bad header checksum, a stream
+    that ends early or fails its own checksum.
+    """
+    # Per normalized name, what its last member so far reads as: the bytes
+    # of a group file, or (stream offset, size) of any other data.
+    last: dict[str, bytes | tuple[int, int]] = {}
+    files: list[tuple[ExtensionGroup, str, bytes | tuple[int, int] | None]] = []
+    try:
+        with _TarStream(source) as stream:
+            for kind, name, link, size in _tar_members(stream):
+                path = posixpath.normpath(name)
+                group = None
+                if kind in _TAR_REGULAR or kind == b"1":
+                    group = _match_group(path.rpartition("/")[2], groups)
+                if kind == b"1":
+                    data = last.get(posixpath.normpath(link))
+                elif kind in _TAR_NO_DATA:
+                    data = None
+                elif group is None:  # a file no group takes, or a type tarfile reads as one
+                    data = (stream.tell(), size)
+                    stream.skip(size + -size % _TAR_BLOCK)
+                else:
+                    data = stream.take(size)
+                    stream.skip(-size % _TAR_BLOCK)
+                if data is None:
+                    last.pop(path, None)
+                else:
+                    last[path] = data
+                if group is not None:
+                    files.append((group, path, data))
+            stream.drain()
+        targets = dict.fromkeys(sorted(data for _, _, data in files if isinstance(data, tuple)))
+        if targets:
+            with _TarStream(source) as stream:
+                for offset, size in targets:
+                    stream.skip(offset - stream.tell())
+                    targets[offset, size] = stream.take(size)
+    except (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError) as exc:
         raise UsageError(f"cannot read tar archive {source}: {exc}") from exc
+    return [(group, path, targets[data] if isinstance(data, tuple) else data) for group, path, data in files]
 
 
 def _read_version(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_GroupFile]:
@@ -579,7 +764,8 @@ def scan_version(
     Every regular file whose name ends with a group suffix is digested
     into that group; symbolic links are not followed, and a tar's hard
     link reads as the file it names.  When a tar holds one path twice,
-    the member archived last wins, as on extraction.  The group's unique
+    names normalized (``a/./x`` is ``a/x``), the member archived last
+    wins, as on extraction.  The group's unique
     lines pool the lines of all its files, so a line repeated within or
     across files is one row.  Unreadable files are skipped and counted
     per group; a missing source is a hard error.

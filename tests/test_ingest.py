@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import hashlib
 import io
 import json
+import lzma
 import multiprocessing
 import os
+import posixpath
 import random
 import tarfile
 from collections import Counter
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from codesurvival import ingest
+from codesurvival.cli import main
 from codesurvival.curves import MetricKind
 from codesurvival.errors import (
     DataError,
@@ -318,7 +322,7 @@ def _tar_oracle(archive: Path, groups) -> list:
     read = []
     with tarfile.open(archive) as tar:
         for member in tar.getmembers():
-            relpath = member.name.removeprefix("./")
+            relpath = posixpath.normpath(member.name)
             group = ingest._match_group(relpath.rpartition("/")[2], groups)
             if group is None or not (member.isreg() or member.islnk()):
                 continue
@@ -330,26 +334,30 @@ def _tar_oracle(archive: Path, groups) -> list:
     return read
 
 
+# Members as (name, bytes or None, link target or None); with neither, a
+# directory.
+HARD_LINK_MEMBERS = [
+    ("x.txt", b"old\n", None),
+    ("y.txt", None, "./x.txt"),  # "old": the last x.txt before it
+    ("./x.txt", b"new\n", None),
+    ("z.txt", None, "x.txt"),  # "new"
+    ("w.txt", None, "y.txt"),  # a link to a link: "old"
+    ("e.txt", b"", None),
+    ("f.txt", None, "e.txt"),  # an empty file
+    ("blob.bin", b"blob\n", None),
+    ("v.txt", None, "blob.bin"),  # a target no group takes
+    ("x.txt", None, None),  # a directory now has the name
+    ("u.txt", None, "x.txt"),  # so this link reads nothing
+    ("t.txt", None, "later.txt"),  # no such member before it
+    ("later.txt", b"later\n", None),
+]
+
+
 def test_tar_hard_links_resolve_as_tarfile_does(tmp_path):
     txt = ExtensionGroup(name="txt", extensions=(".txt",))
-    members = [
-        ("x.txt", b"old\n", None),
-        ("y.txt", None, "./x.txt"),  # "old": the last x.txt before it
-        ("./x.txt", b"new\n", None),
-        ("z.txt", None, "x.txt"),  # "new"
-        ("w.txt", None, "y.txt"),  # a link to a link: "old"
-        ("e.txt", b"", None),
-        ("f.txt", None, "e.txt"),  # an empty file
-        ("blob.bin", b"blob\n", None),
-        ("v.txt", None, "blob.bin"),  # a target no group takes
-        ("x.txt", None, None),  # a directory now has the name
-        ("u.txt", None, "x.txt"),  # so this link reads nothing
-        ("t.txt", None, "later.txt"),  # no such member before it
-        ("later.txt", b"later\n", None),
-    ]
     archive = tmp_path / "v1.tar.gz"
     with tarfile.open(archive, "w:gz") as tar:
-        for name, data, target in members:
+        for name, data, target in HARD_LINK_MEMBERS:
             info = tarfile.TarInfo(name)
             if target is not None:
                 info.type, info.linkname = tarfile.LNKTYPE, target
@@ -365,6 +373,182 @@ def test_tar_hard_links_resolve_as_tarfile_does(tmp_path):
         "e.txt": b"", "f.txt": b"", "v.txt": b"blob\n", "u.txt": None, "t.txt": None,
         "later.txt": b"later\n",
     }
+
+
+TXT = ExtensionGroup(name="txt", extensions=(".txt",))
+LONG_NAME = "d" * 60 + "/" + "e" * 60 + "/long.txt"  # ustar splits it into prefix and name
+COMPRESS = {"": lambda raw: raw, ".gz": gzip.compress, ".bz2": bz2.compress, ".xz": lzma.compress}
+
+
+def tar_bytes(members, tar_format=tarfile.PAX_FORMAT, **options) -> bytes:
+    """An uncompressed tar of (TarInfo, bytes or None) members, as tarfile writes it."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=tar_format, **options) as tar:
+        for info, data in members:
+            info.size = 0 if data is None else len(data)
+            tar.addfile(info, None if data is None else io.BytesIO(data))
+    return buf.getvalue()
+
+
+def tar_info(name, kind=tarfile.REGTYPE, linkname=""):
+    info = tarfile.TarInfo(name)
+    info.type, info.linkname = kind, linkname
+    return info
+
+
+def with_base256_size(raw: bytes, name: str) -> bytes:
+    """The tar with member ``name``'s size field rewritten in base-256.
+
+    Its checksum is redone over signed bytes, as some old tars did, so
+    the 0x80 byte makes it differ from the unsigned sum.
+    """
+    with tarfile.open(fileobj=io.BytesIO(raw)) as tar:
+        member = tar.getmember(name)
+        start, size = member.offset_data - 512, member.size
+    header = bytearray(raw[start : start + 512])
+    header[124:136] = b"\x80" + size.to_bytes(11, "big")
+    header[148:156] = b" " * 8
+    header[148:156] = b"%06o\0 " % sum(byte - 256 if byte > 127 else byte for byte in header)
+    return raw[:start] + bytes(header) + raw[start + 512 :]
+
+
+def oracle_members(tar_format) -> list:
+    members = []
+    for name, data, target in HARD_LINK_MEMBERS:
+        kind = tarfile.LNKTYPE if target else tarfile.DIRTYPE if data is None else tarfile.REGTYPE
+        members.append((tar_info(name, kind, target or ""), data))
+    members += [
+        (tar_info(LONG_NAME), b"long\n"),
+        (tar_info("\u00fcn\u00ef/\u00e7\u00f8d\u00e9.txt"), "\u00fc\n".encode()),
+        (tar_info("latin-\udce9.txt"), b"not UTF-8\n"),  # a name byte UTF-8 cannot decode
+        (tar_info("sub", tarfile.DIRTYPE), None),
+        (tar_info("v7dir.txt/", tarfile.AREGTYPE), None),  # a directory, as v7 tar wrote one
+        (tar_info("to-v7dir.txt", tarfile.LNKTYPE, "v7dir.txt"), None),  # reads nothing
+        (tar_info("sub/s.txt", tarfile.SYMTYPE, "../later.txt"), None),  # not read
+        (tar_info("empty.txt"), b""),
+        (tar_info("cont.txt", tarfile.CONTTYPE), b"contiguous\n"),
+        (tar_info("a/./n.txt"), b"n1\n"),
+        (tar_info("a/n.txt"), b"n2\n"),  # the same path as the member before it
+        (tar_info("b256.txt"), b"base 256\n"),
+        (tar_info("blob2.bin"), b"blob 2\n"),
+        (tar_info("to-blob2.txt", tarfile.LNKTYPE, "blob2.bin"), None),
+    ]
+    if tar_format != tarfile.USTAR_FORMAT:  # ustar has no room for a link name over 100 bytes
+        members.append((tar_info("to-long.txt", tarfile.LNKTYPE, LONG_NAME), None))
+    return members
+
+
+@pytest.mark.parametrize("compression", ["", ".gz", ".bz2", ".xz"])
+@pytest.mark.parametrize("tar_format", ["ustar", "gnu", "pax"])
+def test_tar_reader_reads_what_tarfile_reads(tmp_path, tar_format, compression):
+    fmt = {"ustar": tarfile.USTAR_FORMAT, "gnu": tarfile.GNU_FORMAT, "pax": tarfile.PAX_FORMAT}[tar_format]
+    # A pax archive also starts with a global header.
+    options = {"pax_headers": {"comment": "global"}} if fmt == tarfile.PAX_FORMAT else {}
+    raw = with_base256_size(tar_bytes(oracle_members(fmt), fmt, **options), "b256.txt")
+    archive = tmp_path / f"v1.tar{compression}"
+    archive.write_bytes(COMPRESS[compression](raw))
+    read = list(ingest._read_version(archive, [TXT]))
+    assert read == _tar_oracle(archive, [TXT])
+    contents = {relpath: data for _, relpath, data in read}
+    assert contents[LONG_NAME] == b"long\n" and contents["b256.txt"] == b"base 256\n"
+    assert contents["cont.txt"] == b"contiguous\n" and contents["latin-\udce9.txt"] == b"not UTF-8\n"
+    assert contents["to-blob2.txt"] == b"blob 2\n" and contents["a/n.txt"] == b"n2\n"
+    if tar_format != "ustar":
+        assert contents["to-long.txt"] == b"long\n"
+
+
+def test_tar_of_gzip_data_named_tar_is_read(tmp_path):
+    raw = tar_bytes(oracle_members(tarfile.GNU_FORMAT), tarfile.GNU_FORMAT)
+    archive = tmp_path / "v1.tar"
+    archive.write_bytes(gzip.compress(raw))
+    read = list(ingest._read_version(archive, [TXT]))
+    assert read == _tar_oracle(archive, [TXT])
+    assert (TXT, LONG_NAME, b"long\n") in read
+
+
+def test_tar_global_pax_record_applies_to_later_members(tmp_path):
+    archive = tmp_path / "v1.tar"
+    archive.write_bytes(tar_bytes([(tar_info("a.txt"), b"a\n")], pax_headers={"path": "g.txt"}))
+    read = list(ingest._read_version(archive, [TXT]))
+    assert read == _tar_oracle(archive, [TXT]) == [(TXT, "g.txt", b"a\n")]
+
+
+def test_tar_relpaths_are_normalized_as_on_extraction(tmp_path):
+    archive = tmp_path / "v1.tar"
+    members = [("a/./x.txt", b"old\n"), ("a/x.txt", b"new\n"), ("b//y.txt", b"y\n")]
+    archive.write_bytes(tar_bytes([(tar_info(name), data) for name, data in members]))
+    root = write_tree(tmp_path / "tree", {"a/x.txt": "new\n", "b/y.txt": "y\n"})
+    from_tar = scan_version(archive, [TXT], label="v1")
+    assert [r.relpath for r in from_tar.groups["txt"].files] == ["a/x.txt", "b/y.txt"]
+    assert from_tar.groups["txt"].uloc_count == 2
+    assert from_tar == scan_version(root, [TXT], label="v1")
+
+
+def test_tar_hard_link_to_a_symbolic_link_reads_nothing(tmp_path):
+    # Extraction makes it a symbolic link, which a directory scan does not follow.
+    members = [
+        (tar_info("x.txt"), b"x\n"),
+        (tar_info("s.txt", tarfile.SYMTYPE, "x.txt"), None),
+        (tar_info("h.txt", tarfile.LNKTYPE, "s.txt"), None),
+    ]
+    archive = tmp_path / "v1.tar"
+    archive.write_bytes(tar_bytes(members))
+    assert list(ingest._read_version(archive, [TXT])) == [(TXT, "x.txt", b"x\n"), (TXT, "h.txt", None)]
+
+
+def refused_archive(raw: bytes, case: str) -> bytes:
+    """``raw``, a tar of a.txt, blob.bin and b.txt, made unreadable as ``case`` says."""
+    with tarfile.open(fileobj=io.BytesIO(raw)) as tar:
+        a, blob, b = tar.getmembers()
+    if case == "bad-checksum":  # in b.txt's name: tarfile would end the archive there quietly
+        return raw[: b.offset] + b"B" + raw[b.offset + 1 :]
+    if case == "cut-in-a-group-file":
+        return raw[: a.offset_data + 100]
+    if case == "cut-in-a-skipped-file":
+        return raw[: blob.offset_data + 100_000]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case", ["bad-checksum", "cut-in-a-group-file", "cut-in-a-skipped-file", "gnu-sparse", "pax-sparse"]
+)
+def test_tar_refusal_is_one_line_and_exit_2(tmp_path, capsys, case):
+    members = [
+        (tar_info("a.txt"), b"a\n" * 1000),
+        (tar_info("blob.bin"), bytes(300_000)),
+        (tar_info("b.txt"), b"b\n"),
+    ]
+    if case == "gnu-sparse":
+        members[2] = (tar_info("b.txt", tarfile.GNUTYPE_SPARSE), b"b\n")
+        raw = tar_bytes(members, tarfile.GNU_FORMAT)
+    elif case == "pax-sparse":
+        members[2][0].pax_headers = {"GNU.sparse.major": "1", "GNU.sparse.minor": "0"}
+        raw = tar_bytes(members)
+    else:
+        raw = refused_archive(tar_bytes(members), case)
+    (tmp_path / "v1.tar").write_bytes(raw)
+    manifest = write_manifest(tmp_path, {
+        "software": "demo",
+        "groups": [{"name": "txt", "extensions": [".txt"]}],
+        "versions": [{"label": "v1", "path": "v1.tar"}],
+    })
+    capsys.readouterr()
+    assert main(["scan", "--manifest", str(manifest), "--store", str(tmp_path / "store")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read tar archive ") and "v1.tar" in err and err.count("\n") == 1
+    if case.endswith("sparse"):
+        assert "'b.txt' is a GNU sparse file" in err
+
+
+def test_tar_gzip_trailer_checksum_is_verified(tmp_path):
+    # The CRC-32 sits after the end-of-archive blocks, here 2 MiB after them.
+    raw = tar_bytes([(tar_info("a.cpp"), b"int a;\n")]) + bytes(2 << 20)
+    whole = bytearray(gzip.compress(raw))
+    whole[-8] ^= 0xFF
+    archive = tmp_path / "v1.tar.gz"
+    archive.write_bytes(bytes(whole))
+    with pytest.raises(UsageError, match=archive.name):
+        scan_version(archive, [CPP])
 
 
 @pytest.mark.parametrize("mode, suffix", [("w:gz", ".tar.gz"), ("w:xz", ".tar.xz")])
