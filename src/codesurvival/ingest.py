@@ -47,16 +47,17 @@ previous version, wherever either lies, is not split at all: it takes
 that file's line rows.  When a version ends, the keys it lacks leave
 their map, so a map never holds more than two versions' keys.
 
-The index is written as the store (``store``, format 6): one file per
+The index is written as the store (``store``, format 7): one file per
 store directory, a life table of the corpus, whose rows are each one
 run of versions of a line or a file record.  ``scan`` folds each
 version into the index as it goes, extending the run of each row it
 has, and writes the file once, after the last version, under a
 temporary name that then replaces the old file; a store is never
-partial or stale.  The rows are sorted by digest only then
-(``GroupIndex.canonical``); nothing is merged, so a revived line keeps
-one row per run.  Only this module and ``synth`` need numpy: ``curves``
-reads the store with the standard library alone.
+partial or stale.  The rows are put in life order only then, by
+(death, birth, digest) (``GroupIndex.canonical``); nothing is merged,
+so a revived line keeps one row per run.  Only this module and
+``synth`` need numpy: ``curves`` reads the store with the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     [".ext", ...]}, ...], "versions": [{"label": str, "path": str,
     "date": "YYYY-MM-DD"?}, ...]}``.  Version paths are resolved
     relative to the manifest's directory; each must exist.  Ordinals are
-    assigned in listed order.
+    assigned in listed order, so a version dated before the last dated
+    version listed before it is refused; undated versions are not compared.
     """
     path = Path(path)
     if not path.is_file():
@@ -303,7 +305,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise ManifestError(f"manifest {path}: {exc}") from exc
 
     base = path.parent
-    versions = []
+    versions: list[VersionEntry] = []
+    dated: VersionEntry | None = None  # the last version listed with a date
     for i, entry in enumerate(raw["versions"]):
         try:
             label = entry["label"]
@@ -322,12 +325,19 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 raise ManifestError(
                     f"manifest {path}: version {label!r} has invalid date {entry['date']!r}"
                 ) from exc
+            if dated is not None and date < dated.release_date:
+                raise ManifestError(
+                    f"manifest {path}: version {label!r} dated {date} is listed after version "
+                    f"{dated.label!r} dated {dated.release_date}; list versions in release order"
+                )
         if not (source.is_dir() or (source.is_file() and _is_tar(source))):
             raise MissingSourceError(
                 f"version {label!r}: snapshot source {source} does not exist "
                 "(expected a directory or tar archive)"
             )
         versions.append(VersionEntry(label=label, ordinal=i, source=source, release_date=date))
+        if date is not None:
+            dated = versions[-1]
     return CorpusManifest(software=raw["software"], versions=tuple(versions), groups=groups)
 
 
@@ -890,6 +900,9 @@ def scan_corpus(
             )
             store_snapshot(snapshot, index)
             yield snapshot
+    # The maps hold the last version's lines, which writing does not need:
+    # freed here, they do not add to the memory the store's sorts take.
+    del memo
     write_store(index, store)
 
 

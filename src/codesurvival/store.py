@@ -7,16 +7,20 @@ row holds its digest and its run of versions, (birth, death), so the
 store grows with distinct lines and records, not with versions x lines.
 Paths are not stored as text: a record's row digest is the digest of its
 basename and content, then that of its directory, which is all
-``curves`` needs.  Rows are sorted by digest, and nothing is merged, so
-a revived line keeps one row per run.  A run's ends are 16-bit, so a
-corpus holds at most 65,535 versions.
+``curves`` needs.  Nothing is merged, so a revived line keeps one row
+per run.  A run's ends are 16-bit, so a corpus holds at most 65,535
+versions.
 
-Besides its rows, each key set holds the rows of every key that has more
-than one (revived lines, and records of one basename and content in
-several directories), so that ``curves`` counts every pair's overlap
-from the runs and those rows alone, without reading a digest.  The
-header records a checksum of every section, and a section is checked
-when first read.
+Rows are in life order: by death, then birth, then digest.  So the rows
+of one run are one block, and the store holds each distinct run once,
+with its number of rows, in a run table: the actuarial life table
+itself.  Row k's run follows from its position.  Besides its rows, each
+key set lists the rows of every key that has more than one (revived
+lines, and records of one basename and content in several directories)
+in a multi section, so that ``curves`` counts every pair's overlap from
+the run table and those rows alone, without reading a digest or a
+section that grows with rows.  The header records a checksum of every
+section, and a section is checked when first read.
 
 Importing this module does not import numpy, so ``curves`` reads a store
 on the standard library alone.  numpy is imported by the code that
@@ -30,6 +34,7 @@ import hashlib
 import json
 import mmap
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -49,42 +54,45 @@ __all__ = [
     "load_all_snapshots",
 ]
 
-# Format 6: one file per store directory, named STORE_FILENAME.
+# Format 7: one file per store directory, named STORE_FILENAME.
 #   <header>\n<sections>
 # The header is one line of canonical JSON (sorted keys, no spaces, ASCII
 # only, so it holds no raw newline):
-#   {"digest": "blake2b-128", "format": 6,
+#   {"digest": "blake2b-128", "format": 7,
 #    "groups": {group: {"files": key set, "lines": key set}},
 #    "versions": [{"groups": {group: {"files": f, "skipped": k,
 #      "uloc": u}}, "label": label, "ordinal": i}, ...] in ordinal order}
 # with each key set
-#   {"checksums": {"digests": c, "multi": c, "runs": c},
+#   {"checksums": {"digests": c, "multi": c, "table": c},
 #    "digests": offset, "keys": n, "multi": offset, "multi_rows": m,
-#    "runs": offset}.
+#    "table": offset, "table_rows": t}.
 # "digest" is always the one digest; a file naming another is refused.
 # Offsets count from the first byte after the header's newline.  Groups
 # follow one another in name order, each as its lines key set, then its
 # files key set, and each key set as three sections:
-#   digests: its n row digests, sorted by byte value: 16 bytes per row for
-#            lines, 32 for files;
-#   runs:    n (birth, death) pairs of little-endian uint16: versions
-#            birth, ..., death - 1 hold row k, and 0 <= birth < death <= V
-#            for V <= 65,535 versions;
+#   digests: its n row digests in life order, by (death, birth, digest),
+#            digests by byte value: 16 bytes per row for lines, 32 for
+#            files;
+#   table:   t (birth, death, count) triples of little-endian uint16,
+#            uint16, uint32, strictly ordered by (death, birth): the next
+#            count rows each hold versions birth, ..., death - 1, with
+#            count >= 1, the counts summing to n, and
+#            0 <= birth < death <= V for V <= 65,535 versions;
 #   multi:   m (key, birth, death) triples of little-endian uint32,
-#            uint16, uint16: each row, in store order, whose key has more
-#            than one row, with the first row of its key.
+#            uint16, uint16: each row whose key has more than one row,
+#            by digest, then birth, with its key's number among the keys
+#            that have more than one row, 0, 1, ... in digest order.
 # Each checksum c is the hex blake2b-128 of its section's bytes.
-# A digest has one row per run: the rows of a line revived after an
-# absence are adjacent, in birth order, and each dies before the next is
-# born.  A line's row digest is the line's digest, and its key.  A file
-# record's is the digest of basename + NUL + content digest, then the
-# digest of the directory part of its relpath (empty at the root), names
-# encoded as UTF-8 with surrogate escapes.  Its first 16 bytes are the
-# record's (basename, content) key, so the rows of one key are adjacent.
-# A version's uloc and file counts are the numbers of lines and files
-# rows whose runs hold it.
+# A digest has one row per run: a line revived after an absence has a
+# row for each run, and each dies before the next is born.  A line's row
+# digest is the line's digest, and its key.  A file record's is the
+# digest of basename + NUL + content digest, then the digest of the
+# directory part of its relpath (empty at the root), names encoded as
+# UTF-8 with surrogate escapes.  Its first 16 bytes are the record's
+# (basename, content) key.  A version's uloc and file counts are the
+# numbers of lines and files rows whose runs hold it.
 
-STORE_FORMAT_VERSION = 6
+STORE_FORMAT_VERSION = 7
 STORE_FILENAME = "lifetime.store"
 
 #: The one digest of lines and file contents, as named in store headers.
@@ -94,13 +102,16 @@ MAX_VERSIONS = 2**16 - 1
 
 # The key sets of a group, in store order, and the width of their row digests.
 _KEY_SETS = {"lines": DIGEST_SIZE, "files": 2 * DIGEST_SIZE}
-# A row's run of versions, (birth, death), as a numpy dtype and in bytes.
+# A row's run of versions, (birth, death), as a numpy dtype.
 _RUN_DTYPE = ("<u2", 2)
-_RUN_SIZE = 4
-# A multi section row: the first row of its key, then its run.
+# A run table entry: a run, and how many rows in a row hold it.
+_TABLE_DTYPE = [("birth", "<u2"), ("death", "<u2"), ("count", "<u4")]
+_TABLE_FORMAT = "<HHI"
+_TABLE_SIZE = 8
+# A multi section row: its key's number among the shared keys, then its run.
 _MULTI_DTYPE = [("key", "<u4"), ("birth", "<u2"), ("death", "<u2")]
 _MULTI_SIZE = 8
-_SECTIONS = ("digests", "runs", "multi")
+_SECTIONS = ("digests", "table", "multi")
 
 
 def _numpy():
@@ -137,20 +148,37 @@ def _reserve(array, rows: int):
     return grown
 
 
-def _multi_rows(digests, runs):
-    """The multi section of sorted rows: each row whose key has more than one, with its key's first row."""
+def _run_table(runs):
+    """The run table of rows in life order: each run once, with the number of rows in a row that hold it."""
     np = _numpy()
-    if len(digests) > 2**32:
-        raise ValueError(f"{len(digests)} rows; a key set holds at most 2**32")
+    if len(runs) >= 2**32:
+        raise ValueError(f"{len(runs)} rows; a key set holds at most 2**32 - 1")
+    starts = np.ones(len(runs), dtype=bool)
+    starts[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    starts = np.flatnonzero(starts)
+    table = np.empty(len(starts), dtype=_TABLE_DTYPE)
+    table["birth"], table["death"] = runs[starts, 0], runs[starts, 1]
+    table["count"] = np.diff(starts, append=len(runs))
+    return table
+
+
+def _by_digest(digests, runs):
+    """Rows in life order, reordered by digest: each digest's rows stay in life order."""
+    order = _numpy().argsort(digests, kind="stable")
+    return digests[order], runs[order]
+
+
+def _multi_rows(digests, runs):
+    """The multi section of rows by digest (``_by_digest``): each row whose key has more than one, with its key's number."""
+    np = _numpy()
     keys = digests.view(f"S{DIGEST_SIZE}")[:: digests.itemsize // DIGEST_SIZE]
     # edge[k]: row k starts a key (k < rows), or k is the end.
     edge = np.ones(len(keys) + 1, dtype=bool)
     edge[1:-1] = keys[1:] != keys[:-1]
     multi = np.flatnonzero(~(edge[:-1] & edge[1:]))
-    # A key's rows are adjacent, and the first of them starts it.
-    opens = np.where(edge[multi], np.arange(len(multi)), 0)
     rows = np.empty(len(multi), dtype=_MULTI_DTYPE)
-    rows["key"], rows["birth"], rows["death"] = multi[np.maximum.accumulate(opens)], runs[multi, 0], runs[multi, 1]
+    # A key's rows are adjacent, and the first of them starts it.
+    rows["key"], rows["birth"], rows["death"] = np.cumsum(edge[multi]) - 1, runs[multi, 0], runs[multi, 1]
     return rows
 
 
@@ -166,9 +194,10 @@ class KeySet:
     A key set read from a store (``stored``) holds its sections' bytes.
     ``section`` gives one, refused unless it matches the header's
     checksum, and ``checked`` names the checksums matched so far.
-    ``digests`` and ``runs`` are numpy views of the sections, built on
-    first access, when the rows are checked too: a stage reads only the
-    sections it uses.
+    ``table`` reads the run table alone.  ``digests`` is a numpy view of
+    its section and ``runs`` the run table expanded to one run per row,
+    both built on first access, when the rows are checked too: a stage
+    reads only the sections it uses.
     """
 
     def __init__(self, digests=None, runs=None, width: int = DIGEST_SIZE) -> None:
@@ -200,6 +229,20 @@ class KeySet:
             self.checked[name] = checksum
         return data
 
+    def table(self) -> list[tuple[int, int, int]]:
+        """A stored key set's run table, as (birth, death, count), refused unless a scan could have written it."""
+        table = list(struct.iter_unpack(_TABLE_FORMAT, self.section("table")))
+        if not all(b < d <= self._versions for b, d, _ in table):
+            raise StoreFormatError(f"{self.source} runs are not all within versions 0 to {self._versions}")
+        if any((d, b) >= (next_d, next_b) for (b, d, _), (next_b, next_d, _) in zip(table, table[1:])):
+            raise StoreFormatError(f"{self.source} run table is not strictly in (death, birth) order")
+        counts = [count for _, _, count in table]
+        if not all(counts):
+            raise StoreFormatError(f"{self.source} run table has a run of 0 rows")
+        if sum(counts) != self.rows:
+            raise StoreFormatError(f"{self.source} run table counts sum to {sum(counts)}, not to its {self.rows} rows")
+        return table
+
     def _arrays(self) -> None:
         """Build the numpy arrays: empty in memory, or checked views of the store's sections."""
         if self._digests is not None:
@@ -208,16 +251,18 @@ class KeySet:
         if not self._sections:
             self._digests, self._runs = np.empty(0, f"S{self.width}"), np.empty(0, _RUN_DTYPE)
             return
+        table = np.array(self.table(), dtype=np.int64).reshape(-1, 3)
         digests = np.frombuffer(self.section("digests"), f"S{self.width}")
-        runs = np.frombuffer(self.section("runs"), _RUN_DTYPE)
-        births, deaths = runs[:, 0], runs[:, 1]
-        if (digests[1:] < digests[:-1]).any():
-            raise StoreFormatError(f"{self.source} digests are not sorted")
-        if ((births >= deaths) | (deaths > self._versions)).any():
-            raise StoreFormatError(f"{self.source} runs are not all within versions 0 to {self._versions}")
-        if ((digests[1:] == digests[:-1]) & (deaths[:-1] >= births[1:])).any():
+        runs = np.repeat(table[:, :2].astype(_RUN_DTYPE[0]), table[:, 2], axis=0)
+        # inner[k]: rows k and k + 1 hold one run.
+        inner = np.ones(max(self.rows - 1, 0), dtype=bool)
+        inner[np.cumsum(table[:-1, 2]) - 1] = False
+        if (digests[1:] <= digests[:-1])[inner].any():
+            raise StoreFormatError(f"{self.source} digests do not increase within each run")
+        by_digest, by_digest_runs = _by_digest(digests, runs)
+        if ((by_digest[1:] == by_digest[:-1]) & (by_digest_runs[:-1, 1] >= by_digest_runs[1:, 0])).any():
             raise StoreFormatError(f"{self.source} rows of one digest overlap or touch")
-        if _multi_rows(digests, runs).tobytes() != self.section("multi"):
+        if _multi_rows(by_digest, by_digest_runs).tobytes() != self.section("multi"):
             raise StoreFormatError(f"{self.source} multi section does not list the rows of its shared keys")
         self._digests, self._runs = digests, runs
 
@@ -257,11 +302,11 @@ class KeySet:
         self._runs[rows, 1] = version + 1
 
     def canonical(self) -> KeySet:
-        """These rows as a store holds them: rows a version holds, by digest, each digest's by birth."""
+        """These rows as a store holds them: rows a version holds, in life order, by (death, birth, digest)."""
         np = _numpy()
         runs = self.runs
         held = np.flatnonzero(runs[:, 0] < runs[:, 1])
-        order = held[np.argsort(self.digests[held], kind="stable")]
+        order = held[np.lexsort((self.digests[held], runs[held, 0], runs[held, 1]))]
         return KeySet(self.digests[order], runs[order], self.width)
 
 
@@ -312,10 +357,10 @@ def _canonical_json(value: object) -> bytes:
 def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     """Write the index as the store file of a directory, replacing it whole.
 
-    The bytes are canonical (digests by byte value), so re-scanning an
-    unchanged corpus reproduces the store byte for byte.  The file is
-    written under a temporary name in the same directory and then
-    renamed over the old one, so the store is never partial.
+    The bytes are canonical (rows in life order, ties by digest), so
+    re-scanning an unchanged corpus reproduces the store byte for byte.
+    The file is written under a temporary name in the same directory and
+    then renamed over the old one, so the store is never partial.
     """
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
@@ -330,9 +375,9 @@ def write_store(index: LifetimeIndex, store: str | Path) -> Path:
         layout[name] = {}
         for kind in _KEY_SETS:
             keys = getattr(group, kind)
-            multi = _multi_rows(keys.digests, keys.runs)
-            entry = dict(keys=keys.rows, multi_rows=len(multi), checksums={})
-            for section, data in zip(_SECTIONS, (keys.digests, keys.runs, multi)):
+            table, multi = _run_table(keys.runs), _multi_rows(*_by_digest(keys.digests, keys.runs))
+            entry = dict(keys=keys.rows, multi_rows=len(multi), table_rows=len(table), checksums={})
+            for section, data in zip(_SECTIONS, (keys.digests, table, multi)):
                 entry[section] = offset
                 entry["checksums"][section] = _checksum(data)
                 sections.append(data)
@@ -390,20 +435,22 @@ def _key_set_spans(path: Path, entry: object, where: str, width: int, offset: in
     """
     keys = _field(path, entry, "keys", int, where)
     multi = _field(path, entry, "multi_rows", int, where)
+    table = _field(path, entry, "table_rows", int, where)
     checksums = entry.get("checksums")
-    runs = offset + keys * width
     expected = {
         "checksums": checksums,
         "digests": offset,
         "keys": keys,
-        "multi": runs + keys * _RUN_SIZE,
+        "multi": offset + keys * width + table * _TABLE_SIZE,
         "multi_rows": multi,
-        "runs": runs,
+        "table": offset + keys * width,
+        "table_rows": table,
     }
     named = isinstance(checksums, dict) and checksums.keys() == set(_SECTIONS)
-    if not named or not all(isinstance(c, str) for c in checksums.values()) or not 0 <= multi <= keys or entry != expected:
+    counts = 0 <= multi <= keys and 0 <= table <= keys
+    if not named or not all(isinstance(c, str) for c in checksums.values()) or not counts or entry != expected:
         raise StoreFormatError(f"{path}: {where} sections {entry} are not laid out as {expected}")
-    ends = {"digests": runs, "runs": expected["multi"], "multi": expected["multi"] + multi * _MULTI_SIZE}
+    ends = {"digests": expected["table"], "table": expected["multi"], "multi": expected["multi"] + multi * _MULTI_SIZE}
     return {name: (entry[name], ends[name], checksums[name]) for name in _SECTIONS}
 
 

@@ -33,11 +33,12 @@ of one set intersection per pair, on the standard library alone:
    adds +-1 at its four corners of a (V+1) x (V+1) difference array of
    Python ints, and two prefix sums over it give C exactly.
 3. A key with one row, as most are, has one rectangle, the square
-   [b, d) x [b, d).  So the runs section alone gives every square: a
-   ``Counter`` counts the rows of each distinct (birth, death) in one
-   pass that runs in C, and each adds its square once, times its count.  The store lists the rows of the
-   keys with more than one row apart (its multi section); each of those
-   trades its square for its rectangles.  No digest is read.
+   [b, d) x [b, d).  So the store's run table alone gives every square:
+   each of its entries, a distinct (birth, death) and the number of rows
+   that hold it, adds its square once, times its count.  The store lists
+   the rows of the keys with more than one row apart (its multi
+   section); each of those trades its square for its rectangles.  No
+   digest is read, and nothing that grows with rows.
 
 Each fraction is then ``1.0 - C[i, j] / size_i`` on Python ints, the
 same division a per-pair set intersection would make, so results are
@@ -50,8 +51,6 @@ form live in ``curves``.
 from __future__ import annotations
 
 import struct
-import sys
-from collections import Counter
 from itertools import accumulate, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -70,20 +69,6 @@ _METRIC_KEYS = {
 }
 
 
-def _run_counts(runs: memoryview, byteorder: str = sys.byteorder) -> dict[tuple[int, int], int]:
-    """How many rows hold each (birth, death), from a runs section.
-
-    Each row's two little-endian uint16 are counted as one native uint32,
-    in C, and only the distinct values are decoded, in the host's byte
-    order, so the section reads the same on any host.
-    """
-    counts = {}
-    for value, count in Counter(runs.cast("I")).items():
-        raw = value.to_bytes(4, byteorder)
-        counts[int.from_bytes(raw[:2], "little"), int.from_bytes(raw[2:], "little")] = count
-    return counts
-
-
 def _shared_counts(keys: KeySet, n_versions: int) -> list[list[int]]:
     """C[i][j]: how many of version i's rows have their key in version j."""
     side = n_versions + 1
@@ -95,11 +80,10 @@ def _shared_counts(keys: KeySet, n_versions: int) -> list[list[int]]:
         diff[d][kb] -= count
         diff[d][kd] += count
 
-    squares = _run_counts(keys.section("runs"))
     multi = list(struct.iter_unpack("<IHH", keys.section("multi")))
-    if not all(b < d <= n_versions for b, d in [*squares, *(row[1:] for row in multi)]):
+    if not all(b < d <= n_versions for _, b, d in multi):
         raise StoreFormatError(f"{keys.source} runs are not all within versions 0 to {n_versions}")
-    for (b, d), count in squares.items():
+    for b, d, count in keys.table():
         rectangle(b, d, b, d, count)
     for _, rows in groupby(multi, itemgetter(0)):
         runs = [row[1:] for row in rows]

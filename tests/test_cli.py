@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib
 import json
 import multiprocessing
 import os
 import subprocess
+import struct
 import sys
 import tarfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,20 @@ def test_scan_builds_the_store(tmp_path, capsys):
 def test_scan_missing_manifest(tmp_path, capsys):
     assert run("scan", "--manifest", tmp_path / "absent.json", "--store", tmp_path / "s") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_scan_refuses_a_manifest_out_of_release_order(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=3)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    for entry, date in zip(manifest["versions"], ("2020-03-01", "2019-01-01", "2018-06-01")):
+        entry["date"] = date
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "version 'v1' dated 2019-01-01 is listed after version 'v0' dated 2020-03-01" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_rescan_drops_stale_snapshots(tmp_path, capsys):
@@ -330,22 +347,17 @@ def test_curves_reads_only_the_key_set_it_uses(tmp_path, capsys):
         assert run("curves", "--store", store, "--group", "syn", "--metric", metric, "--out", out_csv) == 0
         assert out_csv.read_bytes() == out.read_bytes()
     out_csv.unlink()
-    # Flip a bit of the lines runs: uloc is refused, and file reads the files key set alone.
-    at = lines["runs"]
+    # Flip a bit of the lines run table: uloc is refused, and file reads the files key set alone.
+    at = lines["table"]
     path.write_bytes(line + b"\n" + body[:at] + bytes([body[at] ^ 1]) + body[at + 1 :])
     capsys.readouterr()
     assert run("curves", "--store", store, "--group", "syn", "--metric", "uloc", "--out", out_csv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'syn' lines runs section does not match its checksum" in err
+    assert "'syn' lines table section does not match its checksum" in err
     assert not out_csv.exists()
     assert run("curves", "--store", store, "--group", "syn", "--metric", "file", "--out", out_csv) == 0
     assert out_csv.read_bytes() == intact["file"].read_bytes()
-
-
-def _run(birth: int, death: int) -> bytes:
-    """A row's run as the store holds it."""
-    return birth.to_bytes(2, "little") + death.to_bytes(2, "little")
 
 
 def _edit_runs_keeping_counts(store: Path) -> None:
@@ -353,11 +365,22 @@ def _edit_runs_keeping_counts(store: Path) -> None:
     # keeps every version's line count, so the diagonal still holds.
     path = store / STORE_FILENAME
     line, body = path.read_bytes().split(b"\n", 1)
-    at = json.loads(line)["groups"]["cpp"]["lines"]["runs"]
-    runs = [body[at : at + 4], body[at + 4 : at + 8]]
-    assert sorted(runs) == sorted([_run(0, 5), _run(3, 4)])
-    edited = b"".join(_run(0, 4) if r == _run(0, 5) else _run(3, 5) for r in runs)
-    path.write_bytes(line + b"\n" + body[:at] + edited + body[at + 8 :])
+    at = json.loads(line)["groups"]["cpp"]["lines"]["table"]
+    assert body[at : at + 16] == struct.pack("<HHIHHI", 3, 4, 1, 0, 5, 1)  # in (death, birth) order
+    edited = struct.pack("<HHIHHI", 0, 4, 1, 3, 5, 1)
+    path.write_bytes(line + b"\n" + body[:at] + edited + body[at + 16 :])
+
+
+def _swap_runs_and_reseal(store: Path) -> None:
+    # The same two runs in (birth, death) order, the checksum rewritten.
+    path = store / STORE_FILENAME
+    line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    lines = header["groups"]["cpp"]["lines"]
+    at = lines["table"]
+    body = body[:at] + body[at + 8 : at + 16] + body[at : at + 8] + body[at + 16 :]
+    lines["checksums"]["table"] = hashlib.blake2b(body[at : at + 16], digest_size=16).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 def _flip_a_multi_byte(store: Path) -> None:
@@ -369,10 +392,10 @@ def _flip_a_multi_byte(store: Path) -> None:
     path.write_bytes(line + b"\n" + body[:at] + bytes([body[at] ^ 1]) + body[at + 1 :])
 
 
-def _mark_format_5(store: Path) -> None:
+def _mark_format(store: Path, version: int) -> None:
     path = store / STORE_FILENAME
     line, body = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(json.dumps({**json.loads(line), "format": 5}).encode() + b"\n" + body)
+    path.write_bytes(json.dumps({**json.loads(line), "format": version}).encode() + b"\n" + body)
 
 
 @pytest.mark.parametrize(
@@ -380,7 +403,11 @@ def _mark_format_5(store: Path) -> None:
     [
         (
             [{"a.cpp": "a\n"}] * 3 + [{"a.cpp": "a\nb\n"}, {"a.cpp": "a\n"}],
-            _edit_runs_keeping_counts, 3, "'cpp' lines runs section does not match its checksum",
+            _edit_runs_keeping_counts, 3, "'cpp' lines table section does not match its checksum",
+        ),
+        (
+            [{"a.cpp": "a\n"}] * 3 + [{"a.cpp": "a\nb\n"}, {"a.cpp": "a\n"}],
+            _swap_runs_and_reseal, 2, "'cpp' lines run table is not strictly in (death, birth) order",
         ),
         (
             [{"a.cpp": "keep\ngone\n"}, {"a.cpp": "keep\n"}, {"a.cpp": "keep\ngone\n"}],
@@ -388,10 +415,14 @@ def _mark_format_5(store: Path) -> None:
         ),
         (
             [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}],
-            _mark_format_5, 2, "unsupported store format version 5, only 6 is read; rescan the corpus",
+            partial(_mark_format, version=5), 2, "unsupported store format version 5, only 7 is read; rescan the corpus",
+        ),
+        (
+            [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}],
+            partial(_mark_format, version=6), 2, "unsupported store format version 6, only 7 is read; rescan the corpus",
         ),
     ],
-    ids=["runs-keep-counts", "multi-bit-flip", "format-5"],
+    ids=["runs-keep-counts", "table-out-of-order", "multi-bit-flip", "format-5", "format-6"],
 )
 def test_curves_refuses_an_edited_store(tmp_path, capsys, trees, edit, code, message):
     _, _, store = scan_sources(tmp_path, trees)
@@ -845,7 +876,7 @@ def test_curves_report_names_the_store_sections_it_read(tmp_path):
         checksums = header["groups"]["syn"][kind]["checksums"]
         assert json.loads(report.read_text())["store_sections"] == {
             f"{kind}.multi": checksums["multi"],
-            f"{kind}.runs": checksums["runs"],
+            f"{kind}.table": checksums["table"],
         }
 
 

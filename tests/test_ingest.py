@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import posixpath
 import random
+import struct
 import tarfile
 from collections import Counter
 from pathlib import Path
@@ -41,7 +42,7 @@ from codesurvival.ingest import (
     scan_version,
     store_snapshot,
 )
-from codesurvival.store import STORE_FILENAME, GroupIndex, LifetimeIndex, load_all_snapshots
+from codesurvival.store import STORE_FILENAME, GroupIndex, KeySet, LifetimeIndex, load_all_snapshots
 from codesurvival.survival import build_curve_family
 
 from conftest import (
@@ -618,6 +619,25 @@ def test_load_manifest_rejects_bad_date(tmp_path, tree_writer):
         load_manifest(write_manifest(tmp_path, payload))
 
 
+def test_load_manifest_refuses_decreasing_dates(tmp_path, tree_writer):
+    for label in ("v1", "v2", "v3", "v4"):
+        tree_writer({"a.cpp": f"{label}\n"}, label)
+    payload = manifest_payload()
+    payload["versions"] = [
+        {"label": "v1", "path": "v1", "date": "2020-03-01"},
+        {"label": "v2", "path": "v2"},  # undated versions are not compared
+        {"label": "v3", "path": "v3", "date": "2020-03-01"},
+        {"label": "v4", "path": "v4", "date": "2021-01-01"},
+    ]
+    assert [v.label for v in load_manifest(write_manifest(tmp_path, payload)).versions] == ["v1", "v2", "v3", "v4"]
+    payload["versions"][3]["date"] = "2019-01-01"
+    with pytest.raises(ManifestError) as refused:
+        load_manifest(write_manifest(tmp_path, payload))
+    message = str(refused.value)
+    assert "'v4' dated 2019-01-01 is listed after version 'v3' dated 2020-03-01" in message
+    assert "\n" not in message
+
+
 def test_load_manifest_missing_snapshot_source(tmp_path, tree_writer):
     tree_writer({"a.cpp": "x\n"}, "v1")
     with pytest.raises(MissingSourceError, match="v2"):
@@ -687,20 +707,29 @@ def test_corpus_manifest_rejects_group_collisions(tmp_path):
 # --- lifetime store ---------------------------------------------------------
 
 
+def assert_life_order(keys: KeySet) -> None:
+    """The rows are distinct and in life order: by (death, birth), then by digest."""
+    width, raw = keys.digests.itemsize, keys.digests.tobytes()  # an S item would lose trailing NUL bytes
+    rows = [(d, b, raw[k * width : (k + 1) * width]) for k, (b, d) in enumerate(keys.runs.tolist())]
+    assert rows == sorted(set(rows))
+
+
 def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
     """The loaded store describes exactly these snapshots, ordinals 0, 1, ..."""
     assert loaded.labels == [s.version_label for s in snaps]
     assert set(loaded.groups) == set(snaps[0].groups)
     for name, group in loaded.groups.items():
         payloads = [s.groups[name] for s in snaps]
-        # Each digest once in store order, however many runs it has.
+        # Each digest once, however many runs it has, and the rows in life order.
         union = sorted({d for p in payloads for d in p.uloc})
-        assert list(row_versions(group.lines)) == union
+        assert sorted(row_versions(group.lines)) == union
         assert group.lines.runs.shape == (group.lines.rows, 2)
+        assert_life_order(group.lines)
         records = [{file_row_digest(r.relpath, r.content_digest) for r in p.files} for p in payloads]
         distinct = sorted(set().union(*records))
-        assert list(row_versions(group.files)) == distinct
+        assert sorted(row_versions(group.files)) == distinct
         assert group.files.runs.shape == (group.files.rows, 2)
+        assert_life_order(group.files)
         for i, payload in enumerate(payloads):
             version = group.versions[i]
             assert version.file_count == payload.file_count
@@ -749,28 +778,31 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
 
 
 def test_store_rejects_corruption(tmp_path):
-    snaps, _, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"a.cpp": "y\nz\n"}])
+    trees = [{"a.cpp": "w\nx\ny\n", "b.cpp": "w\n"}, {"a.cpp": "y\nz\n"}]
+    snaps, _, store = scan_sources(tmp_path, trees)
     path = store / STORE_FILENAME
     good = path.read_bytes()
-    loaded = load_all_snapshots(store).group("cpp")
-    good_runs = {"lines": loaded.lines.runs.tolist(), "files": loaded.files.runs.tolist()}
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
-    assert header["format"] == 6 and header["digest"] == "blake2b-128"
+    assert header["format"] == 7 and header["digest"] == "blake2b-128"
     layout = header["groups"]["cpp"]
     assert {kind: {k: v for k, v in entry.items() if k != "checksums"} for kind, entry in layout.items()} == {
-        "lines": {"digests": 0, "keys": 3, "runs": 48, "multi": 60, "multi_rows": 0},
-        "files": {"digests": 60, "keys": 2, "runs": 124, "multi": 132, "multi_rows": 0},
+        "lines": {"digests": 0, "keys": 4, "table": 64, "table_rows": 3, "multi": 88, "multi_rows": 0},
+        "files": {"digests": 88, "keys": 3, "table": 184, "table_rows": 2, "multi": 200, "multi_rows": 0},
     }
-    assert header["versions"][0]["groups"] == {"cpp": {"files": 1, "skipped": 0, "uloc": 2}}
-    assert len(body) == 3 * 16 + 3 * 4 + 2 * 32 + 2 * 4
+    assert header["versions"][0]["groups"] == {"cpp": {"files": 2, "skipped": 0, "uloc": 3}}
+    assert len(body) == 4 * 16 + 3 * 8 + 3 * 32 + 2 * 8
     # Per key set: where each section starts and ends in the body.
     bounds = {
-        kind: {"digests": (e["digests"], e["runs"]), "runs": (e["runs"], e["multi"]), "multi": (e["multi"], e["multi"] + 8 * e["multi_rows"])}
+        kind: {"digests": (e["digests"], e["table"]), "table": (e["table"], e["multi"]), "multi": (e["multi"], e["multi"] + 8 * e["multi_rows"])}
         for kind, e in layout.items()
     }
     for kind, sections in bounds.items():
         assert layout[kind]["checksums"] == {name: b2(body[a:z]).hex() for name, (a, z) in sections.items()}
+    # Rows in life order, so each run is in the table once, with its number of rows:
+    # w and x, then y, then z; a.cpp's first content and b.cpp, then a.cpp's second.
+    tables = {kind: list(struct.iter_unpack("<HHI", body[slice(*bounds[kind]["table"])])) for kind in layout}
+    assert tables == {"lines": [(0, 1, 2), (0, 2, 1), (1, 2, 1)], "files": [(0, 1, 2), (1, 2, 1)]}
 
     def with_header(**changes) -> bytes:
         return json.dumps({**header, **changes}).encode() + b"\n" + body
@@ -787,6 +819,7 @@ def test_store_rejects_corruption(tmp_path):
 
     lines, files = layout["lines"], layout["files"]
     unlabelled = {k: v for k, v in header["versions"][0].items() if k != "label"}
+    format_6 = {k: v for k, v in lines.items() if not k.startswith("table")} | {"runs": 64}
     cases = [
         (b"nonsense\n" + good, "header"),
         (b"", "header"),
@@ -797,6 +830,7 @@ def test_store_rejects_corruption(tmp_path):
         (with_header(format=3), "version 3.*rescan"),
         (with_header(format=4), "version 4.*rescan"),
         (with_header(format=5), "version 5.*rescan"),
+        (with_header(format=6), "version 6, only 7 is read; rescan"),
         (with_header(digest="sha256"), "'sha256'.*'blake2b-128'.*rescan"),
         (with_header(versions={}), "'versions'"),
         (with_header(groups=[]), "'groups'"),
@@ -811,23 +845,27 @@ def test_store_rejects_corruption(tmp_path):
         (with_header(groups={"cpp": {"lines": lines}}), "'files'"),
         (
             with_layout(
-                lines={**lines, "keys": 2, "runs": 32, "multi": 40},
-                files={**files, "digests": 40, "runs": 104, "multi": 112},
+                lines={**lines, "keys": 3, "table": 48, "multi": 72},
+                files={**files, "digests": 72, "table": 168, "multi": 184},
             ),
             "bytes",
         ),
-        (with_layout(lines={"digests": 0, "keys": 3, "masks": 48}), "lines field 'multi_rows'"),  # format 4
-        (with_layout(lines={"digests": 0, "keys": 3, "runs": 48}), "lines field 'multi_rows'"),  # format 5
-        (with_layout(lines={**lines, "runs": 32}), "lines .*laid out"),
-        (with_layout(lines={**lines, "digests": 3, "runs": 51, "multi": 63}), "laid out"),
-        (with_layout(lines={**lines, "keys": -1, "runs": -16, "multi": -20}), "laid out"),
-        (with_layout(lines={**lines, "multi_rows": 4}), "lines .*laid out"),  # more than its rows
+        (with_layout(lines={"digests": 0, "keys": 4, "masks": 64}), "lines field 'multi_rows'"),  # format 4
+        (with_layout(lines={"digests": 0, "keys": 4, "runs": 64}), "lines field 'multi_rows'"),  # format 5
+        (with_layout(lines=format_6), "lines field 'table_rows'"),
+        (with_layout(lines={**lines, "runs": 64}), "lines .*laid out"),
+        (with_layout(lines={**lines, "table": 48}), "lines .*laid out"),
+        (with_layout(lines={**lines, "digests": 3, "table": 67, "multi": 91}), "laid out"),
+        (with_layout(lines={**lines, "keys": -1, "table": -16, "multi": 8}), "laid out"),
+        (with_layout(lines={**lines, "multi_rows": 5}), "lines .*laid out"),  # more than its rows
         (with_layout(lines={**lines, "multi_rows": -1}), "lines .*laid out"),
+        (with_layout(lines={**lines, "table_rows": 5, "multi": 104}), "lines .*laid out"),  # more than its rows
+        (with_layout(lines={**lines, "table_rows": -1, "multi": 56}), "lines .*laid out"),
         (with_layout(lines={**lines, "checksums": None}), "lines .*laid out"),
-        (with_layout(lines={**lines, "checksums": {"runs": lines["checksums"]["runs"]}}), "lines .*laid out"),
-        (with_layout(lines={**lines, "checksums": {**lines["checksums"], "runs": 7}}), "lines .*laid out"),
-        (with_layout(files={**files, "runs": 92}), "files .*laid out"),
-        (with_layout(files={**files, "digests": 48, "runs": 112, "multi": 120}), "files .*laid out"),
+        (with_layout(lines={**lines, "checksums": {"table": lines["checksums"]["table"]}}), "lines .*laid out"),
+        (with_layout(lines={**lines, "checksums": {**lines["checksums"], "table": 7}}), "lines .*laid out"),
+        (with_layout(files={**files, "table": 92}), "files .*laid out"),
+        (with_layout(files={**files, "digests": 96, "table": 192, "multi": 208}), "files .*laid out"),
         (good + b"trailing junk", "bytes"),
         (good[:-2], "bytes"),  # truncated
     ]
@@ -836,11 +874,10 @@ def test_store_rejects_corruption(tmp_path):
         with pytest.raises(StoreFormatError, match=match):
             load_all_snapshots(store)
 
-    def with_rows(kind: str, digests: bytes = b"", runs: tuple = (), seal: bool = True) -> bytes:
-        """The good store with a key set's first digests and runs replaced, its checksums rewritten if ``seal``."""
-        raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
+    def with_sections(kind: str, digests: list = (), table: list = (), seal: bool = True) -> bytes:
+        """The good store with a key set's first row digests and table entries replaced, its checksums rewritten if ``seal``."""
         data = bytearray(body)
-        for section, replacement in (("digests", digests), ("runs", raw)):
+        for section, replacement in (("digests", b"".join(digests)), ("table", b"".join(struct.pack("<HHI", *run) for run in table))):
             first = bounds[kind][section][0]
             data[first : first + len(replacement)] = replacement
         checksums = {kind: {name: b2(data[a:z]).hex() for name, (a, z) in bounds[kind].items()}}
@@ -849,23 +886,36 @@ def test_store_rejects_corruption(tmp_path):
         entries = {k: {**e, "checksums": checksums.get(k, e["checksums"])} for k, e in layout.items()}
         return json.dumps({**header, "groups": {"cpp": entries}}).encode() + b"\n" + bytes(data)
 
+    def table_cases(kind: str) -> list:
+        """Run tables a scan could not have written, each with what refuses it."""
+        table, rows = tables[kind], layout[kind]["keys"]
+        (b0, d0, c0), (b1, d1, c1), (b, _, c) = table[0], table[1], table[-1]
+        return [
+            ([*table[:-1], (b, 3, c)], "runs are not all within versions 0 to 2"),  # past V
+            ([*table[:-1], (2, 2, c)], "runs are not all within versions 0 to 2"),  # empty
+            ([table[1], table[0], *table[2:]], r"run table is not strictly in \(death, birth\) order"),
+            ([table[0], (b0, d0, c1), *table[2:]], r"run table is not strictly in \(death, birth\) order"),  # repeated
+            ([(b0, d0, c0 + c1), (b1, d1, 0), *table[2:]], "run table has a run of 0 rows"),
+            ([(b0, d0, c0 + 1), *table[1:]], f"run table counts sum to {rows + 1}, not to its {rows} rows"),
+        ]
+
     # Key sets whose rows a scan could not have written are refused when
     # their rows are first read; the other key set stays usable.
     for kind, other in (("lines", "files"), ("files", "lines")):
         first, end = bounds[kind]["digests"]
         width = (end - first) // layout[kind]["keys"]
-        a, b = body[first : first + width], body[first + width : first + 2 * width]
+        d = [body[k : k + width] for k in range(first, end, width)]
+        # The first run holds rows 0 and 1, and the last run's row is the key set's last.
         for data, error, match in (
-            (with_rows(kind, digests=b + a, seal=False), DataError, "digests section does not match its checksum"),
-            (with_rows(kind, runs=[(5, 9)], seal=False), DataError, "runs section does not match its checksum"),
-            (with_rows(kind, digests=b + a), StoreFormatError, "digests are not sorted"),
-            (with_rows(kind, runs=[(1, 1)]), StoreFormatError, "runs are not all within versions 0 to 2"),
-            (with_rows(kind, runs=[(2, 1)]), StoreFormatError, "runs are not all within"),
-            (with_rows(kind, runs=[(0, 3)]), StoreFormatError, "runs are not all within"),
-            (with_rows(kind, digests=a + a, runs=[(0, 2), (1, 2)]), StoreFormatError, "rows of one digest overlap"),
-            (with_rows(kind, digests=a + a, runs=[(0, 1), (1, 2)]), StoreFormatError, "rows of one digest overlap or touch"),
+            (with_sections(kind, digests=[d[1], d[0]], seal=False), DataError, "digests section does not match its checksum"),
+            (with_sections(kind, table=[(0, 2, 2)], seal=False), DataError, "table section does not match its checksum"),
+            *((with_sections(kind, table=table), StoreFormatError, match) for table, match in table_cases(kind)),
+            (with_sections(kind, digests=[d[1], d[0]]), StoreFormatError, "digests do not increase within each run"),
+            (with_sections(kind, digests=[d[0], d[0]]), StoreFormatError, "digests do not increase within each run"),
+            # The last row's run, [1, 2), touches the first's, [0, 1).
+            (with_sections(kind, digests=[*d[:-1], d[0]]), StoreFormatError, "rows of one digest overlap or touch"),
             # One key in two directories: its rows belong in the multi section.
-            (with_rows(kind, digests=a + a[:16] + b"\xff" * (width - 16)), StoreFormatError, "multi section does not list"),
+            (with_sections(kind, digests=[d[0], d[0][:16] + b"\xff" * (width - 16)]), StoreFormatError, "multi section does not list"),
         ):
             if kind == "lines" and "multi" in match:
                 continue  # a line's key is its whole digest
@@ -875,16 +925,22 @@ def test_store_rejects_corruption(tmp_path):
             for rows in ("digests", "runs"):
                 with pytest.raises(error, match=f"{kind} {match}"):
                     getattr(getattr(group, kind), rows)
+    # y's run, [0, 2), overlaps w's or x's, [0, 1).
+    lines_digests = [body[k : k + 16] for k in range(0, 64, 16)]
+    path.write_bytes(with_sections("lines", digests=[*lines_digests[:2], lines_digests[0]]))
+    with pytest.raises(StoreFormatError, match="lines rows of one digest overlap or touch"):
+        load_all_snapshots(store).group("cpp").lines.runs
 
-    # The kernel reads the runs and multi sections alone: it refuses runs
-    # that do not match their checksum, that leave the versions, or that
-    # disagree with the recorded counts.
+    # The kernel reads the run table and multi section alone: it refuses
+    # a table that does not match its checksum, that a scan could not
+    # have written, or that disagrees with the recorded counts.
     for metric, kind in ((MetricKind.ULOC, "lines"), (MetricKind.FILE, "files")):
-        run = (0, 1) if good_runs[kind][0] == [0, 2] else (0, 2)
+        (b0, d0, c0), (b1, d1, c1), *rest = tables[kind]
+        moved = [(b0, d0, c0 - 1), (b1, d1, c1 + 1), *rest]  # a row moved to the next run
         for data, error, match in (
-            (with_rows(kind, runs=[run], seal=False), DataError, f"{kind} runs section does not match its checksum"),
-            (with_rows(kind, runs=[(2, 1)]), StoreFormatError, f"{kind} runs are not all within versions 0 to 2"),
-            (with_rows(kind, runs=[run]), StoreFormatError, f"{metric.value} counts"),
+            (with_sections(kind, table=moved, seal=False), DataError, f"{kind} table section does not match its checksum"),
+            *((with_sections(kind, table=table), StoreFormatError, f"{kind} {match}") for table, match in table_cases(kind)),
+            (with_sections(kind, table=moved), StoreFormatError, f"{metric.value} counts"),
         ):
             path.write_bytes(data)
             with pytest.raises(error, match=match):
@@ -1037,8 +1093,13 @@ def test_store_mask_edges(tmp_path, monkeypatch, versions):
         keys = Counter(raw[k : k + 16] for k in range(0, len(raw), width))
         assert layout[kind]["multi_rows"] == sum(n for n in keys.values() if n > 1)
     multi = layout["lines"]["multi_rows"] + layout["files"]["multi_rows"]
-    # A digest and a (birth, death) pair of uint16 per row, and (key, birth, death) per multi row.
-    assert path.stat().st_size == header_bytes + lines * (16 + 4) + files * (32 + 4) + multi * 8
+    # A distinct run per table entry, at least one row each.
+    table = layout["lines"]["table_rows"] + layout["files"]["table_rows"]
+    for kind in ("lines", "files"):
+        keys = getattr(loaded.group("x"), kind)
+        assert layout[kind]["table_rows"] == len(set(map(tuple, keys.runs.tolist()))) <= max(keys.rows, 1)
+    # A digest per row, (birth, death, count) per table entry, and (key, birth, death) per multi row.
+    assert path.stat().st_size == header_bytes + lines * 16 + files * 32 + table * 8 + multi * 8
     for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
         family = build_curve_family(store, "x", metric)
         got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
+import struct
 
 import numpy as np
 import pytest
@@ -151,18 +151,24 @@ def test_files_key_set_keeps_records_that_share_a_key(tmp_path):
         file_row_digest("c/g.x", b2(b"2\n")): [0, 2],
     }
     # The f.x rows, a/f.x's run and b/f.x's two, share their first 16
-    # bytes, the key, and are adjacent.
+    # bytes, the key.  They are not adjacent in life order, so the multi
+    # section lists all three under the key's number, and g.x's two runs
+    # under the other's; shared keys are numbered in digest order.
     raw = files.digests.tobytes()
     keys = [raw[k * 32 : k * 32 + 16] for k in range(files.rows)]
-    first = keys.index(b2(b"f.x\0" + b2(b"1\n")))
-    assert keys[first : first + 3] == [keys[first]] * 3 and keys.count(keys[first]) == 3
+    f, g = b2(b"f.x\0" + b2(b"1\n")), b2(b"g.x\0" + b2(b"2\n"))
+    assert keys.count(f) == 3 and keys.count(g) == 2
+    n_f, n_g = (0, 1) if f < g else (1, 0)
+    assert sorted(struct.iter_unpack("<IHH", files.section("multi"))) == sorted(
+        [(n_f, 0, 1), (n_f, 0, 2), (n_f, 2, 3), (n_g, 0, 1), (n_g, 2, 3)]
+    )
 
 
 def test_files_key_set_merges_a_revived_file(tmp_path):
     family, files = stored_files(tmp_path, [{"a.x": "1\n"}, {"b.x": "2\n"}, {"a.x": "1\n"}])
     assert [c.points for c in family.curves] == [((1, 1.0), (2, 0.0)), ((1, 1.0),)]
-    # a.x took a second row in v2, and the store keeps both, one per run.
-    assert files.runs.tolist() in ([[0, 1], [2, 3], [1, 2]], [[1, 2], [0, 1], [2, 3]])
+    # a.x took a second row in v2, and the store keeps both, one per run, in life order.
+    assert files.runs.tolist() == [[0, 1], [1, 2], [2, 3]]
     assert row_versions(files) == {
         file_row_digest("a.x", b2(b"1\n")): [0, 2],
         file_row_digest("b.x", b2(b"2\n")): [1],
@@ -224,6 +230,37 @@ def test_family_needs_two_versions(tmp_path):
 def test_family_from_store_directory(tmp_path):
     family = family_of(tmp_path, [{"a.x": "a\nb\n"}, {"a.x": "a\n"}, {"a.x": "c\n"}], "x", MetricKind.ULOC)
     assert family.curves[0].points == ((1, 0.5), (2, 1.0))
+
+
+def test_life_order_splits_a_keys_rows(tmp_path):
+    # "gone" is revived in v2 and "mid" dies between its runs; f.x is in
+    # d1 from v0 and in d2 from v2, and a.x changes every version.
+    trees = [
+        {"a.x": "keep\ngone\nmid\n", "d1/f.x": "same\n"},
+        {"a.x": "keep\nmid\n", "d1/f.x": "same\n"},
+        {"a.x": "keep\ngone\nnew\n", "d1/f.x": "same\n", "d2/f.x": "same\n"},
+        {"a.x": "keep\nnew\n", "d2/f.x": "same\n"},
+    ]
+    snaps, _, store = scan_sources(tmp_path, trees, XY)
+    loaded, memory = load_all_snapshots(store).group("x"), snaps[0].groups["x"].index.canonical()
+    # The store's runs, expanded from its run table, and its digests are
+    # the scan's own rows in life order, row for row.
+    for kind in ("lines", "files"):
+        stored, held = getattr(loaded, kind), getattr(memory, kind)
+        assert stored.runs.tolist() == held.runs.tolist()
+        assert stored.digests.tobytes() == held.digests.tobytes()
+    # Another run's rows lie between the rows of gone, and of f.x.
+    raw = loaded.lines.digests.tobytes()
+    gone = [k for k in range(loaded.lines.rows) if raw[16 * k : 16 * k + 16] == b2(b"gone")]
+    assert [loaded.lines.runs.tolist()[k] for k in gone] == [[0, 1], [2, 3]] and gone[1] - gone[0] > 1
+    raw = loaded.files.digests.tobytes()
+    f_x = [k for k in range(loaded.files.rows) if raw[32 * k : 32 * k + 16] == b2(b"f.x\0" + b2(b"same\n"))]
+    assert [loaded.files.runs.tolist()[k] for k in f_x] == [[0, 3], [2, 4]] and f_x[1] - f_x[0] > 1
+    for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
+        family = build_curve_family(store, "x", metric)
+        assert [[p for _, p in c.points] for c in family.curves] == [
+            [oracle(base, later, ".x") for later in trees[i + 1 :]] for i, base in enumerate(trees[:-1])
+        ]
 
 
 def test_digest_ending_in_nul_survives_store_and_kernel(tmp_path):
@@ -427,19 +464,6 @@ def test_shared_counts_match_per_pair_counts(tmp_path, versions, files):
         for i in range(versions)
     ]
     assert survival._shared_counts(stored, versions) == expected
-    # The kernel read the runs and the rows of shared keys, and no digest.
-    assert sorted(stored.checked) == ["multi", "runs"]
+    # The kernel read the run table and the rows of shared keys, and no digest.
+    assert sorted(stored.checked) == ["multi", "table"]
     assert versions <= 2 or len(stored.section("multi"))
-
-
-def test_run_counts_read_little_endian_runs_on_either_host():
-    runs = [(0, 1), (3, 65535), (258, 513), (0, 1), (65534, 65535)]
-    raw = b"".join(b.to_bytes(2, "little") + d.to_bytes(2, "little") for b, d in runs)
-    expected = {(0, 1): 2, (3, 65535): 1, (258, 513): 1, (65534, 65535): 1}
-    # A host of the other byte order reads each row's four bytes as a
-    # uint32 in reverse, as this one reads them reversed.
-    reversed_rows = b"".join(raw[k : k + 4][::-1] for k in range(0, len(raw), 4))
-    other = "big" if sys.byteorder == "little" else "little"
-    assert survival._run_counts(memoryview(raw)) == expected
-    assert survival._run_counts(memoryview(reversed_rows), other) == expected
-    assert survival._run_counts(memoryview(raw), other) != expected
