@@ -120,11 +120,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
 
 def cmd_curves(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     _load("survival")
-    try:
-        family = build_curve_family(args.store, args.group, MetricKind(args.metric))
-    except (KeyError, ValueError) as exc:
-        # str() of a KeyError quotes its message.
-        raise UsageError(exc.args[0]) from exc
+    family = build_curve_family(args.store, args.group, MetricKind(args.metric))
     write_curves_csv(family, args.out)
     n_rows = sum(len(c.points) for c in family.curves)
     print(f"{n_rows} curve rows ({len(family.curves)} baselines) -> {args.out}")

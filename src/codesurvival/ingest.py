@@ -6,7 +6,7 @@ each version and folds it into the lifetime index as the index's next
 version: per extension group, its file records (relative path and
 content digest; the basename is the path's last component) and the
 unique lines pooled across all files of the group, as rows of the
-group's index, one row per run of versions of a record or line.
+group's two row maps, one row per run of versions of a record or line.
 Duplicate lines are discarded; a line is the exact byte content after
 CRLF normalization, with no whitespace trimming and no special treatment
 of comments.  The index is then written as the store, the only input of
@@ -40,24 +40,21 @@ it, so ``scan_corpus`` carries two maps of one kind (``_Rows``) per
 group from one version to the next: line -> row of the group's
 ``lines``, and file record -> row of its ``files``.  A key the map holds
 costs one lookup; only a key the previous version lacked is digested,
-and it takes the next row at once.  So a row lives in one run of
-versions, and a key that comes back after an absence takes a new row
-for its new run.  A file whose content equals that of a file of the
-previous version, wherever either lies, is not split at all: it takes
-that file's line rows.  When a version ends, the keys it lacks leave
-their map, so a map never holds more than two versions' keys.
+and it takes the next row at once, born at that version.  When a
+version ends, the keys it lacks leave their map and their rows die, so
+a map never holds more than two versions' keys, and a key that comes
+back after an absence takes a new row for its new run.  A file whose
+content equals that of a file of the previous version, wherever either
+lies, is not split at all: it takes that file's line rows.
 
-The index is written as the store (``store``, format 7): one file per
-store directory, a life table of the corpus, whose rows are each one
-run of versions of a line or a file record.  ``scan`` folds each
-version into the index as it goes, extending the run of each row it
-has, and writes the file once, after the last version, under a
-temporary name that then replaces the old file; a store is never
-partial or stale.  The rows are put in life order only then, by
-(death, birth, digest) (``GroupIndex.canonical``); nothing is merged,
-so a revived line keeps one row per run.  Only this module and
-``synth`` need numpy: ``curves`` reads the store with the standard
-library alone.
+While the scan runs, the maps alone hold the rows; the lifetime index
+takes each version's label and counts (``store_snapshot``).  After the
+last version each map gives its key set once (``_Rows.key_set``), and
+the index is written as the store (``store``, format 7), a life table
+of the corpus, under a temporary name that then replaces the old file,
+so a store is never partial or stale.  Nothing is merged, so a revived
+line keeps one row per run.  Only this module and ``synth`` need numpy:
+``curves`` reads the store with the standard library alone.
 """
 
 from __future__ import annotations
@@ -217,19 +214,19 @@ class GroupPayload:
 
     The group's unique lines, pooled across its files, are ``line_rows``,
     and its file records (``files``, by relpath) are ``file_rows``: rows
-    of ``index.lines`` and ``index.files`` (``index`` is the
-    ``GroupIndex`` the scan numbered them in), each ascending, one row
-    per line or record.  Only the index that numbered a payload's rows
-    can fold it in (``store_snapshot``), by extending those rows' runs.
-    A line or record revived after an absence holds a newer row than in
-    the versions before.  Payloads compare by content (files, skipped
-    count and line digests), whichever index numbered their rows.
+    of ``memo.lines`` and ``memo.files`` (``memo`` is the ``_GroupRows``
+    the scan numbered them in), each ascending, one row per line or
+    record.  Only the index of that memo can fold it in
+    (``store_snapshot``), and only while the memo's maps still hold these
+    rows.  A line or record revived after an absence holds a newer row
+    than in the versions before.  Payloads compare by content (files,
+    skipped count and line digests), whichever memo numbered their rows.
     """
 
     files: tuple[FileRecord, ...]
     line_rows: np.ndarray
     file_rows: np.ndarray
-    index: GroupIndex
+    memo: _GroupRows
     skipped_files: int = 0
 
     def __eq__(self, other: object) -> bool:
@@ -245,7 +242,7 @@ class GroupPayload:
     def uloc(self) -> frozenset[bytes]:
         """The unique line digests as a set, built on each access."""
         # tobytes: an S item would lose a digest's trailing NUL bytes.
-        block = self.index.lines.digests[self.line_rows].tobytes()
+        block = self.memo.lines.digests[self.line_rows].tobytes()
         return frozenset(block[i : i + DIGEST_SIZE] for i in range(0, len(block), DIGEST_SIZE))
 
     @property
@@ -330,11 +327,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                     f"manifest {path}: version {label!r} dated {date} is listed after version "
                     f"{dated.label!r} dated {dated.release_date}; list versions in release order"
                 )
-        if not (source.is_dir() or (source.is_file() and _is_tar(source))):
-            raise MissingSourceError(
-                f"version {label!r}: snapshot source {source} does not exist "
-                "(expected a directory or tar archive)"
-            )
+        _check_source(source, f"version {label!r}: ")
         versions.append(VersionEntry(label=label, ordinal=i, source=source, release_date=date))
         if date is not None:
             dated = versions[-1]
@@ -343,6 +336,16 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 def _is_tar(path: Path) -> bool:
     return any(path.name.endswith(suffix) for suffix in _TAR_SUFFIXES)
+
+
+def _check_source(source: Path, where: str = "") -> None:
+    """Refuse a snapshot source that is neither a directory nor a file named as a tar archive."""
+    if not source.exists():
+        raise MissingSourceError(f"{where}snapshot source {source} does not exist (expected a directory or tar archive)")
+    if not (source.is_dir() or (source.is_file() and _is_tar(source))):
+        raise ManifestError(
+            f"{where}snapshot source {source} is neither a directory nor a tar archive ({', '.join(_TAR_SUFFIXES)})"
+        )
 
 
 def _split_lines(data: bytes) -> list[bytes]:
@@ -383,60 +386,82 @@ class ScanCounters:
     lines: int = 0  # lines of the files read, reused ones included
     lines_digested: int = 0  # lines the memo did not hold
     memo_lines_max: int = 0  # the most lines the memo held at once
-    index_rows: int = 0  # rows of the scan's index; a revived line holds one more
+    index_rows: int = 0  # rows the line map has numbered; a revived line holds one more
 
 
 class _Rows(dict):
     """Key -> row of one key set, for the keys of the previous and the current version.
 
-    A key the map holds costs one lookup.  Any other key is digested on
-    first lookup and takes the row after the key set's last, which
-    ``settle`` appends its digest to when the version ends; a key an
-    earlier version had before an absence takes a new row too.  Rows the
-    version lacks then drop their key, so the map holds exactly the keys
-    of the version just scanned.
+    While a scan runs, the map is its key set's only record.  A key the
+    map holds costs one lookup.  Any other key is digested on first
+    lookup and takes the next row, born at the version being scanned; a
+    key an earlier version had before an absence takes a new row too.
+    When the version ends (``settle``), the rows it lacks drop their key
+    and die, so the map holds exactly the keys of the version just
+    scanned, whose rows are ``held``.  ``key_set`` gives every row's run.
     """
 
-    def __init__(self, keys: KeySet, digest: Callable[[Hashable], bytes]) -> None:
+    def __init__(self, width: int, digest: Callable[[Hashable], bytes]) -> None:
         super().__init__()
-        self.keys = keys
-        self._digest = digest
+        self.width, self._digest = width, digest
+        self._digests = bytearray()  # every row's digest, by row
         self._key_of_row: list[Hashable | None] = []  # None once the key has left the map
-        self._new_keys: list[Hashable] = []
-        self._new_digests = bytearray()
-        self._previous_rows = np.empty(0, dtype=np.intp)
+        self._ends: list[int] = []  # per version settled, the number of rows at its end
+        self._died: list[np.ndarray] = []  # per version settled, the rows that died at it
+        self.held = np.empty(0, dtype=np.intp)
 
     def __missing__(self, key: Hashable) -> int:
-        row = self[key] = self.keys.rows + len(self._new_keys)
-        self._new_keys.append(key)
-        self._new_digests += self._digest(key)
+        row = self[key] = self.rows
+        self._key_of_row.append(key)
+        self._digests += self._digest(key)
         return row
 
-    def settle(self, rows: Iterable[np.ndarray], version: int) -> np.ndarray:
+    @property
+    def rows(self) -> int:
+        return len(self._digests) // self.width
+
+    @property
+    def versions(self) -> int:
+        return len(self._ends)
+
+    @property
+    def digests(self) -> np.ndarray:
+        return np.frombuffer(self._digests, f"S{self.width}")
+
+    def settle(self, rows: Iterable[np.ndarray]) -> np.ndarray:
         """End the version whose keys took these rows: its distinct rows, ascending."""
-        keys = self.keys
-        new = np.arange(keys.rows, keys.rows + len(self._new_keys))
-        keys.append(np.frombuffer(self._new_digests, f"S{keys.width}"), version)
-        self._key_of_row += self._new_keys
-        self._new_keys, self._new_digests = [], bytearray()
-        present = np.zeros(keys.rows, dtype=bool)
+        present = np.zeros(self.rows, dtype=bool)
         # The empty array keeps a version without files concatenable.
         present[np.concatenate([np.empty(0, dtype=_ROW_DTYPE), *rows])] = True
-        held = np.flatnonzero(present)
-        # A new key can be absent too: a later tar member of the same path
-        # replaced the file it was in.
-        left = np.concatenate([self._previous_rows, new])
-        for row in left[~present[left]].tolist():
+        # A new key can be absent too, and its run empty: a later tar member
+        # of the same path replaced the file it was in.
+        left = np.concatenate([self.held, np.arange(self._ends[-1] if self._ends else 0, self.rows)])
+        died = left[~present[left]]
+        for row in died.tolist():
             del self[self._key_of_row[row]]
             self._key_of_row[row] = None
-        self._previous_rows = held
-        return held
+        self._ends.append(self.rows)
+        self._died.append(died.astype(_ROW_DTYPE))
+        self.held = np.flatnonzero(present)
+        return self.held
+
+    def key_set(self) -> KeySet:
+        """Every row, born at the version that numbered it and dead where it left the map or after the last; empties the map."""
+        runs = np.empty((self.rows, 2), dtype="<u2")
+        runs[:, 0] = np.repeat(np.arange(self.versions), np.diff([0, *self._ends]))
+        runs[:, 1] = self.versions
+        for version, died in enumerate(self._died):
+            runs[died, 1] = version
+        self.clear()
+        self._key_of_row, self._died, self.held = [], [], np.empty(0, dtype=np.intp)
+        return KeySet(self.digests, runs, self.width)
 
 
 class _GroupRows:
-    """One group's rows in its index as a scan gives them: a line map and a record map (``_Rows``).
+    """One group's rows as a scan gives them: a line map and a record map (``_Rows``).
 
-    A file whose content digest a file of the previous version had takes
+    Versions fold into ``index`` (``store_snapshot``) as they settle.  A
+    file whose content digest a file of the previous version had takes
     that file's line rows without being split, whatever either's relpath:
     the line map still holds the previous version's lines, so the same
     bytes would give the same rows.
@@ -444,8 +469,8 @@ class _GroupRows:
 
     def __init__(self, index: GroupIndex) -> None:
         self.index = index
-        self.lines = _Rows(index.lines, _digest)
-        self.files = _Rows(index.files, _file_digest)
+        self.lines = _Rows(DIGEST_SIZE, _digest)
+        self.files = _Rows(2 * DIGEST_SIZE, _file_digest)
         self.counters = ScanCounters()
         self._previous_files: dict[bytes, np.ndarray] = {}  # content digest -> line rows
 
@@ -464,16 +489,26 @@ class _GroupRows:
 
     def settle(self, kept: list[tuple[FileRecord, np.ndarray]]) -> tuple[tuple[FileRecord, ...], np.ndarray, np.ndarray]:
         """End the version of these files: its ``GroupPayload`` files, line rows and file rows."""
-        version, counters, known = len(self.index.versions), self.counters, self.index.lines.rows
+        counters = self.counters
         counters.memo_lines_max = max(counters.memo_lines_max, len(self.lines))
-        line_rows = self.lines.settle((rows for _, rows in kept), version)
-        counters.lines_digested += self.index.lines.rows - known
-        counters.index_rows = self.index.lines.rows
+        line_rows = self.lines.settle(rows for _, rows in kept)
+        # Each line the map lacked was digested once, and took a row.
+        counters.lines_digested = counters.index_rows = self.lines.rows
         files = tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath))
         taken = np.fromiter(map(self.files.__getitem__, files), dtype=_ROW_DTYPE, count=len(files))
-        file_rows = self.files.settle([taken], version)
+        file_rows = self.files.settle([taken])
         self._previous_files = {record.content_digest: rows for record, rows in kept}
         return files, line_rows, file_rows
+
+    def finish(self) -> GroupIndex:
+        """The group's index, built once every version has settled and folded in; empties the maps."""
+        if {self.lines.versions, self.files.versions} != {len(self.index.versions)}:
+            raise ValueError(
+                f"the row maps settled {self.lines.versions} versions and the index folded in "
+                f"{len(self.index.versions)}; fold each snapshot in once, as it is scanned (store_snapshot)"
+            )
+        self._previous_files = {}
+        return GroupIndex(self.lines.key_set(), self.files.key_set(), self.index.versions)
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -747,12 +782,11 @@ def _read_version(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_G
     not be read.  A directory is read one file per step, as the caller
     iterates.
     """
+    _check_source(source)
     if source.is_dir():
         yield from _read_directory(source, groups)
-    elif source.is_file() and _is_tar(source):
-        yield from _read_tar(source, groups)
     else:
-        raise MissingSourceError(f"snapshot source {source} does not exist")
+        yield from _read_tar(source, groups)
 
 
 def _read_archive(source: Path, groups: Sequence[ExtensionGroup]) -> list[_GroupFile]:
@@ -781,12 +815,12 @@ def scan_version(
     per group; a missing source is a hard error.
 
     ``memo`` maps each group to the lines and file records of the version
-    scanned before and their rows in the group's lifetime index
-    (``_GroupRows``); ``scan_corpus`` passes the same one for every
-    version, so a line or record is digested only when the version before
-    lacked it, and the snapshot folds into that index.  Without it each
-    distinct line and record of this version is digested once and
-    numbered in an index of its own, which no lifetime index folds in.
+    scanned before and their rows (``_GroupRows``); ``scan_corpus`` passes
+    the same one for every version, so a line or record is digested only
+    when the version before lacked it, and the snapshot folds into the
+    memo's index.  Without it each distinct line and record of this
+    version is digested once and numbered in a memo of its own, which no
+    lifetime index folds in.
     ``contents`` are the source's group files as (group, relpath, bytes
     or None if unreadable), already read; without them the source is
     read here.
@@ -808,7 +842,7 @@ def scan_version(
     for g in groups:
         kept = [entry for entry in entries[g.name].values() if entry is not None]
         rows = memo[g.name]
-        payloads[g.name] = GroupPayload(*rows.settle(kept), rows.index, len(entries[g.name]) - len(kept))
+        payloads[g.name] = GroupPayload(*rows.settle(kept), rows, len(entries[g.name]) - len(kept))
     return VersionSnapshot(
         version_label=label if label is not None else source.name,
         ordinal=ordinal,
@@ -877,8 +911,9 @@ def scan_corpus(
     Yields each snapshot as it is completed so callers can report
     per-version counts without holding the whole corpus in memory.  Each
     version is scanned with the index's memo and folded into the index,
-    and the store file is written once, after the last version: a scan
-    that fails part way leaves the store as it was.  Archives are read
+    and the store file is written once, from the memo's maps, after the
+    last version: a scan that fails part way, or whose maps settled a
+    version the index did not fold in, leaves the store as it was.  Archives are read
     ahead in worker processes (``_read_ahead``); all digesting happens
     here, in manifest order.  ``counters``, if given, gets each group's
     ``ScanCounters``, which count the work as the scan goes.
@@ -900,8 +935,10 @@ def scan_corpus(
             )
             store_snapshot(snapshot, index)
             yield snapshot
-    # The maps hold the last version's lines, which writing does not need:
-    # freed here, they do not add to the memory the store's sorts take.
+    # The maps hold the last version's keys, which writing does not need:
+    # emptied here, they do not add to the memory the store's sorts take,
+    # though the last snapshot's payloads still refer to them.
+    index = LifetimeIndex(index.labels, {name: rows.finish() for name, rows in memo.items()})
     del memo
     write_store(index, store)
 
@@ -909,8 +946,12 @@ def scan_corpus(
 def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
     """Fold one snapshot, scanned with this index's memo, into it as its next version.
 
-    Every group's payload is checked before the index changes, so a
-    refused snapshot leaves the index as it was.
+    The memo's maps hold every row's run (``_Rows``), so the index takes
+    the version's label and each group's counts alone.  A payload is
+    stale, and refused, unless its rows are the ones its maps hold now,
+    those of the version they settled last.  Every group's payload is
+    checked before the index changes, so a refused snapshot leaves the
+    index as it was.
     """
     if snapshot.ordinal != len(index.labels) or snapshot.groups.keys() != index.groups.keys():
         raise ValueError(
@@ -918,20 +959,21 @@ def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
             f"{sorted(snapshot.groups)}) is not version {len(index.labels)} of groups "
             f"{sorted(index.groups)}"
         )
-    foreign = sorted(name for name, group in index.groups.items() if snapshot.groups[name].index is not group)
+    foreign = sorted(name for name, group in index.groups.items() if snapshot.groups[name].memo.index is not group)
     if foreign:
         raise ValueError(
             f"snapshot {snapshot.version_label!r} groups {foreign} hold rows of another index, "
             "not of this lifetime index; scan them with its memo, as scan_corpus does"
         )
-    version, payloads = len(index.labels), snapshot.groups
-    marks = [(group.lines, payloads[name].line_rows) for name, group in index.groups.items()]
-    marks += [(group.files, payloads[name].file_rows) for name, group in index.groups.items()]
-    for keys, rows in marks:
-        keys.check_runs(rows, version)
+    payloads = [snapshot.groups[name] for name in index.groups]
+    held = [(p.line_rows, p.memo.lines.held) for p in payloads] + [(p.file_rows, p.memo.files.held) for p in payloads]
+    for rows, now in held:
+        if not np.array_equal(rows, now):
+            stale = np.setxor1d(rows, now)
+            raise ValueError(
+                f"rows {stale[:3].tolist()} ({len(stale)} in all) neither start nor "
+                f"continue a run at version {len(index.labels)}"
+            )
     index.labels.append(snapshot.version_label)
-    for keys, rows in marks:
-        keys.mark(rows, version)
-    for name, group in index.groups.items():
-        payload = payloads[name]
+    for group, payload in zip(index.groups.values(), payloads):
         group.versions.append(GroupVersion(payload.file_count, payload.uloc_count, payload.skipped_files))

@@ -24,8 +24,8 @@ section, and a section is checked when first read.
 
 Importing this module does not import numpy, so ``curves`` reads a store
 on the standard library alone.  numpy is imported by the code that
-builds arrays: a key set's ``digests`` and ``runs`` views, and the
-methods that build a key set in memory and write it (``scan``).
+builds arrays: a key set's ``digests`` and ``runs`` views, and
+``write_store`` (``scan``).
 """
 
 from __future__ import annotations
@@ -134,20 +134,6 @@ class GroupVersion:
     skipped_files: int = 0
 
 
-def _reserve(array, rows: int):
-    """``array`` if it has room for ``rows`` rows, else a copy that has.
-
-    The copy's room at least doubles, so appending rows one version at a
-    time copies each row a bounded number of times.  New room is zero and
-    left unwritten, so it takes no memory until rows go into it.
-    """
-    if len(array) >= rows:
-        return array
-    grown = _numpy().zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
-    grown[: len(array)] = array
-    return grown
-
-
 def _run_table(runs):
     """The run table of rows in life order: each run once, with the number of rows in a row that hold it."""
     np = _numpy()
@@ -162,14 +148,8 @@ def _run_table(runs):
     return table
 
 
-def _by_digest(digests, runs):
-    """Rows in life order, reordered by digest: each digest's rows stay in life order."""
-    order = _numpy().argsort(digests, kind="stable")
-    return digests[order], runs[order]
-
-
 def _multi_rows(digests, runs):
-    """The multi section of rows by digest (``_by_digest``): each row whose key has more than one, with its key's number."""
+    """The multi section of rows by digest, then birth: each row whose key has more than one, with its key's number."""
     np = _numpy()
     keys = digests.view(f"S{DIGEST_SIZE}")[:: digests.itemsize // DIGEST_SIZE]
     # edge[k]: row k starts a key (k < rows), or k is the end.
@@ -183,13 +163,15 @@ def _multi_rows(digests, runs):
 
 
 class KeySet:
-    """Fixed-width row digests, each row held by one run of versions.
+    """Fixed-width row digests, each row held by one run of versions; read-only.
 
     ``digests[k]`` is row k's digest, and ``runs[k]`` its (birth, death):
-    versions birth, ..., death - 1 hold row k, and no others.  A key set
-    built in memory numbers rows in the order they were appended, so a
-    digest revived after an absence holds a second row, born after the
-    first died.  ``canonical`` gives the form a store holds and loads.
+    versions birth, ..., death - 1 hold row k, and no others.  A digest
+    revived after an absence holds a second row, born after the first
+    died, and the rows of one digest are in birth order: a scan numbers
+    rows as their keys appear (``ingest._Rows.key_set``), and a store
+    holds them in life order.  An empty run (birth == death) is a row no
+    version holds, which ``write_store`` leaves out.
 
     A key set read from a store (``stored``) holds its sections' bytes.
     ``section`` gives one, refused unless it matches the header's
@@ -259,7 +241,9 @@ class KeySet:
         inner[np.cumsum(table[:-1, 2]) - 1] = False
         if (digests[1:] <= digests[:-1])[inner].any():
             raise StoreFormatError(f"{self.source} digests do not increase within each run")
-        by_digest, by_digest_runs = _by_digest(digests, runs)
+        # By digest: a digest's rows stay in life order, which is birth order unless they overlap.
+        order = np.argsort(digests, kind="stable")
+        by_digest, by_digest_runs = digests[order], runs[order]
         if ((by_digest[1:] == by_digest[:-1]) & (by_digest_runs[:-1, 1] >= by_digest_runs[1:, 0])).any():
             raise StoreFormatError(f"{self.source} rows of one digest overlap or touch")
         if _multi_rows(by_digest, by_digest_runs).tobytes() != self.section("multi"):
@@ -269,45 +253,12 @@ class KeySet:
     @property
     def digests(self):
         self._arrays()
-        return self._digests[: self.rows]
+        return self._digests
 
     @property
     def runs(self):
         self._arrays()
-        return self._runs[: self.rows]
-
-    def append(self, digests, version: int) -> None:
-        """Give ``digests`` the next rows, in the order given, each an empty run at ``version``."""
-        self._arrays()
-        end = self.rows + len(digests)
-        self._digests = _reserve(self._digests, end)
-        self._digests[self.rows : end] = digests
-        self._runs = _reserve(self._runs, end)
-        self._runs[self.rows : end] = version
-        self.rows = end
-
-    def check_runs(self, rows, version: int) -> None:
-        """Refuse these rows unless each one's run ends just before the version."""
-        self._arrays()
-        broken = rows[self._runs[rows, 1] != version]
-        if len(broken):
-            raise ValueError(
-                f"rows {broken[:3].tolist()} ({len(broken)} in all) neither start nor "
-                f"continue a run at version {version}"
-            )
-
-    def mark(self, rows, version: int) -> None:
-        """Add the version to these rows' runs, each of which must end just before it (``check_runs``)."""
-        self.check_runs(rows, version)
-        self._runs[rows, 1] = version + 1
-
-    def canonical(self) -> KeySet:
-        """These rows as a store holds them: rows a version holds, in life order, by (death, birth, digest)."""
-        np = _numpy()
-        runs = self.runs
-        held = np.flatnonzero(runs[:, 0] < runs[:, 1])
-        order = held[np.lexsort((self.digests[held], runs[held, 0], runs[held, 1]))]
-        return KeySet(self.digests[order], runs[order], self.width)
+        return self._runs
 
 
 class GroupIndex:
@@ -315,8 +266,8 @@ class GroupIndex:
 
     ``lines`` has a row per run of a line digest, ``files`` one per run of
     a (relpath, content digest) record, and ``versions`` keeps each
-    version's counts, in ordinal order.  ``canonical`` gives the form a
-    store holds and loads.
+    version's counts, in ordinal order.  ``scan`` builds it once, after
+    its last version, and a store holds and loads it.
     """
 
     def __init__(
@@ -328,10 +279,6 @@ class GroupIndex:
         self.lines = KeySet() if lines is None else lines
         self.files = KeySet(width=_KEY_SETS["files"]) if files is None else files
         self.versions = list(versions)
-
-    def canonical(self) -> GroupIndex:
-        """This index as a store holds it: both key sets canonical (``KeySet.canonical``)."""
-        return GroupIndex(self.lines.canonical(), self.files.canonical(), self.versions)
 
 
 @dataclass
@@ -345,7 +292,7 @@ class LifetimeIndex:
         try:
             return self.groups[name]
         except KeyError:
-            raise KeyError(
+            raise UsageError(
                 f"store has no group {name!r}; available: {sorted(self.groups)}"
             ) from None
 
@@ -357,7 +304,10 @@ def _canonical_json(value: object) -> bytes:
 def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     """Write the index as the store file of a directory, replacing it whole.
 
-    The bytes are canonical (rows in life order, ties by digest), so
+    Each key set's rows that a version holds are ordered here, in two
+    stable sorts.  By digest first, rows of one digest staying in birth
+    order (``KeySet``): the multi section's order.  Then by run, (death,
+    birth): life order, ties by digest.  So the bytes are canonical, and
     re-scanning an unchanged corpus reproduces the store byte for byte.
     The file is written under a temporary name in the same directory and
     then renamed over the old one, so the store is never partial.
@@ -368,16 +318,22 @@ def write_store(index: LifetimeIndex, store: str | Path) -> Path:
     layout: dict[str, dict[str, dict]] = {}
     sections: list = []
     offset = 0
+    np = _numpy()
     for name in sorted(index.groups):
-        group = index.groups[name].canonical()
+        group = index.groups[name]
         for entry, v in zip(versions, group.versions):
             entry["groups"][name] = dict(files=v.file_count, skipped=v.skipped_files, uloc=v.uloc_count)
         layout[name] = {}
         for kind in _KEY_SETS:
-            keys = getattr(group, kind)
-            table, multi = _run_table(keys.runs), _multi_rows(*_by_digest(keys.digests, keys.runs))
-            entry = dict(keys=keys.rows, multi_rows=len(multi), table_rows=len(table), checksums={})
-            for section, data in zip(_SECTIONS, (keys.digests, table, multi)):
+            digests, runs = getattr(group, kind).digests, getattr(group, kind).runs
+            order = np.flatnonzero(runs[:, 0] < runs[:, 1])
+            order = order[np.argsort(digests[order], kind="stable")]
+            multi = _multi_rows(digests[order], runs[order])
+            order = order[np.argsort(runs[order, 1].astype(np.uint32) << 16 | runs[order, 0], kind="stable")]
+            digests, runs = digests[order], runs[order]
+            table = _run_table(runs)
+            entry = dict(keys=len(digests), multi_rows=len(multi), table_rows=len(table), checksums={})
+            for section, data in zip(_SECTIONS, (digests, table, multi)):
                 entry[section] = offset
                 entry["checksums"][section] = _checksum(data)
                 sections.append(data)

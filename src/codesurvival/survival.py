@@ -56,7 +56,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .curves import ChangeCurve, CurveFamily, MetricKind
-from .errors import StoreFormatError
+from .errors import StoreFormatError, UsageError
 from .store import GroupIndex, KeySet, load_all_snapshots
 
 __all__ = ["build_curve_family"]
@@ -137,7 +137,7 @@ def build_curve_family(
     """
     lifetime = load_all_snapshots(store)
     if len(lifetime.labels) < 2:
-        raise ValueError("need at least 2 versions to build change curves")
+        raise UsageError("need at least 2 versions to build change curves")
     index = lifetime.group(group)
     curves: list[ChangeCurve] = []
     warnings: list[str] = []

@@ -644,6 +644,26 @@ def test_load_manifest_missing_snapshot_source(tmp_path, tree_writer):
         load_manifest(write_manifest(tmp_path, manifest_payload()))
 
 
+def test_scan_names_an_unsupported_source_apart_from_a_missing_one(tmp_path, tree_writer, capsys):
+    tree_writer({"a.cpp": "x\n"}, "v1")
+    payload = manifest_payload()
+    payload["versions"][1]["path"] = "v2.zip"
+    manifest = write_manifest(tmp_path, payload)
+    args = ["scan", "--manifest", str(manifest), "--store", str(tmp_path / "store")]
+    capsys.readouterr()
+    assert main(args) == 2
+    missing = capsys.readouterr().err
+    assert missing == f"error: version 'v2': snapshot source {tmp_path / 'v2.zip'} does not exist (expected a directory or tar archive)\n"
+    (tmp_path / "v2.zip").write_bytes(b"PK\x05\x06" + bytes(18))
+    assert main(args) == 2
+    unsupported = capsys.readouterr().err
+    assert unsupported == (
+        f"error: version 'v2': snapshot source {tmp_path / 'v2.zip'} is neither a directory nor a tar "
+        "archive (.tar, .tar.gz, .tgz, .tar.bz2, .tar.xz)\n"
+    )
+    assert not (tmp_path / "store").exists()
+
+
 def test_load_manifest_duplicate_labels(tmp_path, tree_writer):
     tree_writer({"a.cpp": "x\n"}, "v1")
     tree_writer({"a.cpp": "y\n"}, "v2")
@@ -960,12 +980,53 @@ def test_store_refuses_format_2_snapshot_files(tmp_path):
         load_all_snapshots(store)
 
 
+# blake2b-128 of the store and counts.csv that ``scan`` writes for
+# ``pinned_history``.  A change to the scan or the store writer that moves
+# any byte of either changes these; a format change must update them.
+PINNED_STORE_DIGEST = "7161a6e6536643ba645cd480ad817f96"
+PINNED_COUNTS_DIGEST = "2b19dd460c745aeaf9ad485fdcb43646"
+
+
+def pinned_history(root: Path) -> Path:
+    """A fixed five-release history of groups cpp and h; returns its manifest.
+
+    "gone" leaves a.cpp in v1 and comes back in v3, and b.cpp in v2 and
+    v4.  f.h has one content in d1 and d2.  v1 is a .tar that archives
+    a.cpp twice, so the first copy's "first" line lives in no version,
+    and v2 is an empty release.
+    """
+    write_tree(root / "v0", {"a.cpp": "keep\ngone\nsame\n", "b.cpp": "b\n", "d1/f.h": "shared\n", "d2/f.h": "shared\n"})
+    with tarfile.open(root / "v1.tar", "w") as tar:
+        for name, data in (("a.cpp", b"keep\nfirst\n"), ("b.cpp", b"b\n"), ("d1/f.h", b"shared\n"), ("./a.cpp", b"keep\nmid\nsame\n")):
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    (root / "v2").mkdir()
+    write_tree(root / "v3", {"a.cpp": "keep\ngone\n", "d1/f.h": "shared\n", "d2/f.h": "shared\n"})
+    write_tree(root / "v4", {"a.cpp": "keep\n", "b.cpp": "b\n", "d2/f.h": "shared\n", "d2/g.h": "g\n"})
+    payload = {
+        "software": "demo",
+        "groups": [{"name": "cpp", "extensions": [".cpp"]}, {"name": "h", "extensions": [".h"]}],
+        "versions": [{"label": f"v{i}", "path": path} for i, path in enumerate(["v0", "v1.tar", "v2", "v3", "v4"])],
+    }
+    return write_manifest(root, payload)
+
+
+def test_store_bytes_are_pinned(tmp_path):
+    # Two runs of one build agree with each other whatever they write;
+    # these constants also catch a refactor that changes a byte.
+    store = tmp_path / "store"
+    assert main(["scan", "--manifest", str(pinned_history(tmp_path)), "--store", str(store)]) == 0
+    digests = [hashlib.blake2b((store / name).read_bytes(), digest_size=16).hexdigest() for name in (STORE_FILENAME, "counts.csv")]
+    assert digests == [PINNED_STORE_DIGEST, PINNED_COUNTS_DIGEST]
+
+
 def test_store_bulk_load(tmp_path):
     _, _, store = scan_sources(tmp_path, [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}, {"a.cpp": "c\n"}])
     loaded = load_all_snapshots(store)
     assert loaded.labels == ["v0", "v1", "v2"]
     assert indexed_rows(loaded.group("cpp").lines, 2) == frozenset({b2(b"c")})
-    with pytest.raises(KeyError, match="no group 'h'; available: \\['cpp'\\]"):
+    with pytest.raises(UsageError, match="no group 'h'; available: \\['cpp'\\]"):
         loaded.group("h")
     # A directory without a store file is a usage error.
     with pytest.raises(UsageError, match="lifetime.store: no store file; run `codesurvival scan`"):
@@ -973,19 +1034,14 @@ def test_store_bulk_load(tmp_path):
 
 
 def index_is_empty(index: LifetimeIndex) -> bool:
-    """No version folded in: no label, and no group holds a version or a non-empty run."""
-    return index.labels == [] and all(
-        group.versions == [] and all(b == d for keys in (group.lines, group.files) for b, d in keys.runs.tolist())
-        for group in index.groups.values()
-    )
+    """No version folded in: no label, and no group holds a version."""
+    return index.labels == [] and all(group.versions == [] for group in index.groups.values())
 
 
-def index_state(index: LifetimeIndex) -> tuple:
-    """The labels, and every group's versions and runs of both key sets."""
-    return index.labels[:], {
-        name: (group.versions[:], group.lines.runs.tolist(), group.files.runs.tolist())
-        for name, group in index.groups.items()
-    }
+def index_state(index: LifetimeIndex, memo: dict) -> tuple:
+    """The labels, every group's versions, and what each of the memo's maps settled and holds."""
+    maps = {name: [(keys.versions, keys.held.tolist()) for keys in (rows.lines, rows.files)] for name, rows in memo.items()}
+    return index.labels[:], {name: group.versions[:] for name, group in index.groups.items()}, maps
 
 
 def test_store_snapshot_takes_versions_in_order(tree_writer):
@@ -998,7 +1054,7 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
     assert index_is_empty(index)
     store_snapshot(scan_version(root, [CPP, H], ordinal=0, memo=memo), index)
-    assert len(index.labels) == 1 and index.groups["h"].lines.runs.tolist() == [[0, 1]]
+    assert len(index.labels) == 1 and memo["h"].lines.key_set().runs.tolist() == [[0, 1]]
 
 
 def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
@@ -1009,11 +1065,12 @@ def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
     first = scan_version(tree_writer({"a.cpp": "keep\ngone\n"}, "v0"), [CPP], ordinal=0, memo=memo)
     store_snapshot(first, index)
     store_snapshot(scan_version(tree_writer({"a.cpp": "keep\n"}, "v1"), [CPP], ordinal=1, memo=memo), index)
-    before = index_state(index)
+    before = index_state(index, memo)
     with pytest.raises(ValueError, match=r"^rows \[1\] \(1 in all\) neither start nor continue a run at version 2$"):
         store_snapshot(VersionSnapshot("v2", 2, first.groups), index)
     # Refused before any change: labels, versions and runs are as they were.
-    assert index_state(index) == before and index.labels == ["v0", "v1"]
+    assert index_state(index, memo) == before and index.labels == ["v0", "v1"]
+    assert memo["cpp"].lines.key_set().runs.tolist() == [[0, 2], [0, 1]]
 
 
 def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
@@ -1025,14 +1082,16 @@ def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
     store_snapshot(first, index)
     second = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v1"), [CPP, H], ordinal=1, memo=memo)
     store_snapshot(second, index)
-    before = index_state(index)
+    before = index_state(index, memo)
     with pytest.raises(ValueError, match="neither start nor continue a run at version 2"):
         store_snapshot(VersionSnapshot("v2", 2, {"cpp": second.groups["cpp"], "h": first.groups["h"]}), index)
-    assert index_state(index) == before
-    assert index.groups["cpp"].lines.runs.tolist() == [[0, 2]]
-    # The same snapshot with h's current payload folds in.
-    store_snapshot(VersionSnapshot("v2", 2, second.groups), index)
-    assert index.groups["cpp"].lines.runs.tolist() == [[0, 3]]
+    assert index_state(index, memo) == before
+    # v1 again, scanned as v2, folds in: cpp's run goes on, and h's "gone" stays dead.
+    third = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v2"), [CPP, H], ordinal=2, memo=memo)
+    store_snapshot(third, index)
+    assert index.labels == ["v0", "v1", "v2"]
+    assert memo["cpp"].lines.key_set().runs.tolist() == [[0, 3]]
+    assert memo["h"].lines.key_set().runs.tolist() == [[0, 3], [0, 1]]
 
 
 def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
@@ -1053,9 +1112,10 @@ def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
 def test_standalone_scan_numbers_its_records_in_its_own_index(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "src/a.cpp": "x\n", "b.cpp": "y\n"})
     payload = scan_version(root, [CPP]).groups["cpp"]
-    # Numbered at scan time, one row per record, and no run extended yet.
-    assert payload.index.files.rows == 3 and payload.file_rows.tolist() == [0, 1, 2]
-    assert row_versions(payload.index.files) == {file_row_digest(r.relpath, r.content_digest): [] for r in payload.files}
+    # Numbered at scan time in a memo of its own, one row per record, each
+    # held by the one version that memo settled.
+    assert payload.memo.files.rows == 3 and payload.file_rows.tolist() == [0, 1, 2]
+    assert row_versions(payload.memo.files.key_set()) == {file_row_digest(r.relpath, r.content_digest): [0] for r in payload.files}
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -1307,13 +1367,13 @@ def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
             assert set(group.lines) == expected
             # Each line maps to the row of its digest.
             rows = [group.lines[line] for line in sorted(expected)]
-            assert group.index.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
+            assert group.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
             # And each file record to the row of its record digest.
             records = {FileRecord(rel, b2(text.encode())) for rel, text in texts.items()}
             assert set(group.files) == records
             for record in records:
                 row = group.files[record]
-                assert group.index.files.digests[row : row + 1].tobytes() == file_row_digest(
+                assert group.files.digests[row : row + 1].tobytes() == file_row_digest(
                     record.relpath, record.content_digest
                 )
 
@@ -1346,6 +1406,16 @@ def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_pa
     assert counters == {
         "cpp": ScanCounters(files=4, files_reused=2, lines=8, lines_digested=3, memo_lines_max=3, index_rows=3)
     }
+
+
+def test_scan_corpus_refuses_a_version_its_index_did_not_fold(tmp_path, monkeypatch):
+    # The last snapshot never reaches the index: the row maps settled
+    # three versions, the index folded in two, and no store is written.
+    fold = ingest.store_snapshot
+    monkeypatch.setattr(ingest, "store_snapshot", lambda snapshot, index: snapshot.ordinal < 2 and fold(snapshot, index))
+    with pytest.raises(ValueError, match=r"^the row maps settled 3 versions and the index folded in 2; "):
+        scan_sources(tmp_path, [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}, {"a.cpp": "c\n"}])
+    assert not (tmp_path / "store").exists()
 
 
 def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from codesurvival import survival
+from codesurvival import ingest, survival
 from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
@@ -18,6 +18,8 @@ from codesurvival.curves import (
     read_curves_csv,
     write_curves_csv,
 )
+from codesurvival.errors import UsageError
+from codesurvival.ingest import ExtensionGroup
 from codesurvival.store import GroupIndex, GroupVersion, KeySet, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 from conftest import (
@@ -215,15 +217,15 @@ def test_family_omits_empty_baselines_with_warning(tmp_path):
     assert "v0" in family.warnings[0]
 
 
-def test_family_missing_group_is_a_key_error(tmp_path):
+def test_family_missing_group_is_a_usage_error(tmp_path):
     _, _, store = scan_sources(tmp_path, [{"a.x": "a\n", "a.y": "y\n"}] * 3, (".y",))
     for metric in MetricKind:
-        with pytest.raises(KeyError, match="no group 'x'; available: \\['y'\\]"):
+        with pytest.raises(UsageError, match="no group 'x'; available: \\['y'\\]"):
             build_curve_family(store, "x", metric)
 
 
 def test_family_needs_two_versions(tmp_path):
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(UsageError, match="at least 2"):
         family_of(tmp_path, [{"a.x": "a\n"}], "x", MetricKind.ULOC)
 
 
@@ -241,14 +243,21 @@ def test_life_order_splits_a_keys_rows(tmp_path):
         {"a.x": "keep\ngone\nnew\n", "d1/f.x": "same\n", "d2/f.x": "same\n"},
         {"a.x": "keep\nnew\n", "d2/f.x": "same\n"},
     ]
-    snaps, _, store = scan_sources(tmp_path, trees, XY)
-    loaded, memory = load_all_snapshots(store).group("x"), snaps[0].groups["x"].index.canonical()
+    _, _, store = scan_sources(tmp_path, trees, XY)
+    loaded = load_all_snapshots(store).group("x")
+    # The scan's own rows, from the row maps of a second scan of the same
+    # versions, each a (death, birth, digest) triple: life order is their order.
+    memo = {"x": ingest._GroupRows(GroupIndex())}
+    for i in range(len(trees)):
+        ingest.scan_version(tmp_path / f"v{i}", [ExtensionGroup(name="x", extensions=(".x",))], ordinal=i, memo=memo)
     # The store's runs, expanded from its run table, and its digests are
-    # the scan's own rows in life order, row for row.
+    # those rows in life order, row for row.
     for kind in ("lines", "files"):
-        stored, held = getattr(loaded, kind), getattr(memory, kind)
-        assert stored.runs.tolist() == held.runs.tolist()
-        assert stored.digests.tobytes() == held.digests.tobytes()
+        stored, held = getattr(loaded, kind), getattr(memo["x"], kind).key_set()
+        raw, width = held.digests.tobytes(), held.width
+        rows = sorted((d, b, raw[k * width : (k + 1) * width]) for k, (b, d) in enumerate(held.runs.tolist()))
+        assert stored.runs.tolist() == [[b, d] for d, b, _ in rows]
+        assert stored.digests.tobytes() == b"".join(digest for *_, digest in rows)
     # Another run's rows lie between the rows of gone, and of f.x.
     raw = loaded.lines.digests.tobytes()
     gone = [k for k in range(loaded.lines.rows) if raw[16 * k : 16 * k + 16] == b2(b"gone")]
