@@ -20,11 +20,7 @@ class DataError(CodeSurvivalError):
 
 
 class ManifestError(UsageError):
-    """Manifest file missing, unparsable, or invalid."""
-
-
-class MissingSourceError(ManifestError):
-    """A version's snapshot source does not exist on disk."""
+    """Manifest file missing, unparsable, or invalid, or a snapshot source it names missing."""
 
 
 class StoreFormatError(UsageError):

@@ -30,6 +30,7 @@ decays.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
@@ -84,6 +85,9 @@ _A_HIGH = A_MAX * (1.0 - 1e-12)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# A regime ("all", or "vA-vB" from a plan) names its bounds files, so it takes a group name's characters.
+_REGIME_RE = re.compile(r"[A-Za-z0-9_+.-]+")
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -116,16 +120,22 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FitResult":
+        """A fit as ``to_dict`` gives it; ``ValueError`` unless its labels are strings and its regime a name."""
+        params = SaturationParams(A=raw["A"], lam=raw["lambda"])
+        labels = {"regime": raw.get("regime", "all"), "group": raw.get("group", ""), "metric": raw.get("metric", "")}
+        for name, value in labels.items():
+            if not isinstance(value, str):
+                raise ValueError(f"field {name!r} is {value!r}, not a string")
+        if not _REGIME_RE.fullmatch(labels["regime"]):
+            raise ValueError(f"regime {labels['regime']!r} is not a name of letters, digits and _+.-")
         return cls(
-            params=SaturationParams(A=raw["A"], lam=raw["lambda"]),
+            params=params,
             log_likelihood=raw["loglik"],
             residual_rms=raw["rms"],
             points_used=raw["n_points"],
             converged=raw["converged"],
             warnings=frozenset(raw.get("warnings", ())),
-            regime=raw.get("regime", "all"),
-            group=raw.get("group", ""),
-            metric=raw.get("metric", ""),
+            **labels,
         )
 
 

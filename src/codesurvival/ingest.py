@@ -47,14 +47,13 @@ back after an absence takes a new row for its new run.  A file whose
 content equals that of a file of the previous version, wherever either
 lies, is not split at all: it takes that file's line rows.
 
-While the scan runs, the maps alone hold the rows; the lifetime index
-takes each version's label and counts (``store_snapshot``).  After the
-last version each map gives its key set once (``_Rows.key_set``), and
-the index is written as the store (``store``, format 7), a life table
-of the corpus, under a temporary name that then replaces the old file,
-so a store is never partial or stale.  Nothing is merged, so a revived
-line keeps one row per run.  Only this module and ``synth`` need numpy:
-``curves`` reads the store with the standard library alone.
+The scan's lifetime index holds the maps themselves (``_GroupRows``),
+and takes each version's counts (``store_snapshot``).  After the last
+version each map sets every row's run and lets its keys go
+(``_Rows.finish``), and ``store`` writes the index as the store, a life
+table of the corpus, under a temporary name that then replaces the old
+file, so a store is never partial or stale.  Only this module and
+``synth`` need numpy: ``curves`` reads the store on the standard library.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ManifestError, MissingSourceError, UsageError
-from .store import DIGEST_SIZE, MAX_VERSIONS, GroupIndex, GroupVersion, KeySet, LifetimeIndex, write_store
+from .errors import ManifestError, UsageError
+from .store import DIGEST_SIZE, MAX_VERSIONS, GroupVersion, LifetimeIndex, write_store
 
 __all__ = [
     "ExtensionGroup",
@@ -216,7 +215,7 @@ class GroupPayload:
     and its file records (``files``, by relpath) are ``file_rows``: rows
     of ``memo.lines`` and ``memo.files`` (``memo`` is the ``_GroupRows``
     the scan numbered them in), each ascending, one row per line or
-    record.  Only the index of that memo can fold it in
+    record.  Only an index whose group is that memo can fold it in
     (``store_snapshot``), and only while the memo's maps still hold these
     rows.  A line or record revived after an absence holds a newer row
     than in the versions before.  Payloads compare by content (files,
@@ -341,7 +340,7 @@ def _is_tar(path: Path) -> bool:
 def _check_source(source: Path, where: str = "") -> None:
     """Refuse a snapshot source that is neither a directory nor a file named as a tar archive."""
     if not source.exists():
-        raise MissingSourceError(f"{where}snapshot source {source} does not exist (expected a directory or tar archive)")
+        raise ManifestError(f"{where}snapshot source {source} does not exist (expected a directory or tar archive)")
     if not (source.is_dir() or (source.is_file() and _is_tar(source))):
         raise ManifestError(
             f"{where}snapshot source {source} is neither a directory nor a tar archive ({', '.join(_TAR_SUFFIXES)})"
@@ -384,21 +383,22 @@ class ScanCounters:
     files: int = 0  # files read; unreadable ones are counted as skipped instead
     files_reused: int = 0  # files whose content a file of the previous version had
     lines: int = 0  # lines of the files read, reused ones included
-    lines_digested: int = 0  # lines the memo did not hold
+    lines_digested: int = 0  # lines the memo did not hold; each took one row, so a revived line counts again
     memo_lines_max: int = 0  # the most lines the memo held at once
-    index_rows: int = 0  # rows the line map has numbered; a revived line holds one more
 
 
 class _Rows(dict):
     """Key -> row of one key set, for the keys of the previous and the current version.
 
-    While a scan runs, the map is its key set's only record.  A key the
-    map holds costs one lookup.  Any other key is digested on first
-    lookup and takes the next row, born at the version being scanned; a
-    key an earlier version had before an absence takes a new row too.
-    When the version ends (``settle``), the rows it lacks drop their key
-    and die, so the map holds exactly the keys of the version just
-    scanned, whose rows are ``held``.  ``key_set`` gives every row's run.
+    The map is its key set's only record: ``digests`` gives every row's
+    digest, and once the scan ends, ``runs`` every row's run (``finish``),
+    as a store's key set does (``store.LifetimeIndex``).  A key the map
+    holds costs one lookup.  Any other key is digested on first lookup
+    and takes the next row, born at the version being scanned; a key an
+    earlier version had before an absence takes a new row too.  When the
+    version ends (``settle``), the rows it lacks drop their key and die,
+    so the map holds exactly the keys of the version just scanned, whose
+    rows are ``held``.
     """
 
     def __init__(self, width: int, digest: Callable[[Hashable], bytes]) -> None:
@@ -445,30 +445,31 @@ class _Rows(dict):
         self.held = np.flatnonzero(present)
         return self.held
 
-    def key_set(self) -> KeySet:
-        """Every row, born at the version that numbered it and dead where it left the map or after the last; empties the map."""
+    def finish(self) -> None:
+        """Set ``runs``: each row born at the version that numbered it, dead where it left the map or after the last; empties the map."""
         runs = np.empty((self.rows, 2), dtype="<u2")
         runs[:, 0] = np.repeat(np.arange(self.versions), np.diff([0, *self._ends]))
         runs[:, 1] = self.versions
         for version, died in enumerate(self._died):
             runs[died, 1] = version
+        self.runs = runs
         self.clear()
         self._key_of_row, self._died, self.held = [], [], np.empty(0, dtype=np.intp)
-        return KeySet(self.digests, runs, self.width)
 
 
 class _GroupRows:
-    """One group's rows as a scan gives them: a line map and a record map (``_Rows``).
+    """One group of the scan's lifetime index: a line map, a record map (``_Rows``) and each version's counts.
 
-    Versions fold into ``index`` (``store_snapshot``) as they settle.  A
-    file whose content digest a file of the previous version had takes
-    that file's line rows without being split, whatever either's relpath:
-    the line map still holds the previous version's lines, so the same
-    bytes would give the same rows.
+    The maps settle each version's rows, and ``store_snapshot`` appends
+    its counts to ``versions``, so once the maps finish the group is what
+    ``store.write_store`` writes.  A file whose content digest a file of
+    the previous version had takes that file's line rows without being
+    split, whatever either's relpath: the line map still holds the
+    previous version's lines, so the same bytes would give the same rows.
     """
 
-    def __init__(self, index: GroupIndex) -> None:
-        self.index = index
+    def __init__(self) -> None:
+        self.versions: list[GroupVersion] = []
         self.lines = _Rows(DIGEST_SIZE, _digest)
         self.files = _Rows(2 * DIGEST_SIZE, _file_digest)
         self.counters = ScanCounters()
@@ -492,23 +493,12 @@ class _GroupRows:
         counters = self.counters
         counters.memo_lines_max = max(counters.memo_lines_max, len(self.lines))
         line_rows = self.lines.settle(rows for _, rows in kept)
-        # Each line the map lacked was digested once, and took a row.
-        counters.lines_digested = counters.index_rows = self.lines.rows
+        counters.lines_digested = self.lines.rows
         files = tuple(sorted((record for record, _ in kept), key=lambda r: r.relpath))
         taken = np.fromiter(map(self.files.__getitem__, files), dtype=_ROW_DTYPE, count=len(files))
         file_rows = self.files.settle([taken])
         self._previous_files = {record.content_digest: rows for record, rows in kept}
         return files, line_rows, file_rows
-
-    def finish(self) -> GroupIndex:
-        """The group's index, built once every version has settled and folded in; empties the maps."""
-        if {self.lines.versions, self.files.versions} != {len(self.index.versions)}:
-            raise ValueError(
-                f"the row maps settled {self.lines.versions} versions and the index folded in "
-                f"{len(self.index.versions)}; fold each snapshot in once, as it is scanned (store_snapshot)"
-            )
-        self._previous_files = {}
-        return GroupIndex(self.lines.key_set(), self.files.key_set(), self.index.versions)
 
 
 def _match_group(name: str, groups: Sequence[ExtensionGroup]) -> ExtensionGroup | None:
@@ -816,11 +806,11 @@ def scan_version(
 
     ``memo`` maps each group to the lines and file records of the version
     scanned before and their rows (``_GroupRows``); ``scan_corpus`` passes
-    the same one for every version, so a line or record is digested only
-    when the version before lacked it, and the snapshot folds into the
-    memo's index.  Without it each distinct line and record of this
-    version is digested once and numbered in a memo of its own, which no
-    lifetime index folds in.
+    the groups of its lifetime index for every version, so a line or
+    record is digested only when the version before lacked it, and the
+    snapshot folds into that index.  Without it each distinct line and
+    record of this version is digested once and numbered in a memo of
+    its own, which no lifetime index folds in.
     ``contents`` are the source's group files as (group, relpath, bytes
     or None if unreadable), already read; without them the source is
     read here.
@@ -830,7 +820,7 @@ def scan_version(
     if contents is None:
         contents = _read_version(source, groups)
     if memo is None:
-        memo = {g.name: _GroupRows(GroupIndex()) for g in groups}
+        memo = {g.name: _GroupRows() for g in groups}
 
     # Per group and relpath: the file's record and the row of each of its
     # lines, or None for a file that could not be read.
@@ -909,19 +899,18 @@ def scan_corpus(
     """Scan every version of a manifest in order into one lifetime index, and write its store.
 
     Yields each snapshot as it is completed so callers can report
-    per-version counts without holding the whole corpus in memory.  Each
-    version is scanned with the index's memo and folded into the index,
-    and the store file is written once, from the memo's maps, after the
-    last version: a scan that fails part way, or whose maps settled a
-    version the index did not fold in, leaves the store as it was.  Archives are read
-    ahead in worker processes (``_read_ahead``); all digesting happens
-    here, in manifest order.  ``counters``, if given, gets each group's
-    ``ScanCounters``, which count the work as the scan goes.
+    per-version counts without holding the whole corpus in memory.  The
+    index's groups are the row maps (``_GroupRows``) each version is
+    scanned with, and the store file is written from them once, after
+    the last version.  A scan that fails part way, or whose maps settled
+    a version the index did not fold in, leaves the store as it was.
+    Archives are read ahead in worker processes (``_read_ahead``); all
+    digesting happens here, in manifest order.  ``counters``, if given,
+    gets each group's ``ScanCounters``, which count the work as it goes.
     """
-    index = LifetimeIndex(labels=[], groups={g.name: GroupIndex() for g in manifest.groups})
-    memo = {name: _GroupRows(group) for name, group in index.groups.items()}
+    index = LifetimeIndex(labels=[], groups={g.name: _GroupRows() for g in manifest.groups})
     if counters is not None:
-        counters.update((name, rows.counters) for name, rows in memo.items())
+        counters.update((name, rows.counters) for name, rows in index.groups.items())
     with closing(_read_ahead(manifest)) as reads:
         for entry in manifest.versions:
             # Passed straight on, so the contents go when scan_version returns.
@@ -930,7 +919,7 @@ def scan_corpus(
                 manifest.groups,
                 label=entry.label,
                 ordinal=entry.ordinal,
-                memo=memo,
+                memo=index.groups,
                 contents=next(reads),
             )
             store_snapshot(snapshot, index)
@@ -938,15 +927,17 @@ def scan_corpus(
     # The maps hold the last version's keys, which writing does not need:
     # emptied here, they do not add to the memory the store's sorts take,
     # though the last snapshot's payloads still refer to them.
-    index = LifetimeIndex(index.labels, {name: rows.finish() for name, rows in memo.items()})
-    del memo
+    for rows in index.groups.values():
+        rows._previous_files = {}
+        rows.lines.finish()
+        rows.files.finish()
     write_store(index, store)
 
 
 def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
-    """Fold one snapshot, scanned with this index's memo, into it as its next version.
+    """Fold one snapshot, scanned with this index's groups as its memo, into it as its next version.
 
-    The memo's maps hold every row's run (``_Rows``), so the index takes
+    The groups' maps hold every row's run (``_Rows``), so the index takes
     the version's label and each group's counts alone.  A payload is
     stale, and refused, unless its rows are the ones its maps hold now,
     those of the version they settled last.  Every group's payload is
@@ -959,7 +950,7 @@ def store_snapshot(snapshot: VersionSnapshot, index: LifetimeIndex) -> None:
             f"{sorted(snapshot.groups)}) is not version {len(index.labels)} of groups "
             f"{sorted(index.groups)}"
         )
-    foreign = sorted(name for name, group in index.groups.items() if snapshot.groups[name].memo.index is not group)
+    foreign = sorted(name for name, group in index.groups.items() if snapshot.groups[name].memo is not group)
     if foreign:
         raise ValueError(
             f"snapshot {snapshot.version_label!r} groups {foreign} hold rows of another index, "

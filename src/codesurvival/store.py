@@ -22,10 +22,11 @@ the run table and those rows alone, without reading a digest or a
 section that grows with rows.  The header records a checksum of every
 section, and a section is checked when first read.
 
-Importing this module does not import numpy, so ``curves`` reads a store
-on the standard library alone.  numpy is imported by the code that
-builds arrays: a key set's ``digests`` and ``runs`` views, and
-``write_store`` (``scan``).
+This module alone knows the format, and importing it does not import
+numpy, so ``curves`` reads a store on the standard library alone.  numpy
+is imported by the code that builds arrays: a key set's ``digests`` and
+``runs`` views, and ``write_store``, which writes the scan's row maps
+and a loaded store alike (``LifetimeIndex``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .errors import DataError, StoreFormatError, UsageError
 
@@ -102,14 +102,13 @@ MAX_VERSIONS = 2**16 - 1
 
 # The key sets of a group, in store order, and the width of their row digests.
 _KEY_SETS = {"lines": DIGEST_SIZE, "files": 2 * DIGEST_SIZE}
-# A row's run of versions, (birth, death), as a numpy dtype.
-_RUN_DTYPE = ("<u2", 2)
 # A run table entry: a run, and how many rows in a row hold it.
 _TABLE_DTYPE = [("birth", "<u2"), ("death", "<u2"), ("count", "<u4")]
 _TABLE_FORMAT = "<HHI"
 _TABLE_SIZE = 8
 # A multi section row: its key's number among the shared keys, then its run.
 _MULTI_DTYPE = [("key", "<u4"), ("birth", "<u2"), ("death", "<u2")]
+_MULTI_FORMAT = "<IHH"
 _MULTI_SIZE = 8
 _SECTIONS = ("digests", "table", "multi")
 
@@ -163,41 +162,28 @@ def _multi_rows(digests, runs):
 
 
 class KeySet:
-    """Fixed-width row digests, each row held by one run of versions; read-only.
+    """A key set of a store: fixed-width row digests, each row held by one run of versions; read-only.
 
-    ``digests[k]`` is row k's digest, and ``runs[k]`` its (birth, death):
-    versions birth, ..., death - 1 hold row k, and no others.  A digest
-    revived after an absence holds a second row, born after the first
-    died, and the rows of one digest are in birth order: a scan numbers
-    rows as their keys appear (``ingest._Rows.key_set``), and a store
-    holds them in life order.  An empty run (birth == death) is a row no
-    version holds, which ``write_store`` leaves out.
+    Row k's digest is ``digests[k]``, and its run ``runs[k]``, (birth,
+    death): versions birth, ..., death - 1 hold row k, and no others.
+    Rows are in life order, and a revived digest has a row per run.
 
-    A key set read from a store (``stored``) holds its sections' bytes.
-    ``section`` gives one, refused unless it matches the header's
-    checksum, and ``checked`` names the checksums matched so far.
-    ``table`` reads the run table alone.  ``digests`` is a numpy view of
-    its section and ``runs`` the run table expanded to one run per row,
-    both built on first access, when the rows are checked too: a stage
-    reads only the sections it uses.
+    The key set holds its sections' bytes, as views into the store
+    (``load_all_snapshots``).  ``section`` gives one, refused unless it
+    matches the header's checksum, and ``checked`` names the checksums
+    matched so far.  ``table`` and ``multi`` read one section each, on
+    the standard library alone.  ``digests`` is a numpy view of its
+    section and ``runs`` the run table expanded to one run per row, both
+    built on first access, when the rows are checked too: a stage reads
+    only the sections it uses.
     """
 
-    def __init__(self, digests=None, runs=None, width: int = DIGEST_SIZE) -> None:
-        self.width = width
-        self._digests, self._runs = digests, runs
-        self.rows = 0 if digests is None else len(digests)
-        self.source = ""
+    def __init__(self, sections: dict[str, tuple[memoryview, str]], rows: int, width: int, *, source: str, versions: int) -> None:
+        """``sections`` by name, as (bytes, checksum); ``source`` says where they lie, and ``versions`` is the store's."""
+        self._sections, self.rows, self.width = sections, rows, width
+        self.source, self._versions = source, versions
         self.checked: dict[str, str] = {}
-        # A stored key set's sections, as (bytes, checksum), and its store's number of versions.
-        self._sections: dict[str, tuple[memoryview, str]] = {}
-        self._versions = 0
-
-    @classmethod
-    def stored(cls, sections: dict[str, tuple[memoryview, str]], rows: int, width: int, *, source: str, versions: int) -> KeySet:
-        """A key set of a store: its sections by name, as (bytes, checksum); ``source`` says where it lies."""
-        keys = cls(width=width)
-        keys.rows, keys.source, keys._sections, keys._versions = rows, source, sections, versions
-        return keys
+        self._digests = self._runs = None
 
     def section(self, name: str) -> memoryview:
         """A stored section's bytes, once they match the header's checksum."""
@@ -225,17 +211,21 @@ class KeySet:
             raise StoreFormatError(f"{self.source} run table counts sum to {sum(counts)}, not to its {self.rows} rows")
         return table
 
+    def multi(self) -> list[tuple[int, int, int]]:
+        """A stored key set's multi section, as (key, birth, death), refused if a run lies outside the store's versions."""
+        multi = list(struct.iter_unpack(_MULTI_FORMAT, self.section("multi")))
+        if not all(b < d <= self._versions for _, b, d in multi):
+            raise StoreFormatError(f"{self.source} runs are not all within versions 0 to {self._versions}")
+        return multi
+
     def _arrays(self) -> None:
-        """Build the numpy arrays: empty in memory, or checked views of the store's sections."""
+        """Build the numpy arrays: checked views of the store's sections."""
         if self._digests is not None:
             return
         np = _numpy()
-        if not self._sections:
-            self._digests, self._runs = np.empty(0, f"S{self.width}"), np.empty(0, _RUN_DTYPE)
-            return
         table = np.array(self.table(), dtype=np.int64).reshape(-1, 3)
         digests = np.frombuffer(self.section("digests"), f"S{self.width}")
-        runs = np.repeat(table[:, :2].astype(_RUN_DTYPE[0]), table[:, 2], axis=0)
+        runs = np.repeat(table[:, :2].astype("<u2"), table[:, 2], axis=0)
         # inner[k]: rows k and k + 1 hold one run.
         inner = np.ones(max(self.rows - 1, 0), dtype=bool)
         inner[np.cumsum(table[:-1, 2]) - 1] = False
@@ -261,34 +251,37 @@ class KeySet:
         return self._runs
 
 
+@dataclass
 class GroupIndex:
-    """One group across versions: its lines and its file records, as two key sets.
+    """One group of a store across versions: its lines and its file records, as two key sets.
 
     ``lines`` has a row per run of a line digest, ``files`` one per run of
     a (relpath, content digest) record, and ``versions`` keeps each
-    version's counts, in ordinal order.  ``scan`` builds it once, after
-    its last version, and a store holds and loads it.
+    version's counts, in ordinal order.  ``load_all_snapshots`` builds it.
     """
 
-    def __init__(
-        self,
-        lines: KeySet | None = None,
-        files: KeySet | None = None,
-        versions: Sequence[GroupVersion] = (),
-    ) -> None:
-        self.lines = KeySet() if lines is None else lines
-        self.files = KeySet(width=_KEY_SETS["files"]) if files is None else files
-        self.versions = list(versions)
+    lines: KeySet
+    files: KeySet
+    versions: list[GroupVersion]
 
 
 @dataclass
 class LifetimeIndex:
-    """Every version's label, in ordinal order, and one index per group."""
+    """Every version's label, in ordinal order, and one index per group.
+
+    Of a group, ``write_store`` reads ``versions``, one ``GroupVersion``
+    per label, and two key sets, ``lines`` and ``files``, each giving
+    ``digests``, a numpy array of row digests, and ``runs``, a uint16
+    (birth, death) per row: a loaded store's ``GroupIndex``, or the
+    scan's row maps (``ingest._GroupRows``).  A digest's rows are in
+    birth order, and a row of an empty run, which no version holds, is
+    left out.
+    """
 
     labels: list[str]
-    groups: dict[str, GroupIndex]
+    groups: dict
 
-    def group(self, name: str) -> GroupIndex:
+    def group(self, name: str):
         try:
             return self.groups[name]
         except KeyError:
@@ -302,16 +295,26 @@ def _canonical_json(value: object) -> bytes:
 
 
 def write_store(index: LifetimeIndex, store: str | Path) -> Path:
-    """Write the index as the store file of a directory, replacing it whole.
+    """Write the index (``LifetimeIndex``) as the store file of a directory, replacing it whole.
 
     Each key set's rows that a version holds are ordered here, in two
     stable sorts.  By digest first, rows of one digest staying in birth
-    order (``KeySet``): the multi section's order.  Then by run, (death,
-    birth): life order, ties by digest.  So the bytes are canonical, and
-    re-scanning an unchanged corpus reproduces the store byte for byte.
-    The file is written under a temporary name in the same directory and
-    then renamed over the old one, so the store is never partial.
+    order: the multi section's order.  Then by run, (death, birth): life
+    order, ties by digest.  So the bytes are canonical: re-scanning an
+    unchanged corpus, or writing a loaded store again, reproduces the
+    store byte for byte.  A group whose number of versions is not the
+    number of labels, or a key set with a run past the last version, is
+    refused (``ValueError``) before anything is written.  The file is
+    written under a temporary name in the same directory and then
+    renamed over the old one, so the store is never partial.
     """
+    for name, group in index.groups.items():
+        if len(group.versions) != len(index.labels):
+            raise ValueError(f"group {name!r} has {len(group.versions)} versions and the index {len(index.labels)} labels")
+        for kind in _KEY_SETS:
+            runs = getattr(group, kind).runs
+            if len(runs) and runs.max() > len(index.labels):
+                raise ValueError(f"group {name!r} {kind} has runs past the index's {len(index.labels)} versions")
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
     versions = [{"groups": {}, "label": label, "ordinal": i} for i, label in enumerate(index.labels)]
@@ -468,7 +471,7 @@ def load_all_snapshots(store: str | Path) -> LifetimeIndex:
     groups = {}
     for name in layout:
         key_sets = [
-            KeySet.stored(
+            KeySet(
                 {section: (data[a:z], checksum) for section, (a, z, checksum) in spans[name, kind].items()},
                 layout[name][kind]["keys"],
                 width,

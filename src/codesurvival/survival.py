@@ -50,7 +50,6 @@ form live in ``curves``.
 
 from __future__ import annotations
 
-import struct
 from itertools import accumulate, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -80,12 +79,9 @@ def _shared_counts(keys: KeySet, n_versions: int) -> list[list[int]]:
         diff[d][kb] -= count
         diff[d][kd] += count
 
-    multi = list(struct.iter_unpack("<IHH", keys.section("multi")))
-    if not all(b < d <= n_versions for _, b, d in multi):
-        raise StoreFormatError(f"{keys.source} runs are not all within versions 0 to {n_versions}")
     for b, d, count in keys.table():
         rectangle(b, d, b, d, count)
-    for _, rows in groupby(multi, itemgetter(0)):
+    for _, rows in groupby(keys.multi(), itemgetter(0)):
         runs = [row[1:] for row in rows]
         # The key's runs: its rows' runs, by birth, overlapping or touching ones merged.
         key_runs: list[list[int]] = []

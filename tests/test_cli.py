@@ -748,6 +748,39 @@ def test_bounds_warns_when_clamped(tmp_path, capsys):
     assert "clamped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("regime", ["x"], "field 'regime' is ['x'], not a string"),
+        ("group", ["g"], "field 'group' is ['g'], not a string"),
+        ("metric", 5, "field 'metric' is 5, not a string"),
+        ("regime", "sub/dir", "regime 'sub/dir' is not a name"),
+        ("regime", "../../x", "regime '../../x' is not a name"),
+        ("regime", "all\n", "regime 'all\\n' is not a name"),
+    ],
+    ids=["regime-list", "group-list", "metric-number", "regime-subdirectory", "regime-parent", "regime-newline"],
+)
+def test_bounds_refuses_a_fit_label_before_writing(tmp_path, fitted_pair, capsys, field, value, message):
+    # Both fit files carry the label, so a regime would be shared and its
+    # name would become part of the output paths.
+    edited = []
+    for path in fitted_pair:
+        document = json.loads(path.read_text())
+        for fit in document["fits"]:
+            fit[field] = value
+        edited.append(tmp_path / f"edited_{path.name}")
+        edited[-1].write_text(json.dumps(document))
+    (tmp_path / "out").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run("bounds", "--fit-uloc", edited[0], "--fit-file", edited[1],
+               "--horizon", 5, "--out", tmp_path / "out" / "bb") == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot parse fit file {edited[0]}: ") and err.count("\n") == 1
+    assert message in err and out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --- run reports ----------------------------------------------------------------
 
 
@@ -785,9 +818,9 @@ def test_scan_report_counts_the_work(tmp_path):
     # v2 is v1 again: both its files are reused and none of its lines digested.
     assert json.loads(report.read_text())["scan"] == {
         "cpp": {"files": 4, "files_reused": 2, "lines": 8, "lines_digested": 3,
-                "memo_lines_max": 3, "index_rows": 3},
+                "memo_lines_max": 3},
         "h": {"files": 0, "files_reused": 0, "lines": 0, "lines_digested": 0,
-              "memo_lines_max": 0, "index_rows": 0},
+              "memo_lines_max": 0},
     }
 
 

@@ -25,7 +25,6 @@ from codesurvival.curves import MetricKind
 from codesurvival.errors import (
     DataError,
     ManifestError,
-    MissingSourceError,
     StoreFormatError,
     UsageError,
 )
@@ -42,7 +41,7 @@ from codesurvival.ingest import (
     scan_version,
     store_snapshot,
 )
-from codesurvival.store import STORE_FILENAME, GroupIndex, KeySet, LifetimeIndex, load_all_snapshots
+from codesurvival.store import STORE_FILENAME, GroupIndex, KeySet, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 
 from conftest import (
@@ -190,7 +189,7 @@ def test_scan_counts_unreadable_files(tree_writer, monkeypatch):
 
 
 def test_scan_missing_source_is_an_error(tmp_path):
-    with pytest.raises(MissingSourceError):
+    with pytest.raises(ManifestError, match="nowhere does not exist"):
         scan_version(tmp_path / "nowhere", [CPP])
 
 
@@ -640,7 +639,7 @@ def test_load_manifest_refuses_decreasing_dates(tmp_path, tree_writer):
 
 def test_load_manifest_missing_snapshot_source(tmp_path, tree_writer):
     tree_writer({"a.cpp": "x\n"}, "v1")
-    with pytest.raises(MissingSourceError, match="v2"):
+    with pytest.raises(ManifestError, match="v2 does not exist"):
         load_manifest(write_manifest(tmp_path, manifest_payload()))
 
 
@@ -1021,6 +1020,47 @@ def test_store_bytes_are_pinned(tmp_path):
     assert digests == [PINNED_STORE_DIGEST, PINNED_COUNTS_DIGEST]
 
 
+def test_a_loaded_store_writes_back_byte_for_byte(tmp_path):
+    scanned, written = tmp_path / "scanned", tmp_path / "written"
+    assert main(["scan", "--manifest", str(pinned_history(tmp_path)), "--store", str(scanned)]) == 0
+    write_store(load_all_snapshots(scanned), written)
+    assert (written / STORE_FILENAME).read_bytes() == (scanned / STORE_FILENAME).read_bytes()
+
+
+def test_write_store_refuses_versions_the_labels_do_not_match(tmp_path):
+    assert main(["scan", "--manifest", str(pinned_history(tmp_path)), "--store", str(tmp_path / "store")]) == 0
+    loaded = load_all_snapshots(tmp_path / "store")
+    short = {name: GroupIndex(group.lines, group.files, group.versions[:-1]) for name, group in loaded.groups.items()}
+    for index, match in (
+        (LifetimeIndex(loaded.labels, {**loaded.groups, "h": short["h"]}), r"^group 'h' has 4 versions and the index 5 labels$"),
+        # a.cpp's "keep" is in every version, so its run ends after v4.
+        (LifetimeIndex(loaded.labels[:-1], short), r"^group 'cpp' lines has runs past the index's 4 versions$"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            write_store(index, tmp_path / "refused")
+        assert not (tmp_path / "refused").exists()
+
+
+def test_multi_section_runs_past_the_versions_are_refused(tmp_path):
+    store = tmp_path / "store"
+    assert main(["scan", "--manifest", str(pinned_history(tmp_path)), "--store", str(store)]) == 0
+    path = store / STORE_FILENAME
+    line, _, body = path.read_bytes().partition(b"\n")
+    header, body = json.loads(line), bytearray(body)
+    lines = header["groups"]["cpp"]["lines"]
+    start, end = lines["multi"], lines["multi"] + 8 * lines["multi_rows"]
+    assert lines["multi_rows"]  # the two runs of "gone", and of "b"
+    key, birth, _ = struct.unpack_from("<IHH", body, start)
+    struct.pack_into("<IHH", body, start, key, birth, 6)
+    lines["checksums"]["multi"] = b2(body[start:end]).hex()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    keys = load_all_snapshots(store).group("cpp").lines
+    assert keys.table()  # the run table is the scan's
+    for read in (keys.multi, lambda: build_curve_family(store, "cpp", MetricKind.ULOC)):
+        with pytest.raises(StoreFormatError, match="'cpp' lines runs are not all within versions 0 to 5$"):
+            read()
+
+
 def test_store_bulk_load(tmp_path):
     _, _, store = scan_sources(tmp_path, [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}, {"a.cpp": "c\n"}])
     loaded = load_all_snapshots(store)
@@ -1044,24 +1084,30 @@ def index_state(index: LifetimeIndex, memo: dict) -> tuple:
     return index.labels[:], {name: group.versions[:] for name, group in index.groups.items()}, maps
 
 
+def finished_runs(rows: ingest._Rows) -> list[list[int]]:
+    """The runs a row map gives once the scan ends."""
+    rows.finish()
+    return rows.runs.tolist()
+
+
 def test_store_snapshot_takes_versions_in_order(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
-    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
-    memo = {name: ingest._GroupRows(group) for name, group in index.groups.items()}
+    index = LifetimeIndex(labels=[], groups={"cpp": ingest._GroupRows(), "h": ingest._GroupRows()})
+    memo = index.groups
     with pytest.raises(ValueError, match="not version 0"):
         store_snapshot(scan_version(root, [CPP, H], ordinal=1), index)
     with pytest.raises(ValueError, match="groups \\['cpp'\\]"):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
     assert index_is_empty(index)
     store_snapshot(scan_version(root, [CPP, H], ordinal=0, memo=memo), index)
-    assert len(index.labels) == 1 and memo["h"].lines.key_set().runs.tolist() == [[0, 1]]
+    assert len(index.labels) == 1 and finished_runs(memo["h"].lines) == [[0, 1]]
 
 
 def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
     # "gone" is in v0 and not in v1, so v0's payload folded in again as v2
     # would give its row a second run.
-    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex()})
-    memo = {"cpp": ingest._GroupRows(index.groups["cpp"])}
+    index = LifetimeIndex(labels=[], groups={"cpp": ingest._GroupRows()})
+    memo = index.groups
     first = scan_version(tree_writer({"a.cpp": "keep\ngone\n"}, "v0"), [CPP], ordinal=0, memo=memo)
     store_snapshot(first, index)
     store_snapshot(scan_version(tree_writer({"a.cpp": "keep\n"}, "v1"), [CPP], ordinal=1, memo=memo), index)
@@ -1070,14 +1116,14 @@ def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
         store_snapshot(VersionSnapshot("v2", 2, first.groups), index)
     # Refused before any change: labels, versions and runs are as they were.
     assert index_state(index, memo) == before and index.labels == ["v0", "v1"]
-    assert memo["cpp"].lines.key_set().runs.tolist() == [[0, 2], [0, 1]]
+    assert finished_runs(memo["cpp"].lines) == [[0, 2], [0, 1]]
 
 
 def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
     # cpp's v1 payload would continue its runs at v2; h's v0 payload has a
     # line v1 lacks, so it is refused, and cpp's runs must not move.
-    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
-    memo = {name: ingest._GroupRows(group) for name, group in index.groups.items()}
+    index = LifetimeIndex(labels=[], groups={"cpp": ingest._GroupRows(), "h": ingest._GroupRows()})
+    memo = index.groups
     first = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\ngone\n"}, "v0"), [CPP, H], ordinal=0, memo=memo)
     store_snapshot(first, index)
     second = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v1"), [CPP, H], ordinal=1, memo=memo)
@@ -1090,14 +1136,14 @@ def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
     third = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v2"), [CPP, H], ordinal=2, memo=memo)
     store_snapshot(third, index)
     assert index.labels == ["v0", "v1", "v2"]
-    assert memo["cpp"].lines.key_set().runs.tolist() == [[0, 3]]
-    assert memo["h"].lines.key_set().runs.tolist() == [[0, 3], [0, 1]]
+    assert finished_runs(memo["cpp"].lines) == [[0, 3]]
+    assert finished_runs(memo["h"].lines) == [[0, 3], [0, 1]]
 
 
 def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
-    index = LifetimeIndex(labels=[], groups={"cpp": GroupIndex(), "h": GroupIndex()})
-    memo = {"cpp": ingest._GroupRows(index.groups["cpp"])}
+    index = LifetimeIndex(labels=[], groups={"cpp": ingest._GroupRows(), "h": ingest._GroupRows()})
+    memo = {"cpp": index.groups["cpp"]}
     own = scan_version(root, [CPP], memo=memo).groups["cpp"]
     alone = scan_version(root, [CPP, H], label="v0")
     # A standalone scan, and a snapshot with one group of each kind.
@@ -1115,7 +1161,8 @@ def test_standalone_scan_numbers_its_records_in_its_own_index(tree_writer):
     # Numbered at scan time in a memo of its own, one row per record, each
     # held by the one version that memo settled.
     assert payload.memo.files.rows == 3 and payload.file_rows.tolist() == [0, 1, 2]
-    assert row_versions(payload.memo.files.key_set()) == {file_row_digest(r.relpath, r.content_digest): [0] for r in payload.files}
+    payload.memo.files.finish()
+    assert row_versions(payload.memo.files) == {file_row_digest(r.relpath, r.content_digest): [0] for r in payload.files}
 
 
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
@@ -1238,7 +1285,7 @@ def test_scan_corpus_gives_a_revived_line_its_old_row(tree_writer, tmp_path, mon
     # it: one row per run.
     assert load_all_snapshots(store).group("cpp").lines.rows == 3
     assert counters["cpp"] == ScanCounters(
-        files=3, lines=5, lines_digested=3, memo_lines_max=2, index_rows=3
+        files=3, lines=5, lines_digested=3, memo_lines_max=2
     )
 
 
@@ -1246,7 +1293,7 @@ def test_scan_corpus_takes_a_moved_file_from_the_memo(tmp_path):
     snaps, counters, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\ny\n"}])
     # Reused by its content, though its relpath changed: no line is split again.
     assert counters["cpp"] == ScanCounters(
-        files=2, files_reused=1, lines=4, lines_digested=2, memo_lines_max=2, index_rows=2
+        files=2, files_reused=1, lines=4, lines_digested=2, memo_lines_max=2
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
 
@@ -1258,7 +1305,7 @@ def test_scan_corpus_takes_a_file_under_a_renamed_top_directory(tmp_path):
     ]
     snaps, counters, store = scan_sources(tmp_path, trees)
     assert counters["cpp"] == ScanCounters(
-        files=4, files_reused=1, lines=6, lines_digested=4, memo_lines_max=4, index_rows=4
+        files=4, files_reused=1, lines=6, lines_digested=4, memo_lines_max=4
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1], b2(b"z"): [0], b2(b"w"): [1]}
     assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
@@ -1269,7 +1316,7 @@ def test_scan_corpus_takes_two_equal_files_of_one_release_from_the_memo(tmp_path
     trees = [{"a.cpp": "x\ny\n", "sub/a.cpp": "x\ny\n"}, {"a.cpp": "x\ny\n", "sub/b.cpp": "x\ny\n"}]
     snaps, counters, store = scan_sources(tmp_path, trees)
     assert counters["cpp"] == ScanCounters(
-        files=4, files_reused=2, lines=8, lines_digested=2, memo_lines_max=2, index_rows=2
+        files=4, files_reused=2, lines=8, lines_digested=2, memo_lines_max=2
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
     assert [s.groups["cpp"].file_count for s in snaps] == [2, 2]
@@ -1279,7 +1326,7 @@ def test_scan_corpus_takes_two_equal_files_of_one_release_from_the_memo(tmp_path
 def test_scan_corpus_splits_a_file_moved_and_edited(tmp_path):
     snaps, counters, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\nz\n"}])
     # Its content is new, so it is split; only its new line is digested.
-    assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3, index_rows=3)
+    assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3)
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0], b2(b"z"): [1]}
     assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
@@ -1294,7 +1341,7 @@ def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, 
     # v1 has no a.cpp to reuse, so v2 splits it, digests its lines again
     # and gives them new rows.
     assert counters["cpp"] == ScanCounters(
-        files=5, files_reused=2, lines=7, lines_digested=5, memo_lines_max=3, index_rows=5
+        files=5, files_reused=2, lines=7, lines_digested=5, memo_lines_max=3
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 2], b2(b"y"): [0, 2], b2(b"z"): [0, 1, 2]}
 
@@ -1318,15 +1365,14 @@ def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_pat
         # "c" was digested in v1 but lost to the reused copy: its v1 row
         # holds no version, and v2 gives it another.
         rows = {b2(b"a"): [0, 1], b2(b"b"): [0, 1], b2(b"c"): [2]}
-        reused, digested, index_rows = 1, 2 + 1 + 1, 4
+        reused, digested = 1, 2 + 1 + 1
     else:
         # v2 reuses the copy v1 kept.
         rows = {b2(b"a"): [0], b2(b"b"): [0], b2(b"c"): [1, 2]}
-        reused, digested, index_rows = 2, 2 + 1 + 0, 3
+        reused, digested = 2, 2 + 1 + 0
     assert rows_by_line(store) == rows
     assert counters["cpp"] == ScanCounters(
         files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3,
-        index_rows=index_rows,
     )
     assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
 
@@ -1337,7 +1383,7 @@ def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
     snaps, counters, store = scan_sources(tmp_path, ["v0", "v1"])
     assert [s.groups["cpp"].uloc_count for s in snaps] == [2, 3]
     assert counters["cpp"] == ScanCounters(
-        files=4, files_reused=1, lines=12, lines_digested=3, memo_lines_max=3, index_rows=3
+        files=4, files_reused=1, lines=12, lines_digested=3, memo_lines_max=3
     )
     assert rows_by_line(store) == {b2(b"d"): [0, 1], b2(b"e"): [0, 1], b2(b"f"): [1]}
 
@@ -1358,7 +1404,7 @@ def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
 def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
     x = ExtensionGroup(name="x", extensions=(".x",))
     y = ExtensionGroup(name="y", extensions=(".y",))
-    memo = {g.name: ingest._GroupRows(GroupIndex()) for g in (x, y)}
+    memo = {g.name: ingest._GroupRows() for g in (x, y)}
     for i, tree in enumerate(random_corpus_history(random.Random(11), versions=12)):
         scan_version(write_tree(tmp_path / f"v{i}", tree), [x, y], ordinal=i, memo=memo)
         for name, group in memo.items():
@@ -1398,13 +1444,13 @@ def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_pa
     # The store's file rows: each record's basename and content, then its directory.
     records = [b"a.cpp\0" + b2(contents[0]), b"", b"b.cpp\0" + b2(contents[1]), b"src"]
     assert sorted(digested) == sorted(contents + [b"int a;", b"int b;", b"int c;"] + records)
-    assert counters == {"cpp": ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3, index_rows=3)}
+    assert counters == {"cpp": ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3)}
     digested.clear()
     next(scans)
     # Only the two files' content digests: both files are v1's, reused.
     assert sorted(digested) == [b"int a;\nint b;\n", b"int b;\r\nint c;\n"]
     assert counters == {
-        "cpp": ScanCounters(files=4, files_reused=2, lines=8, lines_digested=3, memo_lines_max=3, index_rows=3)
+        "cpp": ScanCounters(files=4, files_reused=2, lines=8, lines_digested=3, memo_lines_max=3)
     }
 
 
@@ -1413,7 +1459,7 @@ def test_scan_corpus_refuses_a_version_its_index_did_not_fold(tmp_path, monkeypa
     # three versions, the index folded in two, and no store is written.
     fold = ingest.store_snapshot
     monkeypatch.setattr(ingest, "store_snapshot", lambda snapshot, index: snapshot.ordinal < 2 and fold(snapshot, index))
-    with pytest.raises(ValueError, match=r"^the row maps settled 3 versions and the index folded in 2; "):
+    with pytest.raises(ValueError, match=r"^group 'cpp' lines has runs past the index's 2 versions$"):
         scan_sources(tmp_path, [{"a.cpp": "a\n"}, {"a.cpp": "b\n"}, {"a.cpp": "c\n"}])
     assert not (tmp_path / "store").exists()
 
@@ -1479,6 +1525,6 @@ def test_scan_corpus_closed_early_leaves_no_worker(tmp_path):
 def test_scan_corpus_of_an_archive_deleted_after_the_manifest(tmp_path):
     _, mixed = mixed_corpus(tmp_path)
     (tmp_path / "v3.tar.gz").unlink()
-    with pytest.raises(MissingSourceError, match="v3.tar.gz"):
+    with pytest.raises(ManifestError, match=r"v3\.tar\.gz does not exist"):
         list(scan_corpus(mixed, tmp_path / "store"))
     assert multiprocessing.active_children() == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from codesurvival.curves import (
 )
 from codesurvival.errors import UsageError
 from codesurvival.ingest import ExtensionGroup
-from codesurvival.store import GroupIndex, GroupVersion, KeySet, LifetimeIndex, load_all_snapshots, write_store
+from codesurvival.store import GroupVersion, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 from conftest import (
     file_row_digest,
@@ -247,13 +248,14 @@ def test_life_order_splits_a_keys_rows(tmp_path):
     loaded = load_all_snapshots(store).group("x")
     # The scan's own rows, from the row maps of a second scan of the same
     # versions, each a (death, birth, digest) triple: life order is their order.
-    memo = {"x": ingest._GroupRows(GroupIndex())}
+    memo = {"x": ingest._GroupRows()}
     for i in range(len(trees)):
         ingest.scan_version(tmp_path / f"v{i}", [ExtensionGroup(name="x", extensions=(".x",))], ordinal=i, memo=memo)
     # The store's runs, expanded from its run table, and its digests are
     # those rows in life order, row for row.
     for kind in ("lines", "files"):
-        stored, held = getattr(loaded, kind), getattr(memo["x"], kind).key_set()
+        stored, held = getattr(loaded, kind), getattr(memo["x"], kind)
+        held.finish()
         raw, width = held.digests.tobytes(), held.width
         rows = sorted((d, b, raw[k * width : (k + 1) * width]) for k, (b, d) in enumerate(held.runs.tolist()))
         assert stored.runs.tolist() == [[b, d] for d, b, _ in rows]
@@ -423,8 +425,16 @@ def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
 # --- the all-pairs kernel on key sets built directly ------------------------
 
 
-def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[KeySet, list[bytes], list[tuple[int, int]]]:
-    """A canonical key set of random rows, with each row's key and run.
+def _key_set(rows: list[bytes], runs: list[tuple[int, int]], width: int) -> SimpleNamespace:
+    """A key set as ``write_store`` takes one: row digests and runs as arrays."""
+    return SimpleNamespace(
+        digests=np.frombuffer(b"".join(rows), dtype=f"S{width}"),
+        runs=np.array(runs, dtype="<u2").reshape(-1, 2),
+    )
+
+
+def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[SimpleNamespace, list[bytes], list[tuple[int, int]]]:
+    """A key set of random rows in digest order, with each row's key and run.
 
     A digest has one or more rows, each born at least one version after
     the one before it died, as a line or record revived after an absence.
@@ -446,12 +456,7 @@ def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[Key
             rows.append(digest)
             runs.append((birth, death))
             birth = death + 1 + rng.randrange(3) if rng.random() < 0.5 else versions
-    key_set = KeySet(
-        np.frombuffer(b"".join(rows), dtype=f"S{len(rows[0])}"),
-        np.array(runs, dtype="<u2"),
-        len(rows[0]),
-    )
-    return key_set, [row[:16] for row in rows], runs
+    return _key_set(rows, runs, len(rows[0])), [row[:16] for row in rows], runs
 
 
 @pytest.mark.parametrize("versions", [1, 2, 8, 9, 63, 64, 65, 127, 128, 129])
@@ -459,11 +464,12 @@ def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[Key
 def test_shared_counts_match_per_pair_counts(tmp_path, versions, files):
     key_set, keys, runs = _random_key_set(random.Random(versions * 2 + files), versions, files)
     if versions > 2:
-        assert key_set.rows > len(set(key_set.digests.tolist()))  # revived digests
+        assert len(key_set.digests) > len(set(key_set.digests.tolist()))  # revived digests
     if files:
         assert len(set(keys)) < len(set(key_set.digests.tolist()))  # keys shared across directories
-    kind = "files" if files else "lines"
-    group = GroupIndex(**{kind: key_set}, versions=[GroupVersion(0, 0)] * versions)
+    kind, other = ("files", "lines") if files else ("lines", "files")
+    # A stand-in group: this key set, the other one empty.
+    group = SimpleNamespace(**{kind: key_set, other: _key_set([], [], 16 if files else 32)}, versions=[GroupVersion(0, 0)] * versions)
     write_store(LifetimeIndex([f"v{i}" for i in range(versions)], {"x": group}), tmp_path)
     stored = getattr(load_all_snapshots(tmp_path).group("x"), kind)
     holding = [[r for r, (birth, death) in enumerate(runs) if birth <= v < death] for v in range(versions)]
