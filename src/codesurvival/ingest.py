@@ -97,7 +97,7 @@ __all__ = [
 ]
 
 _TAR_SUFFIXES = (".tar", ".tar.gz", ".tgz", ".tar.bz2", ".tar.xz")
-_GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
+_GROUP_NAME_RE = re.compile(r"[A-Za-z0-9_+.-]+")
 
 
 # A row of a group's key set; 2**31 rows in one key set would need
@@ -122,7 +122,7 @@ class ExtensionGroup:
     extensions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not _GROUP_NAME_RE.match(self.name):
+        if not _GROUP_NAME_RE.fullmatch(self.name):
             raise ManifestError(f"invalid group name {self.name!r}")
         if not isinstance(self.extensions, (list, tuple)) or not all(
             isinstance(ext, str) for ext in self.extensions
@@ -207,7 +207,7 @@ def _file_digest(record: FileRecord) -> bytes:
     return _digest(basename + b"\0" + record.content_digest) + _digest(directory)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupPayload:
     """Digested content of one extension group within one version.
 
@@ -218,8 +218,7 @@ class GroupPayload:
     record.  Only an index whose group is that memo can fold it in
     (``store_snapshot``), and only while the memo's maps still hold these
     rows.  A line or record revived after an absence holds a newer row
-    than in the versions before.  Payloads compare by content (files,
-    skipped count and line digests), whichever memo numbered their rows.
+    than in the versions before.
     """
 
     files: tuple[FileRecord, ...]
@@ -227,15 +226,6 @@ class GroupPayload:
     file_rows: np.ndarray
     memo: _GroupRows
     skipped_files: int = 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupPayload):
-            return NotImplemented
-        return (self.files, self.skipped_files, self.uloc) == (
-            other.files,
-            other.skipped_files,
-            other.uloc,
-        )
 
     @property
     def uloc(self) -> frozenset[bytes]:
@@ -274,6 +264,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     relative to the manifest's directory; each must exist.  Ordinals are
     assigned in listed order, so a version dated before the last dated
     version listed before it is refused; undated versions are not compared.
+    A manifest that lists no group or no version is refused: it selects
+    nothing to scan.
     """
     path = Path(path)
     if not path.is_file():
@@ -287,6 +279,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     for key in ("software", "groups", "versions"):
         if key not in raw:
             raise ManifestError(f"manifest {path} is missing field {key!r}")
+    if not isinstance(raw["software"], str):
+        raise ManifestError(f"manifest {path}: field 'software' is not a string")
     if not isinstance(raw["versions"], list):
         raise ManifestError(f"manifest {path}: field 'versions' is not a list")
 
@@ -330,7 +324,11 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         versions.append(VersionEntry(label=label, ordinal=i, source=source, release_date=date))
         if date is not None:
             dated = versions[-1]
-    return CorpusManifest(software=raw["software"], versions=tuple(versions), groups=groups)
+    manifest = CorpusManifest(software=raw["software"], versions=tuple(versions), groups=groups)
+    if not groups or not versions:
+        empty = "groups" if not groups else "versions"
+        raise ManifestError(f"manifest {path}: field {empty!r} is empty, so there is nothing to scan")
+    return manifest
 
 
 def _is_tar(path: Path) -> bool:

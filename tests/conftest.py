@@ -7,17 +7,20 @@ compliance is readable at a glance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from codesurvival import ingest
 from codesurvival.ingest import ScanCounters, VersionSnapshot, load_manifest, scan_corpus
-from codesurvival.store import KeySet
+from codesurvival.store import STORE_FILENAME, GroupVersion, KeySet, LifetimeIndex, write_store
 
 CRITERIA = {
     1: "base-rate identity on all 19 published parameter rows",
@@ -129,6 +132,142 @@ def file_row_digest(relpath: str, content_digest: bytes) -> bytes:
     directory, _, basename = relpath.encode("utf-8", "surrogateescape").rpartition(b"/")
     key = hashlib.blake2b(basename + b"\0" + content_digest, digest_size=16).digest()
     return key + hashlib.blake2b(directory, digest_size=16).digest()
+
+
+def b2(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def line_digests(data: bytes) -> list[bytes]:
+    """A file's line digests by the documented rule, one split per line.
+
+    Split on LF, one trailing CR per line removed, and a final LF adds no
+    empty line.
+    """
+    if not data:
+        return []
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return [b2(line[:-1] if line.endswith(b"\r") else line) for line in lines]
+
+
+def key_set(rows: list[bytes], runs: list[tuple[int, int]], width: int) -> SimpleNamespace:
+    """A key set as ``write_store`` takes one: row digests and runs as arrays."""
+    return SimpleNamespace(
+        digests=np.frombuffer(b"".join(rows), dtype=f"S{width}"),
+        runs=np.array(runs, dtype="<u2").reshape(-1, 2),
+    )
+
+
+def oracle_store(
+    root: Path,
+    trees: list[dict[str, str | bytes | None]],
+    extensions: tuple[str, ...] = (".cpp",),
+    labels: list[str] | None = None,
+) -> bytes:
+    """The store that scanning these releases must write, from sets alone.
+
+    Each tree is {relpath: content}, None for a file the scan cannot read,
+    and groups and labels are as in ``scan_sources``.  Per group and
+    version it takes the set of line digests and of file-record row
+    digests; each maximal run of versions holding a digest is one of its
+    rows.  ``write_store`` writes them to root/oracle, and the bytes are
+    returned.
+    """
+    labels = [f"v{i}" for i in range(len(trees))] if labels is None else labels
+    groups = {}
+    for ext in extensions:
+        held: dict[str, dict[bytes, list[int]]] = {"lines": {}, "files": {}}
+        counts = []
+        for version, tree in enumerate(trees):
+            files = {rel: data.encode() if isinstance(data, str) else data for rel, data in tree.items() if rel.endswith(ext)}
+            read = {rel: data for rel, data in files.items() if data is not None}
+            lines = {digest for data in read.values() for digest in line_digests(data)}
+            for kind, keys in (("lines", lines), ("files", {file_row_digest(rel, b2(data)) for rel, data in read.items()})):
+                for key in keys:
+                    held[kind].setdefault(key, []).append(version)
+            counts.append(GroupVersion(len(read), len(lines), len(files) - len(read)))
+        rows = {}
+        for kind, width in (("lines", 16), ("files", 32)):
+            digests, runs = [], []
+            for key, versions in sorted(held[kind].items()):
+                birth = versions[0]
+                for version, following in zip(versions, versions[1:] + [None]):
+                    if following != version + 1:
+                        digests.append(key)
+                        runs.append((birth, version + 1))
+                        birth = following
+            rows[kind] = key_set(digests, runs, width)
+        groups[ext[1:]] = SimpleNamespace(**rows, versions=counts)
+    write_store(LifetimeIndex(labels, groups), root / "oracle")
+    return (root / "oracle" / STORE_FILENAME).read_bytes()
+
+
+# --- random release histories through every case the scan special-cases -----
+
+_POOL = ("alpha", "beta", "gamma", "", "  indented ", "in\rside", "ends in cr\r", "tab\tbed")
+_HISTORY_DIRS = ("", "src/", ".cfg/", "src/deep/")
+
+
+@functools.cache
+def nul_lines() -> tuple[str, ...]:
+    """Lines whose digest ends in a NUL byte, which a numpy S item would drop."""
+    return tuple(line for line in (f"line {i}" for i in range(2_000)) if b2(line.encode())[-1] == 0)
+
+
+def _release_text(rng: random.Random) -> bytes:
+    """0 to 5 pool lines, each ended by LF or CRLF; the last may end in a lone CR or in nothing."""
+    lines = rng.choices(_POOL + nul_lines(), k=rng.randint(0, 5))
+    ends = rng.choices(("\n", "\r\n"), k=len(lines))
+    if ends:
+        ends[-1] = rng.choice(("\n", "\r\n", "\r", ""))
+    return "".join(map(str.__add__, lines, ends)).encode()
+
+
+def random_release_history(rng: random.Random, versions: int, unreadable: bool = False) -> list[dict[str, bytes | None]]:
+    """A random history of groups x and y, one {relpath: bytes} per release.
+
+    Both groups draw lines from one pool: lines with a CR inside or at
+    their end, an empty line, and lines whose digest ends in NUL.  Each
+    release deletes, moves, renames, edits or reverts files to an older
+    content of their path, may add a file, and may copy one to a second
+    path.  With three releases or more, one in the middle is empty, and
+    with four or more another has no y files, so lines and files come back
+    after an absence.  With ``unreadable``, some files of each release are
+    None: the scan cannot read them.  Names may start with a dot.
+    """
+    tree: dict[str, bytes] = {}
+    past: dict[str, dict[bytes, None]] = {}  # every content each path has had
+    middle = rng.sample(range(1, versions - 1), max(versions - 2, 0))
+    empty, no_y = (middle + [None, None])[:2]
+    history = []
+    for version in range(versions):
+        for relpath in sorted(tree):
+            directory, _, basename = relpath.rpartition("/")
+            roll = rng.random()
+            if roll < 0.1:
+                del tree[relpath]
+            elif roll < 0.2:
+                tree.setdefault(rng.choice(_HISTORY_DIRS) + basename, tree.pop(relpath))
+            elif roll < 0.3:
+                tree.setdefault(f"{directory}/r{basename}".lstrip("/"), tree.pop(relpath))
+            elif roll < 0.5:
+                tree[relpath] = rng.choice([data for data in past[relpath] if data != tree[relpath]] or [_release_text(rng)])
+            elif roll < 0.8:
+                tree[relpath] = _release_text(rng)
+        for _ in range(rng.choice((0, 0, 1, 2)) if version else rng.randint(1, 3)):
+            tree[f"{rng.choice(_HISTORY_DIRS)}{rng.choice(('f', '.h'))}{rng.randrange(100)}{rng.choice(('.x', '.y'))}"] = _release_text(rng)
+        if tree and rng.random() < 0.4:
+            relpath = rng.choice(sorted(tree))
+            tree.setdefault(rng.choice(_HISTORY_DIRS) + rng.choice(("", "c")) + relpath.rpartition("/")[2], tree[relpath])
+        for relpath, data in tree.items():
+            past.setdefault(relpath, {})[data] = None
+        release = {} if version == empty else {rel: data for rel, data in tree.items() if version != no_y or rel.endswith(".x")}
+        if unreadable:
+            release = {rel: None if rng.random() < 0.15 else data for rel, data in release.items()}
+        history.append(release)
+    return history
 
 
 # --- random toy corpora with a brute-force oracle ---------------------------

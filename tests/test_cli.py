@@ -532,6 +532,12 @@ def _group_manifest(tmp_path, extensions):
     )
 
 
+def _manifest_with(tmp_path, **fields):
+    """A scan of a manifest that is valid but for these fields: one group and one version, the manifest's own directory."""
+    valid = {"software": "s", "groups": [{"name": "c", "extensions": [".c"]}], "versions": [{"label": "v", "path": "."}]}
+    return _write_manifest(tmp_path, {**valid, **fields})
+
+
 def _write_plan(tmp_path, payload):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(payload))
@@ -613,6 +619,10 @@ def _write_curves(tmp_path, insert_at, row):
         (lambda t: _bounds_with_horizon(t, -1), "--horizon must be >= 0, got -1"),
         (lambda t: _group_manifest(t, [5]), "m.json: group 'c': extensions must be a list of strings"),
         (lambda t: _group_manifest(t, ".c"), "m.json: group 'c': extensions must be a list of strings"),
+        (lambda t: _manifest_with(t, groups=[{"name": "c\n", "extensions": [".c"]}]), "m.json: invalid group name 'c\\n'"),
+        (lambda t: _manifest_with(t, groups=[]), "m.json: field 'groups' is empty, so there is nothing to scan"),
+        (lambda t: _manifest_with(t, versions=[]), "m.json: field 'versions' is empty, so there is nothing to scan"),
+        (lambda t: _manifest_with(t, software=["s"]), "m.json: field 'software' is not a string"),
         # Every version is the manifest's own directory, so nothing is made per version.
         (
             lambda t: _write_manifest(
@@ -649,6 +659,10 @@ def _write_curves(tmp_path, insert_at, row):
         "bounds-horizon-negative",
         "extensions-not-strings",
         "extensions-a-string",
+        "group-name-newline",
+        "groups-empty",
+        "versions-empty",
+        "software-not-string",
         "too-many-versions",
         "synth-seed-negative",
         "synth-lambda-nan",

@@ -14,7 +14,6 @@ import posixpath
 import random
 import struct
 import tarfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,6 @@ from codesurvival.errors import (
 from codesurvival.ingest import (
     CorpusManifest,
     ExtensionGroup,
-    FileRecord,
     ScanCounters,
     VersionEntry,
     VersionSnapshot,
@@ -41,15 +39,17 @@ from codesurvival.ingest import (
     scan_version,
     store_snapshot,
 )
-from codesurvival.store import STORE_FILENAME, GroupIndex, KeySet, LifetimeIndex, load_all_snapshots, write_store
+from codesurvival.store import STORE_FILENAME, GroupIndex, GroupVersion, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 
 from conftest import (
-    file_row_digest,
+    b2,
     indexed_rows,
+    line_digests,
+    nul_lines,
+    oracle_store,
     random_corpus_history,
-    raw_file_fraction,
-    raw_uloc_fraction,
+    random_release_history,
     refuse_reads,
     row_versions,
     scan_sources,
@@ -58,10 +58,6 @@ from conftest import (
 
 CPP = ExtensionGroup(name="cpp", extensions=(".cpp",))
 H = ExtensionGroup(name="h", extensions=(".h",))
-
-
-def b2(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 # --- normalize_lines --------------------------------------------------------
@@ -103,16 +99,6 @@ def test_normalize_no_whitespace_trimming():
     assert normalize_lines(b"x\n") != normalize_lines(b"x \n")
 
 
-def _per_line_normalize(data: bytes) -> list[bytes]:
-    """The former per-line split, kept verbatim as the oracle."""
-    if not data:
-        return []
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    return [b2(line[:-1] if line.endswith(b"\r") else line) for line in lines]
-
-
 def test_normalize_matches_the_per_line_oracle():
     rng = random.Random(20261018)
     cases = [b"", b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r", b"x\r", b"x\r\r", b"x\r\r\n", b"\r\n\r\n"]
@@ -120,7 +106,7 @@ def test_normalize_matches_the_per_line_oracle():
         parts = rng.choices([b"\r", b"\n", b"\r\n", b"\r\r\n", b"a", b"bc", b" "], k=rng.randint(0, 12))
         cases.append(b"".join(parts))
     for data in cases:
-        assert normalize_lines(data) == _per_line_normalize(data), data
+        assert normalize_lines(data) == line_digests(data), data
 
 
 # --- scan_version -----------------------------------------------------------
@@ -209,14 +195,18 @@ def make_tar(src: Path, dest: Path, mode: str = "w") -> Path:
     return dest
 
 
+def scan_alone(root: Path, source: Path, extensions: tuple[str, ...] = (".txt",)) -> tuple[VersionSnapshot, bytes]:
+    """A corpus of this one release, scanned under root: its snapshot and its store's bytes."""
+    root.mkdir(parents=True, exist_ok=True)
+    [snapshot], _, store = scan_sources(root, [os.fspath(source)], extensions)
+    return snapshot, (store / STORE_FILENAME).read_bytes()
+
+
 def test_scan_tar_equals_scan_directory(tree_writer, tmp_path):
     root = tree_writer({"a.cpp": "int a;\n", "src/b.cpp": "int b;\n", "inc/c.h": "h\n"})
     archive = make_tar(root, tmp_path / "v1.tar")
-    from_dir = scan_version(root, [CPP, H], label="v1")
-    from_tar = scan_version(archive, [CPP, H], label="v1")
-    for name in ("cpp", "h"):
-        assert from_tar.groups[name].files == from_dir.groups[name].files
-        assert from_tar.groups[name].uloc == from_dir.groups[name].uloc
+    _, from_dir = scan_alone(tmp_path / "dir", root, (".cpp", ".h"))
+    assert scan_alone(tmp_path / "tar", archive, (".cpp", ".h"))[1] == from_dir
 
 
 def test_scan_compressed_tar(tree_writer, tmp_path):
@@ -226,7 +216,6 @@ def test_scan_compressed_tar(tree_writer, tmp_path):
 
 
 def test_tar_keeps_leading_dots_of_member_names(tmp_path):
-    txt = ExtensionGroup(name="txt", extensions=(".txt",))
     archive = tmp_path / "v1.tar"
     with tarfile.open(archive, "w") as tar:
         for name, data in ((".cfg/x.txt", b"x\n"), ("./.y.txt", b"y\n")):
@@ -234,39 +223,36 @@ def test_tar_keeps_leading_dots_of_member_names(tmp_path):
             info.size = len(data)
             tar.addfile(info, io.BytesIO(data))
     root = write_tree(tmp_path / "tree", {".cfg/x.txt": "x\n", ".y.txt": "y\n"})
-    from_tar = scan_version(archive, [txt], label="v1")
+    from_tar, store = scan_alone(tmp_path / "tar", archive)
     files = from_tar.groups["txt"].files
     assert [(r.basename, r.relpath) for r in files] == [("x.txt", ".cfg/x.txt"), (".y.txt", ".y.txt")]
-    assert from_tar == scan_version(root, [txt], label="v1")
+    assert store == scan_alone(tmp_path / "dir", root)[1]
 
 
 def test_tar_and_directory_give_identical_snapshots(tmp_path):
-    x = ExtensionGroup(name="x", extensions=(".x",))
-    y = ExtensionGroup(name="y", extensions=(".y",))
     rng = random.Random(20261018)
-    for corpus_id in range(6):
-        for i, tree in enumerate(random_corpus_history(rng, versions=4)):
-            # Hide some files and directories behind a leading dot.
-            tree = {
-                (("." + rel) if rng.random() < 0.3 else rel): text for rel, text in tree.items()
-            }
-            root = write_tree(tmp_path / f"c{corpus_id}" / f"v{i}", tree)
-            archive = make_tar(root, tmp_path / f"c{corpus_id}" / f"v{i}.tar.gz", "w:gz")
-            from_dir = scan_version(root, [x, y], label=f"v{i}", ordinal=i)
-            assert scan_version(archive, [x, y], label=f"v{i}", ordinal=i) == from_dir
+    for root in (tmp_path / f"c{k}" for k in range(6)):
+        # Hide some files and directories behind a leading dot.
+        history = [
+            {(("." + rel) if rng.random() < 0.3 else rel): text for rel, text in tree.items()}
+            for tree in random_corpus_history(rng, versions=4)
+        ]
+        _, _, store = scan_sources(root / "dirs", history, (".x", ".y"))
+        archives = [make_tar(root / "dirs" / f"v{i}", root / f"v{i}.tar.gz", "w:gz").name for i in range(4)]
+        _, _, packed = scan_sources(root, archives, (".x", ".y"))
+        assert (packed / STORE_FILENAME).read_bytes() == (store / STORE_FILENAME).read_bytes()
 
 
 @pytest.mark.parametrize("mode, suffix", [("w", ".tar"), ("w:gz", ".tar.gz")])
 def test_tar_hard_link_reads_as_its_target(tmp_path, mode, suffix):
-    txt = ExtensionGroup(name="txt", extensions=(".txt",))
     root = write_tree(tmp_path / "tree", {"x.txt": "one\ntwo\n", "z.txt": "z\n"})
     os.link(root / "x.txt", root / "y.txt")
     archive = make_tar(root, tmp_path / f"v1{suffix}", mode)
     with tarfile.open(archive) as tar:
         assert tar.getmember("./y.txt").islnk()
-    from_dir = scan_version(root, [txt], label="v1")
+    from_dir, store = scan_alone(tmp_path / "dir", root)
     assert [r.relpath for r in from_dir.groups["txt"].files] == ["x.txt", "y.txt", "z.txt"]
-    assert scan_version(archive, [txt], label="v1") == from_dir
+    assert scan_alone(tmp_path / "tar", archive)[1] == store
 
 
 def test_tar_hard_link_to_a_missing_file_is_skipped(tmp_path):
@@ -282,7 +268,6 @@ def test_tar_hard_link_to_a_missing_file_is_skipped(tmp_path):
 
 def test_tar_member_archived_last_wins(tmp_path):
     # "tar -r" appends a second copy; extraction keeps the last one.
-    txt = ExtensionGroup(name="txt", extensions=(".txt",))
     archive = tmp_path / "v1.tar"
     with tarfile.open(archive, "w") as tar:
         for name, data in (("x.txt", b"old\n"), ("./x.txt", b"older\n"), ("x.txt", b"new\n")):
@@ -290,9 +275,9 @@ def test_tar_member_archived_last_wins(tmp_path):
             info.size = len(data)
             tar.addfile(info, io.BytesIO(data))
     root = write_tree(tmp_path / "tree", {"x.txt": "new\n"})
-    from_tar = scan_version(archive, [txt], label="v1")
+    from_tar, store = scan_alone(tmp_path / "tar", archive)
     assert (from_tar.groups["txt"].file_count, from_tar.groups["txt"].uloc_count) == (1, 1)
-    assert from_tar == scan_version(root, [txt], label="v1")
+    assert store == scan_alone(tmp_path / "dir", root)[1]
 
 
 def test_tar_reads_no_member_twice(tmp_path, monkeypatch):
@@ -311,10 +296,11 @@ def test_tar_reads_no_member_twice(tmp_path, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(gzip._GzipReader, "_rewind", counting)
+    # Read in this process, where the rewinds are counted.
     from_tar = scan_version(archive, [CPP], label="v1")
     assert rewinds == []
     assert [r.relpath for r in from_tar.groups["cpp"].files] == ["a.cpp", "copy.cpp"]
-    assert from_tar == scan_version(root, [CPP], label="v1")
+    assert scan_alone(tmp_path / "tar", archive, (".cpp",))[1] == scan_alone(tmp_path / "dir", root, (".cpp",))[1]
 
 
 def _tar_oracle(archive: Path, groups) -> list:
@@ -478,10 +464,10 @@ def test_tar_relpaths_are_normalized_as_on_extraction(tmp_path):
     members = [("a/./x.txt", b"old\n"), ("a/x.txt", b"new\n"), ("b//y.txt", b"y\n")]
     archive.write_bytes(tar_bytes([(tar_info(name), data) for name, data in members]))
     root = write_tree(tmp_path / "tree", {"a/x.txt": "new\n", "b/y.txt": "y\n"})
-    from_tar = scan_version(archive, [TXT], label="v1")
+    from_tar, store = scan_alone(tmp_path / "tar", archive)
     assert [r.relpath for r in from_tar.groups["txt"].files] == ["a/x.txt", "b/y.txt"]
     assert from_tar.groups["txt"].uloc_count == 2
-    assert from_tar == scan_version(root, [TXT], label="v1")
+    assert store == scan_alone(tmp_path / "dir", root)[1]
 
 
 def test_tar_hard_link_to_a_symbolic_link_reads_nothing(tmp_path):
@@ -726,47 +712,15 @@ def test_corpus_manifest_rejects_group_collisions(tmp_path):
 # --- lifetime store ---------------------------------------------------------
 
 
-def assert_life_order(keys: KeySet) -> None:
-    """The rows are distinct and in life order: by (death, birth), then by digest."""
-    width, raw = keys.digests.itemsize, keys.digests.tobytes()  # an S item would lose trailing NUL bytes
-    rows = [(d, b, raw[k * width : (k + 1) * width]) for k, (b, d) in enumerate(keys.runs.tolist())]
-    assert rows == sorted(set(rows))
-
-
-def assert_store_holds(loaded: LifetimeIndex, snaps: list) -> None:
-    """The loaded store describes exactly these snapshots, ordinals 0, 1, ..."""
-    assert loaded.labels == [s.version_label for s in snaps]
-    assert set(loaded.groups) == set(snaps[0].groups)
-    for name, group in loaded.groups.items():
-        payloads = [s.groups[name] for s in snaps]
-        # Each digest once, however many runs it has, and the rows in life order.
-        union = sorted({d for p in payloads for d in p.uloc})
-        assert sorted(row_versions(group.lines)) == union
-        assert group.lines.runs.shape == (group.lines.rows, 2)
-        assert_life_order(group.lines)
-        records = [{file_row_digest(r.relpath, r.content_digest) for r in p.files} for p in payloads]
-        distinct = sorted(set().union(*records))
-        assert sorted(row_versions(group.files)) == distinct
-        assert group.files.runs.shape == (group.files.rows, 2)
-        assert_life_order(group.files)
-        for i, payload in enumerate(payloads):
-            version = group.versions[i]
-            assert version.file_count == payload.file_count
-            assert version.uloc_count == payload.uloc_count
-            assert version.skipped_files == payload.skipped_files
-            assert indexed_rows(group.lines, i) == payload.uloc
-            assert indexed_rows(group.files, i) == records[i]
-
-
 def test_store_round_trip(tmp_path):
     trees = [
         {"a.cpp": "int a;\nint b;\n", "inc/c.h": "h\n"},
         {"a.cpp": "int a;\n", "b.cpp": "int c;\nint b;\n"},
         {"inc/c.h": "h\nk\n"},
     ]
-    snaps, _, store = scan_sources(tmp_path, trees, (".cpp", ".h"))
+    _, _, store = scan_sources(tmp_path, trees, (".cpp", ".h"))
     assert [p.name for p in store.iterdir()] == [STORE_FILENAME]
-    assert_store_holds(load_all_snapshots(store), snaps)
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees, (".cpp", ".h"))
 
 
 def test_store_write_is_deterministic(tmp_path):
@@ -779,14 +733,14 @@ def test_store_write_is_deterministic(tmp_path):
 
 
 def test_store_round_trips_awkward_names(tree_writer, tmp_path):
-    root = tree_writer({"dir with space/my file.cpp": "x\n", "d\u00e9j\u00e0/\u00fc.cpp": "y\n"})
     # A name that is not UTF-8 reaches the record with surrogate escapes.
-    (root / os.fsdecode(b"caf\xe9.cpp")).write_text("z\n")
-    label = "release 1.0 beta\nnext \"line\""
-    snaps, _, store = scan_sources(tmp_path, [root.name] * 2, labels=[label, "\u00e9t\u00e9 2"])
+    tree = {"dir with space/my file.cpp": "x\n", "d\u00e9j\u00e0/\u00fc.cpp": "y\n", os.fsdecode(b"caf\xe9.cpp"): "z\n"}
+    root = tree_writer(tree)
+    labels = ["release 1.0 beta\nnext \"line\"", "\u00e9t\u00e9 2"]
+    _, _, store = scan_sources(tmp_path, [root.name] * 2, labels=labels)
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, [tree] * 2, labels=labels)
     loaded = load_all_snapshots(store)
-    assert_store_holds(loaded, snaps)
-    assert loaded.labels[0] == label
+    assert loaded.labels == labels
     # Relpaths are not stored, only the digests of their parts.
     expected = {
         b2("my file.cpp".encode() + b"\0" + b2(b"x\n")) + b2("dir with space".encode()),
@@ -798,9 +752,10 @@ def test_store_round_trips_awkward_names(tree_writer, tmp_path):
 
 def test_store_rejects_corruption(tmp_path):
     trees = [{"a.cpp": "w\nx\ny\n", "b.cpp": "w\n"}, {"a.cpp": "y\nz\n"}]
-    snaps, _, store = scan_sources(tmp_path, trees)
+    _, _, store = scan_sources(tmp_path, trees)
     path = store / STORE_FILENAME
     good = path.read_bytes()
+    assert good == oracle_store(tmp_path, trees)
     line, body = good.split(b"\n", 1)
     header = json.loads(line)
     assert header["format"] == 7 and header["digest"] == "blake2b-128"
@@ -966,7 +921,8 @@ def test_store_rejects_corruption(tmp_path):
                 build_curve_family(store, "cpp", metric)
 
     path.write_bytes(good)
-    assert_store_holds(load_all_snapshots(store), snaps)
+    group = load_all_snapshots(store).group("cpp")
+    assert (len(group.lines.runs), len(group.files.runs)) == (4, 3)
 
 
 def test_store_refuses_format_2_snapshot_files(tmp_path):
@@ -1078,18 +1034,6 @@ def index_is_empty(index: LifetimeIndex) -> bool:
     return index.labels == [] and all(group.versions == [] for group in index.groups.values())
 
 
-def index_state(index: LifetimeIndex, memo: dict) -> tuple:
-    """The labels, every group's versions, and what each of the memo's maps settled and holds."""
-    maps = {name: [(keys.versions, keys.held.tolist()) for keys in (rows.lines, rows.files)] for name, rows in memo.items()}
-    return index.labels[:], {name: group.versions[:] for name, group in index.groups.items()}, maps
-
-
-def finished_runs(rows: ingest._Rows) -> list[list[int]]:
-    """The runs a row map gives once the scan ends."""
-    rows.finish()
-    return rows.runs.tolist()
-
-
 def test_store_snapshot_takes_versions_in_order(tree_writer):
     root = tree_writer({"a.cpp": "x\n", "a.h": "h\n"})
     index = LifetimeIndex(labels=[], groups={"cpp": ingest._GroupRows(), "h": ingest._GroupRows()})
@@ -1100,7 +1044,7 @@ def test_store_snapshot_takes_versions_in_order(tree_writer):
         store_snapshot(scan_version(root, [CPP], ordinal=0), index)
     assert index_is_empty(index)
     store_snapshot(scan_version(root, [CPP, H], ordinal=0, memo=memo), index)
-    assert len(index.labels) == 1 and finished_runs(memo["h"].lines) == [[0, 1]]
+    assert index.labels == [root.name] and index.groups["h"].versions == [GroupVersion(1, 1)]
 
 
 def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
@@ -1111,12 +1055,11 @@ def test_store_snapshot_refuses_a_payload_that_skips_a_version(tree_writer):
     first = scan_version(tree_writer({"a.cpp": "keep\ngone\n"}, "v0"), [CPP], ordinal=0, memo=memo)
     store_snapshot(first, index)
     store_snapshot(scan_version(tree_writer({"a.cpp": "keep\n"}, "v1"), [CPP], ordinal=1, memo=memo), index)
-    before = index_state(index, memo)
     with pytest.raises(ValueError, match=r"^rows \[1\] \(1 in all\) neither start nor continue a run at version 2$"):
         store_snapshot(VersionSnapshot("v2", 2, first.groups), index)
-    # Refused before any change: labels, versions and runs are as they were.
-    assert index_state(index, memo) == before and index.labels == ["v0", "v1"]
-    assert finished_runs(memo["cpp"].lines) == [[0, 2], [0, 1]]
+    # Refused before any change: the index holds v0 and v1 as they were.
+    assert index.labels == ["v0", "v1"]
+    assert index.groups["cpp"].versions == [GroupVersion(1, 2), GroupVersion(1, 1)]
 
 
 def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
@@ -1128,16 +1071,15 @@ def test_store_snapshot_refuses_a_stale_group_before_changing_any(tree_writer):
     store_snapshot(first, index)
     second = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v1"), [CPP, H], ordinal=1, memo=memo)
     store_snapshot(second, index)
-    before = index_state(index, memo)
     with pytest.raises(ValueError, match="neither start nor continue a run at version 2"):
         store_snapshot(VersionSnapshot("v2", 2, {"cpp": second.groups["cpp"], "h": first.groups["h"]}), index)
-    assert index_state(index, memo) == before
-    # v1 again, scanned as v2, folds in: cpp's run goes on, and h's "gone" stays dead.
+    assert index.labels == ["v0", "v1"]
+    assert [index.groups[name].versions for name in ("cpp", "h")] == [[GroupVersion(1, 1)] * 2, [GroupVersion(1, 2), GroupVersion(1, 1)]]
+    # v1 again, scanned as v2, folds in.
     third = scan_version(tree_writer({"a.cpp": "c\n", "a.h": "keep\n"}, "v2"), [CPP, H], ordinal=2, memo=memo)
     store_snapshot(third, index)
     assert index.labels == ["v0", "v1", "v2"]
-    assert finished_runs(memo["cpp"].lines) == [[0, 3]]
-    assert finished_runs(memo["h"].lines) == [[0, 3], [0, 1]]
+    assert index.groups["h"].versions == [GroupVersion(1, 2), GroupVersion(1, 1), GroupVersion(1, 1)]
 
 
 def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
@@ -1155,80 +1097,37 @@ def test_store_snapshot_refuses_rows_of_another_index(tree_writer):
         assert index_is_empty(index)
 
 
-def test_standalone_scan_numbers_its_records_in_its_own_index(tree_writer):
-    root = tree_writer({"a.cpp": "x\n", "src/a.cpp": "x\n", "b.cpp": "y\n"})
-    payload = scan_version(root, [CPP]).groups["cpp"]
-    # Numbered at scan time in a memo of its own, one row per record, each
-    # held by the one version that memo settled.
-    assert payload.memo.files.rows == 3 and payload.file_rows.tolist() == [0, 1, 2]
-    payload.memo.files.finish()
-    assert row_versions(payload.memo.files) == {file_row_digest(r.relpath, r.content_digest): [0] for r in payload.files}
-
-
 @pytest.mark.parametrize("versions", [8, 9, 64, 65, 70])
 def test_store_mask_edges(tmp_path, monkeypatch, versions):
     # 8/9 and 64/65 straddle a byte and a 64-bit word; 70 is > 64.
     rng = random.Random(versions)
     # Lines whose digests end in NUL bytes, which an S item would drop, and others.
-    nul = [line for line in (f"line {i}" for i in range(20_000)) if b2(line.encode())[-1] == 0]
-    pool = nul[:20] + [f"other {i}" for i in range(60)]
-    trees, read = [], []
+    pool = [*nul_lines(), *(f"other {i}" for i in range(60))]
+    trees = []
     for i in range(versions):
         names = rng.sample(["a.x", "b.x", "c.x"], rng.randint(0, 3))
-        tree = {
-            f"d{rng.randint(0, 1)}/{name}": "".join(
-                f"{line}\n" for line in rng.sample(pool, rng.randint(0, 20))
-            )
-            for name in names
-        }
-        read.append(tree)
+        tree = {f"d{rng.randint(0, 1)}/{name}": "".join(f"{line}\n" for line in rng.sample(pool, rng.randint(0, 20))) for name in names}
         # i % 3 files that cannot be read, so each version skips as many.
-        trees.append({**tree, **{f"locked{k}.x": "never read\n" for k in range(i % 3)}})
+        trees.append({**tree, **{f"locked{k}.x": None for k in range(i % 3)}})
     refuse_reads(monkeypatch, lambda path: path.name.startswith("locked"))
-    snaps, _, store = scan_sources(tmp_path, trees, (".x",))
-    loaded = load_all_snapshots(store)
-    assert_store_holds(loaded, snaps)
-    assert [v.skipped_files for v in loaded.group("x").versions] == [i % 3 for i in range(versions)]
-    assert any(b2(line.encode()) in s.groups["x"].uloc for s in snaps for line in nul[:20])
-    path = store / STORE_FILENAME
-    header_bytes = path.read_bytes().index(b"\n") + 1
-    lines, files = loaded.group("x").lines.rows, loaded.group("x").files.rows
-    layout = json.loads(path.read_bytes()[:header_bytes])["groups"]["x"]
-    # The multi section: each row of a key that has more than one row.
-    for kind, width in (("lines", 16), ("files", 32)):
-        raw = getattr(loaded.group("x"), kind).digests.tobytes()
-        keys = Counter(raw[k : k + 16] for k in range(0, len(raw), width))
-        assert layout[kind]["multi_rows"] == sum(n for n in keys.values() if n > 1)
-    multi = layout["lines"]["multi_rows"] + layout["files"]["multi_rows"]
-    # A distinct run per table entry, at least one row each.
-    table = layout["lines"]["table_rows"] + layout["files"]["table_rows"]
-    for kind in ("lines", "files"):
-        keys = getattr(loaded.group("x"), kind)
-        assert layout[kind]["table_rows"] == len(set(map(tuple, keys.runs.tolist()))) <= max(keys.rows, 1)
-    # A digest per row, (birth, death, count) per table entry, and (key, birth, death) per multi row.
-    assert path.stat().st_size == header_bytes + lines * 16 + files * 32 + table * 8 + multi * 8
-    for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
-        family = build_curve_family(store, "x", metric)
-        got = {c.baseline_ordinal: [p for _, p in c.points] for c in family.curves}
-        expected = {}
-        for i, base in enumerate(read[:-1]):
-            fractions = [oracle(base, later, ".x") for later in read[i + 1 :]]
-            if fractions[0] is not None:
-                expected[i] = fractions
-        assert got == expected
+    _, _, store = scan_sources(tmp_path, [{rel: "never read\n" if text is None else text for rel, text in t.items()} for t in trees], (".x",))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees, (".x",))
+    assert [v.skipped_files for v in load_all_snapshots(store).group("x").versions] == [i % 3 for i in range(versions)]
+    assert any(b2(line.encode()) in rows_by_line(store, "x") for line in nul_lines())
 
 
 def test_scan_corpus_yields_in_order_and_persists(tree_writer, tmp_path):
-    tree_writer({"a.cpp": "one\n"}, "v1")
-    tree_writer({"a.cpp": "two\n"}, "v2")
+    trees = [{"a.cpp": "one\n"}, {"a.cpp": "two\n"}]
+    tree_writer(trees[0], "v1")
+    tree_writer(trees[1], "v2")
     manifest = load_manifest(write_manifest(tmp_path, manifest_payload()))
     store = tmp_path / "store"
     snaps = list(scan_corpus(manifest, store))
     assert [(s.version_label, s.ordinal) for s in snaps] == [("v1", 0), ("v2", 1)]
-    assert_store_holds(load_all_snapshots(store), snaps)
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees, labels=["v1", "v2"])
 
 
-def test_scan_corpus_equals_fresh_scans_of_each_version(tree_writer, tmp_path):
+def test_scan_corpus_equals_fresh_scans_of_each_version(tmp_path):
     # "a" leaves and comes back, "moved" goes from cpp to h and back, and
     # "crlf" is written with both line endings.
     history = [
@@ -1237,34 +1136,11 @@ def test_scan_corpus_equals_fresh_scans_of_each_version(tree_writer, tmp_path):
         {"a.cpp": "a\nmoved\r\ncrlf\n", "b.cpp": "crlf\r\nb\n", "a.h": "h\n"},
         {"a.cpp": "a\nmoved\r\ncrlf\n", "b.cpp": "crlf\r\nb\n"},
     ]
-    payload = manifest_payload()
-    payload["groups"].append({"name": "h", "extensions": [".h"]})
-    payload["versions"] = [{"label": f"v{i}", "path": f"v{i}"} for i in range(len(history))]
-    for i, tree in enumerate(history):
-        tree_writer(tree, f"v{i}")
-    manifest = load_manifest(write_manifest(tmp_path, payload))
-    assert_scans_equal(list(scan_corpus(manifest, tmp_path / "store")), standalone_scans(manifest))
-
-
-def standalone_scans(manifest: CorpusManifest) -> list[VersionSnapshot]:
-    return [
-        scan_version(v.source, manifest.groups, label=v.label, ordinal=v.ordinal)
-        for v in manifest.versions
-    ]
-
-
-def assert_scans_equal(snaps: list[VersionSnapshot], fresh: list[VersionSnapshot]) -> None:
-    """Same versions, files and line digests, whichever index numbered the rows."""
-    assert [(s.version_label, s.ordinal, list(s.groups)) for s in snaps] == [
-        (s.version_label, s.ordinal, list(s.groups)) for s in fresh
-    ]
-    for snap, alone in zip(snaps, fresh):
-        for name, payload in snap.groups.items():
-            other = alone.groups[name]
-            assert payload.uloc == other.uloc
-            assert payload.uloc_count == other.uloc_count
-            assert payload.files == other.files
-            assert payload.skipped_files == other.skipped_files
+    snaps, _, store = scan_sources(tmp_path, history, (".cpp", ".h"))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, history, (".cpp", ".h"))
+    for snap in snaps:
+        fresh = scan_version(tmp_path / snap.version_label, [CPP, H]).groups
+        assert {n: (p.uloc, p.files) for n, p in snap.groups.items()} == {n: (p.uloc, p.files) for n, p in fresh.items()}
 
 
 def rows_by_line(store: Path, group: str = "cpp") -> dict[bytes, list[int]]:
@@ -1303,12 +1179,12 @@ def test_scan_corpus_takes_a_file_under_a_renamed_top_directory(tmp_path):
         {"pkg-1.0/a.cpp": "x\ny\n", "pkg-1.0/b.cpp": "z\n"},
         {"pkg-1.1/a.cpp": "x\ny\n", "pkg-1.1/b.cpp": "w\n"},
     ]
-    snaps, counters, store = scan_sources(tmp_path, trees)
+    _, counters, store = scan_sources(tmp_path, trees)
     assert counters["cpp"] == ScanCounters(
         files=4, files_reused=1, lines=6, lines_digested=4, memo_lines_max=4
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1], b2(b"z"): [0], b2(b"w"): [1]}
-    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees)
 
 
 def test_scan_corpus_takes_two_equal_files_of_one_release_from_the_memo(tmp_path):
@@ -1320,15 +1196,16 @@ def test_scan_corpus_takes_two_equal_files_of_one_release_from_the_memo(tmp_path
     )
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0, 1]}
     assert [s.groups["cpp"].file_count for s in snaps] == [2, 2]
-    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees)
 
 
 def test_scan_corpus_splits_a_file_moved_and_edited(tmp_path):
-    snaps, counters, store = scan_sources(tmp_path, [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\nz\n"}])
+    trees = [{"a.cpp": "x\ny\n"}, {"sub/a.cpp": "x\nz\n"}]
+    _, counters, store = scan_sources(tmp_path, trees)
     # Its content is new, so it is split; only its new line is digested.
     assert counters["cpp"] == ScanCounters(files=2, lines=4, lines_digested=3, memo_lines_max=3)
     assert rows_by_line(store) == {b2(b"x"): [0, 1], b2(b"y"): [0], b2(b"z"): [1]}
-    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees)
 
 
 def test_scan_corpus_of_a_file_unreadable_then_unchanged(tree_writer, tmp_path, monkeypatch):
@@ -1374,7 +1251,8 @@ def test_scan_corpus_of_a_tar_holding_a_reusable_path_twice(tree_writer, tmp_pat
     assert counters["cpp"] == ScanCounters(
         files=4, files_reused=reused, lines=6, lines_digested=digested, memo_lines_max=3,
     )
-    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    trees = [{"x.cpp": "a\nb\n"}, {"x.cpp": last}, {"x.cpp": "c\n"}]
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees)
 
 
 def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
@@ -1391,37 +1269,23 @@ def test_scan_corpus_of_duplicate_lines(tree_writer, tmp_path):
 @pytest.mark.parametrize("versions, seed", [(5, 9), (5, 12), (8, 3), (9, 5), (64, 5), (65, 6)])
 def test_scan_corpus_equals_standalone_scans_folded(tmp_path, versions, seed):
     # 8/9 and 64/65 versions straddle a byte and a 64-bit word.
-    rng = random.Random(seed)
-    history = random_corpus_history(rng, versions=versions)
-    snaps, counters, store = scan_sources(tmp_path, history, extensions=(".x", ".y"))
+    history = random_corpus_history(random.Random(seed), versions=versions)
+    _, counters, store = scan_sources(tmp_path, history, extensions=(".x", ".y"))
     # The history revives lines, and leaves files unchanged.
-    distinct = sum(len(rows_by_line(store, name)) for name in counters)
-    assert sum(c.lines_digested for c in counters.values()) > distinct
+    assert sum(c.lines_digested for c in counters.values()) > sum(len(rows_by_line(store, n)) for n in counters)
     assert sum(c.files_reused for c in counters.values()) > 0
-    assert_scans_equal(snaps, standalone_scans(load_manifest(tmp_path / "manifest.json")))
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, history, (".x", ".y"))
 
 
 def test_memo_holds_the_lines_of_the_version_just_scanned(tmp_path):
-    x = ExtensionGroup(name="x", extensions=(".x",))
-    y = ExtensionGroup(name="y", extensions=(".y",))
-    memo = {g.name: ingest._GroupRows() for g in (x, y)}
-    for i, tree in enumerate(random_corpus_history(random.Random(11), versions=12)):
-        scan_version(write_tree(tmp_path / f"v{i}", tree), [x, y], ordinal=i, memo=memo)
-        for name, group in memo.items():
-            texts = {rel: text for rel, text in tree.items() if rel.endswith("." + name)}
-            expected = {line.removesuffix("\r").encode() for text in texts.values() for line in text.splitlines()}
-            assert set(group.lines) == expected
-            # Each line maps to the row of its digest.
-            rows = [group.lines[line] for line in sorted(expected)]
-            assert group.lines.digests[rows].tobytes() == b"".join(map(b2, sorted(expected)))
-            # And each file record to the row of its record digest.
-            records = {FileRecord(rel, b2(text.encode())) for rel, text in texts.items()}
-            assert set(group.files) == records
-            for record in records:
-                row = group.files[record]
-                assert group.files.digests[row : row + 1].tobytes() == file_row_digest(
-                    record.relpath, record.content_digest
-                )
+    # Each snapshot, as the scan yields it, holds its own version's lines and file records.
+    history = random_corpus_history(random.Random(11), versions=12)
+    scan_sources(tmp_path, history, (".x", ".y"))
+    for snap, tree in zip(scan_corpus(load_manifest(tmp_path / "manifest.json"), tmp_path / "again"), history, strict=True):
+        for name, payload in snap.groups.items():
+            texts = {rel: text.encode() for rel, text in tree.items() if rel.endswith("." + name)}
+            assert payload.uloc == {digest for data in texts.values() for digest in line_digests(data)}
+            assert {(r.relpath, r.content_digest) for r in payload.files} == {(rel, b2(data)) for rel, data in texts.items()}
 
 
 def test_scan_corpus_digests_no_line_of_an_unchanged_version(tree_writer, tmp_path, monkeypatch):
@@ -1474,15 +1338,62 @@ def test_scan_corpus_removes_snapshots_it_did_not_write(tree_writer, tmp_path):
         tree_writer({"a.cpp": f"old {i}\n", "a.h": "h\n"}, f"old{i}")
     list(scan_corpus(load_manifest(write_manifest(tmp_path, payload)), store))
     assert load_all_snapshots(store).labels == ["old0", "old1", "old2", "old3"]
-    tree_writer({"a.cpp": "one\n", "a.h": "h\n"}, "v1")
-    tree_writer({"a.cpp": "two\n"}, "v2")
+    trees = [{"a.cpp": "one\n", "a.h": "h\n"}, {"a.cpp": "two\n"}]
+    tree_writer(trees[0], "v1")
+    tree_writer(trees[1], "v2")
     manifest = load_manifest(write_manifest(tmp_path, manifest_payload()))
-    snaps = list(scan_corpus(manifest, store))
+    list(scan_corpus(manifest, store))
     # Ordinals 2-3 and the h group, which this manifest drops, are gone.
     assert [p.name for p in store.iterdir()] == [STORE_FILENAME]
-    loaded = load_all_snapshots(store)
-    assert loaded.labels == ["v1", "v2"] and list(loaded.groups) == ["cpp"]
-    assert_store_holds(loaded, snaps)
+    assert (store / STORE_FILENAME).read_bytes() == oracle_store(tmp_path, trees, labels=["v1", "v2"])
+
+
+# --- the store oracle -------------------------------------------------------
+
+
+def pack(tree_dir: Path, dest: Path, tree: dict[str, bytes], rng: random.Random) -> str:
+    """The release as a .tar or .tar.gz at dest; returns its name.
+
+    Members are named ./relpath, as ``tar -C dir .`` names them, or bare relpath.
+    """
+    mode, suffix = rng.choice([("w", ".tar"), ("w:gz", ".tar.gz")])
+    archive = dest.with_name(dest.name + suffix)
+    if rng.random() < 0.5:
+        return make_tar(tree_dir, archive, mode).name
+    with tarfile.open(archive, mode) as tar:
+        for relpath, data in tree.items():
+            info = tarfile.TarInfo(relpath)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return archive.name
+
+
+def test_scan_writes_the_oracle_store(tmp_path, monkeypatch):
+    # Odd seeds give files the scan cannot read, which only a directory can
+    # refuse to read.  Seeds 2, 6, 10, ... are scanned again with two of
+    # every three releases packed as archives: a scan in worker processes
+    # costs as much as four of directories.  The last two pass 64 versions.
+    for seed in range(200):
+        rng = random.Random(seed)
+        unreadable = seed % 2 == 1
+        history = random_release_history(rng, rng.randint(2, 7) if seed < 198 else 65 + seed % 2, unreadable)
+        root = tmp_path / f"s{seed}"
+        refused = {root / f"v{i}" / rel for i, tree in enumerate(history) for rel, data in tree.items() if data is None}
+        refuse_reads(monkeypatch, refused.__contains__)
+        _, _, store = scan_sources(root, [{rel: data or b"" for rel, data in tree.items()} for tree in history], (".x", ".y"))
+        expected = oracle_store(root, history, (".x", ".y"))
+        assert (store / STORE_FILENAME).read_bytes() == expected, f"seed {seed}"
+        if seed % 4 != 2:
+            continue
+        packed = root / "packed"
+        packed.mkdir()
+        sources = [
+            os.fspath(root / f"v{i}") if i % 3 == 2 else pack(root / f"v{i}", packed / f"v{i}", tree, rng)
+            for i, tree in enumerate(history)
+        ]
+        _, _, store = scan_sources(packed, sources, (".x", ".y"))
+        assert (store / STORE_FILENAME).read_bytes() == expected, f"seed {seed}, archives {sources}"
+        assert multiprocessing.active_children() == []
 
 
 # --- archives read in worker processes -------------------------------------
@@ -1505,12 +1416,12 @@ def mixed_corpus(tmp_path: Path, versions: int = 6) -> tuple[CorpusManifest, Cor
 
 
 def test_scan_corpus_of_archives_equals_scan_of_directories(tmp_path):
-    dirs, mixed = mixed_corpus(tmp_path)
-    from_dirs = list(scan_corpus(dirs, tmp_path / "dirs-store"))
-    assert list(scan_corpus(mixed, tmp_path / "mixed-store")) == from_dirs
+    stores = []
+    for manifest, name in zip(mixed_corpus(tmp_path), ("dirs-store", "mixed-store")):
+        assert [s.ordinal for s in scan_corpus(manifest, tmp_path / name)] == list(range(6))
+        stores.append((tmp_path / name / STORE_FILENAME).read_bytes())
     assert multiprocessing.active_children() == []
-    stores = [(tmp_path / name / STORE_FILENAME).read_bytes() for name in ("dirs-store", "mixed-store")]
-    assert stores[0] == stores[1]
+    assert stores == [oracle_store(tmp_path, random_corpus_history(random.Random(20261018), 6), (".x", ".y"))] * 2
 
 
 def test_scan_corpus_closed_early_leaves_no_worker(tmp_path):

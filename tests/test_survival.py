@@ -7,10 +7,9 @@ import random
 import struct
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from codesurvival import ingest, survival
+from codesurvival import survival
 from codesurvival.curves import (
     CURVES_CSV_HEADER,
     ChangeCurve,
@@ -20,12 +19,13 @@ from codesurvival.curves import (
     write_curves_csv,
 )
 from codesurvival.errors import UsageError
-from codesurvival.ingest import ExtensionGroup
 from codesurvival.store import GroupVersion, LifetimeIndex, load_all_snapshots, write_store
 from codesurvival.survival import build_curve_family
 from conftest import (
+    b2,
     file_row_digest,
     indexed_rows,
+    key_set,
     random_corpus_history,
     raw_file_fraction,
     raw_uloc_fraction,
@@ -124,10 +124,6 @@ def test_groups_are_independent(tmp_path):
 
 
 # --- the files key set -------------------------------------------------------
-
-
-def b2(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 def stored_files(root, trees):
@@ -233,45 +229,6 @@ def test_family_needs_two_versions(tmp_path):
 def test_family_from_store_directory(tmp_path):
     family = family_of(tmp_path, [{"a.x": "a\nb\n"}, {"a.x": "a\n"}, {"a.x": "c\n"}], "x", MetricKind.ULOC)
     assert family.curves[0].points == ((1, 0.5), (2, 1.0))
-
-
-def test_life_order_splits_a_keys_rows(tmp_path):
-    # "gone" is revived in v2 and "mid" dies between its runs; f.x is in
-    # d1 from v0 and in d2 from v2, and a.x changes every version.
-    trees = [
-        {"a.x": "keep\ngone\nmid\n", "d1/f.x": "same\n"},
-        {"a.x": "keep\nmid\n", "d1/f.x": "same\n"},
-        {"a.x": "keep\ngone\nnew\n", "d1/f.x": "same\n", "d2/f.x": "same\n"},
-        {"a.x": "keep\nnew\n", "d2/f.x": "same\n"},
-    ]
-    _, _, store = scan_sources(tmp_path, trees, XY)
-    loaded = load_all_snapshots(store).group("x")
-    # The scan's own rows, from the row maps of a second scan of the same
-    # versions, each a (death, birth, digest) triple: life order is their order.
-    memo = {"x": ingest._GroupRows()}
-    for i in range(len(trees)):
-        ingest.scan_version(tmp_path / f"v{i}", [ExtensionGroup(name="x", extensions=(".x",))], ordinal=i, memo=memo)
-    # The store's runs, expanded from its run table, and its digests are
-    # those rows in life order, row for row.
-    for kind in ("lines", "files"):
-        stored, held = getattr(loaded, kind), getattr(memo["x"], kind)
-        held.finish()
-        raw, width = held.digests.tobytes(), held.width
-        rows = sorted((d, b, raw[k * width : (k + 1) * width]) for k, (b, d) in enumerate(held.runs.tolist()))
-        assert stored.runs.tolist() == [[b, d] for d, b, _ in rows]
-        assert stored.digests.tobytes() == b"".join(digest for *_, digest in rows)
-    # Another run's rows lie between the rows of gone, and of f.x.
-    raw = loaded.lines.digests.tobytes()
-    gone = [k for k in range(loaded.lines.rows) if raw[16 * k : 16 * k + 16] == b2(b"gone")]
-    assert [loaded.lines.runs.tolist()[k] for k in gone] == [[0, 1], [2, 3]] and gone[1] - gone[0] > 1
-    raw = loaded.files.digests.tobytes()
-    f_x = [k for k in range(loaded.files.rows) if raw[32 * k : 32 * k + 16] == b2(b"f.x\0" + b2(b"same\n"))]
-    assert [loaded.files.runs.tolist()[k] for k in f_x] == [[0, 3], [2, 4]] and f_x[1] - f_x[0] > 1
-    for metric, oracle in ((MetricKind.ULOC, raw_uloc_fraction), (MetricKind.FILE, raw_file_fraction)):
-        family = build_curve_family(store, "x", metric)
-        assert [[p for _, p in c.points] for c in family.curves] == [
-            [oracle(base, later, ".x") for later in trees[i + 1 :]] for i, base in enumerate(trees[:-1])
-        ]
 
 
 def test_digest_ending_in_nul_survives_store_and_kernel(tmp_path):
@@ -425,14 +382,6 @@ def test_files_key_set_in_a_store_matches_oracle(tmp_path, versions):
 # --- the all-pairs kernel on key sets built directly ------------------------
 
 
-def _key_set(rows: list[bytes], runs: list[tuple[int, int]], width: int) -> SimpleNamespace:
-    """A key set as ``write_store`` takes one: row digests and runs as arrays."""
-    return SimpleNamespace(
-        digests=np.frombuffer(b"".join(rows), dtype=f"S{width}"),
-        runs=np.array(runs, dtype="<u2").reshape(-1, 2),
-    )
-
-
 def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[SimpleNamespace, list[bytes], list[tuple[int, int]]]:
     """A key set of random rows in digest order, with each row's key and run.
 
@@ -456,20 +405,20 @@ def _random_key_set(rng: random.Random, versions: int, files: bool) -> tuple[Sim
             rows.append(digest)
             runs.append((birth, death))
             birth = death + 1 + rng.randrange(3) if rng.random() < 0.5 else versions
-    return _key_set(rows, runs, len(rows[0])), [row[:16] for row in rows], runs
+    return key_set(rows, runs, len(rows[0])), [row[:16] for row in rows], runs
 
 
 @pytest.mark.parametrize("versions", [1, 2, 8, 9, 63, 64, 65, 127, 128, 129])
 @pytest.mark.parametrize("files", [False, True], ids=["lines", "files"])
 def test_shared_counts_match_per_pair_counts(tmp_path, versions, files):
-    key_set, keys, runs = _random_key_set(random.Random(versions * 2 + files), versions, files)
+    rows, keys, runs = _random_key_set(random.Random(versions * 2 + files), versions, files)
     if versions > 2:
-        assert len(key_set.digests) > len(set(key_set.digests.tolist()))  # revived digests
+        assert len(rows.digests) > len(set(rows.digests.tolist()))  # revived digests
     if files:
-        assert len(set(keys)) < len(set(key_set.digests.tolist()))  # keys shared across directories
+        assert len(set(keys)) < len(set(rows.digests.tolist()))  # keys shared across directories
     kind, other = ("files", "lines") if files else ("lines", "files")
-    # A stand-in group: this key set, the other one empty.
-    group = SimpleNamespace(**{kind: key_set, other: _key_set([], [], 16 if files else 32)}, versions=[GroupVersion(0, 0)] * versions)
+    # A stand-in group: these rows, the other key set empty.
+    group = SimpleNamespace(**{kind: rows, other: key_set([], [], 16 if files else 32)}, versions=[GroupVersion(0, 0)] * versions)
     write_store(LifetimeIndex([f"v{i}" for i in range(versions)], {"x": group}), tmp_path)
     stored = getattr(load_all_snapshots(tmp_path).group("x"), kind)
     holding = [[r for r, (birth, death) in enumerate(runs) if birth <= v < death] for v in range(versions)]
