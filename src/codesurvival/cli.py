@@ -80,6 +80,11 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each unprintable character escaped, so that it prints on one console line."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text)
+
+
 def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
     _load("ingest", "store")
     manifest = load_manifest(args.manifest)
@@ -101,7 +106,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[Path], list[str], dict]:
                 payload.skipped_files,
             )
             rows.append(row)
-            print(f"{row[0]:>7}  {row[1]:<12} {row[2]:<8} {row[3]:>7} {row[4]:>9} {row[5]:>7}")
+            print(f"{row[0]:>7}  {_one_line(row[1]):<12} {row[2]:<8} {row[3]:>7} {row[4]:>9} {row[5]:>7}")
             if payload.skipped_files:
                 warnings.append(
                     f"version {snapshot.version_label!r} group {name!r}: "

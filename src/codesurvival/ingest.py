@@ -19,14 +19,17 @@ store header, and a store whose header names another digest is refused
 rather than compared as an incompatible set.
 
 Reading and digesting are split.  Directories are read in this process
-one file at a time, as they are digested.  Archives are read ahead in a
-pool of ``min(2, CPUs available to the process)`` worker processes,
-created only when the manifest lists an archive: a worker decompresses
-the archive, walks its members and sends back the bytes of the group
-files.  All digesting, and the lifetime index, stay in this process, in
-manifest order, so the store does not depend on the workers.  At most
-``workers + 1`` archives' group files are held here at once, read ahead
-or being digested.
+one file at a time, as they are digested.  Archives are read ahead by
+``min(2, CPUs available to the process, archives)`` reader processes,
+forked only when the manifest lists an archive: a reader decompresses
+its share of the archives in turn, walks each one's members and writes
+the bytes of its group files to a pipe of its own.  All digesting, and
+the lifetime index, stay in this process, in manifest order, so the
+store does not depend on the readers.  A reader blocks on its pipe until
+this process takes the archive, so this process holds one archive's
+group files at a time, the one being digested, and each reader at most
+the one it is sending.  Where the platform offers no ``os.fork``,
+archives are read in this process, as directories are.
 
 Archives are read by this module's own tar reader (``_read_tar``), not
 by ``tarfile``: one pass over the stream, one ``struct`` unpack per
@@ -64,21 +67,22 @@ import hashlib
 import json
 import lzma
 import os
+import pickle
 import posixpath
 import re
+import signal
 import stat
 import struct
 import zlib
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import cycle, repeat
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import ManifestError, UsageError
+from .errors import DataError, ManifestError, UsageError
 from .store import DIGEST_SIZE, MAX_VERSIONS, GroupVersion, LifetimeIndex, write_store
 
 __all__ = [
@@ -305,6 +309,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ManifestError(f"manifest {path}: malformed version entry {i} ({exc})") from exc
         if not isinstance(label, str):
             raise ManifestError(f"manifest {path}: version entry {i} has label {label!r}, not a string")
+        if not label:
+            raise ManifestError(f"manifest {path}: version entry {i} has an empty label")
         if not source.is_absolute():
             source = base / source
         date = None
@@ -778,7 +784,7 @@ def _read_version(source: Path, groups: Sequence[ExtensionGroup]) -> Iterator[_G
 
 
 def _read_archive(source: Path, groups: Sequence[ExtensionGroup]) -> list[_GroupFile]:
-    """A worker's task: every group file of one archive."""
+    """A reader's task: every group file of one archive."""
     return list(_read_version(source, groups))
 
 
@@ -848,44 +854,96 @@ def _available_cpus() -> int:
 def _read_ahead(manifest: CorpusManifest) -> Iterator[list[_GroupFile] | None]:
     """Per version in manifest order: an archive's group files, or None for a directory.
 
-    Archives are read in a pool of at most two worker processes, at most
-    ``workers + 1`` of them ahead of the version being digested; the pool
-    exists only if the manifest lists an archive, and closing the
-    generator shuts it down.  Directories are left to ``scan_version``,
-    which reads them file by file.
+    Archives are read by ``min(2, CPUs available, archives)`` reader
+    processes, forked only if the manifest lists an archive.  Reader k of
+    W reads archives k, k + W, k + 2W, ... of the manifest and writes
+    each one's files, pickled, to a pipe of its own, on which it blocks
+    until this process reads them: so this process holds only the
+    archive being digested, and each reader at most the one it is
+    sending.  A reader's refusal (``UsageError``, ``ManifestError``) is
+    raised here when the scan reaches that archive.  Closing the
+    generator, on any path, kills and reaps every reader.  Directories
+    are left to ``scan_version``, which reads them file by file, and so
+    are archives where the platform offers no ``os.fork``.
     """
     is_archive = [not entry.source.is_dir() for entry in manifest.versions]
-    if not any(is_archive):
+    if not any(is_archive) or not hasattr(os, "fork"):
         yield from repeat(None, len(is_archive))
         return
-    # Imported here: only a scan of archives uses them, and at module level
-    # they would add about 20 ms to the start of every command.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(2, _available_cpus(), sum(is_archive))
-    # fork spares each worker from importing numpy again.  numpy's BLAS
-    # thread makes this process multi-threaded, so Python 3.12 and later
-    # warn on fork; that is safe here because the workers only read files
-    # and never call numpy.  The pool forks all its workers at the first
-    # submit, before it starts threads of its own.
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+    archives = [entry.source for entry, archive in zip(manifest.versions, is_archive) if archive]
+    readers = min(2, _available_cpus(), len(archives))
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
-        unread = (entry.source for entry, archive in zip(manifest.versions, is_archive) if archive)
-        pending = deque()
+        for k in range(readers):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                # fork spares each reader from importing numpy again.
+                # numpy's BLAS thread makes this process multi-threaded, so
+                # Python 3.12 and later warn; that is safe here because a
+                # reader only reads files and never calls numpy.
+                pid = os.fork()
+                if pid == 0:
+                    _serve(archives[k::readers], manifest.groups, write_end, pipes)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        senders = zip(cycle(pipes), archives)
         for archive in is_archive:
-            # With the one taken now, at most workers + 1 archives are
-            # submitted and not yet digested.
-            pending.extend(
-                pool.submit(_read_archive, source, manifest.groups)
-                for source in islice(unread, workers + 1 - len(pending))
-            )
-            yield pending.popleft().result() if archive else None
+            # Passed straight on: this frame keeps no reference to the files.
+            yield _receive(*next(senders)) if archive else None
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(
+    archives: Sequence[Path], groups: Sequence[ExtensionGroup], out: int, inherited: Iterable[BinaryIO]
+) -> NoReturn:
+    """A forked reader's life: send ``(ok, files or exception)`` per archive to ``out``, in order.
+
+    It stops after sending an exception, and leaves through ``os._exit``
+    on every path, so it runs no exit handler and flushes no buffer it
+    inherited.
+    """
+    status = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        with os.fdopen(out, "wb") as sent:
+            for source in archives:
+                try:
+                    files = _read_archive(source, groups)
+                except Exception as exc:
+                    try:
+                        refusal = pickle.dumps((False, exc))
+                        pickle.loads(refusal)
+                    except Exception:  # an exception that does not survive pickling
+                        refusal = pickle.dumps((False, UsageError(f"cannot read tar archive {source}: {exc}")))
+                    sent.write(refusal)
+                    break
+                pickle.dump((True, files), sent)
+                sent.flush()
+                del files  # before the next archive is read
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe: BinaryIO, source: Path) -> list[_GroupFile]:
+    """The group files of ``source`` as its reader sent them on ``pipe``, or the reader's refusal, raised."""
+    try:
+        ok, files = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise DataError(f"the reader of archive {source} ended before sending its files ({exc})") from exc
+    if not ok:
+        raise files
+    return files
 
 
 def scan_corpus(
@@ -902,7 +960,7 @@ def scan_corpus(
     scanned with, and the store file is written from them once, after
     the last version.  A scan that fails part way, or whose maps settled
     a version the index did not fold in, leaves the store as it was.
-    Archives are read ahead in worker processes (``_read_ahead``); all
+    Archives are read ahead in reader processes (``_read_ahead``); all
     digesting happens here, in manifest order.  ``counters``, if given,
     gets each group's ``ScanCounters``, which count the work as it goes.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -72,6 +73,15 @@ def refuse_reads(monkeypatch, refused) -> None:
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr(ingest, "open", flaky, raising=False)
+
+
+def assert_no_child_process() -> None:
+    """Fail if this process has a child process left, running or exited and not yet reaped."""
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process is left: waitpid(-1, WNOHANG) gave {left}")
 
 
 def scan_sources(

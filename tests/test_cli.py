@@ -6,7 +6,6 @@ import csv
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import subprocess
 import struct
@@ -23,7 +22,7 @@ from codesurvival.curves import MetricKind, read_curves_csv, write_curves_csv
 from codesurvival.store import STORE_FILENAME, load_all_snapshots
 from codesurvival.synth import analytic_family
 
-from conftest import scan_sources, write_tree
+from conftest import assert_no_child_process, scan_sources, write_tree
 
 
 def run(*argv):
@@ -174,7 +173,7 @@ def test_failed_rescan_leaves_the_store_as_it_was(tmp_path, capsys):
     assert err.startswith("error: ") and name in err and err.count("\n") == 1
     # Byte for byte the previous store, and no temporary file left over.
     assert {p.name: p.read_bytes() for p in store.iterdir()} == before
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_scan_of_an_archive_deleted_after_the_manifest_exits_2(tmp_path, capsys, monkeypatch):
@@ -194,7 +193,65 @@ def test_scan_of_an_archive_deleted_after_the_manifest_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: snapshot source ") and name in err and err.count("\n") == 1
     assert not (tmp_path / "s" / STORE_FILENAME).exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def test_scan_whose_archive_reader_dies_exits_3(tmp_path, capsys, monkeypatch):
+    store = tmp_path / "store"
+    first = synth_corpus(tmp_path / "first", versions=2)
+    assert run("scan", "--manifest", first / "manifest.json", "--store", store) == 0
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    corpus = synth_corpus(tmp_path / "corpus", versions=6)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    for entry in manifest["versions"]:
+        with tarfile.open(corpus / f"{entry['path']}.tar.gz", "w:gz") as tar:
+            tar.add(corpus / entry["path"], arcname=".")
+        entry["path"] += ".tar.gz"
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    read_archive = ingest._read_archive
+
+    def die_on_the_fourth(source, groups):
+        if source.name == manifest["versions"][3]["path"]:
+            os._exit(1)
+        return read_archive(source, groups)
+
+    # Set in this process, so the forked readers inherit it.
+    monkeypatch.setattr(ingest, "_read_archive", die_on_the_fourth)
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", store) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the reader of archive ") and manifest["versions"][3]["path"] in err
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+    assert_no_child_process()
+
+
+def test_scan_refuses_an_empty_version_label(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=2)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["versions"][1]["label"] = ""
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "store") == 2
+    assert capsys.readouterr().err == f"error: manifest {corpus / 'manifest.json'}: version entry 1 has an empty label\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_scan_table_prints_each_version_on_one_line(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path / "corpus", versions=2)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    labels = ["p\nq", "tab\there\x1b[0m"]
+    for entry, label in zip(manifest["versions"], labels):
+        entry["label"] = label
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("scan", "--manifest", corpus / "manifest.json", "--store", tmp_path / "store") == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 3
+    assert table[1].split()[:2] == ["0", "p\\nq"] and table[2].split()[:2] == ["1", "tab\\there\\x1b[0m"]
+    # The artifacts keep each label as the manifest gives it.
+    with (tmp_path / "store" / "counts.csv").open(newline="") as fh:
+        assert [row[1] for row in csv.reader(fh)] == ["label", *labels]
 
 
 def test_scan_counts_csv_quotes_awkward_labels(tmp_path):

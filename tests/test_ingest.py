@@ -8,7 +8,6 @@ import hashlib
 import io
 import json
 import lzma
-import multiprocessing
 import os
 import posixpath
 import random
@@ -43,6 +42,7 @@ from codesurvival.store import STORE_FILENAME, GroupIndex, GroupVersion, Lifetim
 from codesurvival.survival import build_curve_family
 
 from conftest import (
+    assert_no_child_process,
     b2,
     indexed_rows,
     line_digests,
@@ -665,6 +665,15 @@ def test_load_manifest_rejects_a_label_that_is_not_a_string(tmp_path, tree_write
     payload = manifest_payload()
     payload["versions"][1]["label"] = label
     with pytest.raises(ManifestError, match=r"manifest\.json: version entry 1 has label .*not a string"):
+        load_manifest(write_manifest(tmp_path, payload))
+
+
+def test_load_manifest_refuses_an_empty_label(tmp_path, tree_writer):
+    tree_writer({"a.cpp": "x\n"}, "v1")
+    tree_writer({"a.cpp": "y\n"}, "v2")
+    payload = manifest_payload()
+    payload["versions"][1]["label"] = ""
+    with pytest.raises(ManifestError, match=r"^manifest \S*manifest\.json: version entry 1 has an empty label$"):
         load_manifest(write_manifest(tmp_path, payload))
 
 
@@ -1393,10 +1402,10 @@ def test_scan_writes_the_oracle_store(tmp_path, monkeypatch):
         ]
         _, _, store = scan_sources(packed, sources, (".x", ".y"))
         assert (store / STORE_FILENAME).read_bytes() == expected, f"seed {seed}, archives {sources}"
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
 
-# --- archives read in worker processes -------------------------------------
+# --- archives read in reader processes -------------------------------------
 
 
 def mixed_corpus(tmp_path: Path, versions: int = 6) -> tuple[CorpusManifest, CorpusManifest]:
@@ -1420,7 +1429,7 @@ def test_scan_corpus_of_archives_equals_scan_of_directories(tmp_path):
     for manifest, name in zip(mixed_corpus(tmp_path), ("dirs-store", "mixed-store")):
         assert [s.ordinal for s in scan_corpus(manifest, tmp_path / name)] == list(range(6))
         stores.append((tmp_path / name / STORE_FILENAME).read_bytes())
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert stores == [oracle_store(tmp_path, random_corpus_history(random.Random(20261018), 6), (".x", ".y"))] * 2
 
 
@@ -1429,7 +1438,7 @@ def test_scan_corpus_closed_early_leaves_no_worker(tmp_path):
     scans = scan_corpus(mixed, tmp_path / "store")
     assert next(scans).ordinal == 0
     scans.close()
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert not (tmp_path / "store").exists()
 
 
@@ -1438,4 +1447,44 @@ def test_scan_corpus_of_an_archive_deleted_after_the_manifest(tmp_path):
     (tmp_path / "v3.tar.gz").unlink()
     with pytest.raises(ManifestError, match=r"v3\.tar\.gz does not exist"):
         list(scan_corpus(mixed, tmp_path / "store"))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def test_scan_corpus_failing_while_digesting_leaves_no_reader(tmp_path, monkeypatch):
+    _, mixed = mixed_corpus(tmp_path)
+    digest = ingest.scan_version
+
+    def fail_at_v2(source, groups, **kwargs):
+        if kwargs["ordinal"] == 2:
+            raise RuntimeError("digest failed")
+        return digest(source, groups, **kwargs)
+
+    monkeypatch.setattr(ingest, "scan_version", fail_at_v2)
+    with pytest.raises(RuntimeError, match="digest failed"):
+        list(scan_corpus(mixed, tmp_path / "store"))
+    assert_no_child_process()
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_reader_refusal_that_cannot_be_pickled_arrives_as_a_usage_error(tmp_path, monkeypatch):
+    _, mixed = mixed_corpus(tmp_path)
+
+    class Odd(Exception):  # defined in a function, so pickle cannot name it
+        pass
+
+    def refuse(source, groups):
+        raise Odd("odd header")
+
+    monkeypatch.setattr(ingest, "_read_archive", refuse)
+    with pytest.raises(UsageError, match=r"cannot read tar archive \S*v1\.tar\.gz: odd header"):
+        list(scan_corpus(mixed, tmp_path / "store"))
+    assert_no_child_process()
+
+
+def test_scan_corpus_without_fork_reads_archives_in_this_process(tmp_path, monkeypatch):
+    _, mixed = mixed_corpus(tmp_path)
+    list(scan_corpus(mixed, tmp_path / "forked"))
+    monkeypatch.delattr(os, "fork")
+    list(scan_corpus(mixed, tmp_path / "here"))
+    assert (tmp_path / "here" / STORE_FILENAME).read_bytes() == (tmp_path / "forked" / STORE_FILENAME).read_bytes()
+    assert_no_child_process()
